@@ -16,6 +16,7 @@ import sys
 from . import jsonio
 from .config import RunConfig
 from .errors import (
+    DepthOverflow,
     NoAlignment,
     NotConstantOnCylinders,
     OrbiteqError,
@@ -43,9 +44,7 @@ def _config(args):
         depth=args.depth,
         max_pre=args.max_pre,
         max_cyc=args.max_cyc,
-        max_window=args.max_window,
         fmt=args.format,
-        seed=args.seed,
     )
 
 
@@ -165,7 +164,7 @@ def cmd_verify(args):
         return EXIT_REFUTED
     try:
         verdict = classify(h, h_inv, cfg)
-    except (NoAlignment, NotConstantOnCylinders) as e:
+    except (NoAlignment, NotConstantOnCylinders, TooLarge, DepthOverflow) as e:
         payload = {"verdict": "Undecided", "note": str(e)}
         _emit(payload, cfg, lambda p: f"undecided: {p['note']}\n")
         return EXIT_UNDECIDED
@@ -198,7 +197,7 @@ def cmd_psi(args):
     try:
         kl = orbit_cocycles(h, min(cfg.depth, 3), cfg)
         g = induced_potential(h, kl, f)
-    except (NoAlignment, NotConstantOnCylinders) as e:
+    except (NoAlignment, NotConstantOnCylinders, TooLarge, DepthOverflow) as e:
         payload = {"error": type(e).__name__, "note": str(e)}
         _emit(payload, cfg, lambda p: f"undecided: {p['note']}\n")
         return EXIT_UNDECIDED
@@ -237,9 +236,7 @@ def build_parser():
         p.add_argument("--depth", type=int, default=8)
         p.add_argument("--max-pre", type=int, default=3, dest="max_pre")
         p.add_argument("--max-cyc", type=int, default=4, dest="max_cyc")
-        p.add_argument("--max-window", type=int, default=4, dest="max_window")
         p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--seed", type=int, default=RunConfig().seed)
 
     p = sub.add_parser("analyze", help="validate a matrix and report invariants")
     p.add_argument("matrix")

@@ -24,18 +24,14 @@ class RunConfig:
     depth: int = 8
     max_pre: int = 3
     max_cyc: int = 4
-    max_window: int = 4
     horizon_mult: int = 2
     fmt: str = "text"
-    seed: int = 20240601
 
     def __post_init__(self):
         if not (1 <= self.depth <= MAX_DEPTH):
             raise ValueError(f"depth must be in 1..{MAX_DEPTH}")
         if self.max_pre < 0 or self.max_cyc < 1:
             raise ValueError("max_pre must be >= 0 and max_cyc >= 1")
-        if not (1 <= self.max_window <= MAX_DEPTH):
-            raise ValueError(f"max_window must be in 1..{MAX_DEPTH}")
         if self.horizon_mult < 1:
             raise ValueError("horizon_mult must be >= 1")
         if self.fmt not in ("text", "json"):

@@ -14,7 +14,7 @@ All arithmetic is plain Python integers; nothing here rounds.
 from dataclasses import dataclass, field
 
 from .config import MAX_DEPTH
-from .errors import DepthOverflow, InadmissibleWord
+from .errors import DepthOverflow, InadmissibleWord, TooLarge
 from .shifts import ShiftSpace
 
 __all__ = [
@@ -187,8 +187,9 @@ def find_transfer(space, g, c, max_depth):
     is connected (the matrix is irreducible), so a solution is either
     pinned down by a BFS up to one additive constant or contradicted by
     some cycle whose increments do not cancel.  Returns ``None`` when no
-    depth up to ``max_depth`` admits a solution; that is a bounded-search
-    outcome, not a refutation.
+    depth up to ``max_depth`` admits a solution, or when the word-table
+    cap stops the search earlier; that is a bounded-search outcome, not a
+    refutation.
 
     The returned table is normalized to value 0 on the lexicographically
     least word.
@@ -197,7 +198,10 @@ def find_transfer(space, g, c, max_depth):
         raise DepthOverflow(f"max_depth {max_depth} exceeds cap {MAX_DEPTH}")
     for m in range(1, max_depth + 1):
         big = max(g.depth, m + 1)
-        gm = refine(g, big)
+        try:
+            gm = refine(g, big)  # the deepest word table this depth needs
+        except TooLarge:
+            return None
         # edges[u] = list of (v, r) meaning b[u] - b[v] = r
         edges = {w: [] for w in space.words(m)}
         ok = True

@@ -39,8 +39,9 @@ from .errors import (
     NoAlignment,
     NotConstantOnCylinders,
     PreconditionFailed,
+    TooLarge,
 )
-from .functions import CylinderFunction, combine
+from .functions import CylinderFunction, combine, evaluate
 from .maps import BlockCode, apply_map
 from .shifts import (
     canonical_point,
@@ -204,31 +205,6 @@ def cylinder_family(space, depth, cfg):
     return fam
 
 
-def _shift_orbit(space, p, n):
-    """``[p, sigma p, ..., sigma^n p]`` as canonical points."""
-    out = [p]
-    for _ in range(n):
-        out.append(shift_point(space, out[-1]))
-    return out
-
-
-def _orbit_tables(h, p, horizon):
-    """Shift orbits of ``h(p)`` (indexed by l) and ``h(sigma p)`` (by k).
-
-    Block codes commute with the shift, so their second orbit is the
-    first one advanced by a step; transducers need both images.
-    """
-    tgt = h.target
-    hp = apply_map(h, p)
-    if isinstance(h, BlockCode):
-        a = _shift_orbit(tgt, hp, horizon + 1)
-        return a[: horizon + 1], a[1:]
-    a = _shift_orbit(tgt, hp, horizon)
-    hsp = apply_map(h, shift_point(h.source, p))
-    b = _shift_orbit(tgt, hsp, horizon)
-    return a, b
-
-
 def orbit_cocycles(h, depth, cfg=None):
     """The minimal orbit cocycle pair of ``h`` at the given cylinder depth.
 
@@ -245,27 +221,31 @@ def orbit_cocycles(h, depth, cfg=None):
         map is then not an orbit map as far as this search can see.
     """
     cfg = cfg or RunConfig()
-    src = h.source
+    src, tgt = h.source, h.target
     fam = cylinder_family(src, depth, cfg)
     ktab, ltab = {}, {}
     for w in src.words(depth):
-        orbits = []
-        top = 0
+        images = []  # (horizon, h(p), h(sigma p)) for each family point
         for p in fam[w]:
             horizon = cfg.horizon_mult * (depth + len(p.preperiod) + len(p.cycle))
-            orbits.append(_orbit_tables(h, p, horizon))
-            top = max(top, horizon)
-        found = None
-        for l in range(top + 1):
-            for k in range(top + 1):
+            images.append(
+                (horizon, apply_map(h, p), apply_map(h, shift_point(src, p)))
+            )
+        top = max(hz for hz, _, _ in images)
+        found = next(
+            (
+                (l, k)
+                for l in range(top + 1)
+                for k in range(top + 1)
                 if all(
-                    l < len(a) and k < len(b) and a[l] == b[k]
-                    for a, b in orbits
-                ):
-                    found = (l, k)
-                    break
-            if found:
-                break
+                    l <= hz
+                    and k <= hz
+                    and shift_point(tgt, hp, l) == shift_point(tgt, hsp, k)
+                    for hz, hp, hsp in images
+                )
+            ),
+            None,
+        )
         if found is None:
             raise NoAlignment(f"no orbit alignment on cylinder {w}")
         ltab[w], ktab[w] = found
@@ -279,19 +259,24 @@ def verify_cocycles(h, kl, points):
 
     Returns ``(True, None)`` or ``(False, witness_point)``.
     """
+    wit = _first_misaligned(h, points, kl.k, kl.l)
+    return wit is None, wit
+
+
+def _first_misaligned(h, points, k, l):
+    """The first of ``points`` where ``sigma^k h(sigma p) = sigma^l h(p)``
+    fails, or None.
+
+    ``k`` and ``l`` are ints, or cylinder functions evaluated at each point.
+    """
     src, tgt = h.source, h.target
     for p in points:
-        k = kl.k.table[p.expand(kl.depth)]
-        l = kl.l.table[p.expand(kl.depth)]
-        lhs = apply_map(h, shift_point(src, p))
-        for _ in range(k):
-            lhs = shift_point(tgt, lhs)
-        rhs = apply_map(h, p)
-        for _ in range(l):
-            rhs = shift_point(tgt, rhs)
-        if lhs != rhs:
-            return False, p
-    return True, None
+        kp = k if isinstance(k, int) else evaluate(k, p)
+        lp = l if isinstance(l, int) else evaluate(l, p)
+        lhs = shift_point(tgt, apply_map(h, shift_point(src, p)), kp)
+        if lhs != shift_point(tgt, apply_map(h, p), lp):
+            return p
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -451,11 +436,9 @@ def _first_extension(space, words):
 
 
 def _family_points(space, depth, cfg):
-    pts = set(enumerate_points(space, cfg.max_pre, cfg.max_cyc))
-    for w in space.words(depth):
-        pts.add(point_with_prefix(space, w))
-        pts.add(aperiodic_point_with_prefix(space, w))
-    return sorted(pts)
+    """The points of every cylinder family, sorted; the first failure
+    in this order is the reported witness."""
+    return sorted(set().union(*cylinder_family(space, depth, cfg).values()))
 
 
 def check_conjugacy(h, cfg=None, depth=None):
@@ -465,11 +448,8 @@ def check_conjugacy(h, cfg=None, depth=None):
     """
     cfg = cfg or RunConfig()
     depth = depth or cfg.depth
-    src, tgt = h.source, h.target
-    for p in _family_points(src, depth, cfg):
-        if apply_map(h, shift_point(src, p)) != shift_point(tgt, apply_map(h, p)):
-            return False, p
-    return True, None
+    wit = _first_misaligned(h, _family_points(h.source, depth, cfg), 0, 1)
+    return wit is None, wit
 
 
 def check_eventual_conjugacy(h, h_inv, K, cfg=None, depth=None):
@@ -483,26 +463,12 @@ def check_eventual_conjugacy(h, h_inv, K, cfg=None, depth=None):
         raise ValueError("lag must be nonnegative")
     cfg = cfg or RunConfig()
     depth = depth or min(cfg.depth, 3)
-
-    def line(hh, space_from, space_to):
-        for p in _family_points(space_from, depth, cfg):
-            lhs = apply_map(hh, shift_point(space_from, p))
-            for _ in range(K):
-                lhs = shift_point(space_to, lhs)
-            rhs = apply_map(hh, p)
-            for _ in range(K + 1):
-                rhs = shift_point(space_to, rhs)
-            if lhs != rhs:
-                return p
-        return None
-
-    wit = line(h, h.source, h.target)
-    if wit is not None:
-        return False, wit
-    wit = line(h_inv, h_inv.source, h_inv.target)
-    if wit is not None:
-        return False, wit
-    return True, None
+    wit = _first_misaligned(h, _family_points(h.source, depth, cfg), K, K + 1)
+    if wit is None:
+        wit = _first_misaligned(
+            h_inv, _family_points(h_inv.source, depth, cfg), K, K + 1
+        )
+    return wit is None, wit
 
 
 def check_strong_coe(h, h_inv, cfg=None, kl1=None, kl2=None):
@@ -551,17 +517,14 @@ def reduce_orbit_segments(space, K, y, w):
         return SegmentReduction(equal=True)
     if K == 0:
         raise PreconditionFailed("K = 0 requires equal points")
-    ys = _shift_orbit(space, y, K - 1)
-    ws = _shift_orbit(space, w, K - 1)
+    ys = [shift_point(space, y, i) for i in range(K)]
+    ws = [shift_point(space, w, i) for i in range(K)]
     if Counter(ys) != Counter(ws):
         raise PreconditionFailed("orbit segment multisets differ")
     p = next(i for i, q in enumerate(ws) if q == y)
     q = next(i for i, z in enumerate(ys) if z == w)
     period = p + q
-    back = y
-    for _ in range(period):
-        back = shift_point(space, back)
-    if back != y:
+    if shift_point(space, y, period) != y:
         raise PreconditionFailed("cancellation produced a non-period")
     return SegmentReduction(equal=False, period=period)
 
@@ -599,7 +562,7 @@ def classify(h, h_inv, cfg=None, cocycle_depth=None):
     psi_wit = None
     try:
         psi_ok, psi_wit = check_potential_identity(h, kl1, cfg.depth)
-    except NotConstantOnCylinders:
+    except (NotConstantOnCylinders, TooLarge):
         pass
 
     lag = None

@@ -151,14 +151,18 @@ class ShiftSpace:
         if m > MAX_DEPTH:
             raise TooLarge(f"depth {m} exceeds cap {MAX_DEPTH}")
         have = max(self._words)
+        fol = self.matrix.followers
         while have < m:
             prev = self._words[have]
-            fol = self.matrix.followers
-            nxt = tuple(w + (b,) for w in prev for b in fol[w[-1] - 1])
-            if len(nxt) > WORD_TABLE_LIMIT:
+            # the next table has sum(A^have) words: check before allocating;
+            # that sum is at most n * len(prev), far inside int64
+            a_pow = np.linalg.matrix_power(self.matrix.entries, have)
+            if a_pow.sum() > WORD_TABLE_LIMIT:
                 raise TooLarge(f"word table at depth {have + 1} too large")
             have += 1
-            self._words[have] = nxt
+            self._words[have] = tuple(
+                w + (b,) for w in prev for b in fol[w[-1] - 1]
+            )
         return self._words[m]
 
     def word_count(self, m):
@@ -296,8 +300,12 @@ def canonical_point(space, pre, cyc):
     return _canonical_unchecked(pre, cyc)
 
 
-def shift_point(space, p):
-    """Drop the first symbol of ``p`` and return the canonical result.
+def shift_point(space, p, n=1):
+    """Drop the first ``n`` symbols of ``p`` and return the canonical result.
+
+    Inside the preperiod this is a slice of it; past the preperiod it is
+    the cycle rotated by ``(n - |preperiod|) mod |cycle|``.  Either way
+    the result is canonical without further reduction.
 
     Examples
     --------
@@ -306,11 +314,16 @@ def shift_point(space, p):
     Point(|1)
     >>> shift_point(s, canonical_point(s, (), (1, 2)))
     Point(|2,1)
+    >>> shift_point(s, canonical_point(s, (2, 2), (1, 1, 2)), 5)
+    Point(|1,1,2)
     """
-    if p.preperiod:
-        return Point(p.preperiod[1:], p.cycle)
-    c = p.cycle
-    return Point((), c[1:] + c[:1])
+    if n < 0:
+        raise ValueError("shift count must be >= 0")
+    pre, cyc = p.preperiod, p.cycle
+    if n <= len(pre):
+        return Point(pre[n:], cyc)
+    r = (n - len(pre)) % len(cyc)
+    return Point((), cyc[r:] + cyc[:r])
 
 
 def enumerate_points(space, max_pre, max_cyc):

@@ -154,6 +154,29 @@ def test_verify_recoder(files, capsys):
     assert payload["K"] == 1
 
 
+def test_verify_recoder_past_word_cap(files, capsys):
+    # depth 20 is legal, but certifying the potential identity there
+    # needs a word table past the cap: that route stays undecided
+    code, out = run(
+        capsys,
+        [
+            "verify",
+            files["full2"],
+            files["full2"],
+            files["recoder"],
+            files["recoder"],
+            "--depth",
+            "20",
+            "--format",
+            "json",
+        ],
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["verdict"] == "EventualConjugacy"
+    assert payload["K"] == 1
+
+
 def test_verify_swapped_inverse_exits_3(files, capsys):
     code, out = run(
         capsys,

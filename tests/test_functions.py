@@ -1,7 +1,9 @@
 import pytest
 
 from orbiteq import (
+    DepthOverflow,
     InadmissibleWord,
+    build_shift_space,
     canonical_point,
     combine,
     compose_shift,
@@ -13,6 +15,7 @@ from orbiteq import (
     pullback,
     refine,
     tables_equal,
+    transducer,
 )
 
 
@@ -107,6 +110,17 @@ def test_pullback_two_block(full2):
     assert tables_equal(g, indicator(full2, (2,)))
 
 
+def test_pullback_word_cap_is_depth_overflow():
+    # a 10-state delay line: silent for 9 inputs, then copies its input,
+    # so one output symbol needs a depth-10 word table, past the cap
+    full4 = build_shift_space([[1] * 4] * 4)
+    delta = {(i, a): (i + 1, ()) for i in range(9) for a in range(1, 5)}
+    delta.update({(9, a): (9, (a,)) for a in range(1, 5)})
+    t = transducer(full4, full4, range(10), 0, delta)
+    with pytest.raises(DepthOverflow):
+        pullback(constant(full4, 1), t)
+
+
 def test_find_transfer_zero(full2):
     b = find_transfer(full2, constant(full2, 1), 1, 4)
     assert b is not None and b.is_constant(0)
@@ -126,6 +140,12 @@ def test_find_transfer_recovers_coboundary(full2):
 def test_find_transfer_cycle_sum_obstruction(full2):
     # along any n-cycle the sums force n*c = sum of g, so g=2, c=1 fails
     assert find_transfer(full2, constant(full2, 2), 1, 6) is None
+
+
+def test_find_transfer_word_cap_is_not_found():
+    # no solution exists; the word-table cap stops the search at depth 5
+    full16 = build_shift_space([[1] * 16] * 16)
+    assert find_transfer(full16, constant(full16, 0), 1, 24) is None
 
 
 def test_find_transfer_deeper_coboundary(golden):

@@ -105,6 +105,20 @@ def test_k_theory_examples(full2, full3):
     assert k_theory(full3) == ((2,), 0)
 
 
+def test_k_theory_matches_transpose_smith_form():
+    # reference: the Smith normal form of I - A^T itself, not of I - A
+    rng = random.Random(5)
+    for _ in range(100):
+        space = random_shift_space(rng, rng.randint(2, 9))
+        m = (np.eye(space.n, dtype=int) - space.matrix.entries.T).tolist()
+        _, d, _ = smith_normal_form(m)
+        diag = [d[i][i] for i in range(space.n)]
+        assert k_theory(space) == (
+            tuple(x for x in diag if x != 1),
+            diag.count(0),
+        )
+
+
 def test_k_theory_det_zero_instance():
     # det(I - A) vanishes here, so the kernel of I - A^T has rank >= 1
     space = build_shift_space([[1, 1, 0], [1, 0, 1], [0, 1, 1]])

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -53,6 +54,19 @@ def test_alphabet_cap():
     rows = [[1] * n for _ in range(n)]
     with pytest.raises(TooLarge):
         build_shift_space(rows)
+
+
+def test_word_table_cap_checked_before_building():
+    full4 = build_shift_space([[1] * 4] * 4)
+    full4.words(9)  # 4**9 words; the next table would exceed the cap
+    tracemalloc.start()
+    try:
+        with pytest.raises(TooLarge):
+            full4.words(10)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 def test_allowed_words_full2(full2):
@@ -115,6 +129,12 @@ def test_shift_drops_first_symbol(full2, golden):
             q = shift_point(s, p)
             for n in range(1, 21):
                 assert expand_point(q, n) == expand_point(p, n + 1)[1:]
+        # the closed-form n-fold shift equals n single shifts
+        for p in enumerate_points(s, 3, 4):
+            q = p
+            for n in range(2 * (len(p.preperiod) + len(p.cycle)) + 1):
+                assert shift_point(s, p, n) == q
+                q = shift_point(s, q)
 
 
 def test_enumerate_full2_small(full2):
