@@ -44,6 +44,7 @@ from .errors import (
 from .functions import CylinderFunction, combine, evaluate
 from .maps import BlockCode, apply_map
 from .shifts import (
+    _point_key,
     canonical_point,
     enumerate_points,
     point_with_prefix,
@@ -84,7 +85,7 @@ class OrbitCocyclePair:
         return combine(1, self.l, -1, self.k)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Verdict:
     """Outcome of :func:`classify`, with re-verifiable witnesses.
 
@@ -146,9 +147,6 @@ def _mismatched_cycle(space, s):
     return None
 
 
-_aperiodic_cache = {}
-
-
 def aperiodic_point_with_prefix(space, word):
     """A canonical point with nonempty preperiod starting with ``word``.
 
@@ -159,7 +157,7 @@ def aperiodic_point_with_prefix(space, word):
     last symbol differs, so no preperiod symbol can be absorbed.
     """
     word = tuple(word)
-    cached = _aperiodic_cache.get((space, word))
+    cached = space._aperiodic_cache.get(word)
     if cached is not None:
         return cached
     z = point_with_prefix(space, word)
@@ -182,7 +180,7 @@ def aperiodic_point_with_prefix(space, word):
             frontier = nxt
     if result is None:
         raise InadmissibleWord(f"no aperiodic representative for {word}")
-    _aperiodic_cache[(space, word)] = result
+    space._aperiodic_cache[word] = result
     return result
 
 
@@ -201,8 +199,23 @@ def cylinder_family(space, depth, cfg):
         pts = set(members.get(w, ()))
         pts.add(point_with_prefix(space, w))
         pts.add(aperiodic_point_with_prefix(space, w))
-        fam[w] = tuple(sorted(pts))
+        fam[w] = tuple(sorted(pts, key=_point_key))
     return fam
+
+
+def _family(h, depth, cfg):
+    """The cylinder family of ``h.source`` and the :func:`_images` of its
+    points, sorted: the first failure in this order is the witness."""
+    cyl = cylinder_family(h.source, depth, cfg)
+    return cyl, _images(h, sorted(set().union(*cyl.values()), key=_point_key))
+
+
+def _images(h, points):
+    """``{p: (h(p), h(sigma p))}`` in the order of ``points``, with one
+    ``apply_map`` per distinct point: ``sigma p`` is often in ``points``."""
+    shifted = [shift_point(h.source, p) for p in points]
+    memo = {q: apply_map(h, q) for q in {*points, *shifted}}
+    return {p: (memo[p], memo[sp]) for p, sp in zip(points, shifted)}
 
 
 def orbit_cocycles(h, depth, cfg=None):
@@ -221,17 +234,19 @@ def orbit_cocycles(h, depth, cfg=None):
         map is then not an orbit map as far as this search can see.
     """
     cfg = cfg or RunConfig()
+    return _cocycles(h, depth, cfg, *_family(h, depth, cfg))
+
+
+def _cocycles(h, depth, cfg, cyl, images):
+    """:func:`orbit_cocycles` on a family built by :func:`_family`."""
     src, tgt = h.source, h.target
-    fam = cylinder_family(src, depth, cfg)
     ktab, ltab = {}, {}
     for w in src.words(depth):
-        images = []  # (horizon, h(p), h(sigma p)) for each family point
-        for p in fam[w]:
-            horizon = cfg.horizon_mult * (depth + len(p.preperiod) + len(p.cycle))
-            images.append(
-                (horizon, apply_map(h, p), apply_map(h, shift_point(src, p)))
-            )
-        top = max(hz for hz, _, _ in images)
+        rows = [  # (horizon, h(p), h(sigma p)) for each family point
+            (cfg.horizon_mult * (depth + len(p.preperiod) + len(p.cycle)), *images[p])
+            for p in cyl[w]
+        ]
+        top = max(hz for hz, _, _ in rows)
         found = next(
             (
                 (l, k)
@@ -241,7 +256,7 @@ def orbit_cocycles(h, depth, cfg=None):
                     l <= hz
                     and k <= hz
                     and shift_point(tgt, hp, l) == shift_point(tgt, hsp, k)
-                    for hz, hp, hsp in images
+                    for hz, hp, hsp in rows
                 )
             ),
             None,
@@ -259,22 +274,20 @@ def verify_cocycles(h, kl, points):
 
     Returns ``(True, None)`` or ``(False, witness_point)``.
     """
-    wit = _first_misaligned(h, points, kl.k, kl.l)
+    wit = _first_misaligned(h.target, _images(h, tuple(points)), kl.k, kl.l)
     return wit is None, wit
 
 
-def _first_misaligned(h, points, k, l):
-    """The first of ``points`` where ``sigma^k h(sigma p) = sigma^l h(p)``
-    fails, or None.
+def _first_misaligned(tgt, images, k, l):
+    """The first point of ``images`` (as built by :func:`_images`) where
+    ``sigma^k h(sigma p) = sigma^l h(p)`` fails, or None.
 
     ``k`` and ``l`` are ints, or cylinder functions evaluated at each point.
     """
-    src, tgt = h.source, h.target
-    for p in points:
+    for p, (hp, hsp) in images.items():
         kp = k if isinstance(k, int) else evaluate(k, p)
         lp = l if isinstance(l, int) else evaluate(l, p)
-        lhs = shift_point(tgt, apply_map(h, shift_point(src, p)), kp)
-        if lhs != shift_point(tgt, apply_map(h, p), lp):
+        if shift_point(tgt, hsp, kp) != shift_point(tgt, hp, lp):
             return p
     return None
 
@@ -435,12 +448,6 @@ def _first_extension(space, words):
 # ladder checks
 
 
-def _family_points(space, depth, cfg):
-    """The points of every cylinder family, sorted; the first failure
-    in this order is the reported witness."""
-    return sorted(set().union(*cylinder_family(space, depth, cfg).values()))
-
-
 def check_conjugacy(h, cfg=None, depth=None):
     """Does ``h`` intertwine the shifts on the verification family?
 
@@ -448,7 +455,7 @@ def check_conjugacy(h, cfg=None, depth=None):
     """
     cfg = cfg or RunConfig()
     depth = depth or cfg.depth
-    wit = _first_misaligned(h, _family_points(h.source, depth, cfg), 0, 1)
+    wit = _first_misaligned(h.target, _family(h, depth, cfg)[1], 0, 1)
     return wit is None, wit
 
 
@@ -463,11 +470,9 @@ def check_eventual_conjugacy(h, h_inv, K, cfg=None, depth=None):
         raise ValueError("lag must be nonnegative")
     cfg = cfg or RunConfig()
     depth = depth or min(cfg.depth, 3)
-    wit = _first_misaligned(h, _family_points(h.source, depth, cfg), K, K + 1)
-    if wit is None:
-        wit = _first_misaligned(
-            h_inv, _family_points(h_inv.source, depth, cfg), K, K + 1
-        )
+    wit = _first_misaligned(h.target, _family(h, depth, cfg)[1], K, K + 1) or (
+        _first_misaligned(h_inv.target, _family(h_inv, depth, cfg)[1], K, K + 1)
+    )
     return wit is None, wit
 
 
@@ -533,6 +538,25 @@ def reduce_orbit_segments(space, K, y, w):
 # classification
 
 
+def _align(h, h_inv, depth, cfg):
+    """Both cocycle pairs, the witness of :func:`check_conjugacy` and the
+    lag :func:`check_eventual_conjugacy` verifies (or None), from one
+    family per direction, which is dropped before the potential identity
+    builds its word tables."""
+    fwd = _family(h, depth, cfg)
+    kl1 = _cocycles(h, depth, cfg, *fwd)
+    bwd = _family(h_inv, depth, cfg)
+    kl2 = _cocycles(h_inv, depth, cfg, *bwd)
+    direct_wit = _first_misaligned(h.target, fwd[1], 0, 1)
+    lag = None
+    if kl1.difference().is_constant(1) and kl2.difference().is_constant(1):
+        K = max(kl1.k.max(), kl2.k.max())
+        wit = _first_misaligned(h.target, fwd[1], K, K + 1)
+        if (wit or _first_misaligned(h_inv.target, bwd[1], K, K + 1)) is None:
+            lag = K
+    return kl1, kl2, direct_wit, lag
+
+
 def classify(h, h_inv, cfg=None, cocycle_depth=None):
     """Strongest equivalence rung certified for the pair ``(h, h_inv)``.
 
@@ -551,27 +575,17 @@ def classify(h, h_inv, cfg=None, cocycle_depth=None):
     cfg = cfg or RunConfig()
     cdepth = cocycle_depth or min(cfg.depth, 3)
     try:
-        kl1 = orbit_cocycles(h, cdepth, cfg)
-        kl2 = orbit_cocycles(h_inv, cdepth, cfg)
+        kl1, kl2, direct_wit, lag = _align(h, h_inv, cdepth, cfg)
     except NoAlignment as e:
         return Verdict("Undecided", depth=cfg.depth, note=str(e))
+    direct = direct_wit is None
+    eventual = lag is not None
 
-    direct, direct_wit = check_conjugacy(h, cfg, depth=cdepth)
-
-    psi_ok = None
-    psi_wit = None
+    psi_ok = psi_wit = None
     try:
         psi_ok, psi_wit = check_potential_identity(h, kl1, cfg.depth)
     except (NotConstantOnCylinders, TooLarge):
         pass
-
-    lag = None
-    eventual = False
-    if kl1.difference().is_constant(1) and kl2.difference().is_constant(1):
-        K = max(kl1.k.max(), kl2.k.max())
-        ev_ok, _ = check_eventual_conjugacy(h, h_inv, K, cfg, depth=cdepth)
-        if ev_ok:
-            eventual, lag = True, K
 
     if psi_ok is not None:
         theorem_route = eventual and psi_ok

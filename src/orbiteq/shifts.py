@@ -132,6 +132,7 @@ class ShiftSpace:
         self._words = {1: tuple((i,) for i in range(1, matrix.n + 1))}
         self._enum_cache = {}
         self._rep_cache = {}
+        self._aperiodic_cache = {}
 
     @property
     def n(self):
@@ -246,6 +247,11 @@ class Point:
         return f"Point({p}|{c})"
 
 
+def _point_key(p):
+    """The order of :class:`Point` as a plain tuple, cheaper to compare."""
+    return p.preperiod, p.cycle
+
+
 def _primitive(cycle):
     n = len(cycle)
     for d in range(1, n):
@@ -357,7 +363,7 @@ def enumerate_points(space, max_pre, max_cyc):
             if pre and not space.matrix.allows(pre[-1], cyc[0]):
                 continue
             out.add(_canonical_unchecked(pre, cyc))
-    result = sorted(out)
+    result = sorted(out, key=_point_key)
     space._enum_cache[(max_pre, max_cyc)] = result
     return result
 

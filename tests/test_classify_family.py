@@ -1,0 +1,182 @@
+"""``classify`` reads one point family per direction.
+
+The answers must be those of the public routines called one by one, the
+family must be built once per space, each point mapped once per map, and
+nothing may outlive the call.
+"""
+
+import dataclasses
+import gc
+import random
+import weakref
+from collections import Counter
+
+import pytest
+
+from orbiteq import (
+    RunConfig,
+    build_shift_space,
+    check_conjugacy,
+    check_eventual_conjugacy,
+    check_potential_identity,
+    classify,
+    orbit,
+    orbit_cocycles,
+    transducer,
+)
+from orbiteq.generators import random_shift_space, split_chain
+
+SEED = 20261018
+CFG = RunConfig(depth=6)
+CDEPTH = 3  # the cocycle depth classify uses at CFG
+
+
+# --- a seeded corpus on every rung classify reaches without transfers -------
+
+
+def split_pair(i):
+    rng = random.Random(f"split/{SEED}/{i}")
+    base = random_shift_space(rng, rng.choice([2, 3]))
+    _, code, inverse = split_chain(rng, base, max_splits=2)
+    return code, inverse
+
+
+def _recoder(space, tau):
+    """``x -> tau[x2][x1] x2 x3 ...`` as a transducer."""
+    fol = space.matrix.followers
+    delta = {}
+    for a in range(1, space.n + 1):
+        delta[("q0", a)] = (f"s{a}", ())
+        delta[("copy", a)] = ("copy", (a,))
+        for b in fol[a - 1]:
+            delta[(f"s{a}", b)] = ("copy", (tau[b][a], b))
+    states = ["q0", *(f"s{a}" for a in range(1, space.n + 1)), "copy"]
+    return transducer(space, space, states, "q0", delta)
+
+
+def recoder_pair(i):
+    """A first-symbol recoder with a non-identity ``tau`` (an eventual
+    conjugacy of lag 1) and its inverse."""
+    rng = random.Random(f"recoder/{SEED}/{i}")
+    while True:
+        space = random_shift_space(rng, 3)
+        tau = {}
+        for b in range(1, space.n + 1):
+            pred = [a for a in range(1, space.n + 1) if space.matrix.allows(a, b)]
+            image = pred[:]
+            rng.shuffle(image)
+            tau[b] = dict(zip(pred, image))
+        if any(a != v for t in tau.values() for a, v in t.items()):
+            break
+    inv = {b: {v: a for a, v in t.items()} for b, t in tau.items()}
+    return _recoder(space, tau), _recoder(space, inv)
+
+
+def expansion_pair(i):
+    """The full ``n``-shift onto the space where each expanded ``j`` is
+    always followed by ``expand[j]``, by ``j -> j expand[j]``, and its
+    two-state inverse: an orbit equivalence that is no eventual conjugacy."""
+    rng = random.Random(f"expansion/{SEED}/{i}")
+    n = rng.choice([2, 3])
+    symbols = list(range(1, n + 1))
+    rng.shuffle(symbols)
+    cut = rng.randint(1, n - 1)
+    expand = {j: rng.choice(symbols[cut:]) for j in symbols[:cut]}
+    source = build_shift_space([[1] * n for _ in range(n)])
+    target = build_shift_space(
+        [
+            [int(expand.get(j) in (None, t)) for t in range(1, n + 1)]
+            for j in range(1, n + 1)
+        ]
+    )
+    fwd, back = {}, {}
+    for j in symbols:
+        fwd[("s", j)] = ("s", (j, expand[j]) if j in expand else (j,))
+        back[("copy", j)] = ("skip" if j in expand else "copy", (j,))
+        back[("skip", j)] = ("copy", ())
+    return (
+        transducer(source, target, ["s"], "s", fwd),
+        transducer(target, source, ["copy", "skip"], "copy", back),
+    )
+
+
+CORPUS = (
+    [("Conjugacy", split_pair, i) for i in range(20)]
+    + [("EventualConjugacy", recoder_pair, i) for i in range(10)]
+    + [("COE", expansion_pair, i) for i in range(5)]
+)
+
+
+@pytest.mark.parametrize("kind,build,i", CORPUS)
+def test_classify_matches_public_routines(kind, build, i):
+    h, h_inv = build(i)
+    v = classify(h, h_inv, CFG)
+
+    kl1 = orbit_cocycles(h, CDEPTH, CFG)
+    kl2 = orbit_cocycles(h_inv, CDEPTH, CFG)
+    direct, direct_wit = check_conjugacy(h, CFG, depth=CDEPTH)
+    K = max(kl1.k.max(), kl2.k.max())
+    eventual, _ = check_eventual_conjugacy(h, h_inv, K, CFG, depth=CDEPTH)
+    eventual = eventual and all(kl.difference().is_constant(1) for kl in (kl1, kl2))
+
+    assert v.kind == kind
+    assert [(kl.k.table, kl.l.table) for kl in v.cocycles] == [
+        (kl.k.table, kl.l.table) for kl in (kl1, kl2)
+    ]
+    assert direct is (kind == "Conjugacy")
+    assert eventual is (kind != "COE")
+    if kind == "Conjugacy":
+        assert (v.lag, v.witness) == (0, None)
+    elif kind == "EventualConjugacy":
+        psi_ok, psi_wit = check_potential_identity(h, kl1, CFG.depth)
+        assert (v.lag, K) == (1, 1)
+        assert v.witness == (direct_wit if psi_ok else psi_wit)
+    else:
+        assert v.lag is None and direct_wit is not None
+        assert v.witness == direct_wit
+
+
+# --- one family per space, one image per point and map -----------------------
+
+
+def test_classify_builds_each_family_once(monkeypatch):
+    h, h_inv = split_pair(0)
+    families = Counter()
+    images = Counter()
+    cylinder_family = orbit.cylinder_family
+    apply_map = orbit.apply_map
+
+    def counted_family(space, depth, cfg):
+        families[id(space)] += 1
+        return cylinder_family(space, depth, cfg)
+
+    def counted_map(m, p):
+        images[(id(m), p)] += 1
+        return apply_map(m, p)
+
+    monkeypatch.setattr(orbit, "cylinder_family", counted_family)
+    monkeypatch.setattr(orbit, "apply_map", counted_map)
+    assert classify(h, h_inv, CFG).kind == "Conjugacy"
+    assert families == {id(h.source): 1, id(h_inv.source): 1}
+    assert {m for m, _ in images} == {id(h), id(h_inv)}
+    assert max(images.values()) == 1
+
+
+# --- no state outlives the call ---------------------------------------------
+
+
+def test_classify_keeps_no_space_alive():
+    # a space no other test builds, so no equal key is cached already
+    space = random_shift_space(random.Random(f"weakref/{SEED}"), 5)
+    ref = weakref.ref(space)
+    _, code, inverse = split_chain(random.Random(SEED), space, max_splits=1)
+    assert classify(code, inverse, CFG).kind == "Conjugacy"
+    del space, code, inverse
+    gc.collect()
+    assert ref() is None
+
+
+def test_verdict_is_frozen():
+    v = classify(*split_pair(0), CFG)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        v.kind = "COE"
