@@ -211,11 +211,36 @@ def _family(h, depth, cfg):
 
 
 def _images(h, points):
-    """``{p: (h(p), h(sigma p))}`` in the order of ``points``, with one
-    ``apply_map`` per distinct point: ``sigma p`` is often in ``points``."""
+    """``{p: _record(h(p), h(sigma p))}`` in the order of ``points``, with
+    one ``apply_map`` per distinct point: ``sigma p`` is often in ``points``."""
     shifted = [shift_point(h.source, p) for p in points]
     memo = {q: apply_map(h, q) for q in {*points, *shifted}}
-    return {p: (memo[p], memo[sp]) for p, sp in zip(points, shifted)}
+    return {p: _record(memo[p], memo[sp]) for p, sp in zip(points, shifted)}
+
+
+def _record(a, b):
+    """``(a, b, |a.pre|, |b.pre|, |a.cycle|, r)`` with ``r`` the rotation
+    taking ``a.cycle`` to ``b.cycle``, None if none does (both primitive)."""
+    ca, cb = a.cycle, b.cycle
+    turns = range(len(ca)) if len(cb) == len(ca) else ()
+    r = next((i for i in turns if ca[i:] + ca[:i] == cb), None)
+    return a, b, len(a.preperiod), len(b.preperiod), len(ca), r
+
+
+def _solutions(rec, l, top):
+    """The ``k <= top`` with ``sigma^l a = sigma^k b`` as a range, for the
+    :func:`_record` of canonical ``a, b``: one ``k`` while ``l < |a.pre|``,
+    else the class of ``|b.pre| + l - |a.pre| - r`` modulo the cycle length."""
+    a, b, na, nb, c, r = rec
+    if l < 0 or top < 0:
+        raise ValueError("shift count must be >= 0")
+    if l < na:
+        k = l - na + nb
+        ok = 0 <= k <= top and r == 0 and a.preperiod[l:] == b.preperiod[k:]
+        return range(k, k + ok)
+    if r is None:
+        return range(0)
+    return range(nb + (l - na - r) % c, top + 1, c)
 
 
 def orbit_cocycles(h, depth, cfg=None):
@@ -239,31 +264,21 @@ def orbit_cocycles(h, depth, cfg=None):
 
 def _cocycles(h, depth, cfg, cyl, images):
     """:func:`orbit_cocycles` on a family built by :func:`_family`."""
-    src, tgt = h.source, h.target
+    src = h.source
     ktab, ltab = {}, {}
     for w in src.words(depth):
-        rows = [  # (horizon, h(p), h(sigma p)) for each family point
-            (cfg.horizon_mult * (depth + len(p.preperiod) + len(p.cycle)), *images[p])
-            for p in cyl[w]
-        ]
-        top = max(hz for hz, _, _ in rows)
-        found = next(
-            (
-                (l, k)
-                for l in range(top + 1)
-                for k in range(top + 1)
-                if all(
-                    l <= hz
-                    and k <= hz
-                    and shift_point(tgt, hp, l) == shift_point(tgt, hsp, k)
-                    for hz, hp, hsp in rows
-                )
-            ),
-            None,
-        )
-        if found is None:
+        # l and k stay within every point's horizon, so within the least
+        least = min(len(p.preperiod) + len(p.cycle) for p in cyl[w])
+        top = cfg.horizon_mult * (depth + least)
+        recs = [images[p] for p in cyl[w]]
+        for l in range(top + 1):
+            sols = [_solutions(rec, l, top) for rec in recs]
+            k = next((k for k in min(sols, key=len) if all(k in s for s in sols)), None)
+            if k is not None:
+                break
+        else:
             raise NoAlignment(f"no orbit alignment on cylinder {w}")
-        ltab[w], ktab[w] = found
+        ltab[w], ktab[w] = l, k
     return OrbitCocyclePair(
         CylinderFunction(src, depth, ktab), CylinderFunction(src, depth, ltab)
     )
@@ -274,20 +289,20 @@ def verify_cocycles(h, kl, points):
 
     Returns ``(True, None)`` or ``(False, witness_point)``.
     """
-    wit = _first_misaligned(h.target, _images(h, tuple(points)), kl.k, kl.l)
+    wit = _first_misaligned(_images(h, tuple(points)), kl.k, kl.l)
     return wit is None, wit
 
 
-def _first_misaligned(tgt, images, k, l):
+def _first_misaligned(images, k, l):
     """The first point of ``images`` (as built by :func:`_images`) where
     ``sigma^k h(sigma p) = sigma^l h(p)`` fails, or None.
 
     ``k`` and ``l`` are ints, or cylinder functions evaluated at each point.
     """
-    for p, (hp, hsp) in images.items():
+    for p, rec in images.items():
         kp = k if isinstance(k, int) else evaluate(k, p)
         lp = l if isinstance(l, int) else evaluate(l, p)
-        if shift_point(tgt, hsp, kp) != shift_point(tgt, hp, lp):
+        if kp not in _solutions(rec, lp, kp):
             return p
     return None
 
@@ -455,7 +470,7 @@ def check_conjugacy(h, cfg=None, depth=None):
     """
     cfg = cfg or RunConfig()
     depth = depth or cfg.depth
-    wit = _first_misaligned(h.target, _family(h, depth, cfg)[1], 0, 1)
+    wit = _first_misaligned(_family(h, depth, cfg)[1], 0, 1)
     return wit is None, wit
 
 
@@ -470,8 +485,8 @@ def check_eventual_conjugacy(h, h_inv, K, cfg=None, depth=None):
         raise ValueError("lag must be nonnegative")
     cfg = cfg or RunConfig()
     depth = depth or min(cfg.depth, 3)
-    wit = _first_misaligned(h.target, _family(h, depth, cfg)[1], K, K + 1) or (
-        _first_misaligned(h_inv.target, _family(h_inv, depth, cfg)[1], K, K + 1)
+    wit = _first_misaligned(_family(h, depth, cfg)[1], K, K + 1) or (
+        _first_misaligned(_family(h_inv, depth, cfg)[1], K, K + 1)
     )
     return wit is None, wit
 
@@ -540,20 +555,17 @@ def reduce_orbit_segments(space, K, y, w):
 
 def _align(h, h_inv, depth, cfg):
     """Both cocycle pairs, the witness of :func:`check_conjugacy` and the
-    lag :func:`check_eventual_conjugacy` verifies (or None), from one
+    lag :func:`check_eventual_conjugacy` would verify (or None), from one
     family per direction, which is dropped before the potential identity
     builds its word tables."""
     fwd = _family(h, depth, cfg)
     kl1 = _cocycles(h, depth, cfg, *fwd)
-    bwd = _family(h_inv, depth, cfg)
-    kl2 = _cocycles(h_inv, depth, cfg, *bwd)
-    direct_wit = _first_misaligned(h.target, fwd[1], 0, 1)
+    kl2 = _cocycles(h_inv, depth, cfg, *_family(h_inv, depth, cfg))
+    direct_wit = _first_misaligned(fwd[1], 0, 1)
     lag = None
     if kl1.difference().is_constant(1) and kl2.difference().is_constant(1):
-        K = max(kl1.k.max(), kl2.k.max())
-        wit = _first_misaligned(h.target, fwd[1], K, K + 1)
-        if (wit or _first_misaligned(h_inv.target, bwd[1], K, K + 1)) is None:
-            lag = K
+        # each point aligns at (k(p), k(p) + 1); shifting by K - k(p) >= 0 gives lag K
+        lag = max(kl1.k.max(), kl2.k.max())
     return kl1, kl2, direct_wit, lag
 
 

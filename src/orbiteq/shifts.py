@@ -215,7 +215,7 @@ def allowed_words(space, m):
     return space.words(m)
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Point:
     """An eventually periodic point in canonical form.
 
@@ -335,8 +335,9 @@ def shift_point(space, p, n=1):
 def enumerate_points(space, max_pre, max_cyc):
     """All canonical points with ``|preperiod| <= max_pre, |cycle| <= max_cyc``.
 
-    The result is duplicate-free and sorted, so enumeration order is
-    deterministic.
+    An admissible pair ``(pre, cyc)`` is canonical exactly when ``cyc`` is
+    primitive and ``pre`` is empty or does not end in ``cyc[-1]``; those
+    pairs are listed directly, sorted, in a fresh list.
 
     Examples
     --------
@@ -347,25 +348,25 @@ def enumerate_points(space, max_pre, max_cyc):
     if max_cyc < 1:
         raise ValueError("max_cyc must be >= 1")
     cached = space._enum_cache.get((max_pre, max_cyc))
-    if cached is not None:
-        return cached
-    out = set()
-    cycles = []
-    for m in range(1, max_cyc + 1):
-        for w in space.words(m):
-            if space.matrix.allows(w[-1], w[0]) and _primitive(w) == w:
-                cycles.append(w)
-    prefixes = [()]
-    for m in range(1, max_pre + 1):
-        prefixes.extend(space.words(m))
-    for cyc in cycles:
-        for pre in prefixes:
-            if pre and not space.matrix.allows(pre[-1], cyc[0]):
-                continue
-            out.add(_canonical_unchecked(pre, cyc))
-    result = sorted(out, key=_point_key)
-    space._enum_cache[(max_pre, max_cyc)] = result
-    return result
+    if cached is None:
+        fol = space.matrix.followers
+        cycles = []
+        for m in range(1, max_cyc + 1):
+            for w in space.words(m):
+                if w[0] in fol[w[-1] - 1] and _primitive(w) == w:
+                    cycles.append(w)
+        prefixes = [()]
+        for m in range(1, max_pre + 1):
+            prefixes.extend(space.words(m))
+        points = [
+            Point(pre, cyc)
+            for cyc in cycles
+            for pre in prefixes
+            if not pre or (pre[-1] != cyc[-1] and cyc[0] in fol[pre[-1] - 1])
+        ]
+        cached = tuple(sorted(points, key=_point_key))
+        space._enum_cache[(max_pre, max_cyc)] = cached
+    return list(cached)
 
 
 def point_with_prefix(space, word):

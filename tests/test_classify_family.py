@@ -1,8 +1,8 @@
 """``classify`` reads one point family per direction.
 
 The answers must be those of the public routines called one by one, the
-family must be built once per space, each point mapped once per map, and
-nothing may outlive the call.
+family must be built once per space, each point mapped and shifted once
+per map, and nothing may outlive the call.
 """
 
 import dataclasses
@@ -136,15 +136,21 @@ def test_classify_matches_public_routines(kind, build, i):
         assert v.witness == direct_wit
 
 
-# --- one family per space, one image per point and map -----------------------
+# --- one family per space, one image and one shift per point and map --------
 
 
 def test_classify_builds_each_family_once(monkeypatch):
     h, h_inv = split_pair(0)
+    family = {}
+    for m in (h, h_inv):
+        cyl = orbit.cylinder_family(m.source, CDEPTH, CFG)
+        family[id(m.source)] = set().union(*cyl.values())
     families = Counter()
     images = Counter()
+    shifted = Counter()
     cylinder_family = orbit.cylinder_family
     apply_map = orbit.apply_map
+    shift_point = orbit.shift_point
 
     def counted_family(space, depth, cfg):
         families[id(space)] += 1
@@ -154,12 +160,20 @@ def test_classify_builds_each_family_once(monkeypatch):
         images[(id(m), p)] += 1
         return apply_map(m, p)
 
+    def counted_shift(space, p, n=1):
+        shifted[(id(space), p)] += 1
+        return shift_point(space, p, n)
+
     monkeypatch.setattr(orbit, "cylinder_family", counted_family)
     monkeypatch.setattr(orbit, "apply_map", counted_map)
+    monkeypatch.setattr(orbit, "shift_point", counted_shift)
     assert classify(h, h_inv, CFG).kind == "Conjugacy"
     assert families == {id(h.source): 1, id(h_inv.source): 1}
     assert {m for m, _ in images} == {id(h), id(h_inv)}
     assert max(images.values()) == 1
+    # the closed-form alignment shifts each family point once, to map sigma p
+    assert max(shifted.values()) == 1
+    assert all(p in family[space] for space, p in shifted)
 
 
 # --- no state outlives the call ---------------------------------------------

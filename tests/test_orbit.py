@@ -1,6 +1,11 @@
+import itertools
+import random
+from collections import Counter
+
 import pytest
 
 from orbiteq import (
+    OrbitCocyclePair,
     PreconditionFailed,
     SegmentReduction,
     apply_map,
@@ -20,6 +25,7 @@ from orbiteq import (
     identity_code,
     indicator,
     induced_potential,
+    orbit,
     orbit_cocycles,
     out_split,
     pullback,
@@ -29,6 +35,7 @@ from orbiteq import (
     verify_cocycles,
     verify_inverse_pair,
 )
+from orbiteq.generators import random_shift_space
 
 from conftest import expand_point
 
@@ -115,6 +122,10 @@ def test_cocycle_identity_reverifies(full2, recoder, duplicator, cfg):
         kl = orbit_cocycles(h, depth, cfg)
         ok, wit = verify_cocycles(h, kl, enumerate_points(full2, 3, 4))
         assert ok, wit
+    for k, l in ((-1, 0), (0, -1)):  # no point shifts a negative number of times
+        kl = OrbitCocyclePair(constant(full2, k), constant(full2, l))
+        with pytest.raises(ValueError):
+            verify_cocycles(recoder, kl, enumerate_points(full2, 0, 1))
 
 
 def test_cocycles_nonnegative(full2, recoder, cfg):
@@ -333,3 +344,32 @@ def test_classify_recoder(full2, recoder, cfg):
     # carried cocycles re-verify
     ok, _ = verify_cocycles(recoder, v.cocycles[0], enumerate_points(full2, 3, 4))
     assert ok
+
+
+def test_closed_form_alignment_matches_shift_point():
+    """``k in _solutions(_record(a, b), l, 12)`` exactly when
+    ``sigma^l a = sigma^k b``, over all pairs of enumerated points."""
+    rng = random.Random(20261018)
+    top = 12
+    kinds = Counter()
+    for n in (2, 3, 4):
+        s = random_shift_space(rng, n)
+        pts = enumerate_points(s, 2, 3)
+        shifts = {p: [shift_point(s, p, i) for i in range(top + 1)] for p in pts}
+        at = {}  # at[b][q] = the k <= top with sigma^k b = q
+        for b in pts:
+            for k, q in enumerate(shifts[b]):
+                at.setdefault(b, {}).setdefault(q, set()).add(k)
+        for a, b in itertools.product(pts, repeat=2):
+            rec = orbit._record(a, b)
+            for l in range(top + 1):
+                sols = orbit._solutions(rec, l, top)
+                assert set(sols) == at[b].get(shifts[a][l], set()), (a, b, l)
+                if a != b and l < len(a.preperiod) and sols:
+                    kinds["aligned inside the preperiods"] += 1
+            ca, cb = a.cycle, b.cycle
+            if len(ca) != len(cb):
+                kinds["unequal cycle lengths"] += 1
+            elif ca != cb and cb in {ca[i:] + ca[:i] for i in range(len(ca))}:
+                kinds["rotated cycles"] += 1
+    assert len(kinds) == 3, kinds

@@ -1,4 +1,5 @@
 import itertools
+import random
 import tracemalloc
 
 import numpy as np
@@ -19,6 +20,7 @@ from orbiteq import (
     point_with_prefix,
     shift_point,
 )
+from orbiteq.generators import random_shift_space
 
 from conftest import expand_point, points_agree
 
@@ -180,3 +182,47 @@ def test_point_with_prefix(full2, golden):
             for w in allowed_words(s, d):
                 p = point_with_prefix(s, w)
                 assert expand_point(p, d) == w
+
+
+def _canonicalising_enumeration(space, max_pre, max_cyc):
+    """The enumeration by canonicalising every admissible pair, then
+    deduplicating: ``pre`` up to ``max_pre``, ``cyc`` primitive."""
+
+    def primitive(c):
+        return not any(
+            len(c) % d == 0 and c[:d] * (len(c) // d) == c for d in range(1, len(c))
+        )
+
+    fol = space.matrix.followers
+    prefixes = [()] + [w for m in range(1, max_pre + 1) for w in space.words(m)]
+    cycles = [
+        w
+        for m in range(1, max_cyc + 1)
+        for w in space.words(m)
+        if primitive(w) and w[0] in fol[w[-1] - 1]
+    ]
+    pts = {
+        canonical_point(space, pre, cyc)
+        for pre in prefixes
+        for cyc in cycles
+        if not pre or cyc[0] in fol[pre[-1] - 1]
+    }
+    return sorted(pts, key=lambda p: (p.preperiod, p.cycle))
+
+
+def test_enumerate_points_matches_canonicalising_every_pair():
+    rng = random.Random(20261018)
+    for _ in range(100):
+        s = random_shift_space(rng, rng.randint(2, 5))
+        for max_pre, max_cyc in ((0, 1), (2, 3), (3, 4)):
+            assert enumerate_points(s, max_pre, max_cyc) == (
+                _canonicalising_enumeration(s, max_pre, max_cyc)
+            )
+
+
+def test_enumerate_points_cache_cannot_be_mutated(golden):
+    pts = enumerate_points(golden, 2, 3)
+    original = list(pts)
+    pts.append(Point((), (1,)))
+    pts.sort(reverse=True)
+    assert enumerate_points(golden, 2, 3) == original
