@@ -1,7 +1,9 @@
 """State splittings, amalgamation, and integer invariants.
 
 Out-splitting a state produces a conjugate shift space together with the
-conjugacy and its inverse as block codes; amalgamation undoes it.  The
+conjugacy and its inverse as block codes; Williams' total amalgamation
+(merge states with equal columns, add their rows) undoes it, and the edge
+each 2-word lands on gives the conjugacy back as block codes.  The
 cokernel invariants of I - A (with the determinant sign) survive every
 equivalence on the ladder, so they refute all of it at once when they
 disagree -- and certify nothing when they agree.
@@ -38,11 +40,13 @@ print("inverse pair verified:", verify_inverse_pair(code, inverse, 3, 4)[0])
 print("classification of the split code:", classify(code, inverse, cfg).kind)
 
 back = total_amalgamation(split)
+print("full 2-shift amalgamates to one state with two loops:",
+      total_amalgamation(build_shift_space([[1, 1], [1, 1]])).tolist())
 print("amalgamates back to golden mean:", matrices_isomorphic(back, golden.matrix))
 print("decision oracle agrees:", decide_one_sided_conjugacy(golden, split))
 
 pair = conjugacy_from_amalgamation(golden, split)
-print("explicit conjugacy rebuilt from the amalgamation path:",
+print("explicit conjugacy read off the terminal edges:",
       pair is not None and verify_inverse_pair(*pair, 3, 4)[0])
 
 # integer invariants: exact Smith normal forms of I - A

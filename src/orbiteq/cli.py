@@ -25,7 +25,6 @@ from .errors import (
 from .functions import pullback, tables_equal
 from .invariants import (
     conjugacy_from_amalgamation,
-    decide_one_sided_conjugacy,
     invariant_report,
     obstruction_report,
 )
@@ -104,16 +103,16 @@ def cmd_compare(args):
     pair_json = None
     if not rep.obstructed:
         try:
-            conjugate = decide_one_sided_conjugacy(a, b)
-        except TooLarge:
-            conjugate = None
-        if conjugate:
             pair = conjugacy_from_amalgamation(a, b)
-            if pair is not None:
-                pair_json = {
-                    "map": jsonio.map_to_json(pair[0]),
-                    "inverse": jsonio.map_to_json(pair[1]),
-                }
+        except TooLarge:
+            pair = None
+        else:
+            conjugate = pair is not None
+        if pair is not None:
+            pair_json = {
+                "map": jsonio.map_to_json(pair[0]),
+                "inverse": jsonio.map_to_json(pair[1]),
+            }
     else:
         conjugate = False
     payload = {

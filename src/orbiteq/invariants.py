@@ -4,10 +4,13 @@ Out-splitting a state partitions its follower set; each block becomes a
 copy of the state.  The move comes with an explicit conjugacy (a 2-block
 code down to the split space and a 1-block code back), so composed
 splittings manufacture ground-truth conjugate pairs.  The inverse move,
-out-amalgamation, merges two states with identical columns and disjoint
-follower sets; iterating it to exhaustion gives the total amalgamation,
-and equality of total amalgamations up to a state permutation decides
-one-sided conjugacy at these sizes.
+column amalgamation, merges two states with equal columns and adds their
+rows, so the matrix becomes a nonnegative integer matrix counting edges.
+Iterating it until no two columns are equal gives Williams' total
+amalgamation, unique up to a state permutation: two one-sided shifts are
+conjugate exactly when their total amalgamations are isomorphic.  The
+merges also carry each 2-word to a terminal edge, and the explicit
+conjugacy is read off those edge labels.
 
 The integer side computes Smith normal forms exactly and from them the
 cokernel invariants of ``I - A`` and ``I - A^T`` together with the sign
@@ -22,7 +25,7 @@ import numpy as np
 
 from .config import MAX_MATCH_STATES
 from .errors import InvalidPartition, TooLarge
-from .maps import compile_block_code, compose_block_codes, identity_code
+from .maps import compile_block_code
 from .shifts import ShiftSpace, TransitionMatrix, build_shift_space
 
 __all__ = [
@@ -117,184 +120,177 @@ def out_split(space, partition):
 # amalgamation
 
 
-def _mergeable_pairs(a):
-    """Index pairs with identical columns and disjoint follower sets."""
-    n = len(a)
-    out = []
-    for p in range(n):
-        for q in range(p + 1, n):
-            if (a[:, p] == a[:, q]).all() and not (a[p] & a[q]).any():
-                out.append((p, q))
-    return out
+def _entries(x, capped=True):
+    """Integer entries of a shift space, transition matrix or integer array.
+
+    Raises
+    ------
+    TooLarge
+        if ``capped`` and the matrix exceeds the matching cap.
+    """
+    if isinstance(x, ShiftSpace):
+        x = x.matrix
+    if isinstance(x, TransitionMatrix):
+        x = x.entries
+    a = np.asarray(x, dtype=int)
+    if capped and len(a) > MAX_MATCH_STATES:
+        raise TooLarge(f"state count exceeds matching cap {MAX_MATCH_STATES}")
+    return a
 
 
-def _merge(a, p, q):
-    b = a.copy()
-    b[p] = a[p] | a[q]
-    keep = [i for i in range(len(a)) if i != q]
-    return b[np.ix_(keep, keep)]
+def _amalgamate(entries):
+    """Williams' total column amalgamation, with the edge each 2-word lands on.
+
+    Repeatedly merges the first pair ``p < q`` of states with equal
+    columns: row ``q`` is added to row ``p`` and ``q`` is dropped.  Returns
+    ``(t, edge)`` where ``edge`` maps every allowed 2-word of the 0-1 matrix
+    (1-based symbols) to an edge ``(source, target, index)`` of ``t``
+    (0-based states, ``index < t[source, target]``).  Across a merge an
+    edge into ``q`` becomes the edge into ``p`` with the same source and
+    index, and an edge out of ``q`` an edge out of ``p`` whose index is
+    shifted by the pre-merge count ``t[p, d]``.  Reading the labels of
+    consecutive 2-words is a one-sided conjugacy onto the edge shift of
+    ``t``; its inverse reads one more edge per merge.
+    """
+    t = np.array(entries, dtype=int)
+    edge = {(i + 1, j + 1): (i, j, 0) for i, j in np.argwhere(t).tolist()}
+    while True:
+        n = len(t)
+        pair = next(
+            ((p, q) for p in range(n) for q in range(p + 1, n)
+             if (t[:, p] == t[:, q]).all()),
+            None,
+        )
+        if pair is None:
+            return t, edge
+        p, q = pair
+
+        def move(s, d, k):
+            if s == q:
+                s, k = p, k + int(t[p, d])
+            if d == q:
+                d = p
+            return s - (s > q), d - (d > q), k
+
+        edge = {w: move(*e) for w, e in edge.items()}
+        t[p] += t[q]
+        t = np.delete(np.delete(t, q, axis=0), q, axis=1)
 
 
 def total_amalgamation(matrix):
-    """Merge amalgamable state pairs until none remain.
+    """Williams' total column amalgamation of a 0-1 matrix.
 
-    A pair is amalgamable when the two states have identical columns and
-    disjoint follower sets (the inverse of an out-splitting, so each
-    merge is a conjugacy of the one-sided shift).  Merging always takes
-    the first pair in index order, which makes the result deterministic.
+    States with equal columns merge and their rows add, until no two
+    columns are equal.  The result is a nonnegative integer matrix, unique
+    up to a state permutation, returned read-only.
+
+    Examples
+    --------
+    >>> total_amalgamation(build_shift_space([[1, 1], [1, 1]])).tolist()
+    [[2]]
     """
-    if isinstance(matrix, ShiftSpace):
-        matrix = matrix.matrix
-    a = matrix.entries.astype(int)
-    while True:
-        pairs = _mergeable_pairs(a)
-        if not pairs:
-            break
-        a = _merge(a, *pairs[0])
-    return TransitionMatrix(a)
+    t, _ = _amalgamate(_entries(matrix, capped=False))
+    t.setflags(write=False)
+    return t
 
 
 def amalgamation_terminals(matrix):
-    """All amalgamation endpoints reachable from ``matrix``, up to isomorphism.
-
-    Merge order can in principle matter, so the search explores every
-    order, deduplicating intermediate matrices up to a state permutation.
-    """
-    if isinstance(matrix, ShiftSpace):
-        matrix = matrix.matrix
-    return tuple(a for a, _ in _terminals_with_paths(matrix.entries.astype(int)))
+    """The total amalgamation as a one-element tuple."""
+    return (total_amalgamation(matrix),)
 
 
 def decide_one_sided_conjugacy(a, b):
     """Are the one-sided shifts of two matrices topologically conjugate?
 
-    True iff the two matrices share an amalgamation endpoint up to a
-    state permutation.  Every merge is itself a conjugacy, so a shared
-    endpoint is a sound certificate; the backtracking match is capped.
+    True iff their total amalgamations agree up to a state permutation
+    (Williams).
 
     Raises
     ------
     TooLarge
         if either matrix exceeds the matching cap.
     """
-    a = a.matrix if isinstance(a, ShiftSpace) else a
-    b = b.matrix if isinstance(b, ShiftSpace) else b
-    if a.n > MAX_MATCH_STATES or b.n > MAX_MATCH_STATES:
-        raise TooLarge(f"state count exceeds matching cap {MAX_MATCH_STATES}")
-    ta = amalgamation_terminals(a)
-    tb = amalgamation_terminals(b)
-    return any(_iso_arrays(x, y) for x in ta for y in tb)
+    ta, _ = _amalgamate(_entries(a))
+    tb, _ = _amalgamate(_entries(b))
+    return _iso_arrays(ta, tb)
 
 
-def _terminals_with_paths(arr):
-    """Amalgamation endpoints with one recorded merge path each.
+def _code_through(source, source_edge, target, target_edge):
+    """The block code ``source -> target`` that commutes with the edge labels.
 
-    Every matrix is visited once up to isomorphism, so no two endpoints
-    are isomorphic.
+    Both label maps send 2-words onto edges of one terminal matrix.  For
+    the least ``r`` at which the labels of a target word's first ``r + 1``
+    2-words determine its first symbol, that symbol is read off the labels
+    of the source's ``(r + 2)``-words; trailing window symbols the table
+    does not depend on are then dropped.
     """
-    results = []
-    seen = [arr]
-    stack = [(arr, ())]
-    while stack:
-        a, path = stack.pop()
-        pairs = _mergeable_pairs(a)
-        if not pairs:
-            results.append((a, path))
-            continue
-        for p, q in pairs:
-            b = _merge(a, p, q)
-            if not any(len(c) == len(b) and _iso_arrays(b, c) for c in seen):
-                seen.append(b)
-                stack.append((b, path + ((a, p, q),)))
-    return results
+    def labels(edge, w):
+        return tuple(edge[w[i : i + 2]] for i in range(len(w) - 1))
 
-
-def _relabel_code(space_from, space_to, perm):
-    """The 1-block code applying a 0-based state permutation."""
-    return compile_block_code(
-        space_from, space_to, 1, {(i,): perm[i - 1] + 1 for i in range(1, space_from.n + 1)}
-    )
-
-
-def _step_codes(arr_before, p, q):
-    """Conjugacy codes across one merge, both directions.
-
-    The merge of ``(p, q)`` is undone by out-splitting the merged state
-    by the two original follower sets, which recovers the pre-merge
-    matrix up to relabeling.
-    """
-    before = build_shift_space(arr_before)
-    after_arr = _merge(arr_before, p, q)
-    after = build_shift_space(after_arr)
-    keep = [i for i in range(len(arr_before)) if i != q]
-    relabel = {old: keep.index(old) for old in keep}
-    relabel[q] = relabel[p]
-    blocks = []
-    for src in (p, q):
-        blk = tuple(
-            sorted(relabel[j] + 1 for j in np.flatnonzero(arr_before[src]))
-        )
-        blocks.append(blk)
-    split_space, split_code, split_inv = out_split(
-        after, {relabel[p] + 1: blocks}
-    )
-    perm = _find_iso_arrays(arr_before, split_space.matrix.entries.astype(int))
-    if perm is None:
-        raise AssertionError("splitting the merged state did not undo the merge")
-    to_split = _relabel_code(before, split_space, perm)
-    inv_perm = [0] * len(perm)
-    for i, j in enumerate(perm):
-        inv_perm[j] = i
-    from_split = _relabel_code(split_space, before, inv_perm)
-    down = compose_block_codes(split_inv, to_split)  # before -> after, 1-block
-    up = compose_block_codes(from_split, split_code)  # after -> before, 2-block
-    return before, after, down, up
+    for window in range(2, target.n + 2):
+        first = {}
+        if all(
+            first.setdefault(labels(target_edge, w), w[0]) == w[0]
+            for w in target.words(window)
+        ):
+            break
+    else:
+        raise AssertionError("edge labels do not determine the target symbol")
+    table = {w: first[labels(source_edge, w)] for w in source.words(window)}
+    while window > 1:
+        short = {}
+        if any(short.setdefault(w[:-1], v) != v for w, v in table.items()):
+            break
+        table, window = short, window - 1
+    return compile_block_code(source, target, window, table)
 
 
 def conjugacy_from_amalgamation(a, b):
     """An explicit conjugacy pair between two shift spaces, or None.
 
-    Walks both matrices down their amalgamation paths to a shared
-    endpoint and composes the per-merge codes; the result is verified as
-    an exact inverse pair of block codes before returning.
+    Both matrices are amalgamated once; if the terminals are isomorphic,
+    each direction is the block code that agrees on terminal edges, and
+    the pair is verified as exact mutual inverses before returning.
+
+    Raises
+    ------
+    TooLarge
+        if either matrix exceeds the matching cap, or a word table the
+        codes need exceeds its cap.
     """
+    ta, edge_a = _amalgamate(_entries(a))
+    tb, edge_b = _amalgamate(_entries(b))
+    perm = _find_iso_arrays(ta, tb)
+    if perm is None:
+        return None
+    edge_a = {w: (perm[s], perm[d], k) for w, (s, d, k) in edge_a.items()}
     space_a = a if isinstance(a, ShiftSpace) else ShiftSpace(a)
     space_b = b if isinstance(b, ShiftSpace) else ShiftSpace(b)
-    if space_a.n > MAX_MATCH_STATES or space_b.n > MAX_MATCH_STATES:
-        raise TooLarge(f"state count exceeds matching cap {MAX_MATCH_STATES}")
-    ta = _terminals_with_paths(space_a.matrix.entries.astype(int))
-    tb = _terminals_with_paths(space_b.matrix.entries.astype(int))
-    for term_a, path_a in ta:
-        for term_b, path_b in tb:
-            perm = _find_iso_arrays(term_a, term_b)
-            if perm is None:
-                continue
-            down_a, up_a = _compose_path(space_a, path_a)
-            down_b, up_b = _compose_path(space_b, path_b)
-            end_a, end_b = down_a.target, down_b.target
-            rel = _relabel_code(end_a, end_b, perm)
-            inv_perm = [0] * len(perm)
-            for i, j in enumerate(perm):
-                inv_perm[j] = i
-            rel_inv = _relabel_code(end_b, end_a, inv_perm)
-            h = compose_block_codes(up_b, compose_block_codes(rel, down_a))
-            h_inv = compose_block_codes(up_a, compose_block_codes(rel_inv, down_b))
-            if compose_block_codes(h_inv, h) == identity_code(space_a) and (
-                compose_block_codes(h, h_inv) == identity_code(space_b)
-            ):
-                return h, h_inv
-    return None
+    h = _code_through(space_a, edge_a, space_b, edge_b)
+    h_inv = _code_through(space_b, edge_b, space_a, edge_a)
+    if not (_undoes(h_inv, h) and _undoes(h, h_inv)):
+        raise AssertionError("codes through isomorphic terminals are not inverse")
+    return h, h_inv
 
 
-def _compose_path(space, path):
-    """Composed codes along a merge path: (top -> endpoint, endpoint -> top)."""
-    down = identity_code(space)
-    up = identity_code(space)
-    for arr, p, q in path:
-        _, _, step_down, step_up = _step_codes(arr, p, q)
-        down = compose_block_codes(step_down, down)
-        up = compose_block_codes(up, step_up)
-    return down, up
+def _undoes(outer, inner):
+    """Is ``outer`` after ``inner`` the identity, as a block code?
+
+    Every source word the composite reads must map to its first symbol.
+    The words grow one follower at a time from the keys of ``inner``'s
+    table, so no longer word table is built and left cached on the space.
+    """
+    fol = inner.source.matrix.followers
+
+    def ok(first, x, out):
+        if len(out) == outer.window:
+            return outer.table[out] == first
+        return all(
+            ok(first, y, out + (inner.table[y],))
+            for y in (x[1:] + (b,) for b in fol[x[-1] - 1])
+        )
+
+    return all(ok(x[0], x, (v,)) for x, v in inner.table.items())
 
 
 # ---------------------------------------------------------------------------
@@ -360,20 +356,12 @@ def _find_iso_arrays(a, b):
 
 def matrices_isomorphic(a, b):
     """True iff the matrices agree after some relabeling of states."""
-    a = a.matrix if isinstance(a, ShiftSpace) else a
-    b = b.matrix if isinstance(b, ShiftSpace) else b
-    if a.n > MAX_MATCH_STATES or b.n > MAX_MATCH_STATES:
-        raise TooLarge(f"state count exceeds matching cap {MAX_MATCH_STATES}")
-    return _iso_arrays(a.entries.astype(int), b.entries.astype(int))
+    return _iso_arrays(_entries(a), _entries(b))
 
 
 def find_isomorphism(a, b):
     """A relabeling ``perm`` (0-based, ``a -> b``) or None."""
-    a = a.matrix if isinstance(a, ShiftSpace) else a
-    b = b.matrix if isinstance(b, ShiftSpace) else b
-    if a.n > MAX_MATCH_STATES or b.n > MAX_MATCH_STATES:
-        raise TooLarge(f"state count exceeds matching cap {MAX_MATCH_STATES}")
-    return _find_iso_arrays(a.entries.astype(int), b.entries.astype(int))
+    return _find_iso_arrays(_entries(a), _entries(b))
 
 
 # ---------------------------------------------------------------------------

@@ -108,6 +108,19 @@ def test_compare_golden_split(files, capsys, tmp_path):
     assert verify_inverse_pair(h, h_inv, 3, 4)[0]
 
 
+def test_compare_pair_joined_only_by_integer_merges(files, capsys):
+    # conjugate, but only through an integer amalgamation
+    a_rows = [[0, 0, 0, 1], [0, 0, 0, 1], [1, 1, 1, 1], [0, 1, 1, 0]]
+    b_rows = [[0, 0, 0, 1], [0, 1, 1, 1], [1, 0, 0, 1], [0, 1, 1, 0]]
+    a = files["write"]("a.json", {"n": 4, "rows": a_rows})
+    b = files["write"]("b.json", {"n": 4, "rows": b_rows})
+    code, out = run(capsys, ["compare", a, b, "--format", "json"])
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["oneSidedConjugate"] is True
+    assert set(payload["conjugacy"]) == {"map", "inverse"}
+
+
 def test_compare_identical(files, capsys):
     code, out = run(capsys, ["compare", files["golden"], files["golden"]])
     assert code == 0

@@ -10,6 +10,7 @@ from orbiteq import (
     bowen_franks,
     build_shift_space,
     classify,
+    compile_block_code,
     compose_block_codes,
     conjugacy_from_amalgamation,
     decide_one_sided_conjugacy,
@@ -24,6 +25,7 @@ from orbiteq import (
     total_amalgamation,
     verify_inverse_pair,
 )
+from orbiteq import invariants
 from orbiteq.generators import random_shift_space, random_single_split
 
 
@@ -194,11 +196,13 @@ def test_composed_splits_stay_conjugate(golden, cfg):
 
 
 def test_total_amalgamation_examples(full2, golden):
-    # nothing merges when follower sets overlap or columns differ
-    assert matrices_isomorphic(total_amalgamation(full2), full2.matrix)
+    # full-2's equal columns merge into one state with two loops; golden's
+    # columns differ, so nothing merges
+    assert total_amalgamation(full2).tolist() == [[2]]
     assert matrices_isomorphic(total_amalgamation(golden), golden.matrix)
     sp, _, _ = out_split(golden, {1: [(1,), (2,)]})
     assert matrices_isomorphic(total_amalgamation(sp), golden.matrix)
+    assert not total_amalgamation(sp).flags.writeable
 
 
 def test_amalgamation_terminal_round_trip():
@@ -206,15 +210,9 @@ def test_amalgamation_terminal_round_trip():
     for _ in range(25):
         base = random_shift_space(rng, rng.choice([2, 3]))
         space, _, _ = random_single_split(rng, base)
-        terms = amalgamation_terminals(space)
-        base_terms = amalgamation_terminals(base)
-        assert any(
-            matrices_isomorphic(
-                build_shift_space(x).matrix, build_shift_space(y).matrix
-            )
-            for x in terms
-            for y in base_terms
-        )
+        (term,) = amalgamation_terminals(space)
+        (base_term,) = amalgamation_terminals(base)
+        assert matrices_isomorphic(term, base_term)
 
 
 def test_decide_examples(full2, full3, golden):
@@ -254,6 +252,50 @@ def test_conjugacy_from_amalgamation(golden, full2, full3, cfg):
     assert conjugacy_from_amalgamation(full2, full3) is None
     same = conjugacy_from_amalgamation(golden, golden)
     assert same is not None and same[0] == identity_code(golden)
+
+
+# conjugate, but only an amalgamation whose merged rows add (to entries
+# above 1) brings the two matrices to the same terminal
+OVERLAP_A = [[0, 0, 0, 1], [0, 0, 0, 1], [1, 1, 1, 1], [0, 1, 1, 0]]
+OVERLAP_B = [[0, 0, 0, 1], [0, 1, 1, 1], [1, 0, 0, 1], [0, 1, 1, 0]]
+
+
+def test_integer_amalgamation_joins_overlapping_rows(cfg):
+    a, b = build_shift_space(OVERLAP_A), build_shift_space(OVERLAP_B)
+    assert matrices_isomorphic(total_amalgamation(a), total_amalgamation(b))
+    assert decide_one_sided_conjugacy(a, b) is True
+    pair = conjugacy_from_amalgamation(a, b)
+    assert pair is not None
+    assert verify_inverse_pair(*pair, 3, 4)[0]
+    assert classify(*pair, cfg).kind == "Conjugacy"
+
+
+def test_amalgamation_codes_on_a_deep_split():
+    # full-3 split nine times along its newest state; the trimmed windows
+    # stay far below the eleven merges back to [[3]]
+    full3 = build_shift_space([[1, 1, 1]] * 3)
+    space = full3
+    for _ in range(9):
+        fol = space.matrix.followers[space.n - 1]
+        space, _, _ = out_split(space, {space.n: [fol[:1], fol[1:]]})
+    assert space.n == 12
+    h, h_inv = conjugacy_from_amalgamation(full3, space)
+    assert verify_inverse_pair(h, h_inv, 2, 3)[0]
+    assert h.window + h_inv.window <= 8
+
+
+def test_inverse_check_reads_every_composite_word(golden, full2):
+    sp, code, inverse = out_split(golden, {1: [(1,), (2,)]})
+    assert invariants._undoes(inverse, code) and invariants._undoes(code, inverse)
+    swap = compile_block_code(full2, full2, 1, {(1,): 2, (2,): 1})
+    assert invariants._undoes(swap, swap)
+    assert not invariants._undoes(identity_code(full2), swap)
+    # a 2-block code that moves only the word (2, 2), on either side
+    bend = compile_block_code(
+        full2, full2, 2, {(1, 1): 1, (1, 2): 1, (2, 1): 2, (2, 2): 1}
+    )
+    assert not invariants._undoes(identity_code(full2), bend)
+    assert not invariants._undoes(bend, identity_code(full2))
 
 
 def test_invariance_under_splits():
