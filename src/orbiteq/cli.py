@@ -6,8 +6,9 @@ conjugacy decision for two matrices), ``verify`` (classify a candidate
 homeomorphism given with its inverse), and ``psi`` (evaluate the induced
 potential of a function under a map).
 
-Exit codes: 0 definite outcome, 1 parse or validation error,
-2 undecided at the configured depth, 3 inverse verification failed.
+Exit codes: 0 definite outcome, 1 parse or validation error or an
+internal inconsistency (InconsistentRoutes), 2 undecided at the
+configured depth, 3 inverse verification failed.
 """
 
 import argparse
@@ -17,6 +18,7 @@ from . import jsonio
 from .config import RunConfig
 from .errors import (
     DepthOverflow,
+    InconsistentRoutes,
     NoAlignment,
     NotConstantOnCylinders,
     OrbiteqError,
@@ -167,6 +169,9 @@ def cmd_verify(args):
         payload = {"verdict": "Undecided", "note": str(e)}
         _emit(payload, cfg, lambda p: f"undecided: {p['note']}\n")
         return EXIT_UNDECIDED
+    except InconsistentRoutes as e:
+        print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
+        return EXIT_ERROR
     payload = jsonio.verdict_to_json(verdict)
 
     def text(p):

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import MAX_DEPTH, RunConfig
+from .config import MAX_DEPTH, WORD_TABLE_LIMIT, RunConfig
 from .errors import (
     InadmissibleWord,
     InconsistentRoutes,
@@ -329,18 +329,30 @@ def _certification_depth(h, kl, need):
                 f"potential not certifiable within depth cap {MAX_DEPTH}"
             )
         return d
-    for d in range(max(kl.depth, 2), MAX_DEPTH + 1):
-        ok = True
-        for w in src.words(d):
-            k = kl.k.table[w[: kl.depth]]
-            l = kl.l.table[w[: kl.depth]]
-            if len(h.output_prefix(w)) < l + need:
-                ok = False
-                break
-            if len(h.output_prefix(w[1:])) < k + need:
-                ok = False
-                break
-        if ok:
+    # per depth-c word u and its shift u[1:]: output past the cocycle bound,
+    # and the configuration (state, last input) reached; then extend by d - c
+    c = kl.depth
+    starts = []
+    for u in src.words(c):
+        for v, bound in ((u, kl.l.table[u]), (u[1:], kl.k.table[u])):
+            state, out = h._run(v)
+            starts.append((len(out) - bound, (state, u[-1])))
+    memo = {}
+
+    def least(q, m):
+        """Fewest symbols emitted over ``m`` more inputs from configuration ``q``."""
+        if m == 0:
+            return 0
+        if (q, m) not in memo:
+            steps = [(h.step(q[0], b), b) for b in src.matrix.followers[q[1] - 1]]
+            memo[q, m] = min(len(out) + least((s, b), m - 1) for (s, out), b in steps)
+        return memo[q, m]
+
+    for d in range(max(c, 2), MAX_DEPTH + 1):
+        # the caller builds the depth-d word table next: cap it as words does
+        if src.word_count(d) > WORD_TABLE_LIMIT:
+            raise TooLarge(f"word table at depth {d} too large")
+        if all(budget + least(q, d - c) >= need for budget, q in starts):
             return d
     raise NotConstantOnCylinders(
         f"potential not certifiable within depth cap {MAX_DEPTH}"
@@ -435,6 +447,8 @@ def _fast_identity_misses(code, d, depth):
     arr = np.array(words, dtype=np.int64)
     w = code.window
     n = src.n
+    if (n + 1) ** w > WORD_TABLE_LIMIT:
+        raise TooLarge(f"window-{w} lookup table over {n} symbols too large")
     lut = np.full((n + 1,) * w, -1, dtype=np.int64)
     for key, val in code.table.items():
         lut[key] = val
@@ -575,7 +589,7 @@ def classify(h, h_inv, cfg=None, cocycle_depth=None):
     The caller is expected to have verified the inverse pair.  Two
     independent routes decide conjugacy: the direct shift-intertwining
     check, and the potential-identity route (eventual conjugacy at the
-    least lag the cocycles allow, together with the induced potential
+    least lag the cocycles allow, and only then the induced potential
     equalling composition).  The routes must agree; disagreement raises
     :class:`InconsistentRoutes` because it can only be a bug.
 
@@ -594,19 +608,19 @@ def classify(h, h_inv, cfg=None, cocycle_depth=None):
     eventual = lag is not None
 
     psi_ok = psi_wit = None
-    try:
-        psi_ok, psi_wit = check_potential_identity(h, kl1, cfg.depth)
-    except (NotConstantOnCylinders, TooLarge):
-        pass
+    if eventual:  # without a lag the theorem route is False whatever psi says
+        try:
+            psi_ok, psi_wit = check_potential_identity(h, kl1, cfg.depth)
+        except (NotConstantOnCylinders, TooLarge):
+            pass
 
-    if psi_ok is not None:
-        theorem_route = eventual and psi_ok
-        if theorem_route != direct:
-            raise InconsistentRoutes(
-                f"direct conjugacy check ({direct}) disagrees with the "
-                f"potential-identity route (eventual={eventual}, "
-                f"potential identity={psi_ok})"
-            )
+    theorem_route = eventual and psi_ok  # None while psi is undecided
+    if theorem_route is not None and theorem_route != direct:
+        raise InconsistentRoutes(
+            f"direct conjugacy check ({direct}) disagrees with the "
+            f"potential-identity route (eventual={eventual}, "
+            f"potential identity={psi_ok})"
+        )
 
     if direct:
         return Verdict("Conjugacy", lag=0, cocycles=(kl1, kl2), depth=cfg.depth)

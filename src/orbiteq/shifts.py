@@ -155,10 +155,7 @@ class ShiftSpace:
         fol = self.matrix.followers
         while have < m:
             prev = self._words[have]
-            # the next table has sum(A^have) words: check before allocating;
-            # that sum is at most n * len(prev), far inside int64
-            a_pow = np.linalg.matrix_power(self.matrix.entries, have)
-            if a_pow.sum() > WORD_TABLE_LIMIT:
+            if self.word_count(have + 1) > WORD_TABLE_LIMIT:  # before allocating
                 raise TooLarge(f"word table at depth {have + 1} too large")
             have += 1
             self._words[have] = tuple(
@@ -167,13 +164,17 @@ class ShiftSpace:
         return self._words[m]
 
     def word_count(self, m):
-        return len(self.words(m))
+        """The number of admissible words of length ``m``, without building them."""
+        counts = [1] * self.n  # words of the current length starting at each symbol
+        for _ in range(m - 1):
+            counts = [sum(counts[b - 1] for b in f) for f in self.matrix.followers]
+        return sum(counts)
 
     def is_admissible(self, word):
         """True iff every consecutive pair in ``word`` is an allowed transition."""
         if any(not (1 <= a <= self.n) for a in word):
             return False
-        return all(self.matrix.allows(a, b) for a, b in zip(word, word[1:]))
+        return all(b in self.matrix.followers[a - 1] for a, b in zip(word, word[1:]))
 
     def __eq__(self, other):
         return isinstance(other, ShiftSpace) and self.matrix == other.matrix

@@ -110,3 +110,53 @@ def points_agree(p, q, margin=4):
     c = max(len(p.cycle), len(q.cycle))
     n = a + 2 * c * max(len(p.cycle), len(q.cycle)) + margin
     return expand_point(p, n) == expand_point(q, n)
+
+
+# --- seeded maps that are not block codes ------------------------------------
+
+
+def recoder_map(space, tau):
+    """``x -> tau[x2][x1] x2 x3 ...`` as a transducer: a lag-1 eventual
+    conjugacy when ``tau[b]`` permutes the predecessors of each ``b``."""
+    fol = space.matrix.followers
+    delta = {}
+    for a in range(1, space.n + 1):
+        delta[("q0", a)] = (f"s{a}", ())
+        delta[("copy", a)] = ("copy", (a,))
+        for b in fol[a - 1]:
+            delta[(f"s{a}", b)] = ("copy", (tau[b][a], b))
+    states = ["q0", *(f"s{a}" for a in range(1, space.n + 1)), "copy"]
+    return transducer(space, space, states, "q0", delta)
+
+
+def random_tau(rng, space):
+    """A random permutation of the predecessors of each symbol."""
+    tau = {}
+    for b in range(1, space.n + 1):
+        pred = [a for a in range(1, space.n + 1) if space.matrix.allows(a, b)]
+        image = pred[:]
+        rng.shuffle(image)
+        tau[b] = dict(zip(pred, image))
+    return tau
+
+
+def expansion_maps(n, expand):
+    """The full ``n``-shift onto the space where each ``j`` in ``expand`` is
+    always followed by ``expand[j]``, by ``j -> j expand[j]``, and its
+    two-state inverse: an orbit equivalence that is no eventual conjugacy."""
+    source = build_shift_space([[1] * n for _ in range(n)])
+    target = build_shift_space(
+        [
+            [int(expand.get(j) in (None, t)) for t in range(1, n + 1)]
+            for j in range(1, n + 1)
+        ]
+    )
+    fwd, back = {}, {}
+    for j in range(1, n + 1):
+        fwd[("s", j)] = ("s", (j, expand[j]) if j in expand else (j,))
+        back[("copy", j)] = ("skip" if j in expand else "copy", (j,))
+        back[("skip", j)] = ("copy", ())
+    return (
+        transducer(source, target, ["s"], "s", fwd),
+        transducer(target, source, ["copy", "skip"], "copy", back),
+    )

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from orbiteq import build_shift_space, identity_code, out_split
+from orbiteq import InconsistentRoutes, build_shift_space, cli, identity_code, out_split
 from orbiteq import jsonio
 from orbiteq.cli import main
 
@@ -188,6 +188,20 @@ def test_verify_recoder_past_word_cap(files, capsys):
     payload = json.loads(out)
     assert payload["verdict"] == "EventualConjugacy"
     assert payload["K"] == 1
+
+
+def test_verify_inconsistent_routes_exits_1(files, capsys, monkeypatch):
+    def inconsistent(*args):
+        raise InconsistentRoutes("direct conjugacy check disagrees")
+
+    monkeypatch.setattr(cli, "classify", inconsistent)
+    argv = ["verify", files["full2"], files["full2"], files["swap2"], files["swap2"]]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: InconsistentRoutes: direct conjugacy check disagrees\n"
+    )
 
 
 def test_verify_swapped_inverse_exits_3(files, capsys):

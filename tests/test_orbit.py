@@ -1,15 +1,24 @@
 import itertools
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orbiteq import (
+    CylinderFunction,
+    InconsistentRoutes,
+    NotConstantOnCylinders,
     OrbitCocyclePair,
     PreconditionFailed,
     SegmentReduction,
+    TooLarge,
     apply_map,
     aperiodic_point_with_prefix,
+    block_to_transducer,
+    build_shift_space,
     canonical_point,
     check_conjugacy,
     check_eventual_conjugacy,
@@ -17,6 +26,7 @@ from orbiteq import (
     check_strong_coe,
     classify,
     combine,
+    compile_block_code,
     compose_shift,
     constant,
     cylinder_family,
@@ -35,9 +45,10 @@ from orbiteq import (
     verify_cocycles,
     verify_inverse_pair,
 )
-from orbiteq.generators import random_shift_space
+from orbiteq.config import MAX_DEPTH
+from orbiteq.generators import random_shift_space, split_chain
 
-from conftest import expand_point
+from conftest import expand_point, expansion_maps, random_tau, recoder_map
 
 
 def brute_minimal_pair(h, points, horizon=24, length=60):
@@ -373,3 +384,169 @@ def test_closed_form_alignment_matches_shift_point():
             elif ca != cb and cb in {ca[i:] + ca[:i] for i in range(len(ca))}:
                 kinds["rotated cycles"] += 1
     assert len(kinds) == 3, kinds
+
+
+# --- certification depth against the word walk -------------------------------
+
+
+def word_walk_depth(h, kl, need):
+    """The certification depth by its definition: the least depth at which
+    every word's output prefix, and its shift's, covers ``need`` symbols
+    past the cocycle bound, walking the word tables (which keep their cap)."""
+    c = kl.depth
+    for d in range(max(c, 2), MAX_DEPTH + 1):
+        if all(
+            len(h.output_prefix(w)) >= kl.l.table[w[:c]] + need
+            and len(h.output_prefix(w[1:])) >= kl.k.table[w[:c]] + need
+            for w in h.source.words(d)
+        ):
+            return d
+    raise NotConstantOnCylinders(f"not certifiable within depth {MAX_DEPTH}")
+
+
+def depth_outcome(find, h, kl, need):
+    """The depth ``find`` returns, or the type of the cap error it raises."""
+    try:
+        return find(h, kl, need)
+    except (NotConstantOnCylinders, TooLarge) as e:
+        return type(e)
+
+
+def _transducer_maps():
+    rng = random.Random(20261018)
+    for i in range(4):
+        space = random_shift_space(rng, 3)
+        tau = random_tau(rng, space)
+        yield f"recoder-{i}", recoder_map(space, tau)
+        yield f"recoder-{i}-inverse", recoder_map(
+            space, {b: {v: a for a, v in t.items()} for b, t in tau.items()}
+        )
+    for n, expand in ((2, {1: 2}), (3, {2: 1, 3: 1}), (4, {1: 3, 4: 2})):
+        h, h_inv = expansion_maps(n, expand)
+        yield f"expansion-{n}", h
+        yield f"expansion-{n}-inverse", h_inv
+    for i in range(2):
+        base = random_shift_space(rng, 2)
+        _, code, inverse = split_chain(rng, base, max_splits=2)
+        yield f"split-{i}", block_to_transducer(code)
+        yield f"split-{i}-inverse", block_to_transducer(inverse)
+
+
+@pytest.mark.parametrize("name,h", list(_transducer_maps()))
+def test_certification_depth_matches_word_walk(name, h, cfg):
+    kl = orbit_cocycles(h, 3, cfg)
+    for need in range(1, 9):
+        got = depth_outcome(orbit._certification_depth, h, kl, need)
+        assert got == depth_outcome(word_walk_depth, h, kl, need), (name, need)
+        if name == "expansion-4-inverse" and need == 8:
+            assert got is TooLarge
+
+
+@st.composite
+def recoders_with_bounds(draw):
+    """A first-symbol recoder on a small space (the cycle ``1 -> ... -> n
+    -> 1`` and the loop at 1 keep it valid) and arbitrary bounds ``k, l``."""
+    n = draw(st.integers(2, 3))
+    rows = [[draw(st.integers(0, 1)) for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        rows[i][(i + 1) % n] = 1
+    rows[0][0] = 1
+    space = build_shift_space(rows)
+    tau = {}
+    for b in range(1, n + 1):
+        pred = [a for a in range(1, n + 1) if space.matrix.allows(a, b)]
+        tau[b] = dict(zip(pred, draw(st.permutations(pred))))
+    c = draw(st.integers(1, 3))
+    words = space.words(c)
+    k, l = (
+        CylinderFunction(space, c, {w: draw(st.integers(0, 3)) for w in words})
+        for _ in range(2)
+    )
+    return recoder_map(space, tau), OrbitCocyclePair(k, l)
+
+
+@settings(max_examples=60, deadline=None)
+@given(recoders_with_bounds(), st.integers(1, 4))
+def test_certification_depth_property(map_and_bounds, need):
+    h, kl = map_and_bounds
+    assert depth_outcome(orbit._certification_depth, h, kl, need) == depth_outcome(
+        word_walk_depth, h, kl, need
+    )
+
+
+# --- the potential identity runs only where it can decide --------------------
+
+
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    fn = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_classify_skips_potential_identity_without_lag(monkeypatch, recoder, cfg):
+    h, h_inv = expansion_maps(3, {2: 1, 3: 1})
+    kl1 = orbit_cocycles(h, 3, cfg)
+    kl2 = orbit_cocycles(h_inv, 3, cfg)
+    _, direct_wit = check_conjugacy(h, cfg, depth=3)
+    calls = _count_calls(monkeypatch, orbit, "check_potential_identity")
+    v = classify(h, h_inv, cfg)
+    assert calls == []
+    assert (v.kind, v.lag, v.witness) == ("COE", None, direct_wit)
+    assert [(kl.k.table, kl.l.table) for kl in v.cocycles] == [
+        (kl.k.table, kl.l.table) for kl in (kl1, kl2)
+    ]
+    # with a lag the identity decides, so it runs
+    assert classify(recoder, recoder, cfg).kind == "EventualConjugacy"
+    assert len(calls) == 1
+
+
+def test_direct_conjugacy_without_lag_is_inconsistent(monkeypatch, cfg):
+    h, h_inv = expansion_maps(3, {2: 1, 3: 1})
+    align = orbit._align
+
+    def direct_without_lag(*args):
+        kl1, kl2, _, _ = align(*args)
+        return kl1, kl2, None, None
+
+    monkeypatch.setattr(orbit, "_align", direct_without_lag)
+    with pytest.raises(InconsistentRoutes):
+        classify(h, h_inv, cfg)
+
+
+def test_direct_conjugacy_against_failed_identity_is_inconsistent(
+    monkeypatch, recoder, cfg
+):
+    align = orbit._align
+
+    def direct_with_lag(*args):
+        kl1, kl2, _, lag = align(*args)
+        return kl1, kl2, None, lag
+
+    monkeypatch.setattr(orbit, "_align", direct_with_lag)
+    with pytest.raises(InconsistentRoutes):
+        classify(recoder, recoder, cfg)
+
+
+def test_identity_lookup_table_cap_checked_before_building():
+    # a 33-cycle with one loop: few words, but a window-4 lookup table
+    # over 34 symbols would have 34**4 > WORD_TABLE_LIMIT entries
+    n = 33
+    space = build_shift_space(
+        [[int(j == (i + 1) % n or i == j == 0) for j in range(n)] for i in range(n)]
+    )
+    code = compile_block_code(space, space, 4, {w: w[0] for w in space.words(4)})
+    space.words(5)
+    tracemalloc.start()
+    try:
+        with pytest.raises(TooLarge):
+            orbit._fast_identity_misses(code, 5, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20

@@ -91,6 +91,15 @@ def test_word_count_recursion(golden, full2):
         assert len(allowed_words(s, 1)) == s.n
 
 
+def test_word_count_without_building(golden, full2):
+    for s in (golden, full2):
+        for m in range(1, 7):
+            assert s.word_count(m) == len(allowed_words(s, m))
+    full4 = build_shift_space([[1] * 4] * 4)
+    assert full4.word_count(12) == 4**12
+    assert max(full4._words) == 1
+
+
 def test_canonical_primitive_reduction(full2):
     assert canonical_point(full2, (), (1, 2, 1, 2)) == Point((), (1, 2))
 
