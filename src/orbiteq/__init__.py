@@ -59,7 +59,6 @@ from .maps import (
     compile_block_code,
     compose_block_codes,
     identity_code,
-    search_inverse,
     transducer,
     verify_inverse_pair,
 )

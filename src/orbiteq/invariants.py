@@ -522,17 +522,15 @@ def _invariant_factors(m):
 class InvariantReport:
     """Cokernel invariants of ``I - A`` and ``I - A^T``.
 
-    ``bf_factors`` and ``k0_factors`` list invariant factors with the
-    trivial 1s dropped and zeros retained (each zero is a free summand);
-    ``k1_rank`` counts the zeros of ``I - A^T``.  The two matrices are
-    transposes of each other and so share one Smith normal form: the
-    two factor lists are always equal.
+    ``bf_factors`` lists invariant factors with the trivial 1s dropped
+    and zeros retained (each zero is a free summand).  The two matrices
+    are transposes of each other and so share one Smith normal form:
+    ``bf_factors`` is also the K_0 factor list, and its zeros count the
+    rank of K_1.
     """
 
     bf_factors: tuple
     det_sign: int
-    k0_factors: tuple
-    k1_rank: int
 
 
 def _reduced(factors):
@@ -559,8 +557,7 @@ def k_theory(a):
 
 
 def invariant_report(a):
-    bf, sign = bowen_franks(a)
-    return InvariantReport(bf, sign, bf, bf.count(0))
+    return InvariantReport(*bowen_franks(a))
 
 
 @dataclass(frozen=True)
@@ -584,7 +581,6 @@ class ObstructionReport:
 
 def obstruction_report(a, b):
     ra, rb = invariant_report(a), invariant_report(b)
-    # the K-theory fields repeat the cokernel factors, so these two decide
     mismatch = ra.bf_factors != rb.bf_factors or ra.det_sign != rb.det_sign
     rungs = ("coe", "strong_coe", "eventual_conjugacy", "conjugacy")
     return ObstructionReport(ra, rb, {r: mismatch for r in rungs})

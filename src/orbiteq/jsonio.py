@@ -186,8 +186,8 @@ def invariants_to_json(rep):
     return {
         "bf": list(rep.bf_factors),
         "detSign": rep.det_sign,
-        "k0": list(rep.k0_factors),
-        "k1Rank": rep.k1_rank,
+        "k0": list(rep.bf_factors),
+        "k1Rank": rep.bf_factors.count(0),
     }
 
 

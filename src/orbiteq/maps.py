@@ -26,7 +26,6 @@ __all__ = [
     "compose_block_codes",
     "apply_map",
     "verify_inverse_pair",
-    "search_inverse",
     "identity_code",
 ]
 
@@ -308,41 +307,3 @@ def verify_inverse_pair(h, h_inv, test_pre, test_cyc):
         if apply_map(h, apply_map(h_inv, q)) != q:
             return False, q
     return True, None
-
-
-def search_inverse(h, max_window):
-    """Search for a block-code inverse of the block code ``h``.
-
-    For each candidate window ``v`` the prospective inverse table is
-    forced: on the image of any admissible source word of length
-    ``v + window - 1`` it must return that word's first symbol.  A
-    conflict rules the window out.  Target words never hit by an image
-    get an arbitrary admissible value; the candidate then stands only if
-    both compositions are exactly the identity as block-code tables.
-
-    Returns the inverse code, or ``None`` if no window up to
-    ``max_window`` works.
-    """
-    src, tgt = h.source, h.target
-    for v in range(1, max_window + 1):
-        forced = {}
-        ok = True
-        for u in src.words(v + h.window - 1):
-            img = h.output_prefix(u)
-            if forced.setdefault(img, u[0]) != u[0]:
-                ok = False
-                break
-        if not ok:
-            continue
-        table = {}
-        for wrd in tgt.words(v):
-            table[wrd] = forced.get(wrd, 1)
-        try:
-            g = compile_block_code(tgt, src, v, table)
-        except ImageInadmissible:
-            continue
-        if compose_block_codes(g, h) == identity_code(src) and compose_block_codes(
-            h, g
-        ) == identity_code(tgt):
-            return g
-    return None

@@ -30,8 +30,6 @@ finds nothing reports undecided, never a refutation.
 from collections import Counter
 from dataclasses import dataclass
 
-import numpy as np
-
 from .config import MAX_DEPTH, WORD_TABLE_LIMIT, RunConfig
 from .errors import (
     InadmissibleWord,
@@ -404,6 +402,12 @@ def check_potential_identity(h, kl, depth):
     output windows, which is exactly the identity quantified over all
     indicators at once.
 
+    For a :class:`BlockCode` with ``l - k = 1`` on every cylinder the
+    answer is ``(True, None)`` in closed form, with no word table built.
+    A block code with ``l - k != 1`` on some cylinder fails there, and
+    that input, like every transducer, runs the multiset comparison to
+    find its witness.
+
     Returns ``(True, None)`` or ``(False, witness_word)`` where the
     witness is a target word whose indicator fails.
 
@@ -412,19 +416,13 @@ def check_potential_identity(h, kl, depth):
     NotConstantOnCylinders
         if output prefixes cannot be certified within the depth cap.
     """
+    if isinstance(h, BlockCode) and kl.difference().is_constant(1):
+        # a block code commutes with the shift, so the image of w[1:] is the
+        # image of w less its first symbol: both sides count windows of the
+        # image of w, at offsets 0..l and 0..k+1, the same ones when l = k + 1
+        return True, None
     d = _certification_depth(h, kl, depth)
-    src = h.source
-    const_pair = None
-    if kl.k.is_constant() and kl.l.is_constant():
-        const_pair = (kl.k.min(), kl.l.min())
-    if isinstance(h, BlockCode) and const_pair == (0, 1):
-        bad = _fast_identity_misses(h, d, depth)
-        if bad is None:
-            return True, None
-        words = [bad]
-    else:
-        words = src.words(d)
-    for w in words:
+    for w in h.source.words(d):
         k = kl.k.table[w[: kl.depth]]
         l = kl.l.table[w[: kl.depth]]
         out = h.output_prefix(w)
@@ -436,41 +434,6 @@ def check_potential_identity(h, kl, depth):
             if mult != 0:
                 return False, v
     return True, None
-
-
-def _fast_identity_misses(code, d, depth):
-    """Vectorized scan for cocycles (0, 1): the identity holds on a
-    cylinder iff the image windows at offsets 1 and 0-of-the-shift agree.
-    Returns a failing word, or None."""
-    src = code.source
-    words = src.words(d)
-    arr = np.array(words, dtype=np.int64)
-    w = code.window
-    n = src.n
-    if (n + 1) ** w > WORD_TABLE_LIMIT:
-        raise TooLarge(f"window-{w} lookup table over {n} symbols too large")
-    lut = np.full((n + 1,) * w, -1, dtype=np.int64)
-    for key, val in code.table.items():
-        lut[key] = val
-    cols = [arr[:, i : i + w] for i in range(d - w + 1)]
-    out = np.stack(
-        [lut[tuple(c[:, t] for t in range(w))] for c in cols], axis=1
-    )
-    index = {wd: i for i, wd in enumerate(words)}
-    shifted = np.array([index[wd[1:] + ext] for wd, ext in _first_extension(src, words)])
-    # out[u][1 : 1+depth] must equal out[u[1:]][0 : depth]
-    lhs = out[:, 1 : 1 + depth]
-    rhs = out[shifted, 0:depth]
-    bad = np.nonzero((lhs != rhs).any(axis=1))[0]
-    if bad.size:
-        return words[int(bad[0])]
-    return None
-
-
-def _first_extension(space, words):
-    """Pair each word with its lexicographically first admissible extension."""
-    fol = space.matrix.followers
-    return [(w, (fol[w[-1] - 1][0],)) for w in words]
 
 
 # ---------------------------------------------------------------------------

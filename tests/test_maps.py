@@ -14,7 +14,6 @@ from orbiteq import (
     identity_code,
     indicator,
     pullback,
-    search_inverse,
     shift_point,
     tables_equal,
     transducer,
@@ -130,26 +129,6 @@ def test_verify_inverse_pair(full2, swap2, recoder):
     ok, wit = verify_inverse_pair(swap2, ident, 2, 3)
     assert not ok and wit == Point((), (1,))
     assert verify_inverse_pair(recoder, recoder, 3, 4)[0]
-
-
-def test_search_inverse_identity(full2):
-    ident = identity_code(full2)
-    assert search_inverse(ident, 3) == ident
-
-
-def test_search_inverse_out_split(golden):
-    from orbiteq import out_split
-
-    _, code, inverse = out_split(golden, {1: [(1,), (2,)]})
-    found = search_inverse(code, 3)
-    assert found is not None and found == inverse
-    found2 = search_inverse(inverse, 3)
-    assert found2 is not None and found2 == code
-
-
-def test_search_inverse_not_injective(full2, full3):
-    collapse = compile_block_code(full3, full2, 1, {(1,): 1, (2,): 2, (3,): 2})
-    assert search_inverse(collapse, 3) is None
 
 
 def test_compose_block_codes(full2, swap2, xor2):

@@ -533,20 +533,71 @@ def test_direct_conjugacy_against_failed_identity_is_inconsistent(
         classify(recoder, recoder, cfg)
 
 
-def test_identity_lookup_table_cap_checked_before_building():
-    # a 33-cycle with one loop: few words, but a window-4 lookup table
-    # over 34 symbols would have 34**4 > WORD_TABLE_LIMIT entries
+def test_block_code_identity_builds_no_word_table():
+    # a 33-cycle with one loop and a window-4 code: with cocycles (0, 1) the
+    # identity is decided from the cocycles alone, so no table longer than
+    # the ones already built and no lookup table over 34**4 entries
     n = 33
     space = build_shift_space(
         [[int(j == (i + 1) % n or i == j == 0) for j in range(n)] for i in range(n)]
     )
     code = compile_block_code(space, space, 4, {w: w[0] for w in space.words(4)})
-    space.words(5)
+    words = space.words(1)
+    built = max(space._words)
+    kl = OrbitCocyclePair(
+        CylinderFunction(space, 1, dict.fromkeys(words, 0)),
+        CylinderFunction(space, 1, dict.fromkeys(words, 1)),
+    )
     tracemalloc.start()
     try:
-        with pytest.raises(TooLarge):
-            orbit._fast_identity_misses(code, 5, 1)
+        assert check_potential_identity(code, kl, 1) == (True, None)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+    assert max(space._words) == built
+
+
+# --- the block-code potential identity against the transducer path ----------
+
+
+@pytest.fixture(scope="module")
+def identity_oracle_codes(swap2, xor2):
+    """``swap2``, ``xor2`` and two seeded split chains with their inverses."""
+    rng = random.Random(20261019)
+    codes = [swap2, xor2]
+    for _ in range(2):
+        _, code, inverse = split_chain(rng, random_shift_space(rng, 2), max_splits=2)
+        codes += [code, inverse]
+    return codes
+
+
+@st.composite
+def cocycle_pairs(draw, space):
+    """A hand-built pair on ``space``: constant ``(k, l)`` of ``(0, 1)``,
+    ``(1, 2)``, ``(0, 2)`` or ``(1, 1)``, or ``k`` and ``l - k`` drawn per
+    cylinder."""
+    c = draw(st.integers(1, 2))
+    words = space.words(c)
+    shape = draw(st.sampled_from([(0, 1), (1, 2), (0, 2), (1, 1), "per cylinder"]))
+    if shape == "per cylinder":
+        k = {w: draw(st.integers(0, 1)) for w in words}
+        l = {w: k[w] + draw(st.sampled_from((1, 0, 2))) for w in words}
+    else:
+        k, l = dict.fromkeys(words, shape[0]), dict.fromkeys(words, shape[1])
+    return OrbitCocyclePair(CylinderFunction(space, c, k), CylinderFunction(space, c, l))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_block_code_identity_matches_transducer_path(identity_oracle_codes, data):
+    h = data.draw(st.sampled_from(identity_oracle_codes))
+    kl = data.draw(cocycle_pairs(h.source))
+    # the transducer presentation runs the general multiset comparison
+    general = block_to_transducer(h)
+    for depth in (1, 2, 3):
+        ok, wit = check_potential_identity(h, kl, depth)
+        ok_general, wit_general = check_potential_identity(general, kl, depth)
+        assert ok == ok_general, depth
+        if not ok:
+            assert wit is not None and wit_general is not None
