@@ -32,6 +32,7 @@ from .functions import (
     pullback,
     refine,
     tables_equal,
+    transfer_obstruction,
 )
 from .generators import random_shift_space, random_single_split, split_chain
 from .invariants import (

@@ -14,8 +14,8 @@ All arithmetic is plain Python integers; nothing here rounds.
 from dataclasses import dataclass, field
 
 from .config import MAX_DEPTH
-from .errors import DepthOverflow, InadmissibleWord, TooLarge
-from .shifts import ShiftSpace
+from .errors import DepthOverflow, InadmissibleWord, InconsistentRoutes, TooLarge
+from .shifts import ShiftSpace, canonical_point, shift_point
 
 __all__ = [
     "CylinderFunction",
@@ -27,6 +27,7 @@ __all__ = [
     "compose_shift",
     "pullback",
     "find_transfer",
+    "transfer_obstruction",
     "tables_equal",
 ]
 
@@ -177,58 +178,109 @@ def pullback(f, h):
     )
 
 
-def find_transfer(space, g, c, max_depth):
-    """Solve ``g = c + b - b∘σ`` for a cylinder function ``b``, exactly.
+def _least_table(g):
+    """``g``'s table lowered while it is constant on the shorter prefixes,
+    with its depth: the least depth of ``g``."""
+    d, table = g.depth, g.table
+    while d > 1:
+        shorter = {}
+        for w, x in table.items():
+            if shorter.setdefault(w[:-1], x) != x:
+                return d, table
+        d, table = d - 1, shorter
+    return d, table
 
-    Searches depth by depth: at depth ``m`` the unknowns are one integer
-    per admissible ``m``-word and every admissible word of length
-    ``max(depth(g), m+1)`` contributes the constraint
-    ``b[w_1..w_m] - b[w_2..w_{m+1}] = g(w) - c``.  The constraint graph
-    is connected (the matrix is irreducible), so a solution is either
-    pinned down by a BFS up to one additive constant or contradicted by
-    some cycle whose increments do not cancel.  Returns ``None`` when no
-    depth up to ``max_depth`` admits a solution, or when the word-table
-    cap stops the search earlier; that is a bounded-search outcome, not a
-    refutation.
 
-    The returned table is normalized to value 0 on the lexicographically
-    least word.
+def _solve_transfer(space, g, c):
+    """The graph, potential and defect behind :func:`find_transfer`.
+
+    Returns ``(out, b, parent, bad)``: ``out[u]`` lists ``(v, r)`` for each
+    ``(m+1)``-word from the ``m``-word ``u`` to ``v``, with ``r`` the value
+    of ``g - c`` on it; ``b`` and its BFS tree ``parent`` from
+    ``b[root] = 0`` and ``b[v] = b[u] - r`` forward from the least
+    ``m``-word; and the first edge ``(u, v)`` with ``b[u] - b[v] != r``,
+    or None.
     """
-    if max_depth > MAX_DEPTH:
-        raise DepthOverflow(f"max_depth {max_depth} exceeds cap {MAX_DEPTH}")
-    for m in range(1, max_depth + 1):
-        big = max(g.depth, m + 1)
-        try:
-            gm = refine(g, big)  # the deepest word table this depth needs
-        except TooLarge:
-            return None
-        # edges[u] = list of (v, r) meaning b[u] - b[v] = r
-        edges = {w: [] for w in space.words(m)}
-        ok = True
-        for w in space.words(big):
-            u, v, r = w[:m], w[1 : m + 1], gm.table[w] - c
-            edges[u].append((v, r))
-            edges[v].append((u, -r))
-        val = {}
-        order = space.words(m)
-        val[order[0]] = 0
-        queue = [order[0]]
-        while queue and ok:
-            u = queue.pop()
-            for v, r in edges[u]:
-                want = val[u] - r
-                if v in val:
-                    if val[v] != want:
-                        ok = False
-                        break
-                else:
-                    val[v] = want
-                    queue.append(v)
-        if ok and len(val) == len(order):
-            base = val[order[0]]
-            b = CylinderFunction(space, m, {w: val[w] - base for w in order})
-            # re-check the defining identity at the common refinement
-            lhs = combine(1, constant(space, c), 1, combine(1, b, -1, compose_shift(b)))
-            if tables_equal(lhs, g):
-                return b
-    return None
+    d, gt = _least_table(g)
+    m = max(d - 1, 1)
+    out = {u: [] for u in space.words(m)}
+    for w in space.words(m + 1):
+        out[w[:m]].append((w[1:], gt[w[:d]] - c))
+    root = next(iter(out))
+    b, parent = {root: 0}, {root: None}
+    queue = [root]
+    for u in queue:
+        for v, r in out[u]:
+            if v not in b:
+                b[v], parent[v] = b[u] - r, u
+                queue.append(v)
+    bad = next(((u, v) for u in out for v, r in out[u] if b[u] - b[v] != r), None)
+    return out, b, parent, bad
+
+
+def find_transfer(space, g, c):
+    """Solve ``g = c + b - b∘σ`` for a continuous ``b``, exactly.
+
+    Let ``g`` have least depth ``d`` and let ``m = max(d - 1, 1)``.  A
+    depth-``m`` solution is a potential on the graph whose vertices are
+    the ``m``-words and whose edges are the ``(m+1)``-words weighted by
+    ``g - c``.  The graph is strongly connected (the matrix is
+    irreducible), so a potential exists exactly when every cycle, that
+    is every periodic orbit, sums to 0.  By Livšic's theorem that is also
+    when a continuous ``b`` of any depth exists, and none is shallower
+    than ``m``, since ``g`` would then be shallower than ``d``.
+
+    Returns ``b`` normalized to 0 on the least ``m``-word, or ``None``
+    when no continuous transfer exists; :func:`transfer_obstruction` then
+    names a periodic point that proves it.
+    """
+    _, b, _, bad = _solve_transfer(space, g, c)
+    if bad is not None:
+        return None
+    b = CylinderFunction(space, len(next(iter(b))), b)
+    # re-check the defining identity at the common refinement
+    lhs = combine(1, constant(space, c), 1, combine(1, b, -1, compose_shift(b)))
+    if not tables_equal(lhs, g):
+        raise InconsistentRoutes("the transfer solve fails its re-check")
+    return b
+
+
+def transfer_obstruction(space, g, c):
+    """A periodic point over whose orbit ``g - c`` does not sum to 0.
+
+    Returns ``(point, s)`` with ``s != 0`` the sum of ``g - c`` over one
+    period of ``point``, or None when :func:`find_transfer` finds a
+    transfer.  For the first edge ``u -> v`` that breaks the potential,
+    the closed walks ``root -> u -> v -> root`` and ``root -> v -> root``
+    (along the BFS tree and a BFS path from ``v`` to the root) differ in
+    sum by the edge's defect, so one of them sums to non-zero; the first
+    symbols of its words are the cycle.
+    """
+    out, _, parent, bad = _solve_transfer(space, g, c)
+    if bad is None:
+        return None
+    u, v = bad
+    prev = {v: None}  # a BFS tree from v, to find a path back to the root
+    queue = [v]
+    for x in queue:
+        for y, _ in out[x]:
+            if y not in prev:
+                prev[y] = x
+                queue.append(y)
+
+    def path(x, step):
+        walk = []
+        while x is not None:
+            walk.append(x)
+            x = step[x]
+        return walk[::-1]
+
+    back = path(next(iter(out)), prev)
+    for walk in (path(u, parent) + back, path(v, parent) + back[1:]):
+        if len(walk) > 1:
+            p = canonical_point(space, (), tuple(x[0] for x in walk[:-1]))
+            n = len(p.cycle)
+            s = sum(evaluate(g, shift_point(space, p, i)) for i in range(n)) - c * n
+            if s:
+                return p, s
+    raise InconsistentRoutes("a broken potential with no periodic obstruction")

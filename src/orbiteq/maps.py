@@ -35,7 +35,7 @@ class BlockCode:
 
     ``table`` maps every admissible source word of length ``window`` to a
     target symbol.  Construct through :func:`compile_block_code`, which
-    checks totality and image admissibility.
+    checks totality and image admissibility, or :func:`compose_block_codes`.
     """
 
     def __init__(self, source, target, window, table):
@@ -97,15 +97,17 @@ def identity_code(space):
 
 
 def compose_block_codes(outer, inner):
-    """The block code ``outer after inner`` (windows add, minus one)."""
+    """The block code ``outer after inner`` (windows add, minus one).
+
+    The table has one key per admissible ``w``-word by construction, and
+    the image of a composite of two compiled codes is admissible, so it
+    needs no re-check.
+    """
     if inner.target != outer.source:
         raise ValueError("codes are not composable")
     w = inner.window + outer.window - 1
-    table = {}
-    for u in inner.source.words(w):
-        mid = inner.output_prefix(u)
-        table[u] = outer.table[mid]
-    return compile_block_code(inner.source, outer.target, w, table)
+    table = {u: outer.table[inner.output_prefix(u)] for u in inner.source.words(w)}
+    return BlockCode(inner.source, outer.target, w, table)
 
 
 class Transducer:

@@ -39,7 +39,13 @@ from .errors import (
     PreconditionFailed,
     TooLarge,
 )
-from .functions import CylinderFunction, combine, evaluate
+from .functions import (
+    CylinderFunction,
+    combine,
+    evaluate,
+    find_transfer,
+    transfer_obstruction,
+)
 from .maps import BlockCode, apply_map
 from .shifts import (
     _point_key,
@@ -92,7 +98,9 @@ class Verdict:
     eventual-conjugacy lag, ``cocycles`` the pair of
     :class:`OrbitCocyclePair` (one per direction), ``transfers`` the
     strong-COE transfer functions, and ``witness`` whatever refuted a
-    stronger rung.
+    stronger rung.  A ``COE`` verdict's ``note`` names the direction in
+    which no transfer exists, the cycle of a periodic point and the
+    non-zero sum of ``l - k - 1`` over one period of it.
     """
 
     kind: str
@@ -469,20 +477,22 @@ def check_eventual_conjugacy(h, h_inv, K, cfg=None, depth=None):
 
 
 def check_strong_coe(h, h_inv, cfg=None, kl1=None, kl2=None):
-    """Look for transfer functions certifying strong orbit equivalence.
+    """Transfer functions certifying strong orbit equivalence, if any exist.
 
-    Solves ``l - k = 1 + b - b o sigma`` exactly in both directions.
-    Returns ``(b1, b2)`` or ``None`` (undecided at the depth cap).
+    Solves ``l - k = 1 + b - b o sigma`` exactly in both directions, on the
+    given cocycles or on those of depth 3.  Returns ``(b1, b2)``, or
+    ``None`` when no continuous transfer exists in some direction
+    (:func:`~orbiteq.functions.transfer_obstruction` names a periodic
+    point that proves it).  No depth is searched, so ``cfg.depth`` plays
+    no part.
     """
-    from .functions import find_transfer
-
     cfg = cfg or RunConfig()
-    kl1 = kl1 or orbit_cocycles(h, min(cfg.depth, 3), cfg)
-    kl2 = kl2 or orbit_cocycles(h_inv, min(cfg.depth, 3), cfg)
-    b1 = find_transfer(h.source, kl1.difference(), 1, cfg.depth)
+    kl1 = kl1 or orbit_cocycles(h, 3, cfg)
+    kl2 = kl2 or orbit_cocycles(h_inv, 3, cfg)
+    b1 = find_transfer(h.source, kl1.difference(), 1)
     if b1 is None:
         return None
-    b2 = find_transfer(h_inv.source, kl2.difference(), 1, cfg.depth)
+    b2 = find_transfer(h_inv.source, kl2.difference(), 1)
     if b2 is None:
         return None
     return b1, b2
@@ -558,8 +568,10 @@ def classify(h, h_inv, cfg=None, cocycle_depth=None):
 
     Weaker rungs: constant cocycle differences ``l - k = 1`` with a
     verified lag give eventual conjugacy; transfer functions give strong
-    orbit equivalence; bare cocycles give orbit equivalence.  Bounded
-    searches that find nothing yield ``Undecided``.
+    orbit equivalence; bare cocycles give orbit equivalence, and then the
+    note carries the periodic point that shows no transfer exists for
+    this map.  An alignment search that finds nothing yields
+    ``Undecided``.
     """
     cfg = cfg or RunConfig()
     cdepth = cocycle_depth or min(cfg.depth, 3)
@@ -604,10 +616,18 @@ def classify(h, h_inv, cfg=None, cocycle_depth=None):
             witness=direct_wit,
             depth=cfg.depth,
         )
+    for direction, hh, kl in (("forward", h, kl1), ("backward", h_inv, kl2)):
+        obstruction = transfer_obstruction(hh.source, kl.difference(), 1)
+        if obstruction is not None:
+            break
+    p, s = obstruction
     return Verdict(
         "COE",
         cocycles=(kl1, kl2),
         witness=direct_wit,
         depth=cfg.depth,
-        note="strong orbit equivalence transfers not found at the depth cap",
+        note=(
+            f"no strong orbit equivalence transfer exists: {direction} "
+            f"l - k - 1 sums to {s} over the cycle {','.join(map(str, p.cycle))}"
+        ),
     )

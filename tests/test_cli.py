@@ -6,6 +6,8 @@ from orbiteq import InconsistentRoutes, build_shift_space, cli, identity_code, o
 from orbiteq import jsonio
 from orbiteq.cli import main
 
+from conftest import expansion_maps
+
 RECODER_JSON = {
     "type": "transducer",
     "states": ["q0", "s1", "s2", "copy"],
@@ -188,6 +190,21 @@ def test_verify_recoder_past_word_cap(files, capsys):
     payload = json.loads(out)
     assert payload["verdict"] == "EventualConjugacy"
     assert payload["K"] == 1
+
+
+def test_verify_expansion_names_transfer_obstruction(files, capsys):
+    # full 2-shift onto the golden mean shift by 2 -> 2 1: the forward
+    # l - k - 1 is 1 on the cylinder of 2, so it sums to 1 over 1,2
+    h, h_inv = expansion_maps(2, {2: 1})
+    fwd = files["write"]("expand.json", jsonio.map_to_json(h))
+    back = files["write"]("expand_inv.json", jsonio.map_to_json(h_inv))
+    code, out = run(capsys, ["verify", files["full2"], files["golden"], fwd, back])
+    assert code == 0
+    assert out.splitlines()[0] == "verdict: COE"
+    assert out.splitlines()[-1] == (
+        "no strong orbit equivalence transfer exists: "
+        "forward l - k - 1 sums to 1 over the cycle 1,2"
+    )
 
 
 def test_verify_inconsistent_routes_exits_1(files, capsys, monkeypatch):

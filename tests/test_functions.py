@@ -1,6 +1,9 @@
+import random
+
 import pytest
 
 from orbiteq import (
+    CylinderFunction,
     DepthOverflow,
     InadmissibleWord,
     build_shift_space,
@@ -13,10 +16,14 @@ from orbiteq import (
     find_transfer,
     indicator,
     pullback,
+    random_shift_space,
     refine,
     tables_equal,
     transducer,
+    transfer_obstruction,
 )
+
+from conftest import raw_expand
 
 
 def test_indicator_tables(golden, full2):
@@ -122,14 +129,14 @@ def test_pullback_word_cap_is_depth_overflow():
 
 
 def test_find_transfer_zero(full2):
-    b = find_transfer(full2, constant(full2, 1), 1, 4)
+    b = find_transfer(full2, constant(full2, 1), 1)
     assert b is not None and b.is_constant(0)
 
 
 def test_find_transfer_recovers_coboundary(full2):
     ind = indicator(full2, (1,))
     g = combine(1, constant(full2, 1), 1, combine(1, ind, -1, compose_shift(ind)))
-    b = find_transfer(full2, g, 1, 4)
+    b = find_transfer(full2, g, 1)
     assert b is not None
     assert combine(1, b, -1, ind).is_constant()
     # the certificate re-verifies
@@ -139,19 +146,20 @@ def test_find_transfer_recovers_coboundary(full2):
 
 def test_find_transfer_cycle_sum_obstruction(full2):
     # along any n-cycle the sums force n*c = sum of g, so g=2, c=1 fails
-    assert find_transfer(full2, constant(full2, 2), 1, 6) is None
+    assert find_transfer(full2, constant(full2, 2), 1) is None
 
 
 def test_find_transfer_word_cap_is_not_found():
-    # no solution exists; the word-table cap stops the search at depth 5
+    # no solution exists: 0 - 1 sums to -1 over the fixed point 1, which the
+    # one-depth solve on the 1-words finds without a deeper word table
     full16 = build_shift_space([[1] * 16] * 16)
-    assert find_transfer(full16, constant(full16, 0), 1, 24) is None
+    assert find_transfer(full16, constant(full16, 0), 1) is None
 
 
 def test_find_transfer_deeper_coboundary(golden):
     ind = indicator(golden, (1, 2))
     g = combine(1, constant(golden, 1), 1, combine(1, ind, -1, compose_shift(ind)))
-    b = find_transfer(golden, g, 1, 5)
+    b = find_transfer(golden, g, 1)
     assert b is not None
     lhs = combine(1, constant(golden, 1), 1, combine(1, b, -1, compose_shift(b)))
     assert tables_equal(lhs, g)
@@ -162,7 +170,7 @@ def test_transfer_certificate_cycle_sums(full2):
     # must equal the cycle length times the constant
     ind = indicator(full2, (1,))
     g = combine(1, constant(full2, 1), 1, combine(1, ind, -1, compose_shift(ind)))
-    b = find_transfer(full2, g, 1, 4)
+    b = find_transfer(full2, g, 1)
     assert b is not None
     from orbiteq import shift_point
 
@@ -176,3 +184,89 @@ def test_transfer_certificate_cycle_sums(full2):
             total += evaluate(g, q)
             q = shift_point(full2, q)
         assert total == n * 1
+
+
+def _oracle_transfer(space, g, c, max_depth):
+    """The least depth up to ``max_depth`` with a transfer: the
+    depth-by-depth search of undirected constraint graphs that
+    ``find_transfer`` ran before it solved at one depth."""
+    for m in range(1, max_depth + 1):
+        big = max(g.depth, m + 1)
+        gm = refine(g, big)
+        # edges[u] = list of (v, r) meaning b[u] - b[v] = r
+        edges = {w: [] for w in space.words(m)}
+        ok = True
+        for w in space.words(big):
+            u, v, r = w[:m], w[1 : m + 1], gm.table[w] - c
+            edges[u].append((v, r))
+            edges[v].append((u, -r))
+        val = {}
+        order = space.words(m)
+        val[order[0]] = 0
+        queue = [order[0]]
+        while queue and ok:
+            u = queue.pop()
+            for v, r in edges[u]:
+                want = val[u] - r
+                if v in val:
+                    if val[v] != want:
+                        ok = False
+                        break
+                else:
+                    val[v] = want
+                    queue.append(v)
+        if ok and len(val) == len(order):
+            base = val[order[0]]
+            b = CylinderFunction(space, m, {w: val[w] - base for w in order})
+            lhs = combine(1, constant(space, c), 1, combine(1, b, -1, compose_shift(b)))
+            if tables_equal(lhs, g):
+                return b
+    return None
+
+
+def _transfer_cases(count, seed=8):
+    """Seeded ``(space, g, c)``: random tables and coboundaries ``c + b -
+    b∘σ`` of depth 1-3, each refined 0-1 levels past its depth."""
+    rng = random.Random(seed)
+    for i in range(count):
+        space = random_shift_space(rng, rng.randint(2, 5))
+        c = rng.randint(-1, 2)
+        e = rng.randint(1, 3)
+        f = CylinderFunction(space, e, {w: rng.randint(-2, 2) for w in space.words(e)})
+        if i % 2:
+            f = combine(1, constant(space, c), 1, combine(1, f, -1, compose_shift(f)))
+        yield space, refine(f, f.depth + rng.randint(0, 1)), c
+
+
+def _period_sum(g, c, p):
+    """``g - c`` summed over one period of the periodic point ``p``, on
+    the raw sequence."""
+    n = len(p.cycle)
+    seq = raw_expand((), p.cycle, n + g.depth)
+    return sum(g.table[seq[i : i + g.depth]] - c for i in range(n))
+
+
+def test_find_transfer_matches_depth_search_oracle():
+    found = refuted = 0
+    for space, g, c in _transfer_cases(600):
+        b = find_transfer(space, g, c)
+        want = _oracle_transfer(space, g, c, g.depth)
+        assert (b is None) == (want is None)
+        if b is None:
+            refuted += 1
+            p, s = transfer_obstruction(space, g, c)
+            assert not p.preperiod and s != 0 and _period_sum(g, c, p) == s
+        else:
+            found += 1
+            assert (b.depth, b.table) == (want.depth, want.table)
+            assert transfer_obstruction(space, g, c) is None
+    assert found > 200 and refuted > 200
+
+
+def test_find_transfer_builds_no_deeper_table():
+    full4 = build_shift_space([[1] * 4] * 4)
+    rng = random.Random(3)
+    g = CylinderFunction(full4, 3, {w: rng.randint(0, 2) for w in full4.words(3)})
+    assert find_transfer(full4, g, 1) is None
+    assert transfer_obstruction(full4, g, 1) is not None
+    assert max(full4._words) == 3

@@ -1,12 +1,18 @@
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orbiteq import (
+    BlockCode,
     ImageInadmissible,
     NotTotal,
     Point,
     StallingCycle,
     apply_map,
     block_to_transducer,
+    build_shift_space,
     canonical_point,
     compile_block_code,
     compose_block_codes,
@@ -14,13 +20,16 @@ from orbiteq import (
     identity_code,
     indicator,
     pullback,
+    random_shift_space,
     shift_point,
     tables_equal,
     transducer,
     verify_inverse_pair,
 )
 
-from conftest import expand_point
+from orbiteq.generators import split_chain
+
+from conftest import expand_point, random_tau, raw_expand, recoder_map
 
 
 def test_identity_and_swap_compile(full2, swap2):
@@ -137,6 +146,11 @@ def test_compose_block_codes(full2, swap2, xor2):
     both = compose_block_codes(xor2, swap2)
     for p in enumerate_points(full2, 2, 3):
         assert apply_map(both, p) == apply_map(xor2, apply_map(swap2, p))
+    # on fresh spaces: composing reads the window-words of the source only
+    src, mid = (build_shift_space([[1, 1], [1, 1]]) for _ in range(2))
+    swap = compile_block_code(src, mid, 1, swap2.table)
+    xor = compile_block_code(mid, mid, 2, xor2.table)
+    assert compose_block_codes(xor, swap).window == max(src._words) == 2
 
 
 def test_inverse_pair_pullback_round_trip(full2, golden, swap2):
@@ -152,3 +166,37 @@ def test_inverse_pair_pullback_round_trip(full2, golden, swap2):
                 f = indicator(src, w)
                 back = pullback(pullback(f, h_inv), h)
                 assert tables_equal(back, f)
+
+
+def _raw_transduce(h, seq):
+    """The output of ``h`` on the finite input ``seq``, read symbol by
+    symbol off its window table or its transition function."""
+    if isinstance(h, BlockCode):
+        w = h.window
+        return tuple(h.table[tuple(seq[i : i + w])] for i in range(len(seq) - w + 1))
+    state, out = h.initial, []
+    for a in seq:
+        state, emitted = h.delta[(state, a)]
+        out.extend(emitted)
+    return tuple(out)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(0, 10**6),
+    st.sampled_from(["recoder", "code", "inverse", "code-transducer"]),
+    st.data(),
+)
+def test_apply_map_matches_raw_transduction(seed, kind, data):
+    rng = random.Random(seed)
+    space = random_shift_space(rng, rng.randint(2, 3))
+    if kind == "recoder":
+        h = recoder_map(space, random_tau(rng, space))
+    else:
+        _, code, inverse = split_chain(rng, space, max_splits=2)
+        h = {"code": code, "inverse": inverse}.get(kind) or block_to_transducer(code)
+    p = data.draw(st.sampled_from(enumerate_points(h.source, 2, 3)))
+    n = len(p.preperiod) + 4 * len(p.cycle) + 6
+    raw = _raw_transduce(h, raw_expand(p.preperiod, p.cycle, n))
+    # the raw output determines its own length of symbols, and no more
+    assert raw and apply_map(h, p).expand(len(raw)) == raw

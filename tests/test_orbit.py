@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 import tracemalloc
 from collections import Counter
 
@@ -32,6 +33,7 @@ from orbiteq import (
     cylinder_family,
     enumerate_points,
     evaluate,
+    find_transfer,
     identity_code,
     indicator,
     induced_potential,
@@ -42,13 +44,20 @@ from orbiteq import (
     reduce_orbit_segments,
     shift_point,
     tables_equal,
+    transfer_obstruction,
     verify_cocycles,
     verify_inverse_pair,
 )
 from orbiteq.config import MAX_DEPTH
 from orbiteq.generators import random_shift_space, split_chain
 
-from conftest import expand_point, expansion_maps, random_tau, recoder_map
+from conftest import (
+    expand_point,
+    expansion_maps,
+    random_tau,
+    raw_expand,
+    recoder_map,
+)
 
 
 def brute_minimal_pair(h, points, horizon=24, length=60):
@@ -292,6 +301,30 @@ def test_strong_coe_reverifies(full2, recoder, cfg):
     b1, b2 = check_strong_coe(recoder, recoder, cfg, kl1, kl2)
     lhs = combine(1, constant(full2, 1), 1, combine(1, b1, -1, compose_shift(b1)))
     assert tables_equal(lhs, kl1.difference())
+
+
+@pytest.mark.parametrize(
+    "n,expand", [(2, {2: 1}), (2, {1: 2}), (3, {2: 1, 3: 1}), (4, {1: 3, 4: 2})]
+)
+def test_expansion_coe_note_names_periodic_obstruction(n, expand, cfg):
+    h, h_inv = expansion_maps(n, expand)
+    v = classify(h, h_inv, cfg)
+    assert (v.kind, v.transfers) == ("COE", None)
+    m = re.fullmatch(
+        r"no strong orbit equivalence transfer exists: (forward|backward) "
+        r"l - k - 1 sums to (-?\d+) over the cycle ([\d,]+)",
+        v.note,
+    )
+    assert m is not None, v.note
+    i = ("forward", "backward").index(m[1])
+    diffs = [kl.difference() for kl in v.cocycles]
+    assert all(find_transfer(d.space, d, 1) is not None for d in diffs[:i])
+    p, s = transfer_obstruction(diffs[i].space, diffs[i], 1)
+    assert (int(m[2]), m[3]) == (s, ",".join(map(str, p.cycle)))
+    # the sum re-checks on the raw periodic sequence
+    g, period = diffs[i], len(p.cycle)
+    seq = raw_expand((), p.cycle, period + g.depth)
+    assert s == sum(g.table[seq[j : j + g.depth]] - 1 for j in range(period)) != 0
 
 
 # --- segment reduction -------------------------------------------------------
