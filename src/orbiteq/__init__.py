@@ -45,7 +45,6 @@ from .invariants import (
     exact_det,
     find_isomorphism,
     invariant_report,
-    k_theory,
     matrices_isomorphic,
     obstruction_report,
     out_split,

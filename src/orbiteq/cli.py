@@ -6,9 +6,13 @@ conjugacy decision for two matrices), ``verify`` (classify a candidate
 homeomorphism given with its inverse), and ``psi`` (evaluate the induced
 potential of a function under a map).
 
-Exit codes: 0 definite outcome, 1 parse or validation error or an
-internal inconsistency (InconsistentRoutes), 2 undecided at the
-configured depth, 3 inverse verification failed.
+Every subcommand takes ``--format``; only ``verify`` and ``psi`` take the
+search flags ``--depth``, ``--max-pre`` and ``--max-cyc``.
+
+Exit codes: 0 definite outcome, 1 parse or validation error (including
+argument errors and out-of-range flag values) or an internal
+inconsistency (InconsistentRoutes), 2 undecided at the configured depth,
+3 inverse verification failed.
 """
 
 import argparse
@@ -41,23 +45,18 @@ EXIT_REFUTED = 3
 
 
 def _config(args):
-    return RunConfig(
-        depth=args.depth,
-        max_pre=args.max_pre,
-        max_cyc=args.max_cyc,
-        fmt=args.format,
-    )
+    """The run parameters of ``verify`` and ``psi``; ValueError if out of range."""
+    return RunConfig(depth=args.depth, max_pre=args.max_pre, max_cyc=args.max_cyc)
 
 
-def _emit(payload, cfg, text_renderer):
-    if cfg.fmt == "json":
+def _emit(payload, fmt, text_renderer):
+    if fmt == "json":
         sys.stdout.write(jsonio.dumps(payload))
     else:
         sys.stdout.write(text_renderer(payload))
 
 
 def cmd_analyze(args):
-    cfg = _config(args)
     try:
         space = jsonio.matrix_from_json(jsonio.load_file(args.matrix))
     except (OrbiteqError, OSError, ValueError, KeyError) as e:
@@ -88,12 +87,11 @@ def cmd_analyze(args):
         ]
         return "\n".join(lines) + "\n"
 
-    _emit(payload, cfg, text)
+    _emit(payload, args.format, text)
     return EXIT_OK
 
 
 def cmd_compare(args):
-    cfg = _config(args)
     try:
         a = jsonio.matrix_from_json(jsonio.load_file(args.a))
         b = jsonio.matrix_from_json(jsonio.load_file(args.b))
@@ -139,15 +137,15 @@ def cmd_compare(args):
             lines.append("explicit block-code pair attached (json format)")
         return "\n".join(lines) + "\n"
 
-    _emit(payload, cfg, text)
+    _emit(payload, args.format, text)
     if rep.obstructed or conjugate is not None:
         return EXIT_OK
     return EXIT_UNDECIDED
 
 
 def cmd_verify(args):
-    cfg = _config(args)
     try:
+        cfg = _config(args)
         a = jsonio.matrix_from_json(jsonio.load_file(args.a))
         b = jsonio.matrix_from_json(jsonio.load_file(args.b))
         h = jsonio.map_from_json(a, b, jsonio.load_file(args.map))
@@ -161,13 +159,13 @@ def cmd_verify(args):
             "verdict": "NotInversePair",
             "witness": jsonio._witness_to_json(witness),
         }
-        _emit(payload, cfg, lambda p: f"inverse verification failed at {p['witness']}\n")
+        _emit(payload, args.format, lambda p: f"inverse verification failed at {p['witness']}\n")
         return EXIT_REFUTED
     try:
         verdict = classify(h, h_inv, cfg)
     except (NoAlignment, NotConstantOnCylinders, TooLarge, DepthOverflow) as e:
         payload = {"verdict": "Undecided", "note": str(e)}
-        _emit(payload, cfg, lambda p: f"undecided: {p['note']}\n")
+        _emit(payload, args.format, lambda p: f"undecided: {p['note']}\n")
         return EXIT_UNDECIDED
     except InconsistentRoutes as e:
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
@@ -184,13 +182,13 @@ def cmd_verify(args):
             lines.append(p["note"])
         return "\n".join(lines) + "\n"
 
-    _emit(payload, cfg, text)
+    _emit(payload, args.format, text)
     return EXIT_OK if verdict.kind != "Undecided" else EXIT_UNDECIDED
 
 
 def cmd_psi(args):
-    cfg = _config(args)
     try:
+        cfg = _config(args)
         a = jsonio.matrix_from_json(jsonio.load_file(args.a))
         b = jsonio.matrix_from_json(jsonio.load_file(args.b))
         h = jsonio.map_from_json(a, b, jsonio.load_file(args.map))
@@ -203,7 +201,7 @@ def cmd_psi(args):
         g = induced_potential(h, kl, f)
     except (NoAlignment, NotConstantOnCylinders, TooLarge, DepthOverflow) as e:
         payload = {"error": type(e).__name__, "note": str(e)}
-        _emit(payload, cfg, lambda p: f"undecided: {p['note']}\n")
+        _emit(payload, args.format, lambda p: f"undecided: {p['note']}\n")
         return EXIT_UNDECIDED
     matches = None
     try:
@@ -224,7 +222,7 @@ def cmd_psi(args):
             lines.append(f"equals composition with the map: {p['matchesComposition']}")
         return "\n".join(lines) + "\n"
 
-    _emit(payload, cfg, text)
+    _emit(payload, args.format, text)
     return EXIT_OK
 
 
@@ -237,10 +235,13 @@ def build_parser():
     sub = ap.add_subparsers(dest="command", required=True)
 
     def common(p):
+        p.add_argument("--format", choices=("text", "json"), default="text")
+
+    def search(p):
+        common(p)
         p.add_argument("--depth", type=int, default=8)
         p.add_argument("--max-pre", type=int, default=3, dest="max_pre")
         p.add_argument("--max-cyc", type=int, default=4, dest="max_cyc")
-        p.add_argument("--format", choices=("text", "json"), default="text")
 
     p = sub.add_parser("analyze", help="validate a matrix and report invariants")
     p.add_argument("matrix")
@@ -258,7 +259,7 @@ def build_parser():
     p.add_argument("b")
     p.add_argument("map")
     p.add_argument("inverse")
-    common(p)
+    search(p)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("psi", help="induced potential of a function under a map")
@@ -266,13 +267,17 @@ def build_parser():
     p.add_argument("b")
     p.add_argument("map")
     p.add_argument("function")
-    common(p)
+    search(p)
     p.set_defaults(func=cmd_psi)
     return ap
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as e:
+        # --help exits 0; argparse exits 2 on a usage error, but 2 means undecided
+        return EXIT_OK if e.code == 0 else EXIT_ERROR
     return args.func(args)
 
 

@@ -12,11 +12,14 @@ MAX_ALPHABET = 64
 MAX_DEPTH = 24
 MAX_MATCH_STATES = 12  # backtracking isomorphism search
 WORD_TABLE_LIMIT = 1_000_000  # safety valve for allowed-word tables
+# the orbit alignment search per point reaches HORIZON_MULT times
+# (depth + |preperiod| + |cycle|)
+HORIZON_MULT = 2
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Parameters shared by the verification pipeline and the CLI.
+    """Parameters of the verification pipeline.
 
     The defaults are the ones the acceptance suite runs with.
     """
@@ -24,15 +27,9 @@ class RunConfig:
     depth: int = 8
     max_pre: int = 3
     max_cyc: int = 4
-    horizon_mult: int = 2
-    fmt: str = "text"
 
     def __post_init__(self):
         if not (1 <= self.depth <= MAX_DEPTH):
             raise ValueError(f"depth must be in 1..{MAX_DEPTH}")
         if self.max_pre < 0 or self.max_cyc < 1:
             raise ValueError("max_pre must be >= 0 and max_cyc >= 1")
-        if self.horizon_mult < 1:
-            raise ValueError("horizon_mult must be >= 1")
-        if self.fmt not in ("text", "json"):
-            raise ValueError("fmt must be 'text' or 'json'")

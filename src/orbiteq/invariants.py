@@ -12,11 +12,13 @@ conjugate exactly when their total amalgamations are isomorphic.  The
 merges also carry each 2-word to a terminal edge, and the explicit
 conjugacy is read off those edge labels.
 
-The integer side computes Smith normal forms exactly and from them the
-cokernel invariants of ``I - A`` and ``I - A^T`` together with the sign
-of ``det(I - A)``.  Those are preserved down the whole equivalence
-ladder, so disagreement refutes every rung at once; agreement never
-certifies anything.
+The integer side computes the Smith normal form of ``I - A`` exactly, in
+one pass, and reads every invariant off its diagonal once: the cokernel
+factors of ``I - A`` and of its transpose ``I - A^T`` (the K_0 group of
+the Cuntz-Krieger algebra), the rank of ``ker(I - A^T)`` (K_1), and,
+with an exact determinant, the sign of ``det(I - A)``.  Those are
+preserved down the whole equivalence ladder, so disagreement refutes
+every rung at once; agreement never certifies anything.
 """
 
 from dataclasses import dataclass
@@ -41,7 +43,6 @@ __all__ = [
     "smith_normal_form",
     "exact_det",
     "bowen_franks",
-    "k_theory",
     "invariant_report",
     "obstruction_report",
 ]
@@ -212,7 +213,7 @@ def decide_one_sided_conjugacy(a, b):
     """
     ta, _ = _amalgamate(_entries(a))
     tb, _ = _amalgamate(_entries(b))
-    return _iso_arrays(ta, tb)
+    return _find_iso_arrays(ta, tb) is not None
 
 
 def _code_through(source, source_edge, target, target_edge):
@@ -313,12 +314,6 @@ def _color_classes(a):
         colors = new
 
 
-def _iso_arrays(a, b):
-    if len(a) != len(b):
-        return False
-    return _find_iso_arrays(a, b) is not None
-
-
 def _find_iso_arrays(a, b):
     """A permutation ``perm`` with ``a[i, j] == b[perm[i], perm[j]]``, or None."""
     n = len(a)
@@ -356,7 +351,7 @@ def _find_iso_arrays(a, b):
 
 def matrices_isomorphic(a, b):
     """True iff the matrices agree after some relabeling of states."""
-    return _iso_arrays(_entries(a), _entries(b))
+    return _find_iso_arrays(_entries(a), _entries(b)) is not None
 
 
 def find_isomorphism(a, b):
@@ -407,9 +402,14 @@ def smith_normal_form(m):
     """Exact Smith normal form ``U @ m @ V = D`` with unimodular U, V.
 
     ``D`` is diagonal with nonnegative entries in a divisibility chain
-    ``d_1 | d_2 | ...`` (zeros trailing).  The pivot is always the
-    remaining entry of smallest nonzero absolute value, ties broken by
-    position.  Unimodularity is verified exactly before returning.
+    ``d_1 | d_2 | ...``, zeros last.  One pass builds it: step ``s``
+    pivots on the nonzero entry of least absolute value in the trailing
+    block (ties broken by position), clears the pivot's row and column by
+    floor division, and pivots again while a remainder is left.  When
+    some trailing entry is not divisible by the pivot, that entry's row
+    is added to the pivot row and the step goes on, so the pivot that
+    ends the step divides everything after it.  The certificate and the
+    unimodularity of U and V are verified exactly before returning.
 
     Returns ``(U, D, V)`` as nested lists of Python ints.
     """
@@ -428,90 +428,48 @@ def smith_normal_form(m):
         for r in range(cols):
             v[r][i] -= q * v[r][j]
 
-    def swap_rows(i, j):
-        if i != j:
-            a[i], a[j] = a[j], a[i]
-            u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        if i != j:
-            for r in range(rows):
-                a[r][i], a[r][j] = a[r][j], a[r][i]
-            for r in range(cols):
-                v[r][i], v[r][j] = v[r][j], v[r][i]
-
-    def negate_row(i):
-        a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
-
-    def pivot(s):
-        best = None
-        for i in range(s, rows):
-            for j in range(s, cols):
-                if a[i][j] != 0 and (
-                    best is None or abs(a[i][j]) < abs(a[best[0]][best[1]])
-                ):
-                    best = (i, j)
-        return best
-
-    def clear(s):
-        """Zero out row s and column s beyond the pivot at (s, s)."""
+    for s in range(min(rows, cols)):
         while True:
-            best = pivot(s)
-            if best is None:
-                return
-            swap_rows(s, best[0])
-            swap_cols(s, best[1])
-            dirty = False
+            nonzero = [
+                (abs(a[i][j]), i, j)
+                for i in range(s, rows)
+                for j in range(s, cols)
+                if a[i][j]
+            ]
+            if not nonzero:
+                break
+            _, i, j = min(nonzero)
+            a[s], a[i] = a[i], a[s]
+            u[s], u[i] = u[i], u[s]
+            for x in a + v:  # swap columns s and j of a and v
+                x[s], x[j] = x[j], x[s]
+            p = a[s][s]
             for i in range(s + 1, rows):
-                if a[i][s] != 0:
-                    row_op(i, s, a[i][s] // a[s][s])
-                    dirty = dirty or a[i][s] != 0
+                if a[i][s]:
+                    row_op(i, s, a[i][s] // p)
             for j in range(s + 1, cols):
-                if a[s][j] != 0:
-                    col_op(j, s, a[s][j] // a[s][s])
-                    dirty = dirty or a[s][j] != 0
-            if not dirty:
-                return
+                if a[s][j]:
+                    col_op(j, s, a[s][j] // p)
+            if any(a[i][s] for i in range(s + 1, rows)) or any(a[s][s + 1 :]):
+                continue  # a remainder is left: pivot on it
+            bad = next(
+                (i for i in range(s + 1, rows) for j in range(s + 1, cols)
+                 if a[i][j] % p),
+                None,
+            )
+            if bad is None:
+                break
+            row_op(s, bad, -1)  # row_s += row_bad
+        if a[s][s] < 0:
+            a[s] = [-x for x in a[s]]
+            u[s] = [-x for x in u[s]]
 
-    def fix_signs():
-        for s in range(min(rows, cols)):
-            if a[s][s] < 0:
-                negate_row(s)
-
-    def diagonalize_from(s0):
-        for s in range(s0, min(rows, cols)):
-            clear(s)
-
-    diagonalize_from(0)
-    fix_signs()
-
-    # enforce the divisibility chain; folding disturbs the trailing
-    # block, so re-diagonalize from the fold position each time
-    changed = True
-    while changed:
-        changed = False
-        for s in range(min(rows, cols) - 1):
-            d1, d2 = a[s][s], a[s + 1][s + 1]
-            if d1 and d2 % d1 != 0:
-                col_op(s, s + 1, -1)
-                diagonalize_from(s)
-                fix_signs()
-                changed = True
-
-    d = [[a[i][j] for j in range(cols)] for i in range(rows)]
     m_int = [[int(x) for x in row] for row in np.asarray(m)]
-    if _matmul(_matmul(u, m_int), v) != d:
+    if _matmul(_matmul(u, m_int), v) != a:
         raise AssertionError("normal form certificate failed")
     if abs(exact_det(u)) != 1 or abs(exact_det(v)) != 1:
         raise AssertionError("transformation matrices are not unimodular")
-    return u, d, v
-
-
-def _invariant_factors(m):
-    _, d, _ = smith_normal_form(m)
-    diag = [d[i][i] for i in range(min(len(d), len(d[0]) if d else 0))]
-    return tuple(diag)
+    return u, a, v
 
 
 # ---------------------------------------------------------------------------
@@ -533,27 +491,20 @@ class InvariantReport:
     det_sign: int
 
 
-def _reduced(factors):
-    return tuple(f for f in factors if f != 1)
-
-
 def bowen_franks(a):
-    """Invariant factors of the cokernel of ``I - A``, and sign of its det."""
+    """Invariant factors of the cokernel of ``I - A``, and sign of its det.
+
+    The factors are the Smith diagonal of ``I - A`` with the trivial 1s
+    dropped.  ``I - A^T`` is its transpose and has the same diagonal, so
+    they are also the factors of ``K_0 = coker(I - A^T)``, and their
+    zeros count the rank of ``K_1 = ker(I - A^T)``.
+    """
     a = a.matrix if isinstance(a, ShiftSpace) else a
     i_a = np.eye(a.n, dtype=int) - a.entries
     det = exact_det(i_a)
     sign = 0 if det == 0 else (1 if det > 0 else -1)
-    return _reduced(_invariant_factors(i_a)), sign
-
-
-def k_theory(a):
-    """Invariant factors of the cokernel of ``I - A^T`` and its kernel rank.
-
-    ``I - A^T`` is the transpose of ``I - A``, so it has the same Smith
-    normal form and the factors are those of :func:`bowen_franks`.
-    """
-    factors, _ = bowen_franks(a)
-    return factors, factors.count(0)
+    _, d, _ = smith_normal_form(i_a)
+    return tuple(d[i][i] for i in range(a.n) if d[i][i] != 1), sign
 
 
 def invariant_report(a):

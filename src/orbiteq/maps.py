@@ -124,21 +124,17 @@ class Transducer:
         self.states = tuple(states)
         self.initial = initial
         self.delta = {k: (s, tuple(out)) for k, (s, out) in delta.items()}
-        self._run_cache = {(): (initial, ())}
 
     def step(self, state, symbol):
         return self.delta[(state, symbol)]
 
     def _run(self, word):
         """State and emitted output after consuming ``word`` from the start."""
-        cached = self._run_cache.get(word)
-        if cached is not None:
-            return cached
-        state, out = self._run(word[:-1])
-        state, emitted = self.delta[(state, word[-1])]
-        result = (state, out + emitted)
-        self._run_cache[word] = result
-        return result
+        state, out = self.initial, []
+        for a in word:
+            state, emitted = self.delta[(state, a)]
+            out.extend(emitted)
+        return state, tuple(out)
 
     def output_prefix(self, word):
         """Output symbols determined by the input prefix ``word``."""

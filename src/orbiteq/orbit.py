@@ -30,7 +30,7 @@ finds nothing reports undecided, never a refutation.
 from collections import Counter
 from dataclasses import dataclass
 
-from .config import MAX_DEPTH, WORD_TABLE_LIMIT, RunConfig
+from .config import HORIZON_MULT, MAX_DEPTH, WORD_TABLE_LIMIT, RunConfig
 from .errors import (
     InadmissibleWord,
     InconsistentRoutes,
@@ -256,7 +256,7 @@ def orbit_cocycles(h, depth, cfg=None):
     lexicographically least pair (minimize ``l``, then ``k``) that aligns
     the orbits of ``h(sigma x)`` and ``h(x)`` for *every* point of the
     cylinder's verification family.  Values are exact; the search range
-    per point is ``horizon_mult * (depth + |preperiod| + |cycle|)``.
+    per point is ``HORIZON_MULT * (depth + |preperiod| + |cycle|)``.
 
     Raises
     ------
@@ -265,17 +265,17 @@ def orbit_cocycles(h, depth, cfg=None):
         map is then not an orbit map as far as this search can see.
     """
     cfg = cfg or RunConfig()
-    return _cocycles(h, depth, cfg, *_family(h, depth, cfg))
+    return _cocycles(h, depth, *_family(h, depth, cfg))
 
 
-def _cocycles(h, depth, cfg, cyl, images):
+def _cocycles(h, depth, cyl, images):
     """:func:`orbit_cocycles` on a family built by :func:`_family`."""
     src = h.source
     ktab, ltab = {}, {}
     for w in src.words(depth):
         # l and k stay within every point's horizon, so within the least
         least = min(len(p.preperiod) + len(p.cycle) for p in cyl[w])
-        top = cfg.horizon_mult * (depth + least)
+        top = HORIZON_MULT * (depth + least)
         recs = [images[p] for p in cyl[w]]
         for l in range(top + 1):
             sols = [_solutions(rec, l, top) for rec in recs]
@@ -546,8 +546,8 @@ def _align(h, h_inv, depth, cfg):
     family per direction, which is dropped before the potential identity
     builds its word tables."""
     fwd = _family(h, depth, cfg)
-    kl1 = _cocycles(h, depth, cfg, *fwd)
-    kl2 = _cocycles(h_inv, depth, cfg, *_family(h_inv, depth, cfg))
+    kl1 = _cocycles(h, depth, *fwd)
+    kl2 = _cocycles(h_inv, depth, *_family(h_inv, depth, cfg))
     direct_wit = _first_misaligned(fwd[1], 0, 1)
     lag = None
     if kl1.difference().is_constant(1) and kl2.difference().is_constant(1):
@@ -556,7 +556,7 @@ def _align(h, h_inv, depth, cfg):
     return kl1, kl2, direct_wit, lag
 
 
-def classify(h, h_inv, cfg=None, cocycle_depth=None):
+def classify(h, h_inv, cfg=None):
     """Strongest equivalence rung certified for the pair ``(h, h_inv)``.
 
     The caller is expected to have verified the inverse pair.  Two
@@ -574,9 +574,8 @@ def classify(h, h_inv, cfg=None, cocycle_depth=None):
     ``Undecided``.
     """
     cfg = cfg or RunConfig()
-    cdepth = cocycle_depth or min(cfg.depth, 3)
     try:
-        kl1, kl2, direct_wit, lag = _align(h, h_inv, cdepth, cfg)
+        kl1, kl2, direct_wit, lag = _align(h, h_inv, min(cfg.depth, 3), cfg)
     except NoAlignment as e:
         return Verdict("Undecided", depth=cfg.depth, note=str(e))
     direct = direct_wit is None

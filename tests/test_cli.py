@@ -1,6 +1,11 @@
 import json
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orbiteq import InconsistentRoutes, build_shift_space, cli, identity_code, out_split
 from orbiteq import jsonio
@@ -317,3 +322,74 @@ def test_json_output_byte_stable(files, capsys):
     _, out1 = run(capsys, ["analyze", files["golden"], "--format", "json"])
     _, out2 = run(capsys, ["analyze", files["golden"], "--format", "json"])
     assert out1 == out2
+
+
+def test_search_flags_belong_to_verify_and_psi(files, capsys):
+    # analyze reads no search flag, so it accepts none: a usage error, exit 1
+    assert main(["analyze", files["full2"], "--depth", "0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert main(["compare", files["full2"], files["full2"], "--max-cyc", "2"]) == 1
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--max-cyc", "0"], "max_pre must be >= 0 and max_cyc >= 1"),
+        (["--depth", "25"], "depth must be in 1..24"),
+    ],
+)
+def test_out_of_range_flags_exit_1_with_one_line(files, capsys, flags, message):
+    for command, last in (("verify", files["ident2"]), ("psi", files["ind1"])):
+        argv = [command, files["full2"], files["full2"], files["ident2"], last]
+        assert main(argv + flags) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: ValueError: {message}\n"
+
+
+def test_usage_errors_exit_1_and_help_exits_0(files, capsys):
+    assert main(["analyze", files["full2"], "--bogus"]) == 1
+    assert main(["verify", files["full2"], "--depth", "x"]) == 1
+    assert main([]) == 1
+    assert "usage" in capsys.readouterr().err
+    assert main(["--help"]) == 0
+    assert main(["psi", "--help"]) == 0
+    assert "--max-cyc" in capsys.readouterr().out
+
+
+INPUTS = Path(__file__).resolve().parents[1] / "bench" / "inputs"
+COMMANDS = {
+    "analyze": [("full2",), ("golden",)],
+    "compare": [("full2", "golden"), ("golden", "golden")],
+    "verify": [
+        ("full2", "full2", "recoder2", "recoder2"),
+        ("full2", "golden", "golden-map", "golden-inverse"),
+        ("full2", "full2", "recoder2", "golden-inverse"),
+    ],
+    "psi": [("full2", "golden", "golden-map", "psi-f2")],
+}
+FLAGS = {
+    "--format": st.sampled_from(["text", "json", "xml"]),
+    "--depth": st.integers(-1, 26),
+    "--max-pre": st.integers(-1, 4),
+    "--max-cyc": st.integers(-1, 5),
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_cli_exit_codes_and_no_traceback(data):
+    # every subcommand, with each flag in or out of range and given to
+    # commands that take it or not: an exit code 0-3, never a traceback
+    command = data.draw(st.sampled_from(sorted(COMMANDS)))
+    files = data.draw(st.sampled_from(COMMANDS[command]))
+    argv = [command, *(str(INPUTS / f"{name}.json") for name in files)]
+    for flag in data.draw(st.lists(st.sampled_from(sorted(FLAGS)), unique=True)):
+        argv += [flag, str(data.draw(FLAGS[flag]))]
+    out, err = StringIO(), StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in out.getvalue() + err.getvalue()

@@ -1,4 +1,6 @@
 import random
+from itertools import combinations
+from math import gcd
 
 import numpy as np
 import pytest
@@ -17,7 +19,6 @@ from orbiteq import (
     exact_det,
     find_isomorphism,
     identity_code,
-    k_theory,
     matrices_isomorphic,
     obstruction_report,
     out_split,
@@ -80,9 +81,48 @@ def test_snf_certificates_random():
         assert abs(minor_det(v)) == 1
         diag = [d[i][i] for i in range(min(r, c))]
         nonzero = [x for x in diag if x]
+        assert diag == nonzero + [0] * (len(diag) - len(nonzero))  # zeros last
         assert all(x > 0 for x in nonzero)
         for x, y in zip(nonzero, nonzero[1:]):
             assert y % x == 0
+
+
+def determinantal_divisors(m):
+    """``D_k``, the gcd of all k x k minors, for k = 1..min(rows, cols)."""
+    rows, cols = len(m), len(m[0])
+    out = []
+    for k in range(1, min(rows, cols) + 1):
+        g = 0
+        for ri in combinations(range(rows), k):
+            for ci in combinations(range(cols), k):
+                g = gcd(g, minor_det([[m[i][j] for j in ci] for i in ri]))
+        out.append(g)
+    return out
+
+
+def assert_snf_matches_minors(m):
+    # d_1 ... d_k = D_k, independently of how the diagonal was reached
+    _, d, _ = smith_normal_form(m)
+    prod = 1
+    for k, dk in enumerate(determinantal_divisors(m)):
+        prod *= d[k][k]
+        assert prod == dk
+
+
+def test_snf_against_determinantal_divisors():
+    rng = random.Random(17)
+    for _ in range(150):
+        r, c = rng.randint(1, 5), rng.randint(1, 5)
+        bound = rng.choice([2, 6, 30])
+        m = [[rng.randint(-bound, bound) for _ in range(c)] for _ in range(r)]
+        if rng.random() < 0.25:  # rank one, so trailing zeros occur
+            m = [[x * rng.randint(-3, 3) for x in m[0]] for _ in range(r)]
+        assert_snf_matches_minors(m)
+    for _ in range(60):
+        space = random_shift_space(rng, rng.randint(2, 5))
+        assert_snf_matches_minors(
+            (np.eye(space.n, dtype=int) - space.matrix.entries).tolist()
+        )
 
 
 def test_exact_det_against_minors():
@@ -97,37 +137,33 @@ def test_exact_det_against_minors():
 
 
 def test_bowen_franks_examples(full2, full3, golden):
+    # K0 of the full 2-shift is trivial and of the full 3-shift is Z/2;
+    # neither has a free summand, so K1 = 0
     assert bowen_franks(full2) == ((), -1)
     assert bowen_franks(full3) == ((2,), -1)
     assert bowen_franks(golden) == ((), -1)
 
 
-def test_k_theory_examples(full2, full3):
-    assert k_theory(full2) == ((), 0)
-    assert k_theory(full3) == ((2,), 0)
-
-
-def test_k_theory_matches_transpose_smith_form():
-    # reference: the Smith normal form of I - A^T itself, not of I - A
+def test_bowen_franks_matches_transpose_smith_form():
+    # reference: the Smith normal form of I - A^T itself, not of I - A;
+    # its zeros are the rank of K1 = ker(I - A^T)
     rng = random.Random(5)
     for _ in range(100):
         space = random_shift_space(rng, rng.randint(2, 9))
         m = (np.eye(space.n, dtype=int) - space.matrix.entries.T).tolist()
         _, d, _ = smith_normal_form(m)
         diag = [d[i][i] for i in range(space.n)]
-        assert k_theory(space) == (
-            tuple(x for x in diag if x != 1),
-            diag.count(0),
-        )
+        factors, _ = bowen_franks(space)
+        assert factors == tuple(x for x in diag if x != 1)
+        assert factors.count(0) == diag.count(0)
 
 
-def test_k_theory_det_zero_instance():
+def test_bowen_franks_det_zero_instance():
     # det(I - A) vanishes here, so the kernel of I - A^T has rank >= 1
     space = build_shift_space([[1, 1, 0], [1, 0, 1], [0, 1, 1]])
-    factors, rank = k_theory(space)
-    assert rank >= 1
-    assert bowen_franks(space)[1] == 0
-    assert 0 in factors
+    factors, sign = bowen_franks(space)
+    assert sign == 0
+    assert factors.count(0) >= 1
 
 
 def test_nonzero_factor_product_matches_det(full3, golden):
@@ -304,4 +340,3 @@ def test_invariance_under_splits():
         base = random_shift_space(rng, rng.choice([2, 3]))
         space, _, _ = random_single_split(rng, base)
         assert bowen_franks(space) == bowen_franks(base)
-        assert k_theory(space) == k_theory(base)

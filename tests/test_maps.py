@@ -1,3 +1,4 @@
+import copy
 import random
 
 import pytest
@@ -9,11 +10,13 @@ from orbiteq import (
     ImageInadmissible,
     NotTotal,
     Point,
+    ShiftSpace,
     StallingCycle,
     apply_map,
     block_to_transducer,
     build_shift_space,
     canonical_point,
+    classify,
     compile_block_code,
     compose_block_codes,
     enumerate_points,
@@ -200,3 +203,26 @@ def test_apply_map_matches_raw_transduction(seed, kind, data):
     raw = _raw_transduce(h, raw_expand(p.preperiod, p.cycle, n))
     # the raw output determines its own length of symbols, and no more
     assert raw and apply_map(h, p).expand(len(raw)) == raw
+
+
+def test_classify_leaves_transducers_unchanged(cfg):
+    # a transducer keeps no state of its own: classifying a recoder pair,
+    # which runs both maps on every word at the certified depth, must not
+    # grow anything on them (the spaces they act on hold their own caches)
+    rng = random.Random(1)
+    space = random_shift_space(rng, 3)
+    tau = random_tau(rng, space)
+    h = recoder_map(space, tau)
+    h_inv = recoder_map(
+        space, {b: {v: a for a, v in t.items()} for b, t in tau.items()}
+    )
+
+    def state(t):
+        return {
+            k: v if isinstance(v, ShiftSpace) else copy.deepcopy(v)
+            for k, v in vars(t).items()
+        }
+
+    before = state(h), state(h_inv)
+    assert classify(h, h_inv, cfg).kind == "EventualConjugacy"
+    assert (state(h), state(h_inv)) == before
