@@ -137,11 +137,19 @@ def test_exact_det_against_minors():
 
 
 def test_bowen_franks_examples(full2, full3, golden):
-    # K0 of the full 2-shift is trivial and of the full 3-shift is Z/2;
-    # neither has a free summand, so K1 = 0
     assert bowen_franks(full2) == ((), -1)
     assert bowen_franks(full3) == ((2,), -1)
     assert bowen_franks(golden) == ((), -1)
+
+
+def test_k_theory_examples(full2, full3):
+    # K0 = coker(I - A^T) is read from the Bowen-Franks factors: trivial for
+    # the full 2-shift, Z/2 for the full 3-shift; neither has a free summand,
+    # so the rank of K1 = ker(I - A^T) is 0
+    k0, _ = bowen_franks(full2)
+    assert (k0, k0.count(0)) == ((), 0)
+    k0, _ = bowen_franks(full3)
+    assert (k0, k0.count(0)) == ((2,), 0)
 
 
 def test_bowen_franks_matches_transpose_smith_form():
