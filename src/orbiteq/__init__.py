@@ -5,13 +5,11 @@ witnesses."""
 
 from .config import RunConfig
 from .errors import (
-    DepthOverflow,
     ImageInadmissible,
     InadmissibleWord,
     InconsistentRoutes,
     InvalidPartition,
     NoAlignment,
-    NotConstantOnCylinders,
     NotIrreducible,
     NotTotal,
     NotZeroOne,

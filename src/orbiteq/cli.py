@@ -9,10 +9,12 @@ potential of a function under a map).
 Every subcommand takes ``--format``; only ``verify`` and ``psi`` take the
 search flags ``--depth``, ``--max-pre`` and ``--max-cyc``.
 
-Exit codes: 0 definite outcome, 1 parse or validation error (including
-argument errors and out-of-range flag values) or an internal
-inconsistency (InconsistentRoutes), 2 undecided at the configured depth,
-3 inverse verification failed.
+Exit codes: 0 definite outcome; 1 parse or validation error (including
+argument errors, out-of-range flag values and caps hit while loading) or
+an internal inconsistency (InconsistentRoutes); 2 undecided: after the
+inputs loaded, a cap was hit (TooLarge) or the alignment search found
+nothing (NoAlignment); 3 inverse verification failed.  :func:`main` is
+the one place that maps exceptions to these codes.
 """
 
 import argparse
@@ -20,14 +22,7 @@ import sys
 
 from . import jsonio
 from .config import RunConfig
-from .errors import (
-    DepthOverflow,
-    InconsistentRoutes,
-    NoAlignment,
-    NotConstantOnCylinders,
-    OrbiteqError,
-    TooLarge,
-)
+from .errors import InconsistentRoutes, NoAlignment, OrbiteqError, TooLarge
 from .functions import pullback, tables_equal
 from .invariants import (
     conjugacy_from_amalgamation,
@@ -44,24 +39,29 @@ EXIT_UNDECIDED = 2
 EXIT_REFUTED = 3
 
 
-def _config(args):
-    """The run parameters of ``verify`` and ``psi``; ValueError if out of range."""
-    return RunConfig(depth=args.depth, max_pre=args.max_pre, max_cyc=args.max_cyc)
+def _inputs(args):
+    """The arguments of the subcommand: its decoded files in order, after
+    the ``RunConfig`` of ``verify`` and ``psi`` (ValueError if a flag is
+    out of range)."""
+    load = jsonio.load_file
+    if args.command == "analyze":
+        return (jsonio.matrix_from_json(load(args.matrix)),)
+    if args.command == "compare":
+        return tuple(jsonio.matrix_from_json(load(f)) for f in (args.a, args.b))
+    cfg = RunConfig(depth=args.depth, max_pre=args.max_pre, max_cyc=args.max_cyc)
+    a = jsonio.matrix_from_json(load(args.a))
+    b = jsonio.matrix_from_json(load(args.b))
+    h = jsonio.map_from_json(a, b, load(args.map))
+    if args.command == "verify":
+        return cfg, h, jsonio.map_from_json(b, a, load(args.inverse))
+    return cfg, h, jsonio.function_from_json(b, load(args.function))
 
 
-def _emit(payload, fmt, text_renderer):
-    if fmt == "json":
-        sys.stdout.write(jsonio.dumps(payload))
-    else:
-        sys.stdout.write(text_renderer(payload))
+def _undecided_text(p):
+    return f"undecided: {p['note']}\n"
 
 
-def cmd_analyze(args):
-    try:
-        space = jsonio.matrix_from_json(jsonio.load_file(args.matrix))
-    except (OrbiteqError, OSError, ValueError, KeyError) as e:
-        print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
-        return EXIT_ERROR
+def cmd_analyze(space):
     rep = invariant_report(space)
     payload = {
         "matrix": jsonio.matrix_to_json(space),
@@ -87,24 +87,17 @@ def cmd_analyze(args):
         ]
         return "\n".join(lines) + "\n"
 
-    _emit(payload, args.format, text)
-    return EXIT_OK
+    return payload, text, EXIT_OK
 
 
-def cmd_compare(args):
-    try:
-        a = jsonio.matrix_from_json(jsonio.load_file(args.a))
-        b = jsonio.matrix_from_json(jsonio.load_file(args.b))
-    except (OrbiteqError, OSError, ValueError, KeyError) as e:
-        print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
-        return EXIT_ERROR
+def cmd_compare(a, b):
     rep = obstruction_report(a, b)
     conjugate = None
     pair_json = None
     if not rep.obstructed:
         try:
             pair = conjugacy_from_amalgamation(a, b)
-        except TooLarge:
+        except TooLarge:  # the obstructions stand; the conjugacy is undecided
             pair = None
         else:
             conjugate = pair is not None
@@ -137,40 +130,23 @@ def cmd_compare(args):
             lines.append("explicit block-code pair attached (json format)")
         return "\n".join(lines) + "\n"
 
-    _emit(payload, args.format, text)
-    if rep.obstructed or conjugate is not None:
-        return EXIT_OK
-    return EXIT_UNDECIDED
+    code = EXIT_OK if rep.obstructed or conjugate is not None else EXIT_UNDECIDED
+    return payload, text, code
 
 
-def cmd_verify(args):
-    try:
-        cfg = _config(args)
-        a = jsonio.matrix_from_json(jsonio.load_file(args.a))
-        b = jsonio.matrix_from_json(jsonio.load_file(args.b))
-        h = jsonio.map_from_json(a, b, jsonio.load_file(args.map))
-        h_inv = jsonio.map_from_json(b, a, jsonio.load_file(args.inverse))
-    except (OrbiteqError, OSError, ValueError, KeyError) as e:
-        print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
-        return EXIT_ERROR
+def cmd_verify(cfg, h, h_inv):
     ok, witness = verify_inverse_pair(h, h_inv, cfg.max_pre, cfg.max_cyc)
     if not ok:
         payload = {
             "verdict": "NotInversePair",
             "witness": jsonio._witness_to_json(witness),
         }
-        _emit(payload, args.format, lambda p: f"inverse verification failed at {p['witness']}\n")
-        return EXIT_REFUTED
-    try:
-        verdict = classify(h, h_inv, cfg)
-    except (NoAlignment, NotConstantOnCylinders, TooLarge, DepthOverflow) as e:
-        payload = {"verdict": "Undecided", "note": str(e)}
-        _emit(payload, args.format, lambda p: f"undecided: {p['note']}\n")
-        return EXIT_UNDECIDED
-    except InconsistentRoutes as e:
-        print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
-        return EXIT_ERROR
-    payload = jsonio.verdict_to_json(verdict)
+        return (
+            payload,
+            lambda p: f"inverse verification failed at {p['witness']}\n",
+            EXIT_REFUTED,
+        )
+    verdict = classify(h, h_inv, cfg)
 
     def text(p):
         lines = [f"verdict: {p['verdict']}"]
@@ -182,32 +158,17 @@ def cmd_verify(args):
             lines.append(p["note"])
         return "\n".join(lines) + "\n"
 
-    _emit(payload, args.format, text)
-    return EXIT_OK if verdict.kind != "Undecided" else EXIT_UNDECIDED
+    code = EXIT_OK if verdict.kind != "Undecided" else EXIT_UNDECIDED
+    return jsonio.verdict_to_json(verdict), text, code
 
 
-def cmd_psi(args):
-    try:
-        cfg = _config(args)
-        a = jsonio.matrix_from_json(jsonio.load_file(args.a))
-        b = jsonio.matrix_from_json(jsonio.load_file(args.b))
-        h = jsonio.map_from_json(a, b, jsonio.load_file(args.map))
-        f = jsonio.function_from_json(b, jsonio.load_file(args.function))
-    except (OrbiteqError, OSError, ValueError, KeyError) as e:
-        print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
-        return EXIT_ERROR
-    try:
-        kl = orbit_cocycles(h, min(cfg.depth, 3), cfg)
-        g = induced_potential(h, kl, f)
-    except (NoAlignment, NotConstantOnCylinders, TooLarge, DepthOverflow) as e:
-        payload = {"error": type(e).__name__, "note": str(e)}
-        _emit(payload, args.format, lambda p: f"undecided: {p['note']}\n")
-        return EXIT_UNDECIDED
-    matches = None
+def cmd_psi(cfg, h, f):
+    kl = orbit_cocycles(h, min(cfg.depth, 3), cfg)
+    g = induced_potential(h, kl, f)
     try:
         matches = tables_equal(g, pullback(f, h))
-    except OrbiteqError:
-        pass
+    except TooLarge:  # the induced potential stands; the comparison is undecided
+        matches = None
     payload = {
         "induced": jsonio.function_to_json(g),
         "matchesComposition": matches,
@@ -222,8 +183,7 @@ def cmd_psi(args):
             lines.append(f"equals composition with the map: {p['matchesComposition']}")
         return "\n".join(lines) + "\n"
 
-    _emit(payload, args.format, text)
-    return EXIT_OK
+    return payload, text, EXIT_OK
 
 
 def build_parser():
@@ -273,12 +233,37 @@ def build_parser():
 
 
 def main(argv=None):
+    """Run one subcommand and return its exit code.
+
+    Every exception that reaches the user is mapped here: a usage error,
+    or an input that fails to load or validate, is exit 1; a cap hit
+    (``TooLarge``) or an alignment search that found nothing
+    (``NoAlignment``) after loading is exit 2, printed as undecided; an
+    internal inconsistency (``InconsistentRoutes``) is exit 1.
+    """
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as e:
         # --help exits 0; argparse exits 2 on a usage error, but 2 means undecided
         return EXIT_OK if e.code == 0 else EXIT_ERROR
-    return args.func(args)
+    try:
+        inputs = _inputs(args)
+    except (OrbiteqError, OSError, ValueError) as e:
+        return _error(e)
+    try:
+        payload, text, code = args.func(*inputs)
+    except (TooLarge, NoAlignment) as e:
+        payload = {"verdict": "Undecided", "note": str(e)}
+        text, code = _undecided_text, EXIT_UNDECIDED
+    except InconsistentRoutes as e:
+        return _error(e)
+    sys.stdout.write(jsonio.dumps(payload) if args.format == "json" else text(payload))
+    return code
+
+
+def _error(e):
+    print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
+    return EXIT_ERROR
 
 
 if __name__ == "__main__":

@@ -1,8 +1,10 @@
 """Exception types raised across the package.
 
-Every validation failure has its own class so callers (and the CLI) can
-map failures onto exit codes without string matching.  All of them derive
-from :class:`OrbiteqError`.
+There is one class for each way a caller must react, so callers (and the
+CLI) map failures onto exit codes without string matching.  A size or
+depth cap that is hit is always :class:`TooLarge`: the answer is
+undecided at these caps, never refuted.  All of them derive from
+:class:`OrbiteqError`.
 """
 
 
@@ -23,15 +25,11 @@ class PermutationMatrix(OrbiteqError):
 
 
 class TooLarge(OrbiteqError):
-    """An input exceeds a configured size cap."""
+    """An input or a computation exceeds a configured size or depth cap."""
 
 
 class InadmissibleWord(OrbiteqError):
     """A word contains a transition forbidden by the matrix."""
-
-
-class DepthOverflow(OrbiteqError):
-    """A computation would need cylinder depth beyond the configured cap."""
 
 
 class NotTotal(OrbiteqError):
@@ -51,13 +49,6 @@ class StallingCycle(OrbiteqError):
 
 class InvalidPartition(OrbiteqError):
     """A state-splitting partition does not cover the follower set."""
-
-
-class NotConstantOnCylinders(OrbiteqError):
-    """A derived quantity is not constant on cylinders at the given depth.
-
-    Retrying at a larger depth may succeed.
-    """
 
 
 class NoAlignment(OrbiteqError):

@@ -14,7 +14,7 @@ All arithmetic is plain Python integers; nothing here rounds.
 from dataclasses import dataclass, field
 
 from .config import MAX_DEPTH
-from .errors import DepthOverflow, InadmissibleWord, InconsistentRoutes, TooLarge
+from .errors import InadmissibleWord, InconsistentRoutes, TooLarge
 from .shifts import ShiftSpace, canonical_point, shift_point
 
 __all__ = [
@@ -156,32 +156,28 @@ def pullback(f, h):
 
     Raises
     ------
-    DepthOverflow
-        if no such depth exists within the configured cap, i.e. ``h``
-        does not synchronize fast enough.
+    TooLarge
+        if no such depth exists within the depth cap, i.e. ``h`` does not
+        synchronize fast enough, or a word table on the way exceeds its cap.
     """
     if f.space != h.target:
         raise ValueError("function must live on the target space of the map")
     need = f.depth
     src = h.source
-    try:
-        for d in range(1, MAX_DEPTH + 1):
-            outs = {w: h.output_prefix(w) for w in src.words(d)}
-            if all(len(o) >= need for o in outs.values()):
-                return CylinderFunction(
-                    src, d, {w: f.table[outs[w][:need]] for w in src.words(d)}
-                )
-    except TooLarge as err:
-        raise DepthOverflow(str(err)) from err
-    raise DepthOverflow(
+    for d in range(1, MAX_DEPTH + 1):
+        outs = {w: h.output_prefix(w) for w in src.words(d)}
+        if all(len(o) >= need for o in outs.values()):
+            return CylinderFunction(
+                src, d, {w: f.table[outs[w][:need]] for w in src.words(d)}
+            )
+    raise TooLarge(
         f"{need} output symbols not determined by {MAX_DEPTH} input symbols"
     )
 
 
-def _least_table(g):
-    """``g``'s table lowered while it is constant on the shorter prefixes,
-    with its depth: the least depth of ``g``."""
-    d, table = g.depth, g.table
+def _least_table(d, table):
+    """A depth-``d`` word table lowered while it is constant on the prefixes
+    one symbol shorter, with its depth: the least depth of the function."""
     while d > 1:
         shorter = {}
         for w, x in table.items():
@@ -201,7 +197,7 @@ def _solve_transfer(space, g, c):
     ``m``-word; and the first edge ``(u, v)`` with ``b[u] - b[v] != r``,
     or None.
     """
-    d, gt = _least_table(g)
+    d, gt = _least_table(g.depth, g.table)
     m = max(d - 1, 1)
     out = {u: [] for u in space.words(m)}
     for w in space.words(m + 1):

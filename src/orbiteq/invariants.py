@@ -27,6 +27,7 @@ import numpy as np
 
 from .config import MAX_MATCH_STATES
 from .errors import InvalidPartition, TooLarge
+from .functions import _least_table
 from .maps import compile_block_code
 from .shifts import ShiftSpace, TransitionMatrix, build_shift_space
 
@@ -238,12 +239,7 @@ def _code_through(source, source_edge, target, target_edge):
     else:
         raise AssertionError("edge labels do not determine the target symbol")
     table = {w: first[labels(source_edge, w)] for w in source.words(window)}
-    while window > 1:
-        short = {}
-        if any(short.setdefault(w[:-1], v) != v for w, v in table.items()):
-            break
-        table, window = short, window - 1
-    return compile_block_code(source, target, window, table)
+    return compile_block_code(source, target, *_least_table(window, table))
 
 
 def conjugacy_from_amalgamation(a, b):
@@ -364,9 +360,12 @@ def find_isomorphism(a, b):
 
 
 def exact_det(m):
-    """Exact integer determinant (fraction-free Gaussian elimination)."""
+    """Exact integer determinant (fraction-free Gaussian elimination); the
+    0x0 determinant is 1."""
     a = [[int(x) for x in row] for row in np.asarray(m)]
     n = len(a)
+    if n == 0:
+        return 1
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -391,7 +390,7 @@ def _eye(n):
 
 
 def _matmul(a, b):
-    rows, mid, cols = len(a), len(b), len(b[0])
+    rows, mid, cols = len(a), len(b), len(b[0]) if b else 0
     return [
         [sum(a[i][k] * b[k][j] for k in range(mid)) for j in range(cols)]
         for i in range(rows)

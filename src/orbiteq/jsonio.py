@@ -4,9 +4,13 @@ Words are encoded as comma-separated symbol strings ("1,2,1"); the empty
 word is "".  Encoders emit dicts with a fixed key order so serialized
 output is byte-stable, and every decoder validates through the same
 constructors the library uses internally, so a decoded value is exactly
-as trustworthy as a constructed one.
+as trustworthy as a constructed one.  A decoder raises only
+:class:`OrbiteqError`: a malformed value's ``KeyError``, ``TypeError``,
+``ValueError``, ``AttributeError`` or ``OverflowError`` (a number too
+large for a matrix entry) is raised again as one, with its message kept.
 """
 
+import functools
 import json
 
 from .errors import OrbiteqError
@@ -55,6 +59,19 @@ def load_file(path):
         return json.load(fh)
 
 
+def _decoder(decode):
+    """``decode`` raising :class:`OrbiteqError` on a malformed value."""
+
+    @functools.wraps(decode)
+    def checked(*args):
+        try:
+            return decode(*args)
+        except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as e:
+            raise OrbiteqError(f"malformed input: {type(e).__name__}: {e}") from e
+
+    return checked
+
+
 # --- matrices ---------------------------------------------------------------
 
 
@@ -63,6 +80,7 @@ def matrix_to_json(space):
     return {"n": m.n, "rows": m.entries.tolist()}
 
 
+@_decoder
 def matrix_from_json(obj):
     rows = obj["rows"]
     if "n" in obj and len(rows) != obj["n"]:
@@ -77,6 +95,7 @@ def point_to_json(p):
     return {"pre": word_key(p.preperiod), "cyc": word_key(p.cycle)}
 
 
+@_decoder
 def point_from_json(space, obj):
     return canonical_point(space, parse_word(obj["pre"]), parse_word(obj["cyc"]))
 
@@ -89,6 +108,7 @@ def function_to_json(f):
     return {"depth": f.depth, "values": values}
 
 
+@_decoder
 def function_from_json(space, obj):
     depth = obj["depth"]
     table = {parse_word(k): int(v) for k, v in obj["values"].items()}
@@ -118,6 +138,7 @@ def map_to_json(h):
     raise OrbiteqError(f"cannot serialize map of type {type(h).__name__}")
 
 
+@_decoder
 def map_from_json(source, target, obj):
     kind = obj.get("type")
     if kind == "block":

@@ -35,7 +35,6 @@ from .errors import (
     InadmissibleWord,
     InconsistentRoutes,
     NoAlignment,
-    NotConstantOnCylinders,
     PreconditionFailed,
     TooLarge,
 )
@@ -331,9 +330,7 @@ def _certification_depth(h, kl, need):
             kl.k.max() + need + w,
         )
         if d > MAX_DEPTH:
-            raise NotConstantOnCylinders(
-                f"potential not certifiable within depth cap {MAX_DEPTH}"
-            )
+            raise TooLarge(f"potential not certifiable within depth cap {MAX_DEPTH}")
         return d
     # per depth-c word u and its shift u[1:]: output past the cocycle bound,
     # and the configuration (state, last input) reached; then extend by d - c
@@ -360,9 +357,7 @@ def _certification_depth(h, kl, need):
             raise TooLarge(f"word table at depth {d} too large")
         if all(budget + least(q, d - c) >= need for budget, q in starts):
             return d
-    raise NotConstantOnCylinders(
-        f"potential not certifiable within depth cap {MAX_DEPTH}"
-    )
+    raise TooLarge(f"potential not certifiable within depth cap {MAX_DEPTH}")
 
 
 def induced_potential(h, kl, f):
@@ -380,8 +375,9 @@ def induced_potential(h, kl, f):
 
     Raises
     ------
-    NotConstantOnCylinders
-        if the required certification depth exceeds the cap.
+    TooLarge
+        if the required certification depth exceeds the depth cap, or its
+        word table exceeds the word-table cap.
     """
     if f.space != h.target:
         raise ValueError("f must live on the target space of the map")
@@ -421,8 +417,9 @@ def check_potential_identity(h, kl, depth):
 
     Raises
     ------
-    NotConstantOnCylinders
-        if output prefixes cannot be certified within the depth cap.
+    TooLarge
+        if output prefixes cannot be certified within the depth cap, or
+        the word table at the certified depth exceeds its cap.
     """
     if isinstance(h, BlockCode) and kl.difference().is_constant(1):
         # a block code commutes with the shift, so the image of w[1:] is the
@@ -585,7 +582,7 @@ def classify(h, h_inv, cfg=None):
     if eventual:  # without a lag the theorem route is False whatever psi says
         try:
             psi_ok, psi_wit = check_potential_identity(h, kl1, cfg.depth)
-        except (NotConstantOnCylinders, TooLarge):
+        except TooLarge:
             pass
 
     theorem_route = eventual and psi_ok  # None while psi is undecided

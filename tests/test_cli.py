@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
 from pathlib import Path
@@ -7,7 +10,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orbiteq import InconsistentRoutes, build_shift_space, cli, identity_code, out_split
+import orbiteq
+from orbiteq import (
+    InconsistentRoutes,
+    TooLarge,
+    build_shift_space,
+    cli,
+    identity_code,
+    out_split,
+)
 from orbiteq import jsonio
 from orbiteq.cli import main
 
@@ -224,6 +235,74 @@ def test_verify_inconsistent_routes_exits_1(files, capsys, monkeypatch):
     assert captured.err == (
         "error: InconsistentRoutes: direct conjugacy check disagrees\n"
     )
+
+
+def full32(files):
+    """The full shift on 32 symbols and its 1-block identity code: a word
+    table at depth 4 would pass the cap."""
+    n = 32
+    space = files["write"]("full32.json", {"n": n, "rows": [[1] * n] * n})
+    table = {str(a): str(a) for a in range(1, n + 1)}
+    code = files["write"]("ident32.json", {"type": "block", "window": 1, "table": table})
+    return ["verify", space, space, code, code]
+
+
+UNDECIDED = {"verdict": "Undecided", "note": "word table at depth 4 too large"}
+
+
+def test_verify_cap_hit_is_undecided_json(files, capsys):
+    code, out = run(capsys, full32(files) + ["--format", "json"])
+    assert code == 2
+    assert json.loads(out) == UNDECIDED
+
+
+def test_psi_cap_hit_has_the_verify_undecided_form(files, capsys, monkeypatch):
+    def capped(*args):
+        raise TooLarge(UNDECIDED["note"])
+
+    monkeypatch.setattr(cli, "induced_potential", capped)
+    argv = ["psi", files["full2"], files["full2"], files["ident2"], files["ind1"]]
+    code, out = run(capsys, argv + ["--format", "json"])
+    assert code == 2
+    assert json.loads(out) == UNDECIDED
+    assert run(capsys, argv) == (2, f"undecided: {UNDECIDED['note']}\n")
+
+
+def run_process(argv):
+    """``python -m orbiteq.cli`` in a child interpreter, on this package."""
+    src = str(Path(orbiteq.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "orbiteq.cli", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=120,
+    )
+
+
+def test_cli_process_maps_caps_and_malformed_files_to_exit_codes(files):
+    proc = run_process(full32(files))
+    assert proc.returncode == 2
+    assert proc.stdout == f"undecided: {UNDECIDED['note']}\n"
+    assert "Traceback" not in proc.stderr
+    state = {"a": 1}  # a JSON object cannot name a state
+    delta = [{"state": state, "in": a, "out": [a], "next": state} for a in (1, 2)]
+    bad_map = {"type": "transducer", "states": [state], "initial": state, "delta": delta}
+    listed = files["write"]("list.json", [1, 2])
+    obj_state = files["write"]("obj-state.json", bad_map)
+    list_values = files["write"]("list-values.json", {"depth": 1, "values": [1, 2]})
+    full2 = files["full2"]
+    for argv in (
+        ["analyze", listed],
+        ["verify", full2, full2, obj_state, obj_state],
+        ["psi", full2, full2, files["ident2"], list_values],
+    ):
+        proc = run_process(argv)
+        assert proc.returncode == 1, argv
+        assert proc.stdout == ""
+        assert len(proc.stderr.splitlines()) == 1, proc.stderr
+        assert proc.stderr.startswith("error: OrbiteqError: malformed input: ")
 
 
 def test_verify_swapped_inverse_exits_3(files, capsys):

@@ -4,8 +4,8 @@ import pytest
 
 from orbiteq import (
     CylinderFunction,
-    DepthOverflow,
     InadmissibleWord,
+    TooLarge,
     build_shift_space,
     canonical_point,
     combine,
@@ -117,14 +117,14 @@ def test_pullback_two_block(full2):
     assert tables_equal(g, indicator(full2, (2,)))
 
 
-def test_pullback_word_cap_is_depth_overflow():
+def test_pullback_word_cap_is_too_large():
     # a 10-state delay line: silent for 9 inputs, then copies its input,
     # so one output symbol needs a depth-10 word table, past the cap
     full4 = build_shift_space([[1] * 4] * 4)
     delta = {(i, a): (i + 1, ()) for i in range(9) for a in range(1, 5)}
     delta.update({(9, a): (9, (a,)) for a in range(1, 5)})
     t = transducer(full4, full4, range(10), 0, delta)
-    with pytest.raises(DepthOverflow):
+    with pytest.raises(TooLarge, match="word table at depth"):
         pullback(constant(full4, 1), t)
 
 

@@ -43,8 +43,9 @@ def minor_det(m):
 
 
 def matmul(a, b):
+    cols = len(b[0]) if b else 0
     return [
-        [sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(len(b[0]))]
+        [sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(cols)]
         for i in range(len(a))
     ]
 
@@ -85,6 +86,21 @@ def test_snf_certificates_random():
         assert all(x > 0 for x in nonzero)
         for x, y in zip(nonzero, nonzero[1:]):
             assert y % x == 0
+
+
+@pytest.mark.parametrize("m", [[], [[]], [[], []]])
+def test_snf_of_empty_matrices(m):
+    rows, cols = len(m), len(m[0]) if m else 0
+    u, d, v = smith_normal_form(m)
+    assert u == [[int(i == j) for j in range(rows)] for i in range(rows)]
+    assert v == [[int(i == j) for j in range(cols)] for i in range(cols)]
+    assert d == m
+    assert matmul(matmul(u, m), v) == d
+    assert exact_det(u) == exact_det(v) == 1
+
+
+def test_exact_det_of_empty_matrix_is_one():
+    assert exact_det([]) == 1
 
 
 def determinantal_divisors(m):

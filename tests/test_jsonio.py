@@ -1,6 +1,11 @@
 import json
+from pathlib import Path
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orbiteq import (
+    OrbiteqError,
     Point,
     canonical_point,
     classify,
@@ -98,3 +103,78 @@ def test_dumps_deterministic(golden):
     a = jsonio.dumps(jsonio.matrix_to_json(golden))
     b = jsonio.dumps(jsonio.matrix_to_json(golden))
     assert a == b and a.endswith("\n") and "\r" not in a
+
+
+# --- decoders on malformed input -----------------------------------------------
+
+INPUTS = Path(__file__).resolve().parents[1] / "bench" / "inputs"
+
+
+def _committed(name):
+    return jsonio.load_file(INPUTS / f"{name}.json")
+
+
+FULL2, GOLDEN = (jsonio.matrix_from_json(_committed(n)) for n in ("full2", "golden"))
+SPLIT5_BASE, SPLIT5 = (
+    jsonio.matrix_from_json(_committed(n)) for n in ("split5-base", "split5")
+)
+# each decoder with the well-formed committed values it is fed
+DECODERS = [
+    (jsonio.matrix_from_json, _committed("golden")),
+    (jsonio.matrix_from_json, _committed("split5")),
+    (lambda obj: jsonio.point_from_json(GOLDEN, obj), {"pre": "2", "cyc": "1,2"}),
+    (lambda obj: jsonio.function_from_json(GOLDEN, obj), _committed("psi-f2")),
+    (lambda obj: jsonio.map_from_json(FULL2, GOLDEN, obj), _committed("golden-map")),
+    (lambda obj: jsonio.map_from_json(FULL2, FULL2, obj), _committed("recoder2")),
+    (
+        lambda obj: jsonio.map_from_json(SPLIT5_BASE, SPLIT5, obj),
+        _committed("split5-code"),
+    ),
+]
+# small integers, and a few past every cap, keep each example fast
+JSON = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-2, 6)
+    | st.sampled_from([25, 10**9, -(10**9)])
+    | st.floats()
+    | st.text(alphabet="12,ab x", max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(alphabet="12,ab", max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+def _paths(obj, path=()):
+    """Every path to a value inside ``obj``, the root included."""
+    yield path
+    if isinstance(obj, dict):
+        items = obj.items()
+    elif isinstance(obj, list):
+        items = enumerate(obj)
+    else:
+        return
+    for key, value in items:
+        yield from _paths(value, path + (key,))
+
+
+def _replaced(obj, path, value):
+    if not path:
+        return value
+    out = dict(obj) if isinstance(obj, dict) else list(obj)
+    out[path[0]] = _replaced(obj[path[0]], path[1:], value)
+    return out
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_decoders_raise_only_orbiteq_error(data):
+    # an arbitrary JSON value, or a committed input with one field replaced:
+    # each decoder returns a value or raises OrbiteqError, nothing else
+    decode, good = data.draw(st.sampled_from(DECODERS))
+    path = data.draw(st.sampled_from(list(_paths(good))))
+    obj = _replaced(good, path, data.draw(JSON))
+    try:
+        decode(json.loads(json.dumps(obj)))
+    except OrbiteqError:
+        pass

@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orbiteq import (
     InadmissibleWord,
@@ -22,7 +24,7 @@ from orbiteq import (
 )
 from orbiteq.generators import random_shift_space
 
-from conftest import expand_point, points_agree
+from conftest import expand_point, points_agree, raw_expand
 
 
 def test_build_full_2_shift(full2):
@@ -119,6 +121,66 @@ def test_canonical_idempotent(full2, golden):
     for s in (full2, golden):
         for p in enumerate_points(s, 3, 4):
             assert canonical_point(s, p.preperiod, p.cycle) == p
+
+
+@st.composite
+def descriptions(draw):
+    """A random 2-4-state space and several ``(pre, cyc)`` descriptions of
+    one eventually periodic sequence.
+
+    The cycle is a random walk closed by a shortest path back to its first
+    symbol, so it may be a power and ``pre`` may be absorbable; the other
+    descriptions power the cycle, move whole cycles and part of one into
+    the preperiod, and rotate the cycle to match."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    space = random_shift_space(rng, draw(st.integers(2, 4)))
+    fol = space.matrix.followers
+
+    def walk(start, length):
+        w = [start]
+        for _ in range(length):
+            w.append(draw(st.sampled_from(fol[w[-1] - 1])))
+        return w
+
+    x = walk(draw(st.integers(1, space.n)), draw(st.integers(0, 4)))
+    pre, c0 = tuple(x[:-1]), x[-1]
+    cyc = walk(c0, draw(st.integers(0, 4)))
+    back, queue = {cyc[-1]: None}, [cyc[-1]]
+    for u in queue:
+        if c0 in fol[u - 1]:
+            break
+        for v in fol[u - 1]:
+            if v not in back:
+                back[v] = u
+                queue.append(v)
+    path = []
+    while u != cyc[-1]:
+        path.append(u)
+        u = back[u]
+    cyc = tuple(cyc + path[::-1])
+    descs = [(pre, cyc)]
+    for _ in range(3):
+        j = draw(st.integers(0, len(cyc) - 1))
+        m, k = draw(st.integers(0, 2)), draw(st.integers(1, 3))
+        descs.append((pre + cyc * m + cyc[:j], (cyc[j:] + cyc[:j]) * k))
+    return space, descs
+
+
+@settings(max_examples=150, deadline=None)
+@given(descriptions())
+def test_canonical_point_against_raw_expansion(case):
+    space, descs = case
+    points = {canonical_point(space, pre, cyc) for pre, cyc in descs}
+    assert len(points) == 1
+    (p,) = points
+    for pre, cyc in descs:
+        n = 2 * (len(pre) + len(cyc))
+        assert expand_point(p, n) == p.expand(n) == raw_expand(pre, cyc, n)
+    assert canonical_point(space, p.preperiod, p.cycle) == p
+    # canonical: a primitive cycle, and no preperiod symbol left to absorb
+    c = p.cycle
+    assert all(c != c[:d] * (len(c) // d) for d in range(1, len(c)) if len(c) % d == 0)
+    assert not p.preperiod or p.preperiod[-1] != c[-1]
 
 
 def test_canonical_rejects_inadmissible(golden):
