@@ -412,9 +412,10 @@ def smith_normal_form(m):
 
     Returns ``(U, D, V)`` as nested lists of Python ints.
     """
-    a = [[int(x) for x in row] for row in np.asarray(m)]
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
+    arr = np.asarray(m)
+    a = [[int(x) for x in row] for row in arr]
+    # a numpy array keeps its column count when it has no rows
+    rows, cols = arr.shape if arr.ndim == 2 else (len(a), 0)
     u, v = _eye(rows), _eye(cols)
 
     def row_op(i, j, q):  # row_i -= q * row_j
@@ -463,7 +464,7 @@ def smith_normal_form(m):
             a[s] = [-x for x in a[s]]
             u[s] = [-x for x in u[s]]
 
-    m_int = [[int(x) for x in row] for row in np.asarray(m)]
+    m_int = [[int(x) for x in row] for row in arr]
     if _matmul(_matmul(u, m_int), v) != a:
         raise AssertionError("normal form certificate failed")
     if abs(exact_det(u)) != 1 or abs(exact_det(v)) != 1:

@@ -14,8 +14,8 @@ Maps here have anticipation only: an output symbol may depend on the
 current and later input symbols, never on earlier ones.
 """
 
-from .errors import ImageInadmissible, NotTotal, StallingCycle
-from .shifts import _canonical_unchecked, enumerate_points
+from .errors import ImageInadmissible, NotTotal, StallingCycle, TooLarge
+from .shifts import _canonical_unchecked, enumerate_points, point_with_prefix
 
 __all__ = [
     "BlockCode",
@@ -291,17 +291,51 @@ def apply_map(h, p):
     return _canonical_unchecked(tuple(out_pre) + head, cyc)
 
 
-def verify_inverse_pair(h, h_inv, test_pre, test_cyc):
-    """Check ``h_inv(h(p)) = p`` and ``h(h_inv(q)) = q`` on point families.
+def _inverse_by_composition(h, h_inv):
+    """:func:`verify_inverse_pair` decided exactly, for two block codes.
 
-    The families are all canonical points with preperiod length up to
-    ``test_pre`` and cycle length up to ``test_cyc``, in the source space
-    of each map.  Returns ``(True, None)`` or ``(False, witness_point)``.
+    ``h_inv o h`` and ``h o h_inv`` are block codes
+    (:func:`compose_block_codes`), and a window-``w`` code is the identity
+    exactly when it maps every ``w``-word to the word's first symbol.
+    Returns ``(True, None)``, or ``(False, p)`` where ``p`` starts with the
+    first word on which a composite is not the identity, so the composite
+    changes the first symbol of ``p``.  Returns None when this does not
+    decide: a map is not a block code, or a composite's word table is too
+    large.
     """
+    if not (isinstance(h, BlockCode) and isinstance(h_inv, BlockCode)):
+        return None
+    for outer, inner in ((h_inv, h), (h, h_inv)):
+        try:
+            composite = compose_block_codes(outer, inner)
+        except TooLarge:
+            return None
+        for u, b in composite.table.items():
+            if b != u[0]:
+                return False, point_with_prefix(inner.source, u)
+    return True, None
+
+
+def verify_inverse_pair(h, h_inv, test_pre, test_cyc):
+    """Check ``h_inv(h(p)) = p`` and ``h(h_inv(q)) = q``.
+
+    The checks run on point families: all canonical points with preperiod
+    length up to ``test_pre`` and cycle length up to ``test_cyc``, in the
+    source space of each map.  Returns ``(True, None)`` or
+    ``(False, witness_point)``.
+
+    For two block codes the answer is decided by composition, so
+    ``(True, None)`` needs no family; a pair that is not inverse still
+    gets the first failing family point as its witness, or, when the
+    families miss it, a point on which a composite is not the identity.
+    """
+    exact = _inverse_by_composition(h, h_inv)
+    if exact == (True, None):
+        return exact
     for p in enumerate_points(h.source, test_pre, test_cyc):
         if apply_map(h_inv, apply_map(h, p)) != p:
             return False, p
     for q in enumerate_points(h_inv.source, test_pre, test_cyc):
         if apply_map(h, apply_map(h_inv, q)) != q:
             return False, q
-    return True, None
+    return exact or (True, None)

@@ -23,7 +23,9 @@ conjugacy from eventual conjugacy, and :func:`check_potential_identity`
 decides that over all indicator functions up to a depth.
 
 Everything here is verified on exhaustive families of eventually
-periodic points plus per-cylinder representatives; a bounded search that
+periodic points plus per-cylinder representatives, except for a pair of
+block codes that composition shows to be inverse, whose conjugacy and
+cocycles :func:`classify` gives in closed form; a bounded search that
 finds nothing reports undecided, never a refutation.
 """
 
@@ -41,11 +43,12 @@ from .errors import (
 from .functions import (
     CylinderFunction,
     combine,
+    constant,
     evaluate,
     find_transfer,
     transfer_obstruction,
 )
-from .maps import BlockCode, apply_map
+from .maps import BlockCode, _inverse_by_composition, apply_map
 from .shifts import (
     _point_key,
     canonical_point,
@@ -93,13 +96,13 @@ class Verdict:
     """Outcome of :func:`classify`, with re-verifiable witnesses.
 
     ``kind`` is one of ``Conjugacy``, ``EventualConjugacy``, ``StrongCOE``,
-    ``COE``, ``NotEquivalent``, ``Undecided``.  ``lag`` carries the
-    eventual-conjugacy lag, ``cocycles`` the pair of
-    :class:`OrbitCocyclePair` (one per direction), ``transfers`` the
-    strong-COE transfer functions, and ``witness`` whatever refuted a
-    stronger rung.  A ``COE`` verdict's ``note`` names the direction in
-    which no transfer exists, the cycle of a periodic point and the
-    non-zero sum of ``l - k - 1`` over one period of it.
+    ``COE``, ``Undecided``.  ``lag`` carries the eventual-conjugacy lag,
+    ``cocycles`` the pair of :class:`OrbitCocyclePair` (one per
+    direction), ``transfers`` the strong-COE transfer functions, and
+    ``witness`` whatever refuted a stronger rung.  A ``COE`` verdict's
+    ``note`` names the direction in which no transfer exists, the cycle
+    of a periodic point and the non-zero sum of ``l - k - 1`` over one
+    period of it.
     """
 
     kind: str
@@ -569,10 +572,33 @@ def classify(h, h_inv, cfg=None):
     note carries the periodic point that shows no transfer exists for
     this map.  An alignment search that finds nothing yields
     ``Undecided``.
+
+    A pair of block codes that composition certifies as inverse is a
+    ``Conjugacy`` with cocycles ``(0, 1)`` on every cylinder, in closed
+    form, with no point family and no images:
+
+    * a block code commutes with the shift, and a shift-commuting
+      homeomorphism is a conjugacy;
+    * ``l = 0`` on a cylinder would need ``h(x) = sigma^k h(sigma x)
+      = sigma^(k+1) h(x)``, a periodic image, for every ``x`` in it, but
+      the cylinder holds non-periodic ``x``, and an injective ``h`` that
+      commutes with the shift maps them to non-periodic points; so
+      ``(0, 1)`` is the least pair.
+
+    These are the cocycles the family search returns, at the same depth.
     """
     cfg = cfg or RunConfig()
+    kl_depth = min(cfg.depth, 3)
+    if _inverse_by_composition(h, h_inv) == (True, None):
+        kl1, kl2 = (
+            OrbitCocyclePair(
+                constant(m.source, 0, kl_depth), constant(m.source, 1, kl_depth)
+            )
+            for m in (h, h_inv)
+        )
+        return Verdict("Conjugacy", lag=0, cocycles=(kl1, kl2), depth=cfg.depth)
     try:
-        kl1, kl2, direct_wit, lag = _align(h, h_inv, min(cfg.depth, 3), cfg)
+        kl1, kl2, direct_wit, lag = _align(h, h_inv, kl_depth, cfg)
     except NoAlignment as e:
         return Verdict("Undecided", depth=cfg.depth, note=str(e))
     direct = direct_wit is None

@@ -15,11 +15,13 @@ import pytest
 
 from orbiteq import (
     RunConfig,
+    block_to_transducer,
     build_shift_space,
     check_conjugacy,
     check_eventual_conjugacy,
     check_potential_identity,
     classify,
+    jsonio,
     orbit,
     orbit_cocycles,
     transducer,
@@ -136,11 +138,26 @@ def test_classify_matches_public_routines(kind, build, i):
         assert v.witness == direct_wit
 
 
+# --- the block-code closed form against the general path --------------------
+
+
+@pytest.mark.parametrize("i", range(20))
+def test_block_code_closed_form_matches_transducer_path(i):
+    code, code_inv = split_pair(i)
+    h, h_inv = block_to_transducer(code), block_to_transducer(code_inv)
+    closed = jsonio.verdict_to_json(classify(code, code_inv, CFG))
+    general = jsonio.verdict_to_json(classify(h, h_inv, CFG))
+    assert jsonio.dumps(closed) == jsonio.dumps(general)
+
+
 # --- one family per space, one image and one shift per point and map --------
 
 
 def test_classify_builds_each_family_once(monkeypatch):
-    h, h_inv = split_pair(0)
+    # the transducer presentations take the general path; the block codes
+    # themselves are decided by composition, with no family and no image
+    code, code_inv = split_pair(0)
+    h, h_inv = block_to_transducer(code), block_to_transducer(code_inv)
     family = {}
     for m in (h, h_inv):
         cyl = orbit.cylinder_family(m.source, CDEPTH, CFG)
@@ -167,6 +184,8 @@ def test_classify_builds_each_family_once(monkeypatch):
     monkeypatch.setattr(orbit, "cylinder_family", counted_family)
     monkeypatch.setattr(orbit, "apply_map", counted_map)
     monkeypatch.setattr(orbit, "shift_point", counted_shift)
+    assert classify(code, code_inv, CFG).kind == "Conjugacy"
+    assert (families, images) == ({}, {})
     assert classify(h, h_inv, CFG).kind == "Conjugacy"
     assert families == {id(h.source): 1, id(h_inv.source): 1}
     assert {m for m, _ in images} == {id(h), id(h_inv)}

@@ -237,13 +237,20 @@ def test_verify_inconsistent_routes_exits_1(files, capsys, monkeypatch):
     )
 
 
-def full32(files):
-    """The full shift on 32 symbols and its 1-block identity code: a word
-    table at depth 4 would pass the cap."""
+def full32(files, kind="transducer"):
+    """``verify`` of the identity of the full shift on 32 symbols, as a
+    one-state transducer, whose point family needs a word table at depth 4,
+    which would pass the cap, or as a 1-block code, which composition
+    decides with 1-words only."""
     n = 32
     space = files["write"]("full32.json", {"n": n, "rows": [[1] * n] * n})
-    table = {str(a): str(a) for a in range(1, n + 1)}
-    code = files["write"]("ident32.json", {"type": "block", "window": 1, "table": table})
+    if kind == "block":
+        table = {str(a): str(a) for a in range(1, n + 1)}
+        ident = {"type": "block", "window": 1, "table": table}
+    else:
+        delta = [{"state": "s", "in": a, "out": [a], "next": "s"} for a in range(1, n + 1)]
+        ident = {"type": "transducer", "states": ["s"], "initial": "s", "delta": delta}
+    code = files["write"](f"ident32-{kind}.json", ident)
     return ["verify", space, space, code, code]
 
 
@@ -254,6 +261,8 @@ def test_verify_cap_hit_is_undecided_json(files, capsys):
     code, out = run(capsys, full32(files) + ["--format", "json"])
     assert code == 2
     assert json.loads(out) == UNDECIDED
+    code, out = run(capsys, full32(files, "block") + ["--format", "json"])
+    assert (code, json.loads(out)["verdict"]) == (0, "Conjugacy")
 
 
 def test_psi_cap_hit_has_the_verify_undecided_form(files, capsys, monkeypatch):

@@ -99,6 +99,12 @@ def test_snf_of_empty_matrices(m):
     assert exact_det(u) == exact_det(v) == 1
 
 
+def test_snf_of_array_without_rows_keeps_its_columns():
+    u, d, v = smith_normal_form(np.zeros((0, 3), dtype=int))
+    assert (u, d) == ([], [])
+    assert v == [[int(i == j) for j in range(3)] for i in range(3)]
+
+
 def test_exact_det_of_empty_matrix_is_one():
     assert exact_det([]) == 1
 

@@ -143,6 +143,34 @@ def test_verify_inverse_pair(full2, swap2, recoder):
     assert verify_inverse_pair(recoder, recoder, 3, 4)[0]
 
 
+def test_verify_inverse_pair_refutes_block_codes_the_family_misses(full2):
+    # w -> w[0] except 12 -> 2: the identity on the fixed points, which are
+    # the whole family at (0, 1), but not on any point through 12
+    ident = identity_code(full2)
+    table = {w: w[0] for w in full2.words(2)}
+    table[(1, 2)] = 2
+    h_inv = compile_block_code(full2, full2, 2, table)
+    ok, p = verify_inverse_pair(ident, h_inv, 0, 1)
+    assert not ok
+    assert apply_map(ident, apply_map(h_inv, p)) != p
+    assert apply_map(h_inv, apply_map(ident, p)) != p
+    # a family that holds a failing point names the first one, as before
+    assert verify_inverse_pair(ident, h_inv, 3, 4) == (False, Point((), (1, 1, 1, 2)))
+
+
+def test_verify_inverse_pair_checks_both_composites(full2, golden):
+    # the golden mean shift into the full 2-shift, and a retraction back:
+    # the retraction after the inclusion is the identity, the other way not
+    incl = compile_block_code(golden, full2, 1, {(1,): 1, (2,): 2})
+    table = {w: w[0] for w in full2.words(2)}
+    table[(2, 2)] = 1
+    retract = compile_block_code(full2, golden, 2, table)
+    assert compose_block_codes(retract, incl) == identity_code(golden)
+    ok, q = verify_inverse_pair(incl, retract, 0, 1)
+    assert not ok
+    assert apply_map(incl, apply_map(retract, q)) != q
+
+
 def test_compose_block_codes(full2, swap2, xor2):
     ident = identity_code(full2)
     assert compose_block_codes(swap2, swap2) == ident
