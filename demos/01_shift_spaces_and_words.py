@@ -8,7 +8,6 @@ exact finite data: admissible words of each length and points stored as
 """
 
 from orbiteq import (
-    allowed_words,
     build_shift_space,
     canonical_point,
     count_periodic,
@@ -20,7 +19,7 @@ golden = build_shift_space([[1, 1], [1, 0]])
 print("golden mean space on", golden.n, "symbols")
 
 for m in range(1, 5):
-    words = allowed_words(golden, m)
+    words = golden.words(m)
     print(f"  depth {m}: {len(words):3d} words   e.g. {words[:4]}")
 
 # points are exact: preperiod + repeating cycle, canonical form

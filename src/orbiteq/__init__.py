@@ -32,7 +32,12 @@ from .functions import (
     tables_equal,
     transfer_obstruction,
 )
-from .generators import random_shift_space, random_single_split, split_chain
+from .generators import (
+    prefix_exchange,
+    random_shift_space,
+    random_single_split,
+    split_chain,
+)
 from .invariants import (
     InvariantReport,
     ObstructionReport,
@@ -80,7 +85,6 @@ from .shifts import (
     Point,
     ShiftSpace,
     TransitionMatrix,
-    allowed_words,
     build_shift_space,
     canonical_point,
     count_periodic,

@@ -7,7 +7,10 @@ homeomorphism given with its inverse), and ``psi`` (evaluate the induced
 potential of a function under a map).
 
 Every subcommand takes ``--format``; only ``verify`` and ``psi`` take the
-search flags ``--depth``, ``--max-pre`` and ``--max-cyc``.
+search flags ``--depth``, ``--max-pre`` and ``--max-cyc``.  The last two
+bound the point family that sizes the cocycle search and, for ``verify``,
+choose the first witness of a pair that is not inverse; whether the pair
+is inverse is decided without them.
 
 Exit codes: 0 definite outcome; 1 parse or validation error (including
 argument errors, out-of-range flag values and caps hit while loading) or

@@ -2,19 +2,21 @@
 
 Out-splittings come with their conjugacy codes, so chains of random
 splittings produce pairs of shift spaces that are conjugate by
-construction, together with the witnessing block codes.  All randomness
-flows through a caller-supplied :class:`random.Random`, so corpora are
-reproducible from a seed.
+construction, together with the witnessing block codes.  Prefix
+exchanges are homeomorphisms that are their own inverses by
+construction.  All randomness flows through a caller-supplied
+:class:`random.Random`, so corpora are reproducible from a seed.
 """
 
 import random
 
-from .errors import OrbiteqError
+from .errors import InadmissibleWord, OrbiteqError, PreconditionFailed
 from .invariants import out_split
-from .maps import compose_block_codes, identity_code
+from .maps import compose_block_codes, identity_code, transducer
 from .shifts import build_shift_space
 
 __all__ = [
+    "prefix_exchange",
     "random_shift_space",
     "random_single_split",
     "split_chain",
@@ -68,3 +70,55 @@ def split_chain(rng, base, max_splits=2):
         code = compose_block_codes(c, code)
         inverse = compose_block_codes(inverse, iv)
     return space, code, inverse
+
+
+def prefix_exchange(space, u, v):
+    """The transducer of ``F(u y) = v y``, ``F(v y) = u y``, and the
+    identity on every point that starts with neither word.
+
+    ``u`` and ``v`` must be admissible, neither a prefix of the other, and
+    end in symbols with the same followers (on a full shift any two, and
+    on any shift the same symbol), so ``v y`` is admissible exactly when
+    ``u y`` is.  ``F`` is then a homeomorphism and its own inverse, in the
+    topological full group of the shift (Matui 2015).  The states are the
+    proper prefixes of ``u`` and ``v``, the input held back so far, and
+    ``"copy"``.
+
+    Raises
+    ------
+    InadmissibleWord
+        if ``u`` or ``v`` is empty or not admissible.
+    PreconditionFailed
+        if one word is a prefix of the other, or their last symbols have
+        different followers.
+
+    Examples
+    --------
+    >>> from orbiteq import apply_map, canonical_point
+    >>> s = build_shift_space([[1, 1], [1, 1]])
+    >>> f = prefix_exchange(s, (1,), (2, 2, 1))
+    >>> apply_map(f, canonical_point(s, (1, 2), (1,)))
+    Point(2,2,1,2|1)
+    """
+    u, v = tuple(u), tuple(v)
+    for w in (u, v):
+        if not w or not space.is_admissible(w):
+            raise InadmissibleWord(f"word {w} not admissible")
+    if u[: len(v)] == v[: len(u)]:
+        raise PreconditionFailed(f"{u} and {v} are comparable")
+    fol = space.matrix.followers
+    if fol[u[-1] - 1] != fol[v[-1] - 1]:
+        raise PreconditionFailed(f"{u} and {v} end in different follower sets")
+    swap = {u: v, v: u}
+    held = sorted({w[:i] for w in (u, v) for i in range(len(w))})
+    delta = {("copy", a): ("copy", (a,)) for a in range(1, space.n + 1)}
+    for p in held:
+        for a in fol[p[-1] - 1] if p else range(1, space.n + 1):
+            w = p + (a,)
+            if w in swap:
+                delta[(p, a)] = ("copy", swap[w])
+            elif w in held:
+                delta[(p, a)] = (w, ())
+            else:
+                delta[(p, a)] = ("copy", w)
+    return transducer(space, space, [*held, "copy"], (), delta)

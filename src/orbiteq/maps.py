@@ -14,6 +14,7 @@ Maps here have anticipation only: an output symbol may depend on the
 current and later input symbols, never on earlier ones.
 """
 
+from .config import MAX_DEPTH, WORD_TABLE_LIMIT
 from .errors import ImageInadmissible, NotTotal, StallingCycle, TooLarge
 from .shifts import _canonical_unchecked, enumerate_points, point_with_prefix
 
@@ -291,51 +292,140 @@ def apply_map(h, p):
     return _canonical_unchecked(tuple(out_pre) + head, cyc)
 
 
-def _inverse_by_composition(h, h_inv):
-    """:func:`verify_inverse_pair` decided exactly, for two block codes.
+def _composite_mismatch(outer, inner):
+    """The first word on which the block code ``outer ∘ inner`` is not the
+    identity, or None.
 
-    ``h_inv o h`` and ``h o h_inv`` are block codes
-    (:func:`compose_block_codes`), and a window-``w`` code is the identity
-    exactly when it maps every ``w``-word to the word's first symbol.
-    Returns ``(True, None)``, or ``(False, p)`` where ``p`` starts with the
-    first word on which a composite is not the identity, so the composite
-    changes the first symbol of ``p``.  Returns None when this does not
-    decide: a map is not a block code, or a composite's word table is too
-    large.
+    The composite is a block code (:func:`compose_block_codes`), and a
+    window-``w`` code is the identity exactly when it maps every
+    ``w``-word to the word's first symbol.
     """
-    if not (isinstance(h, BlockCode) and isinstance(h_inv, BlockCode)):
+    composite = compose_block_codes(outer, inner)
+    return next((u for u, b in composite.table.items() if b != u[0]), None)
+
+
+def _product_mismatch(outer, inner):
+    """The shortest input word after which ``outer ∘ inner`` has emitted a
+    symbol that differs from the input, or None when the composite is the
+    identity on every point.
+
+    The two machines run in series, breadth first from the start, over
+    nodes ``(inner state, outer state, last input symbol, unmatched input,
+    output ahead of input)``.  Each admissible next symbol feeds ``inner``,
+    its output feeds ``outer``, and what ``outer`` emits is matched against
+    the input stream; at most one of the two queues is nonempty.  The
+    output symbols are fixed by the input read so far, so every point that
+    starts with a returned word is changed by the composite.  When the
+    search closes without a mismatch, the emitted output agrees with the
+    input at every finite stage, and both machines are productive, so the
+    composite is the identity.  This is the square of a transducer (Béal,
+    Carton, Prieur, Sakarovitch 2003); a bounded queue is Choffrut's
+    twinning property.
+
+    Raises
+    ------
+    TooLarge
+        if a queue grows past ``MAX_DEPTH`` symbols or the nodes pass
+        ``WORD_TABLE_LIMIT``.
+    """
+    if inner.target != outer.source:
+        raise ValueError("maps are not composable")
+    fol = inner.source.matrix.followers
+    every = range(1, inner.source.n + 1)
+    start = (inner.initial, outer.initial, None, (), ())
+    parent = {start: None}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for node in frontier:
+            s, t, last, behind, ahead = node
+            for a in every if last is None else fol[last - 1]:
+                s2, mid = inner.delta[(s, a)]
+                t2, out = t, list(ahead)
+                for b in mid:
+                    t2, emitted = outer.delta[(t2, b)]
+                    out.extend(emitted)
+                read = behind + (a,)
+                k = min(len(read), len(out))
+                if read[:k] != tuple(out[:k]):
+                    word = [a]
+                    while parent[node] is not None:
+                        node, c = parent[node]
+                        word.append(c)
+                    return tuple(reversed(word))
+                behind2, ahead2 = read[k:], tuple(out[k:])
+                child = (s2, t2, a, behind2, ahead2)
+                if child in parent:
+                    continue
+                if len(behind2) + len(ahead2) > MAX_DEPTH:
+                    raise TooLarge(f"composite queue past {MAX_DEPTH} symbols")
+                if len(parent) >= WORD_TABLE_LIMIT:
+                    raise TooLarge("composite product has too many configurations")
+                parent[child] = (node, a)
+                nxt.append(child)
+        frontier = nxt
+    return None
+
+
+def _inverse_exactly(h, h_inv):
+    """:func:`verify_inverse_pair` decided exactly.
+
+    Two block codes are composed (:func:`_composite_mismatch`); a pair with
+    a transducer, a block code among them presented through
+    :func:`block_to_transducer`, runs the product of the two machines
+    (:func:`_product_mismatch`).  Returns ``(True, None)``, or ``(False,
+    p)`` where ``p`` starts with the first word on which a composite is not
+    the identity.  Returns None when a cap is hit.
+    """
+    codes = isinstance(h, BlockCode) and isinstance(h_inv, BlockCode)
+    try:
+        if not codes:
+            h, h_inv = (
+                block_to_transducer(m) if isinstance(m, BlockCode) else m
+                for m in (h, h_inv)
+            )
+        mismatch = _composite_mismatch if codes else _product_mismatch
+        for outer, inner in ((h_inv, h), (h, h_inv)):
+            word = mismatch(outer, inner)
+            if word is not None:
+                return False, point_with_prefix(inner.source, word)
+    except TooLarge:
         return None
-    for outer, inner in ((h_inv, h), (h, h_inv)):
-        try:
-            composite = compose_block_codes(outer, inner)
-        except TooLarge:
-            return None
-        for u, b in composite.table.items():
-            if b != u[0]:
-                return False, point_with_prefix(inner.source, u)
     return True, None
 
 
 def verify_inverse_pair(h, h_inv, test_pre, test_cyc):
-    """Check ``h_inv(h(p)) = p`` and ``h(h_inv(q)) = q``.
+    """Decide whether ``h_inv ∘ h`` and ``h ∘ h_inv`` are identities.
 
-    The checks run on point families: all canonical points with preperiod
-    length up to ``test_pre`` and cycle length up to ``test_cyc``, in the
-    source space of each map.  Returns ``(True, None)`` or
-    ``(False, witness_point)``.
+    Returns ``(True, None)`` or ``(False, witness_point)``.  The answer is
+    exact: two block codes are composed, and any other pair runs the
+    product of the two machines, with no point family.  A pair that is not
+    inverse gets as its witness the first failing point of the families
+    of all canonical points with preperiod length up to ``test_pre`` and
+    cycle length up to ``test_cyc`` (the source space of ``h`` first, then
+    that of ``h_inv``), or, when the families miss it, a point on which a
+    composite is not the identity; that point is also the witness when a
+    family's word table is too large.  Only when the exact check hits a
+    cap (the product lags past ``MAX_DEPTH`` symbols or passes
+    ``WORD_TABLE_LIMIT`` configurations, or a composite's word table is
+    too large) does ``(True, None)`` rest on the families alone.
 
-    For two block codes the answer is decided by composition, so
-    ``(True, None)`` needs no family; a pair that is not inverse still
-    gets the first failing family point as its witness, or, when the
-    families miss it, a point on which a composite is not the identity.
+    Raises
+    ------
+    TooLarge
+        if both the exact check and a family hit a cap.
     """
-    exact = _inverse_by_composition(h, h_inv)
+    exact = _inverse_exactly(h, h_inv)
     if exact == (True, None):
         return exact
-    for p in enumerate_points(h.source, test_pre, test_cyc):
-        if apply_map(h_inv, apply_map(h, p)) != p:
-            return False, p
-    for q in enumerate_points(h_inv.source, test_pre, test_cyc):
-        if apply_map(h, apply_map(h_inv, q)) != q:
-            return False, q
+    try:
+        for p in enumerate_points(h.source, test_pre, test_cyc):
+            if apply_map(h_inv, apply_map(h, p)) != p:
+                return False, p
+        for q in enumerate_points(h_inv.source, test_pre, test_cyc):
+            if apply_map(h, apply_map(h_inv, q)) != q:
+                return False, q
+    except TooLarge:  # a family past its cap does not undo an exact refutation
+        if exact is None:
+            raise
     return exact or (True, None)

@@ -48,7 +48,7 @@ from .functions import (
     find_transfer,
     transfer_obstruction,
 )
-from .maps import BlockCode, _inverse_by_composition, apply_map
+from .maps import BlockCode, _inverse_exactly, apply_map
 from .shifts import (
     _point_key,
     canonical_point,
@@ -589,7 +589,8 @@ def classify(h, h_inv, cfg=None):
     """
     cfg = cfg or RunConfig()
     kl_depth = min(cfg.depth, 3)
-    if _inverse_by_composition(h, h_inv) == (True, None):
+    codes = isinstance(h, BlockCode) and isinstance(h_inv, BlockCode)
+    if codes and _inverse_exactly(h, h_inv) == (True, None):
         kl1, kl2 = (
             OrbitCocyclePair(
                 constant(m.source, 0, kl_depth), constant(m.source, 1, kl_depth)

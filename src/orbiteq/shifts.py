@@ -35,7 +35,6 @@ __all__ = [
     "ShiftSpace",
     "Point",
     "build_shift_space",
-    "allowed_words",
     "canonical_point",
     "shift_point",
     "enumerate_points",
@@ -141,6 +140,8 @@ class ShiftSpace:
     def words(self, m):
         """All admissible words of length ``m``, lexicographically sorted.
 
+        There is one word per nonempty cylinder of depth ``m``.
+
         Examples
         --------
         >>> s = build_shift_space([[1, 1], [1, 0]])
@@ -200,20 +201,6 @@ def build_shift_space(rows):
     if isinstance(rows, TransitionMatrix):
         return ShiftSpace(rows)
     return ShiftSpace(TransitionMatrix(rows))
-
-
-def allowed_words(space, m):
-    """All admissible words of length ``m``, lexicographically sorted.
-
-    There is one word per nonempty cylinder of depth ``m``.
-
-    Examples
-    --------
-    >>> s = build_shift_space([[1, 1], [1, 0]])
-    >>> allowed_words(s, 2)
-    ((1, 1), (1, 2), (2, 1))
-    """
-    return space.words(m)
 
 
 @dataclass(frozen=True, order=True, slots=True)

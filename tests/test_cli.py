@@ -14,6 +14,7 @@ import orbiteq
 from orbiteq import (
     InconsistentRoutes,
     TooLarge,
+    apply_map,
     build_shift_space,
     cli,
     identity_code,
@@ -21,6 +22,7 @@ from orbiteq import (
 )
 from orbiteq import jsonio
 from orbiteq.cli import main
+from orbiteq.generators import prefix_exchange
 
 from conftest import expansion_maps
 
@@ -239,9 +241,9 @@ def test_verify_inconsistent_routes_exits_1(files, capsys, monkeypatch):
 
 def full32(files, kind="transducer"):
     """``verify`` of the identity of the full shift on 32 symbols, as a
-    one-state transducer, whose point family needs a word table at depth 4,
-    which would pass the cap, or as a 1-block code, which composition
-    decides with 1-words only."""
+    one-state transducer, whose cocycle family needs a word table at depth
+    4, which would pass the cap, or as a 1-block code, which is a
+    conjugacy in closed form with 1-words only."""
     n = 32
     space = files["write"]("full32.json", {"n": n, "rows": [[1] * n] * n})
     if kind == "block":
@@ -327,6 +329,22 @@ def test_verify_swapped_inverse_exits_3(files, capsys):
     )
     assert code == 3
     assert "failed" in out
+
+
+def test_verify_refutes_an_exchange_the_family_misses(files, capsys):
+    # no fixed point starts with 1,1,2 or 2,2,1, so the (0, 1) family sees
+    # the exchange as the identity; the product of the two maps does not
+    full2 = build_shift_space([[1, 1], [1, 1]])
+    exchange = prefix_exchange(full2, (1, 1, 2), (2, 2, 1))
+    path = files["write"]("exchange.json", jsonio.map_to_json(exchange))
+    argv = ["verify", files["full2"], files["full2"], files["ident2"], path]
+    flags = ["--max-pre", "0", "--max-cyc", "1", "--format", "json"]
+    code, out = run(capsys, argv + flags)
+    assert code == 3
+    payload = json.loads(out)
+    assert payload["verdict"] == "NotInversePair"
+    p = jsonio.point_from_json(full2, payload["witness"]["point"])
+    assert apply_map(exchange, p) != p
 
 
 def test_verify_parse_error_exits_1(files, capsys, tmp_path):

@@ -1,5 +1,7 @@
 import copy
+import itertools
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -8,10 +10,13 @@ from hypothesis import strategies as st
 from orbiteq import (
     BlockCode,
     ImageInadmissible,
+    InadmissibleWord,
     NotTotal,
     Point,
+    PreconditionFailed,
     ShiftSpace,
     StallingCycle,
+    TooLarge,
     apply_map,
     block_to_transducer,
     build_shift_space,
@@ -30,9 +35,18 @@ from orbiteq import (
     verify_inverse_pair,
 )
 
-from orbiteq.generators import split_chain
+from orbiteq import jsonio, maps
+from orbiteq.generators import prefix_exchange, split_chain
 
-from conftest import expand_point, random_tau, raw_expand, recoder_map
+from conftest import (
+    expand_point,
+    expansion_maps,
+    random_tau,
+    raw_expand,
+    recoder_map,
+)
+
+INPUTS = Path(__file__).resolve().parents[1] / "bench" / "inputs"
 
 
 def test_identity_and_swap_compile(full2, swap2):
@@ -169,6 +183,178 @@ def test_verify_inverse_pair_checks_both_composites(full2, golden):
     ok, q = verify_inverse_pair(incl, retract, 0, 1)
     assert not ok
     assert apply_map(incl, apply_map(retract, q)) != q
+
+
+def _refutes(h, h_inv, p):
+    """``p`` is a point that a composite of two self-maps does not fix."""
+    there, back = apply_map(h_inv, apply_map(h, p)), apply_map(h, apply_map(h_inv, p))
+    return there != p or back != p
+
+
+def _count_family(monkeypatch):
+    """Count the point enumerations and images that ``verify_inverse_pair``
+    makes."""
+    calls = {"enumerate_points": 0, "apply_map": 0}
+    for name in calls:
+        real = getattr(maps, name)
+
+        def counted(*args, name=name, real=real):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(maps, name, counted)
+    return calls
+
+
+def test_prefix_exchange_is_an_involution(full2, golden):
+    f = prefix_exchange(full2, (1, 1, 2), (2, 2, 1))
+    for p in enumerate_points(full2, 3, 4):
+        seq = expand_point(p, 12)
+        image = expand_point(apply_map(f, p), 12)
+        for u, v in (((1, 1, 2), (2, 2, 1)), ((2, 2, 1), (1, 1, 2))):
+            if seq[:3] == u:
+                assert image == v + seq[3:]
+        if seq[:3] not in ((1, 1, 2), (2, 2, 1)):
+            assert image == seq
+        assert apply_map(f, apply_map(f, p)) == p
+    g = prefix_exchange(golden, (1,), (2, 1))
+    assert apply_map(g, Point((), (1,))) == Point((2,), (1,))
+
+
+@pytest.mark.parametrize(
+    "u, v, error",
+    [
+        ((1,), (1, 2), PreconditionFailed),  # comparable
+        ((1, 2), (1, 2), PreconditionFailed),
+        ((), (2,), InadmissibleWord),
+        ((2, 2), (1,), InadmissibleWord),
+        ((1,), (2,), PreconditionFailed),  # 1 and 2 have different followers
+        ((1, 2), (2, 1), PreconditionFailed),
+    ],
+)
+def test_prefix_exchange_rejects(golden, u, v, error):
+    with pytest.raises(error):
+        prefix_exchange(golden, u, v)
+
+
+def test_verify_inverse_pair_refutes_transducers_the_family_misses(full2):
+    # the fixed points and the points of period 2 avoid both cylinders
+    # [1,1,2] and [2,2,1], so the families at (0, 1) and (0, 2) see the
+    # exchange as the identity
+    ident = identity_code(full2)
+    f = prefix_exchange(full2, (1, 1, 2), (2, 2, 1))
+    for family in ((0, 1), (0, 2)):
+        ok, p = verify_inverse_pair(ident, f, *family)
+        assert not ok and _refutes(ident, f, p)
+    # a family that holds a failing point names the first one, as before
+    assert verify_inverse_pair(ident, f, 3, 4) == (False, Point((), (1, 1, 2)))
+
+
+def test_verify_inverse_pair_matches_output_ahead_of_input(full2, duplicator):
+    # the duplicator emits x1 before x2 is read; so does the identity after
+    # it, and the second x1 must meet x2: no fixed point sees the difference
+    ident = identity_code(full2)
+    ok, p = verify_inverse_pair(duplicator, ident, 0, 1)
+    assert not ok and _refutes(duplicator, ident, p)
+    # the expansion inverse emits a forced symbol ahead of its input
+    assert verify_inverse_pair(*expansion_maps(2, {2: 1}), 0, 1) == (True, None)
+
+
+def test_verify_inverse_pair_checks_both_transducer_composites(full2, duplicator):
+    # dropping the first symbol undoes the duplicator, not the other way
+    drop = transducer(
+        full2,
+        full2,
+        ["init", "copy"],
+        "init",
+        {
+            ("init", 1): ("copy", ()),
+            ("init", 2): ("copy", ()),
+            ("copy", 1): ("copy", (1,)),
+            ("copy", 2): ("copy", (2,)),
+        },
+    )
+    ok, q = verify_inverse_pair(duplicator, drop, 0, 1)
+    assert not ok
+    assert apply_map(duplicator, apply_map(drop, q)) != q
+
+
+def test_family_past_its_cap_keeps_the_exact_refutation():
+    # the point family of the full 32-shift at (3, 4) needs the 4-words,
+    # past the word-table cap; the exchange of 1 and 2 is refuted anyway
+    n = 32
+    space = build_shift_space([[1] * n] * n)
+
+    def one_state(image):
+        delta = {("s", a): ("s", (image.get(a, a),)) for a in range(1, n + 1)}
+        return transducer(space, space, ["s"], "s", delta)
+
+    ident, swap = one_state({}), one_state({1: 2, 2: 1})
+    with pytest.raises(TooLarge):
+        enumerate_points(space, 3, 4)
+    assert verify_inverse_pair(ident, swap, 3, 4) == (False, Point((), (1,)))
+    assert verify_inverse_pair(ident, ident, 3, 4) == (True, None)
+
+
+def _exchanges(space):
+    words = [w for m in (1, 2, 3) for w in space.words(m)]
+    for u, v in itertools.combinations(words, 2):
+        if u[-1] == v[-1] and u[: len(v)] != v[: len(u)]:
+            yield u, v
+
+
+def test_exchange_sweep_is_decided_by_the_product(full2, golden, monkeypatch):
+    # every prefix exchange is its own inverse by construction
+    calls = _count_family(monkeypatch)
+    swept = 0
+    for space in (full2, golden):
+        ident = identity_code(space)
+        for u, v in _exchanges(space):
+            f = prefix_exchange(space, u, v)
+            assert verify_inverse_pair(f, f, 3, 4) == (True, None)
+            assert calls == {"enumerate_points": 0, "apply_map": 0}
+            ok, p = verify_inverse_pair(f, ident, 3, 4)
+            assert not ok and _refutes(f, ident, p)
+            ok, p = verify_inverse_pair(ident, f, 0, 1)
+            assert not ok and _refutes(ident, f, p)
+            calls.update(enumerate_points=0, apply_map=0)
+            swept += 1
+    # per last symbol: 16 and 16 on the full 2-shift, 10 and 5 on the golden mean
+    assert swept == 32 + 15
+
+
+def test_recoders_with_other_inverses_are_refuted(full2, golden):
+    for space in (full2, golden):
+        symbols = range(1, space.n + 1)
+        preds = {b: [a for a in symbols if space.matrix.allows(a, b)] for b in symbols}
+        taus = [
+            {b: dict(zip(preds[b], image)) for b, image in zip(symbols, images)}
+            for images in itertools.product(
+                *(itertools.permutations(preds[b]) for b in symbols)
+            )
+        ]
+        for tau, other in itertools.product(taus, repeat=2):
+            h = recoder_map(space, tau)
+            inv = {b: {v: a for a, v in t.items()} for b, t in other.items()}
+            h_inv = recoder_map(space, inv)
+            ok, p = verify_inverse_pair(h, h_inv, 0, 1)
+            if tau == other:
+                assert (ok, p) == (True, None)
+            else:
+                assert not ok and _refutes(h, h_inv, p)
+
+
+def test_product_cap_falls_back_to_the_family(full2, monkeypatch):
+    recoder2 = jsonio.map_from_json(
+        full2, full2, jsonio.load_file(INPUTS / "recoder2.json")
+    )
+    calls = _count_family(monkeypatch)
+    assert verify_inverse_pair(recoder2, recoder2, 3, 4) == (True, None)
+    assert calls["enumerate_points"] == 0
+    # the recoder holds back one input symbol, past a cap of none
+    monkeypatch.setattr(maps, "MAX_DEPTH", 0)
+    assert verify_inverse_pair(recoder2, recoder2, 3, 4) == (True, None)
+    assert calls["enumerate_points"] == 2 and calls["apply_map"] > 0
 
 
 def test_compose_block_codes(full2, swap2, xor2):

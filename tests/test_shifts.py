@@ -14,7 +14,6 @@ from orbiteq import (
     PermutationMatrix,
     Point,
     TooLarge,
-    allowed_words,
     build_shift_space,
     canonical_point,
     count_periodic,
@@ -74,29 +73,29 @@ def test_word_table_cap_checked_before_building():
 
 
 def test_allowed_words_full2(full2):
-    assert allowed_words(full2, 2) == ((1, 1), (1, 2), (2, 1), (2, 2))
+    assert full2.words(2) == ((1, 1), (1, 2), (2, 1), (2, 2))
 
 
 def test_allowed_words_golden(golden):
-    assert allowed_words(golden, 2) == ((1, 1), (1, 2), (2, 1))
+    assert golden.words(2) == ((1, 1), (1, 2), (2, 1))
     # path count of length 2 = total of A^2
     a = golden.matrix.entries
-    assert len(allowed_words(golden, 3)) == int((a @ a).sum()) == 5
+    assert len(golden.words(3)) == int((a @ a).sum()) == 5
 
 
 def test_word_count_recursion(golden, full2):
     for s in (golden, full2):
         fol = s.matrix.followers
         for m in range(1, 6):
-            total = sum(len(fol[w[-1] - 1]) for w in allowed_words(s, m))
-            assert len(allowed_words(s, m + 1)) == total
-        assert len(allowed_words(s, 1)) == s.n
+            total = sum(len(fol[w[-1] - 1]) for w in s.words(m))
+            assert len(s.words(m + 1)) == total
+        assert len(s.words(1)) == s.n
 
 
 def test_word_count_without_building(golden, full2):
     for s in (golden, full2):
         for m in range(1, 7):
-            assert s.word_count(m) == len(allowed_words(s, m))
+            assert s.word_count(m) == len(s.words(m))
     full4 = build_shift_space([[1] * 4] * 4)
     assert full4.word_count(12) == 4**12
     assert max(full4._words) == 1
@@ -250,7 +249,7 @@ def test_periodic_counts_match_trace(full2, golden):
 def test_point_with_prefix(full2, golden):
     for s in (full2, golden):
         for d in (1, 2, 3, 5):
-            for w in allowed_words(s, d):
+            for w in s.words(d):
                 p = point_with_prefix(s, w)
                 assert expand_point(p, d) == w
 
