@@ -50,7 +50,7 @@ recoder = transducer(
     },
 )
 
-ok, _ = verify_inverse_pair(recoder, recoder, 3, 4)
+ok, _ = verify_inverse_pair(recoder, recoder)
 print("involutive homeomorphism verified:", ok)
 
 conj, witness = check_conjugacy(recoder, cfg, depth=3)

@@ -35,7 +35,7 @@ split, code, inverse = out_split(golden, {1: [(1,), (2,)]})
 print("golden mean out-split matrix:")
 for row in split.matrix.entries.tolist():
     print("  ", row)
-print("inverse pair verified:", verify_inverse_pair(code, inverse, 3, 4)[0])
+print("inverse pair verified:", verify_inverse_pair(code, inverse)[0])
 print("classification of the split code:", classify(code, inverse, cfg).kind)
 
 back = total_amalgamation(split)
@@ -46,7 +46,7 @@ print("decision oracle agrees:", decide_one_sided_conjugacy(golden, split))
 
 pair = conjugacy_from_amalgamation(golden, split)
 print("explicit conjugacy read off the terminal edges:",
-      pair is not None and verify_inverse_pair(*pair, 3, 4)[0])
+      pair is not None and verify_inverse_pair(*pair)[0])
 
 # integer invariants: exact Smith normal forms of I - A; I - A^T has the
 # same diagonal, so the factors are also K0 = coker(I - A^T) and their

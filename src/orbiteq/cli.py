@@ -8,9 +8,9 @@ potential of a function under a map).
 
 Every subcommand takes ``--format``; only ``verify`` and ``psi`` take the
 search flags ``--depth``, ``--max-pre`` and ``--max-cyc``.  The last two
-bound the point family that sizes the cocycle search and, for ``verify``,
-choose the first witness of a pair that is not inverse; whether the pair
-is inverse is decided without them.
+bound only the point family that sizes the cocycle search; whether the
+pair given to ``verify`` is inverse, and the witness when it is not, are
+decided without them.
 
 Exit codes: 0 definite outcome; 1 parse or validation error (including
 argument errors, out-of-range flag values and caps hit while loading) or
@@ -138,7 +138,7 @@ def cmd_compare(a, b):
 
 
 def cmd_verify(cfg, h, h_inv):
-    ok, witness = verify_inverse_pair(h, h_inv, cfg.max_pre, cfg.max_cyc)
+    ok, witness = verify_inverse_pair(h, h_inv)
     if not ok:
         payload = {
             "verdict": "NotInversePair",

@@ -28,7 +28,7 @@ import numpy as np
 from .config import MAX_MATCH_STATES
 from .errors import InvalidPartition, TooLarge
 from .functions import _least_table
-from .maps import compile_block_code
+from .maps import _composite_mismatch, compile_block_code
 from .shifts import ShiftSpace, TransitionMatrix, build_shift_space
 
 __all__ = [
@@ -247,13 +247,14 @@ def conjugacy_from_amalgamation(a, b):
 
     Both matrices are amalgamated once; if the terminals are isomorphic,
     each direction is the block code that agrees on terminal edges, and
-    the pair is verified as exact mutual inverses before returning.
+    both composites are checked to be the identity word by word
+    (``maps._composite_mismatch``) before returning.
 
     Raises
     ------
     TooLarge
         if either matrix exceeds the matching cap, or a word table the
-        codes need exceeds its cap.
+        codes or their composites need exceeds its cap.
     """
     ta, edge_a = _amalgamate(_entries(a))
     tb, edge_b = _amalgamate(_entries(b))
@@ -265,29 +266,9 @@ def conjugacy_from_amalgamation(a, b):
     space_b = b if isinstance(b, ShiftSpace) else ShiftSpace(b)
     h = _code_through(space_a, edge_a, space_b, edge_b)
     h_inv = _code_through(space_b, edge_b, space_a, edge_a)
-    if not (_undoes(h_inv, h) and _undoes(h, h_inv)):
+    if _composite_mismatch(h_inv, h) or _composite_mismatch(h, h_inv):
         raise AssertionError("codes through isomorphic terminals are not inverse")
     return h, h_inv
-
-
-def _undoes(outer, inner):
-    """Is ``outer`` after ``inner`` the identity, as a block code?
-
-    Every source word the composite reads must map to its first symbol.
-    The words grow one follower at a time from the keys of ``inner``'s
-    table, so no longer word table is built and left cached on the space.
-    """
-    fol = inner.source.matrix.followers
-
-    def ok(first, x, out):
-        if len(out) == outer.window:
-            return outer.table[out] == first
-        return all(
-            ok(first, y, out + (inner.table[y],))
-            for y in (x[1:] + (b,) for b in fol[x[-1] - 1])
-        )
-
-    return all(ok(x[0], x, (v,)) for x, v in inner.table.items())
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ current and later input symbols, never on earlier ones.
 
 from .config import MAX_DEPTH, WORD_TABLE_LIMIT
 from .errors import ImageInadmissible, NotTotal, StallingCycle, TooLarge
-from .shifts import _canonical_unchecked, enumerate_points, point_with_prefix
+from .shifts import _canonical_unchecked, point_with_prefix
 
 __all__ = [
     "BlockCode",
@@ -193,24 +193,20 @@ def transducer(source, target, states, initial, delta):
             if cfg not in seen:
                 seen.add(cfg)
                 stack.append(cfg)
-    # a cycle made of zero-emission edges would stall the output
-    adj = {}
+    # a cycle made of zero-emission edges would stall the output; peel off
+    # the configurations no such edge enters, and what is left holds one
+    adj, into = {}, {}
     for u, v in zero_edges:
         adj.setdefault(u, []).append(v)
-    color = {}
-
-    def dfs(u):
-        color[u] = 1
-        for v in adj.get(u, ()):
-            if color.get(v, 0) == 1:
-                raise StallingCycle("reachable cycle emits no output")
-            if color.get(v, 0) == 0:
-                dfs(v)
-        color[u] = 2
-
-    for u in list(adj):
-        if color.get(u, 0) == 0:
-            dfs(u)
+        into[v] = into.get(v, 0) + 1
+    free = [u for u in adj if u not in into]
+    while free:
+        for v in adj.get(free.pop(), ()):
+            into[v] -= 1
+            if not into[v]:
+                free.append(v)
+    if any(into.values()):
+        raise StallingCycle("reachable cycle emits no output")
     return t
 
 
@@ -293,15 +289,41 @@ def apply_map(h, p):
 
 
 def _composite_mismatch(outer, inner):
-    """The first word on which the block code ``outer ∘ inner`` is not the
-    identity, or None.
+    """The first word, in lexicographic order, on which the block code
+    ``outer ∘ inner`` is not the identity, or None.
 
-    The composite is a block code (:func:`compose_block_codes`), and a
-    window-``w`` code is the identity exactly when it maps every
-    ``w``-word to the word's first symbol.
+    The composite reads ``w = inner.window + outer.window - 1`` symbols,
+    and it is the identity exactly when it maps every admissible
+    ``w``-word to the word's first symbol.  The words grow one follower at
+    a time from ``inner``'s window-words, so no composite table is built
+    and no longer word table is left cached on the space.
+
+    Raises
+    ------
+    TooLarge
+        if the ``w``-words would pass ``WORD_TABLE_LIMIT``.
     """
-    composite = compose_block_codes(outer, inner)
-    return next((u for u, b in composite.table.items() if b != u[0]), None)
+    if inner.target != outer.source:
+        raise ValueError("codes are not composable")
+    src, k = inner.source, inner.window
+    w = k + outer.window - 1
+    if src.word_count(w) > WORD_TABLE_LIMIT:
+        raise TooLarge(f"composite word table at depth {w} too large")
+    fol = src.matrix.followers
+
+    def miss(word, out):
+        # ``out`` is what ``inner`` has emitted on ``word``
+        if len(out) == outer.window:
+            return None if outer.table[out] == word[0] else word
+        for b in fol[word[-1] - 1]:
+            u = word + (b,)
+            found = miss(u, out + (inner.table[u[-k:]],))
+            if found:
+                return found
+        return None
+
+    words = src.words(k)
+    return next(filter(None, (miss(x, (inner.table[x],)) for x in words)), None)
 
 
 def _product_mismatch(outer, inner):
@@ -367,65 +389,37 @@ def _product_mismatch(outer, inner):
     return None
 
 
-def _inverse_exactly(h, h_inv):
-    """:func:`verify_inverse_pair` decided exactly.
-
-    Two block codes are composed (:func:`_composite_mismatch`); a pair with
-    a transducer, a block code among them presented through
-    :func:`block_to_transducer`, runs the product of the two machines
-    (:func:`_product_mismatch`).  Returns ``(True, None)``, or ``(False,
-    p)`` where ``p`` starts with the first word on which a composite is not
-    the identity.  Returns None when a cap is hit.
-    """
-    codes = isinstance(h, BlockCode) and isinstance(h_inv, BlockCode)
-    try:
-        if not codes:
-            h, h_inv = (
-                block_to_transducer(m) if isinstance(m, BlockCode) else m
-                for m in (h, h_inv)
-            )
-        mismatch = _composite_mismatch if codes else _product_mismatch
-        for outer, inner in ((h_inv, h), (h, h_inv)):
-            word = mismatch(outer, inner)
-            if word is not None:
-                return False, point_with_prefix(inner.source, word)
-    except TooLarge:
-        return None
-    return True, None
-
-
-def verify_inverse_pair(h, h_inv, test_pre, test_cyc):
+def verify_inverse_pair(h, h_inv, test_pre=None, test_cyc=None):
     """Decide whether ``h_inv ∘ h`` and ``h ∘ h_inv`` are identities.
 
-    Returns ``(True, None)`` or ``(False, witness_point)``.  The answer is
-    exact: two block codes are composed, and any other pair runs the
-    product of the two machines, with no point family.  A pair that is not
-    inverse gets as its witness the first failing point of the families
-    of all canonical points with preperiod length up to ``test_pre`` and
-    cycle length up to ``test_cyc`` (the source space of ``h`` first, then
-    that of ``h_inv``), or, when the families miss it, a point on which a
-    composite is not the identity; that point is also the witness when a
-    family's word table is too large.  Only when the exact check hits a
-    cap (the product lags past ``MAX_DEPTH`` symbols or passes
-    ``WORD_TABLE_LIMIT`` configurations, or a composite's word table is
-    too large) does ``(True, None)`` rest on the families alone.
+    Returns ``(True, None)``, or ``(False, p)`` where ``p`` starts with the
+    first word on which a composite is not the identity, ``h_inv ∘ h``
+    checked first.  The answer is exact and no point is enumerated or
+    mapped: two block codes are composed (:func:`_composite_mismatch`),
+    and a pair with a transducer, a block code among them presented
+    through :func:`block_to_transducer`, runs the product of the two
+    machines (:func:`_product_mismatch`).
+
+    ``test_pre`` and ``test_cyc`` are accepted and not read.  They stay
+    only because ``bench/worker.py`` and ``bench/check.py`` still pass
+    point-family sizes positionally.
 
     Raises
     ------
     TooLarge
-        if both the exact check and a family hit a cap.
+        if the check hits a cap: a composite's word table, a product queue
+        past ``MAX_DEPTH`` symbols, or more than ``WORD_TABLE_LIMIT``
+        product configurations.  The pair is then undecided.
     """
-    exact = _inverse_exactly(h, h_inv)
-    if exact == (True, None):
-        return exact
-    try:
-        for p in enumerate_points(h.source, test_pre, test_cyc):
-            if apply_map(h_inv, apply_map(h, p)) != p:
-                return False, p
-        for q in enumerate_points(h_inv.source, test_pre, test_cyc):
-            if apply_map(h, apply_map(h_inv, q)) != q:
-                return False, q
-    except TooLarge:  # a family past its cap does not undo an exact refutation
-        if exact is None:
-            raise
-    return exact or (True, None)
+    codes = isinstance(h, BlockCode) and isinstance(h_inv, BlockCode)
+    if not codes:
+        h, h_inv = (
+            block_to_transducer(m) if isinstance(m, BlockCode) else m
+            for m in (h, h_inv)
+        )
+    mismatch = _composite_mismatch if codes else _product_mismatch
+    for outer, inner in ((h_inv, h), (h, h_inv)):
+        word = mismatch(outer, inner)
+        if word is not None:
+            return False, point_with_prefix(inner.source, word)
+    return True, None

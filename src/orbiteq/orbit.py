@@ -48,7 +48,7 @@ from .functions import (
     find_transfer,
     transfer_obstruction,
 )
-from .maps import BlockCode, _inverse_exactly, apply_map
+from .maps import BlockCode, _composite_mismatch, apply_map
 from .shifts import (
     _point_key,
     canonical_point,
@@ -590,7 +590,13 @@ def classify(h, h_inv, cfg=None):
     cfg = cfg or RunConfig()
     kl_depth = min(cfg.depth, 3)
     codes = isinstance(h, BlockCode) and isinstance(h_inv, BlockCode)
-    if codes and _inverse_exactly(h, h_inv) == (True, None):
+    try:
+        closed = codes and not (
+            _composite_mismatch(h_inv, h) or _composite_mismatch(h, h_inv)
+        )
+    except TooLarge:  # the family path below decides, or hits its own cap
+        closed = False
+    if closed:
         kl1, kl2 = (
             OrbitCocyclePair(
                 constant(m.source, 0, kl_depth), constant(m.source, 1, kl_depth)

@@ -160,3 +160,20 @@ def expansion_maps(n, expand):
         transducer(source, target, ["s"], "s", fwd),
         transducer(target, source, ["copy", "skip"], "copy", back),
     )
+
+
+def delay_line_json(length, loop_to=None):
+    """A transducer of the full 2-shift, as JSON, that reads ``length``
+    symbols through a chain of states emitting nothing and then copies its
+    input; with ``loop_to``, the end of the chain goes back silently to
+    that state instead, a cycle that never emits."""
+    delta = [
+        {"state": f"s{i}", "in": a, "out": [], "next": f"s{i + 1}"}
+        for i in range(length - 1)
+        for a in (1, 2)
+    ]
+    last, end = f"s{length - 1}", "copy" if loop_to is None else f"s{loop_to}"
+    delta += [{"state": last, "in": a, "out": [], "next": end} for a in (1, 2)]
+    delta += [{"state": "copy", "in": a, "out": [a], "next": "copy"} for a in (1, 2)]
+    states = [f"s{i}" for i in range(length)] + ["copy"]
+    return {"type": "transducer", "states": states, "initial": "s0", "delta": delta}

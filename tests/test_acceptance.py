@@ -66,7 +66,7 @@ def test_criterion_1_forward_shadow(corpus):
     """200 generated conjugacies: Conjugacy verdict, cocycles (0, 1),
     potential identity at depth 6."""
     for base, space, code, inverse in corpus:
-        ok, wit = verify_inverse_pair(code, inverse, 2, 3)
+        ok, wit = verify_inverse_pair(code, inverse)
         assert ok, wit
         verdict = classify(code, inverse, CFG)
         assert verdict.kind == "Conjugacy", verdict

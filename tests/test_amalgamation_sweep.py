@@ -109,4 +109,4 @@ def test_codes_for_one_pair_per_class(classes):
         a, b = build_shift_space(members[0]), build_shift_space(members[-1])
         pair = conjugacy_from_amalgamation(a, b)
         assert pair is not None, (members[0], members[-1])
-        assert verify_inverse_pair(*pair, 2, 3)[0]
+        assert verify_inverse_pair(*pair)[0]

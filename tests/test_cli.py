@@ -18,13 +18,14 @@ from orbiteq import (
     build_shift_space,
     cli,
     identity_code,
+    maps,
     out_split,
 )
 from orbiteq import jsonio
 from orbiteq.cli import main
 from orbiteq.generators import prefix_exchange
 
-from conftest import expansion_maps
+from conftest import delay_line_json, expansion_maps
 
 RECODER_JSON = {
     "type": "transducer",
@@ -125,7 +126,7 @@ def test_compare_golden_split(files, capsys, tmp_path):
 
     h = jsonio.map_from_json(golden, sp, payload["conjugacy"]["map"])
     h_inv = jsonio.map_from_json(sp, golden, payload["conjugacy"]["inverse"])
-    assert verify_inverse_pair(h, h_inv, 3, 4)[0]
+    assert verify_inverse_pair(h, h_inv)[0]
 
 
 def test_compare_pair_joined_only_by_integer_merges(files, capsys):
@@ -314,6 +315,24 @@ def test_cli_process_maps_caps_and_malformed_files_to_exit_codes(files):
         assert proc.stdout == ""
         assert len(proc.stderr.splitlines()) == 1, proc.stderr
         assert proc.stderr.startswith("error: OrbiteqError: malformed input: ")
+
+
+def test_verify_product_cap_is_undecided(files, capsys, monkeypatch):
+    # the committed recoder holds back one input symbol, past a cap of none
+    monkeypatch.setattr(maps, "MAX_DEPTH", 0)
+    recoder2 = str(Path(__file__).resolve().parents[1] / "bench/inputs/recoder2.json")
+    argv = ["verify", files["full2"], files["full2"], recoder2, recoder2]
+    code, out = run(capsys, argv + ["--format", "json"])
+    assert code == 2
+    note = "composite queue past 0 symbols"
+    assert json.loads(out) == {"verdict": "Undecided", "note": note}
+
+
+def test_verify_long_delay_line_has_no_traceback(files):
+    delay = files["write"]("delay.json", delay_line_json(1200))
+    proc = run_process(["verify", files["full2"], files["full2"], delay, delay])
+    assert proc.returncode in (0, 1, 2, 3)
+    assert "Traceback" not in proc.stderr
 
 
 def test_verify_swapped_inverse_exits_3(files, capsys):

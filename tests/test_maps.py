@@ -35,10 +35,11 @@ from orbiteq import (
     verify_inverse_pair,
 )
 
-from orbiteq import jsonio, maps
+from orbiteq import jsonio, maps, shifts
 from orbiteq.generators import prefix_exchange, split_chain
 
 from conftest import (
+    delay_line_json,
     expand_point,
     expansion_maps,
     random_tau,
@@ -150,11 +151,11 @@ def test_recoder_is_involution(full2, recoder):
 
 def test_verify_inverse_pair(full2, swap2, recoder):
     ident = identity_code(full2)
-    assert verify_inverse_pair(ident, ident, 2, 3) == (True, None)
-    assert verify_inverse_pair(swap2, swap2, 2, 3) == (True, None)
-    ok, wit = verify_inverse_pair(swap2, ident, 2, 3)
+    assert verify_inverse_pair(ident, ident) == (True, None)
+    assert verify_inverse_pair(swap2, swap2) == (True, None)
+    ok, wit = verify_inverse_pair(swap2, ident)
     assert not ok and wit == Point((), (1,))
-    assert verify_inverse_pair(recoder, recoder, 3, 4)[0]
+    assert verify_inverse_pair(recoder, recoder)[0]
 
 
 def test_verify_inverse_pair_refutes_block_codes_the_family_misses(full2):
@@ -164,12 +165,12 @@ def test_verify_inverse_pair_refutes_block_codes_the_family_misses(full2):
     table = {w: w[0] for w in full2.words(2)}
     table[(1, 2)] = 2
     h_inv = compile_block_code(full2, full2, 2, table)
-    ok, p = verify_inverse_pair(ident, h_inv, 0, 1)
+    ok, p = verify_inverse_pair(ident, h_inv)
     assert not ok
     assert apply_map(ident, apply_map(h_inv, p)) != p
     assert apply_map(h_inv, apply_map(ident, p)) != p
-    # a family that holds a failing point names the first one, as before
-    assert verify_inverse_pair(ident, h_inv, 3, 4) == (False, Point((), (1, 1, 1, 2)))
+    # the witness starts with the first failing word, 12
+    assert p == Point((1,), (2,))
 
 
 def test_verify_inverse_pair_checks_both_composites(full2, golden):
@@ -180,7 +181,7 @@ def test_verify_inverse_pair_checks_both_composites(full2, golden):
     table[(2, 2)] = 1
     retract = compile_block_code(full2, golden, 2, table)
     assert compose_block_codes(retract, incl) == identity_code(golden)
-    ok, q = verify_inverse_pair(incl, retract, 0, 1)
+    ok, q = verify_inverse_pair(incl, retract)
     assert not ok
     assert apply_map(incl, apply_map(retract, q)) != q
 
@@ -193,16 +194,18 @@ def _refutes(h, h_inv, p):
 
 def _count_family(monkeypatch):
     """Count the point enumerations and images that ``verify_inverse_pair``
-    makes."""
+    makes, through either module that holds the two functions."""
     calls = {"enumerate_points": 0, "apply_map": 0}
-    for name in calls:
-        real = getattr(maps, name)
+    for module, name in itertools.product((maps, shifts), calls):
+        real = getattr(module, name, None)
+        if real is None:
+            continue
 
         def counted(*args, name=name, real=real):
             calls[name] += 1
             return real(*args)
 
-        monkeypatch.setattr(maps, name, counted)
+        monkeypatch.setattr(module, name, counted)
     return calls
 
 
@@ -243,21 +246,20 @@ def test_verify_inverse_pair_refutes_transducers_the_family_misses(full2):
     # exchange as the identity
     ident = identity_code(full2)
     f = prefix_exchange(full2, (1, 1, 2), (2, 2, 1))
-    for family in ((0, 1), (0, 2)):
-        ok, p = verify_inverse_pair(ident, f, *family)
-        assert not ok and _refutes(ident, f, p)
-    # a family that holds a failing point names the first one, as before
-    assert verify_inverse_pair(ident, f, 3, 4) == (False, Point((), (1, 1, 2)))
+    ok, p = verify_inverse_pair(ident, f)
+    assert not ok and _refutes(ident, f, p)
+    # the witness starts with the first failing word, 112
+    assert p == Point((1, 1), (2,))
 
 
 def test_verify_inverse_pair_matches_output_ahead_of_input(full2, duplicator):
     # the duplicator emits x1 before x2 is read; so does the identity after
     # it, and the second x1 must meet x2: no fixed point sees the difference
     ident = identity_code(full2)
-    ok, p = verify_inverse_pair(duplicator, ident, 0, 1)
+    ok, p = verify_inverse_pair(duplicator, ident)
     assert not ok and _refutes(duplicator, ident, p)
     # the expansion inverse emits a forced symbol ahead of its input
-    assert verify_inverse_pair(*expansion_maps(2, {2: 1}), 0, 1) == (True, None)
+    assert verify_inverse_pair(*expansion_maps(2, {2: 1})) == (True, None)
 
 
 def test_verify_inverse_pair_checks_both_transducer_composites(full2, duplicator):
@@ -274,7 +276,7 @@ def test_verify_inverse_pair_checks_both_transducer_composites(full2, duplicator
             ("copy", 2): ("copy", (2,)),
         },
     )
-    ok, q = verify_inverse_pair(duplicator, drop, 0, 1)
+    ok, q = verify_inverse_pair(duplicator, drop)
     assert not ok
     assert apply_map(duplicator, apply_map(drop, q)) != q
 
@@ -292,8 +294,8 @@ def test_family_past_its_cap_keeps_the_exact_refutation():
     ident, swap = one_state({}), one_state({1: 2, 2: 1})
     with pytest.raises(TooLarge):
         enumerate_points(space, 3, 4)
-    assert verify_inverse_pair(ident, swap, 3, 4) == (False, Point((), (1,)))
-    assert verify_inverse_pair(ident, ident, 3, 4) == (True, None)
+    assert verify_inverse_pair(ident, swap) == (False, Point((), (1,)))
+    assert verify_inverse_pair(ident, ident) == (True, None)
 
 
 def _exchanges(space):
@@ -311,11 +313,11 @@ def test_exchange_sweep_is_decided_by_the_product(full2, golden, monkeypatch):
         ident = identity_code(space)
         for u, v in _exchanges(space):
             f = prefix_exchange(space, u, v)
-            assert verify_inverse_pair(f, f, 3, 4) == (True, None)
+            assert verify_inverse_pair(f, f) == (True, None)
             assert calls == {"enumerate_points": 0, "apply_map": 0}
-            ok, p = verify_inverse_pair(f, ident, 3, 4)
+            ok, p = verify_inverse_pair(f, ident)
             assert not ok and _refutes(f, ident, p)
-            ok, p = verify_inverse_pair(ident, f, 0, 1)
+            ok, p = verify_inverse_pair(ident, f)
             assert not ok and _refutes(ident, f, p)
             calls.update(enumerate_points=0, apply_map=0)
             swept += 1
@@ -337,24 +339,104 @@ def test_recoders_with_other_inverses_are_refuted(full2, golden):
             h = recoder_map(space, tau)
             inv = {b: {v: a for a, v in t.items()} for b, t in other.items()}
             h_inv = recoder_map(space, inv)
-            ok, p = verify_inverse_pair(h, h_inv, 0, 1)
+            ok, p = verify_inverse_pair(h, h_inv)
             if tau == other:
                 assert (ok, p) == (True, None)
             else:
                 assert not ok and _refutes(h, h_inv, p)
 
 
-def test_product_cap_falls_back_to_the_family(full2, monkeypatch):
+def test_product_cap_is_undecided(full2, monkeypatch):
     recoder2 = jsonio.map_from_json(
         full2, full2, jsonio.load_file(INPUTS / "recoder2.json")
     )
     calls = _count_family(monkeypatch)
-    assert verify_inverse_pair(recoder2, recoder2, 3, 4) == (True, None)
-    assert calls["enumerate_points"] == 0
+    assert verify_inverse_pair(recoder2, recoder2) == (True, None)
     # the recoder holds back one input symbol, past a cap of none
     monkeypatch.setattr(maps, "MAX_DEPTH", 0)
-    assert verify_inverse_pair(recoder2, recoder2, 3, 4) == (True, None)
-    assert calls["enumerate_points"] == 2 and calls["apply_map"] > 0
+    with pytest.raises(TooLarge):
+        verify_inverse_pair(recoder2, recoder2)
+    assert calls == {"enumerate_points": 0, "apply_map": 0}
+
+
+def _first_table_miss(outer, inner):
+    """The oracle: the first key of the composite table whose value is not
+    the key's first symbol."""
+    table = compose_block_codes(outer, inner).table
+    return next((u for u, b in table.items() if b != u[0]), None)
+
+
+def _misses_match_the_table(pairs):
+    """``_composite_mismatch`` on each pair equals the table oracle, and no
+    call leaves a deeper word table on a space than it found."""
+    depths = [max(inner.source._words) for _, inner in pairs]
+    found = [maps._composite_mismatch(outer, inner) for outer, inner in pairs]
+    assert [max(inner.source._words) for _, inner in pairs] == depths
+    assert found == [_first_table_miss(outer, inner) for outer, inner in pairs]
+    return found
+
+
+def _window_identity(space, window, rng=None):
+    """The identity as a ``window``-block code; with ``rng``, one entry of
+    its table changed to another symbol (on a full shift any image is
+    admissible)."""
+    table = {w: w[0] for w in space.words(window)}
+    if rng is not None:
+        w = rng.choice(sorted(table))
+        table[w] = rng.choice([a for a in range(1, space.n + 1) if a != w[0]])
+    return compile_block_code(space, space, window, table)
+
+
+def test_composite_mismatch_matches_the_composite_table():
+    rng = random.Random(5)
+    found = []
+    # split codes and their inverses, both ways round, and with one entry
+    # of the code changed where the change keeps the image admissible
+    for _ in range(15):
+        _, code, inverse = split_chain(rng, random_shift_space(rng, rng.choice([2, 3])))
+        pairs = [(inverse, code), (code, inverse)]
+        table = dict(code.table)
+        w = rng.choice(sorted(table))
+        table[w] = rng.randint(1, code.target.n)
+        try:
+            bent = compile_block_code(code.source, code.target, code.window, table)
+        except ImageInadmissible:
+            bent = None
+        if bent is not None:
+            pairs.append((inverse, bent))
+        found += _misses_match_the_table(pairs)
+    # windows 1-4 on each side, on fresh full shifts
+    for n, inner_w, outer_w in itertools.product((2, 3), range(1, 5), range(1, 5)):
+        pairs = []
+        for bend_inner, bend_outer in itertools.product((None, rng), repeat=2):
+            space = build_shift_space([[1] * n] * n)
+            inner = _window_identity(space, inner_w, bend_inner)
+            outer = _window_identity(space, outer_w, bend_outer)
+            pairs.append((outer, inner))
+        found += _misses_match_the_table(pairs)
+    # both outcomes occur often
+    assert found.count(None) > 10 and len(found) - found.count(None) > 10
+
+
+def test_composite_mismatch_checks_the_word_cap_first(monkeypatch):
+    space = build_shift_space([[1, 1], [1, 1]])
+    inner, outer = _window_identity(space, 2), _window_identity(space, 3)
+    depth = max(space._words)
+    monkeypatch.setattr(maps, "WORD_TABLE_LIMIT", space.word_count(4) - 1)
+    with pytest.raises(TooLarge):
+        maps._composite_mismatch(outer, inner)
+    assert max(space._words) == depth
+
+
+def test_transducer_validates_a_long_delay_line(full2):
+    # 1,200 silent states in a row hold the output back; the stalling
+    # check peels them off instead of recursing once per configuration
+    h = jsonio.map_from_json(full2, full2, delay_line_json(1200))
+    assert len(h.states) == 1201
+    assert h.output_prefix((1, 2) * 601) == (1, 2)
+    for loop_to in (0, 1000, 1199):  # the same chain closed into a silent cycle
+        with pytest.raises(StallingCycle):
+            jsonio.map_from_json(full2, full2, delay_line_json(1200, loop_to))
 
 
 def test_compose_block_codes(full2, swap2, xor2):
@@ -377,7 +459,7 @@ def test_inverse_pair_pullback_round_trip(full2, golden, swap2):
     _, code, inverse = out_split(golden, {1: [(1,), (2,)]})
     cases.append((golden, code, inverse))
     for src, h, h_inv in cases:
-        assert verify_inverse_pair(h, h_inv, 2, 3)[0]
+        assert verify_inverse_pair(h, h_inv)[0]
         for d in (1, 2, 3):
             for w in src.words(d):
                 f = indicator(src, w)

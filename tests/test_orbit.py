@@ -373,13 +373,13 @@ def test_classify_identity_and_swap(full2, swap2, cfg):
 
 def test_classify_out_split_pair(golden, cfg):
     sp, code, inverse = out_split(golden, {1: [(1,), (2,)]})
-    assert verify_inverse_pair(code, inverse, 3, 4)[0]
+    assert verify_inverse_pair(code, inverse)[0]
     v = classify(code, inverse, cfg)
     assert v.kind == "Conjugacy"
 
 
 def test_classify_recoder(full2, recoder, cfg):
-    assert verify_inverse_pair(recoder, recoder, 3, 4)[0]
+    assert verify_inverse_pair(recoder, recoder)[0]
     v = classify(recoder, recoder, cfg)
     assert v.kind == "EventualConjugacy"
     assert v.lag == 1
