@@ -53,13 +53,13 @@ recoder = transducer(
 ok, _ = verify_inverse_pair(recoder, recoder)
 print("involutive homeomorphism verified:", ok)
 
-conj, witness = check_conjugacy(recoder, cfg, depth=3)
+conj, witness = check_conjugacy(recoder)
 print("commutes with the shift:", conj, "   witness:", witness)
 for K in (0, 1):
-    ev, _ = check_eventual_conjugacy(recoder, recoder, K, cfg)
+    ev, _ = check_eventual_conjugacy(recoder, recoder, K)
     print(f"lag-{K} intertwining (both directions):", ev)
 
-kl = orbit_cocycles(recoder, 3, cfg)
+kl = orbit_cocycles(recoder, 3)
 print("\nminimal orbit cocycles per depth-3 cylinder (k, l):")
 for w in full2.words(3):
     print(f"  {w}: ({kl.k.table[w]}, {kl.l.table[w]})")

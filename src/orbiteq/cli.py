@@ -7,10 +7,7 @@ homeomorphism given with its inverse), and ``psi`` (evaluate the induced
 potential of a function under a map).
 
 Every subcommand takes ``--format``; only ``verify`` and ``psi`` take the
-search flags ``--depth``, ``--max-pre`` and ``--max-cyc``.  The last two
-bound only the point family that sizes the cocycle search; whether the
-pair given to ``verify`` is inverse, and the witness when it is not, are
-decided without them.
+search flag ``--depth``.
 
 Exit codes: 0 definite outcome; 1 parse or validation error (including
 argument errors, out-of-range flag values and caps hit while loading) or
@@ -51,7 +48,7 @@ def _inputs(args):
         return (jsonio.matrix_from_json(load(args.matrix)),)
     if args.command == "compare":
         return tuple(jsonio.matrix_from_json(load(f)) for f in (args.a, args.b))
-    cfg = RunConfig(depth=args.depth, max_pre=args.max_pre, max_cyc=args.max_cyc)
+    cfg = RunConfig(depth=args.depth)
     a = jsonio.matrix_from_json(load(args.a))
     b = jsonio.matrix_from_json(load(args.b))
     h = jsonio.map_from_json(a, b, load(args.map))
@@ -166,7 +163,7 @@ def cmd_verify(cfg, h, h_inv):
 
 
 def cmd_psi(cfg, h, f):
-    kl = orbit_cocycles(h, min(cfg.depth, 3), cfg)
+    kl = orbit_cocycles(h, min(cfg.depth, 3))
     g = induced_potential(h, kl, f)
     try:
         matches = tables_equal(g, pullback(f, h))
@@ -203,8 +200,6 @@ def build_parser():
     def search(p):
         common(p)
         p.add_argument("--depth", type=int, default=8)
-        p.add_argument("--max-pre", type=int, default=3, dest="max_pre")
-        p.add_argument("--max-cyc", type=int, default=4, dest="max_cyc")
 
     p = sub.add_parser("analyze", help="validate a matrix and report invariants")
     p.add_argument("matrix")

@@ -21,7 +21,11 @@ HORIZON_MULT = 2
 class RunConfig:
     """Parameters of the verification pipeline.
 
-    The defaults are the ones the acceptance suite runs with.
+    ``depth`` bounds the cocycle depths :func:`~orbiteq.orbit.classify`
+    searches and the potential identity it checks.  ``max_pre`` and
+    ``max_cyc`` size only :func:`~orbiteq.orbit.cylinder_family`, the
+    sampled re-check; no verdict reads them.  The defaults are the ones
+    the acceptance suite runs with.
     """
 
     depth: int = 8

@@ -238,6 +238,12 @@ def block_to_transducer(code):
     return transducer(src, tgt, states, (), delta)
 
 
+def _as_transducer(h):
+    """``h`` itself, or the :func:`block_to_transducer` presentation of a
+    block code: what a product of machines steps through."""
+    return block_to_transducer(h) if isinstance(h, BlockCode) else h
+
+
 def apply_map(h, p):
     """Image of the point ``p`` under the map ``h``, in canonical form.
 
@@ -326,67 +332,96 @@ def _composite_mismatch(outer, inner):
     return next(filter(None, (miss(x, (inner.table[x],)) for x in words)), None)
 
 
+def _walk(space, roots, step, safe):
+    """Breadth first over the nodes of a product of machines reading one
+    input from ``space``; the shortest input word that ends in a mismatch,
+    or None.
+
+    ``roots`` maps each start node to the input word that reaches it.  A
+    node is a tuple whose third entry is the last input symbol (None
+    before the first) and whose last two entries are its queues of
+    unmatched symbols; ``step(node, a)`` is the node after input ``a``, or
+    None when that input shows a mismatch.  The returned word is the
+    root's word, then the inputs down to the failing step.  What a node
+    does next depends on the node alone, so nodes in ``safe`` are not
+    expanded, and when a walk closes its nodes join ``safe``.
+
+    Raises
+    ------
+    TooLarge
+        if a node's queues hold more than ``MAX_DEPTH`` symbols, or the
+        walk passes ``WORD_TABLE_LIMIT`` nodes.
+    """
+    fol = space.matrix.followers
+    every = range(1, space.n + 1)
+    parent = dict.fromkeys(roots)
+    frontier = [node for node in roots if node not in safe]
+    while frontier:
+        nxt = []
+        for node in frontier:
+            last = node[2]
+            for a in every if last is None else fol[last - 1]:
+                child = step(node, a)
+                if child is None:
+                    word = [a]
+                    while parent[node] is not None:
+                        node, c = parent[node]
+                        word.append(c)
+                    return roots[node] + tuple(reversed(word))
+                if child in parent or child in safe:
+                    continue
+                if len(child[-2]) + len(child[-1]) > MAX_DEPTH:
+                    raise TooLarge(f"product queue past {MAX_DEPTH} symbols")
+                if len(parent) >= WORD_TABLE_LIMIT:
+                    raise TooLarge(f"product walk past {WORD_TABLE_LIMIT} nodes")
+                parent[child] = (node, a)
+                nxt.append(child)
+        frontier = nxt
+    safe.update(parent)
+    return None
+
+
 def _product_mismatch(outer, inner):
     """The shortest input word after which ``outer ∘ inner`` has emitted a
     symbol that differs from the input, or None when the composite is the
     identity on every point.
 
-    The two machines run in series, breadth first from the start, over
-    nodes ``(inner state, outer state, last input symbol, unmatched input,
-    output ahead of input)``.  Each admissible next symbol feeds ``inner``,
-    its output feeds ``outer``, and what ``outer`` emits is matched against
-    the input stream; at most one of the two queues is nonempty.  The
-    output symbols are fixed by the input read so far, so every point that
-    starts with a returned word is changed by the composite.  When the
-    search closes without a mismatch, the emitted output agrees with the
-    input at every finite stage, and both machines are productive, so the
-    composite is the identity.  This is the square of a transducer (Béal,
-    Carton, Prieur, Sakarovitch 2003); a bounded queue is Choffrut's
-    twinning property.
+    The two machines run in series, in a :func:`_walk` from the start,
+    over nodes ``(inner state, outer state, last input symbol, unmatched
+    input, output ahead of input)``.  Each admissible next symbol feeds
+    ``inner``, its output feeds ``outer``, and what ``outer`` emits is
+    matched against the input stream; at most one of the two queues is
+    nonempty.  The output symbols are fixed by the input read so far, so
+    every point that starts with a returned word is changed by the
+    composite.  When the walk closes without a mismatch, the emitted
+    output agrees with the input at every finite stage, and both machines
+    are productive, so the composite is the identity.  This is the square
+    of a transducer (Béal, Carton, Prieur, Sakarovitch 2003); a bounded
+    queue is Choffrut's twinning property.
 
     Raises
     ------
     TooLarge
-        if a queue grows past ``MAX_DEPTH`` symbols or the nodes pass
-        ``WORD_TABLE_LIMIT``.
+        if the walk hits a cap.
     """
     if inner.target != outer.source:
         raise ValueError("maps are not composable")
-    fol = inner.source.matrix.followers
-    every = range(1, inner.source.n + 1)
+
+    def step(node, a):
+        s, t, _, behind, ahead = node
+        s, mid = inner.delta[(s, a)]
+        out = list(ahead)
+        for b in mid:
+            t, emitted = outer.delta[(t, b)]
+            out.extend(emitted)
+        read = behind + (a,)
+        k = min(len(read), len(out))
+        if read[:k] != tuple(out[:k]):
+            return None
+        return s, t, a, read[k:], tuple(out[k:])
+
     start = (inner.initial, outer.initial, None, (), ())
-    parent = {start: None}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for node in frontier:
-            s, t, last, behind, ahead = node
-            for a in every if last is None else fol[last - 1]:
-                s2, mid = inner.delta[(s, a)]
-                t2, out = t, list(ahead)
-                for b in mid:
-                    t2, emitted = outer.delta[(t2, b)]
-                    out.extend(emitted)
-                read = behind + (a,)
-                k = min(len(read), len(out))
-                if read[:k] != tuple(out[:k]):
-                    word = [a]
-                    while parent[node] is not None:
-                        node, c = parent[node]
-                        word.append(c)
-                    return tuple(reversed(word))
-                behind2, ahead2 = read[k:], tuple(out[k:])
-                child = (s2, t2, a, behind2, ahead2)
-                if child in parent:
-                    continue
-                if len(behind2) + len(ahead2) > MAX_DEPTH:
-                    raise TooLarge(f"composite queue past {MAX_DEPTH} symbols")
-                if len(parent) >= WORD_TABLE_LIMIT:
-                    raise TooLarge("composite product has too many configurations")
-                parent[child] = (node, a)
-                nxt.append(child)
-        frontier = nxt
-    return None
+    return _walk(inner.source, {start: ()}, step, set())
 
 
 def verify_inverse_pair(h, h_inv, test_pre=None, test_cyc=None):
@@ -413,10 +448,7 @@ def verify_inverse_pair(h, h_inv, test_pre=None, test_cyc=None):
     """
     codes = isinstance(h, BlockCode) and isinstance(h_inv, BlockCode)
     if not codes:
-        h, h_inv = (
-            block_to_transducer(m) if isinstance(m, BlockCode) else m
-            for m in (h, h_inv)
-        )
+        h, h_inv = _as_transducer(h), _as_transducer(h_inv)
     mismatch = _composite_mismatch if codes else _product_mismatch
     for outer, inner in ((h_inv, h), (h, h_inv)):
         word = mismatch(outer, inner)

@@ -22,11 +22,17 @@ with both upper bounds inclusive.  For a conjugacy the sums telescope to
 conjugacy from eventual conjugacy, and :func:`check_potential_identity`
 decides that over all indicator functions up to a depth.
 
-Everything here is verified on exhaustive families of eventually
-periodic points plus per-cylinder representatives, except for a pair of
-block codes that composition shows to be inverse, whose conjugacy and
-cocycles :func:`classify` gives in closed form; a bounded search that
-finds nothing reports undecided, never a refutation.
+The cocycles and the intertwining checks are exact on every point, not
+only on eventually periodic ones.  Points only propose candidate pairs;
+a breadth-first walk over pairs of states of ``h`` (the square of a
+transducer, Béal, Carton, Prieur and Sakarovitch 2003) certifies a
+candidate on a whole cylinder, or returns the shortest word that
+refutes it, and a point starting with that word joins the candidates'
+points.  A pair of block codes that composition shows to be inverse is
+a conjugacy whose cocycles :func:`classify` gives in closed form.  A
+search that finds nothing, or a walk that hits a cap, reports
+undecided, never a refutation.  :func:`cylinder_family` and
+:func:`verify_cocycles` remain for sampled re-checks on explicit points.
 """
 
 from collections import Counter
@@ -48,7 +54,7 @@ from .functions import (
     find_transfer,
     transfer_obstruction,
 )
-from .maps import BlockCode, _composite_mismatch, apply_map
+from .maps import BlockCode, _as_transducer, _composite_mismatch, _walk, apply_map
 from .shifts import (
     _point_key,
     canonical_point,
@@ -123,7 +129,7 @@ class SegmentReduction:
 
 
 # ---------------------------------------------------------------------------
-# point families
+# candidate points and their images
 
 
 def _mismatched_cycle(space, s):
@@ -193,8 +199,9 @@ def aperiodic_point_with_prefix(space, word):
 
 
 def cylinder_family(space, depth, cfg):
-    """Points to verify per depth-cylinder: enumerated members plus
-    one periodic and one preperiod-bearing representative each.
+    """Points to re-check per depth-cylinder: the enumerated members within
+    ``cfg.max_pre`` and ``cfg.max_cyc``, plus one periodic and one
+    preperiod-bearing representative each.
 
     Returns a dict mapping each allowed depth-word to a nonempty tuple of
     canonical points whose sequences start with that word.
@@ -211,21 +218,6 @@ def cylinder_family(space, depth, cfg):
     return fam
 
 
-def _family(h, depth, cfg):
-    """The cylinder family of ``h.source`` and the :func:`_images` of its
-    points, sorted: the first failure in this order is the witness."""
-    cyl = cylinder_family(h.source, depth, cfg)
-    return cyl, _images(h, sorted(set().union(*cyl.values()), key=_point_key))
-
-
-def _images(h, points):
-    """``{p: _record(h(p), h(sigma p))}`` in the order of ``points``, with
-    one ``apply_map`` per distinct point: ``sigma p`` is often in ``points``."""
-    shifted = [shift_point(h.source, p) for p in points]
-    memo = {q: apply_map(h, q) for q in {*points, *shifted}}
-    return {p: _record(memo[p], memo[sp]) for p, sp in zip(points, shifted)}
-
-
 def _record(a, b):
     """``(a, b, |a.pre|, |b.pre|, |a.cycle|, r)`` with ``r`` the rotation
     taking ``a.cycle`` to ``b.cycle``, None if none does (both primitive)."""
@@ -233,6 +225,16 @@ def _record(a, b):
     turns = range(len(ca)) if len(cb) == len(ca) else ()
     r = next((i for i in turns if ca[i:] + ca[:i] == cb), None)
     return a, b, len(a.preperiod), len(b.preperiod), len(ca), r
+
+
+def _image_record(h, p, images):
+    """:func:`_record` of ``h(p)`` and ``h(sigma p)``, mapping each point
+    once: ``images`` holds the images found so far."""
+    sp = shift_point(h.source, p)
+    for q in (p, sp):
+        if q not in images:
+            images[q] = apply_map(h, q)
+    return _record(images[p], images[sp])
 
 
 def _solutions(rec, l, top):
@@ -251,42 +253,137 @@ def _solutions(rec, l, top):
     return range(nb + (l - na - r) % c, top + 1, c)
 
 
-def orbit_cocycles(h, depth, cfg=None):
+# ---------------------------------------------------------------------------
+# the product walk
+
+
+def _aligned(sa, sb, last, da, db, xa, xb):
+    """The walk node after side A has emitted ``xa`` and side B ``xb``, or
+    None when they disagree.
+
+    Each side first drops the symbols it still owes (``da``, ``db``); what
+    is left of the two streams is matched, and the rest is the unmatched
+    output of the side that is ahead.
+    """
+    xa, da = xa[da:], max(0, da - len(xa))
+    xb, db = xb[db:], max(0, db - len(xb))
+    m = min(len(xa), len(xb))
+    if xa[:m] != xb[:m]:
+        return None
+    return sa, sb, last, da, db, xa[m:], xb[m:]
+
+
+def _misaligned(m, words, k, l, safe):
+    """The shortest input word, starting with one of ``words``, on which
+    ``sigma^k m(sigma x) = sigma^l m(x)`` fails for every ``x`` that starts
+    with it; None when it holds on all of their cylinders.
+
+    ``m`` is a transducer.  It runs on each word ``w`` (side A) and on
+    ``w[1:]`` (side B); after that both sides read the same input, and
+    the :func:`~orbiteq.maps._walk` goes breadth first over nodes ``(state
+    A, state B, last input, drops left on A, drops left on B, unmatched
+    output of A, unmatched output of B)``.  A closed walk certifies the
+    equation on every point of the cylinders, not only on eventually
+    periodic ones: the output symbols are fixed by the input read, and
+    ``m`` is productive.  ``safe`` is shared by all the walks of one
+    machine.
+
+    Raises
+    ------
+    TooLarge
+        if the walk hits a cap.
+    """
+    delta = m.delta
+
+    def step(node, a):
+        sa, sb, _, da, db, qa, qb = node
+        sa, oa = delta[(sa, a)]
+        sb, ob = delta[(sb, a)]
+        return _aligned(sa, sb, a, da, db, qa + oa, qb + ob)
+
+    roots = {}
+    for w in words:
+        (sa, oa), (sb, ob) = m._run(w), m._run(w[1:])
+        node = _aligned(sa, sb, w[-1], l, k, oa, ob)
+        if node is None:
+            return w
+        roots.setdefault(node, w)
+    return _walk(m.source, roots, step, safe)
+
+
+def _intertwining_witness(m, k, safe):
+    """A point ``x`` with ``sigma^k m(sigma x) != sigma^(k+1) m(x)``, from
+    the shortest word that shows it, or None when there is none."""
+    word = _misaligned(m, m.source.words(1), k, k + 1, safe)
+    return word and point_with_prefix(m.source, word)
+
+
+# ---------------------------------------------------------------------------
+# orbit cocycles
+
+
+def _candidate(h, w, depth, points, images):
+    """The least ``(k, l)``, minimizing ``l`` and then ``k``, that aligns
+    every one of ``points``, within the horizon of the shortest of them.
+
+    Raises
+    ------
+    NoAlignment
+        if no pair within the horizon aligns them all.
+    """
+    # l and k stay within every point's horizon, so within the least
+    least = min(len(p.preperiod) + len(p.cycle) for p in points)
+    top = HORIZON_MULT * (depth + least)
+    recs = [_image_record(h, p, images) for p in points]
+    for l in range(top + 1):
+        sols = [_solutions(rec, l, top) for rec in recs]
+        k = next((k for k in min(sols, key=len) if all(k in s for s in sols)), None)
+        if k is not None:
+            return k, l
+    raise NoAlignment(f"no orbit alignment on cylinder {w}")
+
+
+def orbit_cocycles(h, depth):
     """The minimal orbit cocycle pair of ``h`` at the given cylinder depth.
 
-    For each depth-cylinder the returned ``(k, l)`` is the
-    lexicographically least pair (minimize ``l``, then ``k``) that aligns
-    the orbits of ``h(sigma x)`` and ``h(x)`` for *every* point of the
-    cylinder's verification family.  Values are exact; the search range
-    per point is ``HORIZON_MULT * (depth + |preperiod| + |cycle|)``.
+    For each depth-cylinder ``[w]`` the returned ``(k, l)`` is the
+    lexicographically least pair (minimize ``l``, then ``k``) with
+    ``sigma^k h(sigma x) = sigma^l h(x)`` for *every* point ``x`` of
+    ``[w]``, not only for eventually periodic ones.  Points only propose
+    candidates: the search starts from one periodic and one
+    preperiod-bearing point of ``[w]``, and a product walk over the states
+    of ``h`` (:func:`_misaligned`) certifies each candidate on the whole
+    cylinder or returns the shortest word that refutes it.  A point that
+    starts with that word joins the cylinder's points, and the search goes
+    on.  The pair is searched within ``HORIZON_MULT * (depth + |preperiod|
+    + |cycle|)`` of the shortest of those points.
 
     Raises
     ------
     NoAlignment
         if some cylinder admits no aligning pair within the horizon; the
         map is then not an orbit map as far as this search can see.
+    TooLarge
+        if a product walk hits a cap.
     """
-    cfg = cfg or RunConfig()
-    return _cocycles(h, depth, *_family(h, depth, cfg))
+    return _cocycles(_as_transducer(h), depth, set())
 
 
-def _cocycles(h, depth, cyl, images):
-    """:func:`orbit_cocycles` on a family built by :func:`_family`."""
-    src = h.source
+def _cocycles(m, depth, safe):
+    """:func:`orbit_cocycles` of the transducer ``m``, sharing ``safe``
+    with the other walks of ``m``."""
+    src = m.source
+    images = {}
     ktab, ltab = {}, {}
     for w in src.words(depth):
-        # l and k stay within every point's horizon, so within the least
-        least = min(len(p.preperiod) + len(p.cycle) for p in cyl[w])
-        top = HORIZON_MULT * (depth + least)
-        recs = [images[p] for p in cyl[w]]
-        for l in range(top + 1):
-            sols = [_solutions(rec, l, top) for rec in recs]
-            k = next((k for k in min(sols, key=len) if all(k in s for s in sols)), None)
-            if k is not None:
+        points = {point_with_prefix(src, w), aperiodic_point_with_prefix(src, w)}
+        while True:
+            k, l = _candidate(m, w, depth, points, images)
+            word = _misaligned(m, (w,), k, l, safe)
+            if word is None:
                 break
-        else:
-            raise NoAlignment(f"no orbit alignment on cylinder {w}")
-        ltab[w], ktab[w] = l, k
+            points.add(point_with_prefix(src, word))
+        ktab[w], ltab[w] = k, l
     return OrbitCocyclePair(
         CylinderFunction(src, depth, ktab), CylinderFunction(src, depth, ltab)
     )
@@ -297,22 +394,12 @@ def verify_cocycles(h, kl, points):
 
     Returns ``(True, None)`` or ``(False, witness_point)``.
     """
-    wit = _first_misaligned(_images(h, tuple(points)), kl.k, kl.l)
-    return wit is None, wit
-
-
-def _first_misaligned(images, k, l):
-    """The first point of ``images`` (as built by :func:`_images`) where
-    ``sigma^k h(sigma p) = sigma^l h(p)`` fails, or None.
-
-    ``k`` and ``l`` are ints, or cylinder functions evaluated at each point.
-    """
-    for p, rec in images.items():
-        kp = k if isinstance(k, int) else evaluate(k, p)
-        lp = l if isinstance(l, int) else evaluate(l, p)
-        if kp not in _solutions(rec, lp, kp):
-            return p
-    return None
+    images = {}
+    for p in points:
+        k, l = evaluate(kl.k, p), evaluate(kl.l, p)
+        if k not in _solutions(_image_record(h, p, images), l, k):
+            return False, p
+    return True, None
 
 
 # ---------------------------------------------------------------------------
@@ -448,47 +535,43 @@ def check_potential_identity(h, kl, depth):
 # ladder checks
 
 
-def check_conjugacy(h, cfg=None, depth=None):
-    """Does ``h`` intertwine the shifts on the verification family?
+def check_conjugacy(h):
+    """Does ``h`` intertwine the shifts, ``h(sigma x) = sigma h(x)`` for
+    every point ``x``?
 
-    Returns ``(True, None)`` or ``(False, witness_point)``.
+    Decided exactly by one product walk (:func:`_misaligned`).  Returns
+    ``(True, None)`` or ``(False, witness_point)``, the witness starting
+    with the shortest word on which the equation fails.
     """
-    cfg = cfg or RunConfig()
-    depth = depth or cfg.depth
-    wit = _first_misaligned(_family(h, depth, cfg)[1], 0, 1)
+    wit = _intertwining_witness(_as_transducer(h), 0, set())
     return wit is None, wit
 
 
-def check_eventual_conjugacy(h, h_inv, K, cfg=None, depth=None):
-    """Check the lag-``K`` intertwining in both directions.
+def check_eventual_conjugacy(h, h_inv, K):
+    """Check the lag-``K`` intertwining in both directions, exactly.
 
-    Forward: ``sigma_B^K(h(sigma_A p)) = sigma_B^{K+1}(h(p))`` on the
-    source family; mirrored with ``h_inv`` on the target family.
-    Returns ``(True, None)`` or ``(False, witness_point)``.
+    Forward: ``sigma_B^K(h(sigma_A x)) = sigma_B^{K+1}(h(x))`` for every
+    source point; mirrored with ``h_inv``.  Returns ``(True, None)`` or
+    ``(False, witness_point)``.
     """
     if K < 0:
         raise ValueError("lag must be nonnegative")
-    cfg = cfg or RunConfig()
-    depth = depth or min(cfg.depth, 3)
-    wit = _first_misaligned(_family(h, depth, cfg)[1], K, K + 1) or (
-        _first_misaligned(_family(h_inv, depth, cfg)[1], K, K + 1)
-    )
+    wit = _intertwining_witness(_as_transducer(h), K, set())
+    wit = wit or _intertwining_witness(_as_transducer(h_inv), K, set())
     return wit is None, wit
 
 
-def check_strong_coe(h, h_inv, cfg=None, kl1=None, kl2=None):
+def check_strong_coe(h, h_inv, kl1=None, kl2=None):
     """Transfer functions certifying strong orbit equivalence, if any exist.
 
     Solves ``l - k = 1 + b - b o sigma`` exactly in both directions, on the
     given cocycles or on those of depth 3.  Returns ``(b1, b2)``, or
     ``None`` when no continuous transfer exists in some direction
     (:func:`~orbiteq.functions.transfer_obstruction` names a periodic
-    point that proves it).  No depth is searched, so ``cfg.depth`` plays
-    no part.
+    point that proves it).
     """
-    cfg = cfg or RunConfig()
-    kl1 = kl1 or orbit_cocycles(h, 3, cfg)
-    kl2 = kl2 or orbit_cocycles(h_inv, 3, cfg)
+    kl1 = kl1 or orbit_cocycles(h, 3)
+    kl2 = kl2 or orbit_cocycles(h_inv, 3)
     b1 = find_transfer(h.source, kl1.difference(), 1)
     if b1 is None:
         return None
@@ -540,18 +623,31 @@ def reduce_orbit_segments(space, K, y, w):
 # classification
 
 
-def _align(h, h_inv, depth, cfg):
+def _align(h, h_inv, cfg):
     """Both cocycle pairs, the witness of :func:`check_conjugacy` and the
-    lag :func:`check_eventual_conjugacy` would verify (or None), from one
-    family per direction, which is dropped before the potential identity
-    builds its word tables."""
-    fwd = _family(h, depth, cfg)
-    kl1 = _cocycles(h, depth, *fwd)
-    kl2 = _cocycles(h_inv, depth, *_family(h_inv, depth, cfg))
-    direct_wit = _first_misaligned(fwd[1], 0, 1)
+    least lag :func:`check_eventual_conjugacy` accepts (or None).
+
+    The cocycles are searched at depth ``min(cfg.depth, 3)``, and at each
+    depth up to ``cfg.depth`` while no alignment is found.  The walks of
+    each map share one set of safe nodes.
+    """
+    m, m_inv = _as_transducer(h), _as_transducer(h_inv)
+    safe, safe_inv = set(), set()
+    depths = range(min(cfg.depth, 3), cfg.depth + 1)
+    for depth in depths:
+        try:
+            kl1 = _cocycles(m, depth, safe)
+            kl2 = _cocycles(m_inv, depth, safe_inv)
+        except NoAlignment:
+            if depth == depths[-1]:
+                raise
+        else:
+            break
+    direct_wit = _intertwining_witness(m, 0, safe)
     lag = None
     if kl1.difference().is_constant(1) and kl2.difference().is_constant(1):
-        # each point aligns at (k(p), k(p) + 1); shifting by K - k(p) >= 0 gives lag K
+        # each point aligns at (k(x), k(x) + 1); shifting by K - k(x) >= 0
+        # gives lag K, and no smaller K holds on the cylinder of greatest k
         lag = max(kl1.k.max(), kl2.k.max())
     return kl1, kl2, direct_wit, lag
 
@@ -570,8 +666,10 @@ def classify(h, h_inv, cfg=None):
     verified lag give eventual conjugacy; transfer functions give strong
     orbit equivalence; bare cocycles give orbit equivalence, and then the
     note carries the periodic point that shows no transfer exists for
-    this map.  An alignment search that finds nothing yields
-    ``Undecided``.
+    this map.  The cocycles are exact (:func:`orbit_cocycles`), searched
+    at depth ``min(cfg.depth, 3)`` and then at each depth up to
+    ``cfg.depth``; an alignment search that finds nothing at any of them
+    yields ``Undecided``.
 
     A pair of block codes that composition certifies as inverse is a
     ``Conjugacy`` with cocycles ``(0, 1)`` on every cylinder, in closed
@@ -585,7 +683,8 @@ def classify(h, h_inv, cfg=None):
       commutes with the shift maps them to non-periodic points; so
       ``(0, 1)`` is the least pair.
 
-    These are the cocycles the family search returns, at the same depth.
+    These are the cocycles :func:`orbit_cocycles` returns at depth
+    ``min(cfg.depth, 3)``.
     """
     cfg = cfg or RunConfig()
     kl_depth = min(cfg.depth, 3)
@@ -594,7 +693,7 @@ def classify(h, h_inv, cfg=None):
         closed = codes and not (
             _composite_mismatch(h_inv, h) or _composite_mismatch(h, h_inv)
         )
-    except TooLarge:  # the family path below decides, or hits its own cap
+    except TooLarge:  # the product walks below decide, or hit their own cap
         closed = False
     if closed:
         kl1, kl2 = (
@@ -605,7 +704,7 @@ def classify(h, h_inv, cfg=None):
         )
         return Verdict("Conjugacy", lag=0, cocycles=(kl1, kl2), depth=cfg.depth)
     try:
-        kl1, kl2, direct_wit, lag = _align(h, h_inv, kl_depth, cfg)
+        kl1, kl2, direct_wit, lag = _align(h, h_inv, cfg)
     except NoAlignment as e:
         return Verdict("Undecided", depth=cfg.depth, note=str(e))
     direct = direct_wit is None
@@ -636,7 +735,7 @@ def classify(h, h_inv, cfg=None):
             witness=psi_wit if psi_ok is False else direct_wit,
             depth=cfg.depth,
         )
-    transfers = check_strong_coe(h, h_inv, cfg, kl1, kl2)
+    transfers = check_strong_coe(h, h_inv, kl1, kl2)
     if transfers is not None:
         return Verdict(
             "StrongCOE",

@@ -191,7 +191,7 @@ def test_criterion_2_reduction_oracle_and_lag1_example(full2, full3, recoder):
     # raises otherwise) and the potential identity fails re-verifiably
     verdict = classify(recoder, recoder, CFG)
     assert verdict.kind == "EventualConjugacy" and verdict.lag == 1
-    kl = orbit_cocycles(recoder, 3, CFG)
+    kl = orbit_cocycles(recoder, 3)
     psi_ok, witness = check_potential_identity(recoder, kl, 2)
     assert not psi_ok and witness is not None
     f = indicator(full2, witness)
@@ -216,9 +216,9 @@ def test_criterion_3_potential_structure(full2, golden, recoder):
     function pinning the inclusive summation bounds."""
     sp, code, _ = out_split(golden, {1: [(1,), (2,)]})
     cases = [
-        (golden, code, orbit_cocycles(code, 2, CFG)),
-        (full2, recoder, orbit_cocycles(recoder, 3, CFG)),
-        (full2, identity_code(full2), orbit_cocycles(identity_code(full2), 1, CFG)),
+        (golden, code, orbit_cocycles(code, 2)),
+        (full2, recoder, orbit_cocycles(recoder, 3)),
+        (full2, identity_code(full2), orbit_cocycles(identity_code(full2), 1)),
     ]
     pairs_checked = 0
     for src, h, kl in cases:
@@ -251,21 +251,21 @@ def test_criterion_4_ladder_containments(corpus, full2, recoder):
     maps = [(code, inverse) for _, _, code, inverse in sample]
     maps.append((recoder, recoder))
     for h, h_inv in maps:
-        conj, _ = check_conjugacy(h, CFG, depth=2)
+        conj, _ = check_conjugacy(h)
         if conj:
-            assert check_eventual_conjugacy(h, h_inv, 0, CFG)[0]
+            assert check_eventual_conjugacy(h, h_inv, 0)[0]
         lagged = None
         for K in (0, 1):
-            if check_eventual_conjugacy(h, h_inv, K, CFG)[0]:
+            if check_eventual_conjugacy(h, h_inv, K)[0]:
                 lagged = K
                 break
         assert lagged is not None
-        transfers = check_strong_coe(h, h_inv, CFG)
+        transfers = check_strong_coe(h, h_inv)
         assert transfers is not None
         b1, b2 = transfers
         assert b1.is_constant() and b2.is_constant()
         # re-verify l - k = 1 + b - b o sigma exactly on all allowed words
-        kl1 = orbit_cocycles(h, min(CFG.depth, 3), CFG)
+        kl1 = orbit_cocycles(h, min(CFG.depth, 3))
         lhs = combine(
             1, constant(h.source, 1), 1, combine(1, b1, -1, compose_shift(b1))
         )

@@ -1,8 +1,9 @@
-"""``classify`` reads one point family per direction.
+"""``classify`` certifies with product walks and builds no point family.
 
-The answers must be those of the public routines called one by one, the
-family must be built once per space, each point mapped and shifted once
-per map, and nothing may outlive the call.
+The answers must be those of the public routines called one by one, no
+cylinder family may be built, each candidate point is mapped once per
+map, every witness re-checks with ``apply_map``, and nothing may outlive
+the call.
 """
 
 import dataclasses
@@ -15,6 +16,7 @@ import pytest
 
 from orbiteq import (
     RunConfig,
+    apply_map,
     block_to_transducer,
     build_shift_space,
     check_conjugacy,
@@ -24,6 +26,7 @@ from orbiteq import (
     jsonio,
     orbit,
     orbit_cocycles,
+    shift_point,
     transducer,
 )
 from orbiteq.generators import random_shift_space, split_chain
@@ -102,6 +105,13 @@ def expansion_pair(i):
     )
 
 
+def assert_not_intertwining(h, p):
+    """``p`` refutes ``h(sigma p) = sigma h(p)``, by ``apply_map`` alone."""
+    assert apply_map(h, shift_point(h.source, p)) != shift_point(
+        h.target, apply_map(h, p)
+    )
+
+
 CORPUS = (
     [("Conjugacy", split_pair, i) for i in range(20)]
     + [("EventualConjugacy", recoder_pair, i) for i in range(10)]
@@ -114,11 +124,11 @@ def test_classify_matches_public_routines(kind, build, i):
     h, h_inv = build(i)
     v = classify(h, h_inv, CFG)
 
-    kl1 = orbit_cocycles(h, CDEPTH, CFG)
-    kl2 = orbit_cocycles(h_inv, CDEPTH, CFG)
-    direct, direct_wit = check_conjugacy(h, CFG, depth=CDEPTH)
+    kl1 = orbit_cocycles(h, CDEPTH)
+    kl2 = orbit_cocycles(h_inv, CDEPTH)
+    direct, direct_wit = check_conjugacy(h)
     K = max(kl1.k.max(), kl2.k.max())
-    eventual, _ = check_eventual_conjugacy(h, h_inv, K, CFG, depth=CDEPTH)
+    eventual, _ = check_eventual_conjugacy(h, h_inv, K)
     eventual = eventual and all(kl.difference().is_constant(1) for kl in (kl1, kl2))
 
     assert v.kind == kind
@@ -129,12 +139,14 @@ def test_classify_matches_public_routines(kind, build, i):
     assert eventual is (kind != "COE")
     if kind == "Conjugacy":
         assert (v.lag, v.witness) == (0, None)
-    elif kind == "EventualConjugacy":
+        return
+    assert_not_intertwining(h, direct_wit)
+    if kind == "EventualConjugacy":
         psi_ok, psi_wit = check_potential_identity(h, kl1, CFG.depth)
         assert (v.lag, K) == (1, 1)
         assert v.witness == (direct_wit if psi_ok else psi_wit)
     else:
-        assert v.lag is None and direct_wit is not None
+        assert v.lag is None
         assert v.witness == direct_wit
 
 
@@ -150,24 +162,18 @@ def test_block_code_closed_form_matches_transducer_path(i):
     assert jsonio.dumps(closed) == jsonio.dumps(general)
 
 
-# --- one family per space, one image and one shift per point and map --------
+# --- no family; one image per candidate point and map -----------------------
 
 
-def test_classify_builds_each_family_once(monkeypatch):
-    # the transducer presentations take the general path; the block codes
-    # themselves are decided by composition, with no family and no image
+def test_classify_builds_no_family(monkeypatch):
+    # the transducer presentations take the product walks; the block codes
+    # themselves are decided by composition, with no walk and no image
     code, code_inv = split_pair(0)
     h, h_inv = block_to_transducer(code), block_to_transducer(code_inv)
-    family = {}
-    for m in (h, h_inv):
-        cyl = orbit.cylinder_family(m.source, CDEPTH, CFG)
-        family[id(m.source)] = set().union(*cyl.values())
     families = Counter()
     images = Counter()
-    shifted = Counter()
     cylinder_family = orbit.cylinder_family
     apply_map = orbit.apply_map
-    shift_point = orbit.shift_point
 
     def counted_family(space, depth, cfg):
         families[id(space)] += 1
@@ -177,22 +183,14 @@ def test_classify_builds_each_family_once(monkeypatch):
         images[(id(m), p)] += 1
         return apply_map(m, p)
 
-    def counted_shift(space, p, n=1):
-        shifted[(id(space), p)] += 1
-        return shift_point(space, p, n)
-
     monkeypatch.setattr(orbit, "cylinder_family", counted_family)
     monkeypatch.setattr(orbit, "apply_map", counted_map)
-    monkeypatch.setattr(orbit, "shift_point", counted_shift)
     assert classify(code, code_inv, CFG).kind == "Conjugacy"
     assert (families, images) == ({}, {})
     assert classify(h, h_inv, CFG).kind == "Conjugacy"
-    assert families == {id(h.source): 1, id(h_inv.source): 1}
+    assert families == {}
     assert {m for m, _ in images} == {id(h), id(h_inv)}
     assert max(images.values()) == 1
-    # the closed-form alignment shifts each family point once, to map sigma p
-    assert max(shifted.values()) == 1
-    assert all(p in family[space] for space, p in shifted)
 
 
 # --- no state outlives the call ---------------------------------------------

@@ -240,31 +240,32 @@ def test_verify_inconsistent_routes_exits_1(files, capsys, monkeypatch):
     )
 
 
-def full32(files, kind="transducer"):
-    """``verify`` of the identity of the full shift on 32 symbols, as a
-    one-state transducer, whose cocycle family needs a word table at depth
-    4, which would pass the cap, or as a 1-block code, which is a
-    conjugacy in closed form with 1-words only."""
+def full32_block(files):
+    """``verify`` of the identity of the full shift on 32 symbols as a
+    1-block code, which is a conjugacy in closed form with 1-words only."""
     n = 32
     space = files["write"]("full32.json", {"n": n, "rows": [[1] * n] * n})
-    if kind == "block":
-        table = {str(a): str(a) for a in range(1, n + 1)}
-        ident = {"type": "block", "window": 1, "table": table}
-    else:
-        delta = [{"state": "s", "in": a, "out": [a], "next": "s"} for a in range(1, n + 1)]
-        ident = {"type": "transducer", "states": ["s"], "initial": "s", "delta": delta}
-    code = files["write"](f"ident32-{kind}.json", ident)
+    table = {str(a): str(a) for a in range(1, n + 1)}
+    code = files["write"]("ident32.json", {"type": "block", "window": 1, "table": table})
     return ["verify", space, space, code, code]
 
 
-UNDECIDED = {"verdict": "Undecided", "note": "word table at depth 4 too large"}
+def delay_pair(files):
+    """``verify`` on the golden mean of a map that holds back 25 input
+    symbols, given as its own inverse: the product of the two machines
+    queues more unmatched input than the cap allows."""
+    delay = files["write"]("delay25.json", delay_line_json(25))
+    return ["verify", files["golden"], files["golden"], delay, delay]
+
+
+UNDECIDED = {"verdict": "Undecided", "note": "product queue past 24 symbols"}
 
 
 def test_verify_cap_hit_is_undecided_json(files, capsys):
-    code, out = run(capsys, full32(files) + ["--format", "json"])
+    code, out = run(capsys, delay_pair(files) + ["--format", "json"])
     assert code == 2
     assert json.loads(out) == UNDECIDED
-    code, out = run(capsys, full32(files, "block") + ["--format", "json"])
+    code, out = run(capsys, full32_block(files) + ["--format", "json"])
     assert (code, json.loads(out)["verdict"]) == (0, "Conjugacy")
 
 
@@ -294,7 +295,7 @@ def run_process(argv):
 
 
 def test_cli_process_maps_caps_and_malformed_files_to_exit_codes(files):
-    proc = run_process(full32(files))
+    proc = run_process(delay_pair(files))
     assert proc.returncode == 2
     assert proc.stdout == f"undecided: {UNDECIDED['note']}\n"
     assert "Traceback" not in proc.stderr
@@ -324,7 +325,7 @@ def test_verify_product_cap_is_undecided(files, capsys, monkeypatch):
     argv = ["verify", files["full2"], files["full2"], recoder2, recoder2]
     code, out = run(capsys, argv + ["--format", "json"])
     assert code == 2
-    note = "composite queue past 0 symbols"
+    note = "product queue past 0 symbols"
     assert json.loads(out) == {"verdict": "Undecided", "note": note}
 
 
@@ -357,8 +358,7 @@ def test_verify_refutes_an_exchange_the_family_misses(files, capsys):
     exchange = prefix_exchange(full2, (1, 1, 2), (2, 2, 1))
     path = files["write"]("exchange.json", jsonio.map_to_json(exchange))
     argv = ["verify", files["full2"], files["full2"], files["ident2"], path]
-    flags = ["--max-pre", "0", "--max-cyc", "1", "--format", "json"]
-    code, out = run(capsys, argv + flags)
+    code, out = run(capsys, argv + ["--format", "json"])
     assert code == 3
     payload = json.loads(out)
     assert payload["verdict"] == "NotInversePair"
@@ -454,14 +454,19 @@ def test_search_flags_belong_to_verify_and_psi(files, capsys):
     assert main(["analyze", files["full2"], "--depth", "0"]) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and "Traceback" not in captured.err
-    assert main(["compare", files["full2"], files["full2"], "--max-cyc", "2"]) == 1
+    assert main(["compare", files["full2"], files["full2"], "--depth", "2"]) == 1
     capsys.readouterr()
+    # nothing reads a point-family size, so no subcommand takes one
+    argv = ["verify", files["full2"], files["full2"], files["ident2"], files["ident2"]]
+    assert main(argv + ["--max-cyc", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
 
 
 @pytest.mark.parametrize(
     "flags, message",
     [
-        (["--max-cyc", "0"], "max_pre must be >= 0 and max_cyc >= 1"),
+        (["--depth", "0"], "depth must be in 1..24"),
         (["--depth", "25"], "depth must be in 1..24"),
     ],
 )
@@ -481,7 +486,8 @@ def test_usage_errors_exit_1_and_help_exits_0(files, capsys):
     assert "usage" in capsys.readouterr().err
     assert main(["--help"]) == 0
     assert main(["psi", "--help"]) == 0
-    assert "--max-cyc" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "--depth" in out and "--max-cyc" not in out
 
 
 INPUTS = Path(__file__).resolve().parents[1] / "bench" / "inputs"

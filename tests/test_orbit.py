@@ -101,19 +101,19 @@ def pointwise_potential(h, kl, f, p):
 def test_identity_cocycles_are_0_1(full2, cfg):
     ident = identity_code(full2)
     for depth in (1, 2, 4, 8):
-        kl = orbit_cocycles(ident, depth, cfg)
+        kl = orbit_cocycles(ident, depth)
         assert kl.k.is_constant(0) and kl.l.is_constant(1)
 
 
 def test_conjugacy_cocycles_are_0_1(golden, cfg):
     _, code, inverse = out_split(golden, {1: [(1,), (2,)]})
     for h in (code, inverse):
-        kl = orbit_cocycles(h, 2, cfg)
+        kl = orbit_cocycles(h, 2)
         assert kl.k.is_constant(0) and kl.l.is_constant(1)
 
 
 def test_duplicator_cocycle_table(full2, duplicator, cfg):
-    kl = orbit_cocycles(duplicator, 2, cfg)
+    kl = orbit_cocycles(duplicator, 2)
     fam = cylinder_family(full2, 2, cfg)
     for w in full2.words(2):
         expected = brute_minimal_pair(duplicator, fam[w])
@@ -125,7 +125,7 @@ def test_duplicator_cocycle_table(full2, duplicator, cfg):
 
 
 def test_recoder_cocycle_table(full2, recoder, cfg):
-    kl = orbit_cocycles(recoder, 3, cfg)
+    kl = orbit_cocycles(recoder, 3)
     fam = cylinder_family(full2, 3, cfg)
     for w in full2.words(3):
         assert brute_minimal_pair(recoder, fam[w]) == (
@@ -138,7 +138,7 @@ def test_recoder_cocycle_table(full2, recoder, cfg):
 
 def test_cocycle_identity_reverifies(full2, recoder, duplicator, cfg):
     for h, depth in ((recoder, 3), (duplicator, 2)):
-        kl = orbit_cocycles(h, depth, cfg)
+        kl = orbit_cocycles(h, depth)
         ok, wit = verify_cocycles(h, kl, enumerate_points(full2, 3, 4))
         assert ok, wit
     for k, l in ((-1, 0), (0, -1)):  # no point shifts a negative number of times
@@ -148,7 +148,7 @@ def test_cocycle_identity_reverifies(full2, recoder, duplicator, cfg):
 
 
 def test_cocycles_nonnegative(full2, recoder, cfg):
-    kl = orbit_cocycles(recoder, 3, cfg)
+    kl = orbit_cocycles(recoder, 3)
     assert kl.k.min() >= 0 and kl.l.min() >= 0
 
 
@@ -169,7 +169,7 @@ def test_conjugacy_induces_composition(full2, golden, swap2, cfg):
     sp, code, inverse = out_split(golden, {1: [(1,), (2,)]})
     cases += [(golden, code), (sp, inverse)]
     for src, h in cases:
-        kl = orbit_cocycles(h, 2, cfg)
+        kl = orbit_cocycles(h, 2)
         for d in (1, 2, 3):
             for w in h.target.words(d):
                 f = indicator(h.target, w)
@@ -178,7 +178,7 @@ def test_conjugacy_induces_composition(full2, golden, swap2, cfg):
 
 def test_constant_potential_reduction(full2, recoder, duplicator, cfg):
     for h, depth in ((recoder, 3), (duplicator, 2), (identity_code(full2), 1)):
-        kl = orbit_cocycles(h, depth, cfg)
+        kl = orbit_cocycles(h, depth)
         for c in (1, -2, 5):
             got = induced_potential(h, kl, constant(full2, c))
             want = combine(c, kl.l, -c, kl.k)
@@ -186,7 +186,7 @@ def test_constant_potential_reduction(full2, recoder, duplicator, cfg):
 
 
 def test_potential_additivity(full2, recoder, cfg):
-    kl = orbit_cocycles(recoder, 3, cfg)
+    kl = orbit_cocycles(recoder, 3)
     f = indicator(full2, (1, 2))
     g = indicator(full2, (2,))
     for a, b in ((1, 1), (2, -1), (-3, 4)):
@@ -203,7 +203,7 @@ def test_potential_additivity(full2, recoder, cfg):
 def test_potential_matches_pointwise_formula(full2, recoder, duplicator, cfg):
     # dual route: the exact table against raw inclusive sums at points
     for h, depth in ((recoder, 3), (duplicator, 2)):
-        kl = orbit_cocycles(h, depth, cfg)
+        kl = orbit_cocycles(h, depth)
         for w in ((1,), (2, 1), (1, 2, 2)):
             f = indicator(full2, w)
             table = induced_potential(h, kl, f)
@@ -214,14 +214,14 @@ def test_potential_matches_pointwise_formula(full2, recoder, duplicator, cfg):
 def test_potential_identity_conjugacy_true(full2, golden, swap2, cfg):
     sp, code, inverse = out_split(golden, {1: [(1,), (2,)]})
     for h in (identity_code(full2), swap2, code, inverse):
-        kl = orbit_cocycles(h, 2, cfg)
+        kl = orbit_cocycles(h, 2)
         for depth in (1, 2, 4, 6):
             ok, wit = check_potential_identity(h, kl, depth)
             assert ok, (h, depth, wit)
 
 
 def test_potential_identity_recoder_false_with_witness(full2, recoder, cfg):
-    kl = orbit_cocycles(recoder, 3, cfg)
+    kl = orbit_cocycles(recoder, 3)
     ok, witness = check_potential_identity(recoder, kl, 2)
     assert not ok and witness is not None
     # the witness indicator fails pointwise at some family point
@@ -237,7 +237,7 @@ def test_potential_identity_recoder_false_with_witness(full2, recoder, cfg):
 
 def test_depth1_constant_decomposition(full2, recoder, cfg):
     # f == 1 decomposed into depth-1 indicators gives l - k
-    kl = orbit_cocycles(recoder, 3, cfg)
+    kl = orbit_cocycles(recoder, 3)
     total = constant(full2, 0)
     for a in (1, 2):
         total = combine(
@@ -250,7 +250,7 @@ def test_remark_symmetry_between_parameterizations(full2, recoder, swap2, cfg):
     # quantifying over target indicators is the same as quantifying over
     # source indicators composed with the inverse
     for h, h_inv, expect in ((swap2, swap2, True), (recoder, recoder, False)):
-        kl = orbit_cocycles(h, 3, cfg)
+        kl = orbit_cocycles(h, 3)
         forward, _ = check_potential_identity(h, kl, 2)
         dual_ok = True
         for d in (1, 2):
@@ -266,9 +266,9 @@ def test_remark_symmetry_between_parameterizations(full2, recoder, swap2, cfg):
 
 
 def test_check_conjugacy(full2, swap2, duplicator, cfg):
-    assert check_conjugacy(identity_code(full2), cfg)[0]
-    assert check_conjugacy(swap2, cfg)[0]
-    ok, wit = check_conjugacy(duplicator, cfg, depth=2)
+    assert check_conjugacy(identity_code(full2))[0]
+    assert check_conjugacy(swap2)[0]
+    ok, wit = check_conjugacy(duplicator)
     assert not ok and wit is not None
     # re-verify the witness by hand
     lhs = apply_map(duplicator, shift_point(full2, wit))
@@ -278,26 +278,26 @@ def test_check_conjugacy(full2, swap2, duplicator, cfg):
 
 def test_check_eventual_conjugacy_monotone(full2, swap2, cfg):
     for k in (0, 1, 3):
-        assert check_eventual_conjugacy(swap2, swap2, k, cfg)[0]
+        assert check_eventual_conjugacy(swap2, swap2, k)[0]
 
 
 def test_recoder_eventual_lag_one(full2, recoder, cfg):
-    assert not check_eventual_conjugacy(recoder, recoder, 0, cfg)[0]
-    assert check_eventual_conjugacy(recoder, recoder, 1, cfg)[0]
-    assert check_eventual_conjugacy(recoder, recoder, 2, cfg)[0]
+    assert not check_eventual_conjugacy(recoder, recoder, 0)[0]
+    assert check_eventual_conjugacy(recoder, recoder, 1)[0]
+    assert check_eventual_conjugacy(recoder, recoder, 2)[0]
 
 
 def test_strong_coe_constants(full2, swap2, recoder, cfg):
-    res = check_strong_coe(swap2, swap2, cfg)
+    res = check_strong_coe(swap2, swap2)
     assert res is not None and res[0].is_constant() and res[1].is_constant()
-    res = check_strong_coe(recoder, recoder, cfg)
+    res = check_strong_coe(recoder, recoder)
     assert res is not None and res[0].is_constant() and res[1].is_constant()
 
 
 def test_strong_coe_reverifies(full2, recoder, cfg):
-    kl1 = orbit_cocycles(recoder, 3, cfg)
-    kl2 = orbit_cocycles(recoder, 3, cfg)
-    b1, b2 = check_strong_coe(recoder, recoder, cfg, kl1, kl2)
+    kl1 = orbit_cocycles(recoder, 3)
+    kl2 = orbit_cocycles(recoder, 3)
+    b1, b2 = check_strong_coe(recoder, recoder, kl1, kl2)
     lhs = combine(1, constant(full2, 1), 1, combine(1, b1, -1, compose_shift(b1)))
     assert tables_equal(lhs, kl1.difference())
 
@@ -467,7 +467,7 @@ def _transducer_maps():
 
 @pytest.mark.parametrize("name,h", list(_transducer_maps()))
 def test_certification_depth_matches_word_walk(name, h, cfg):
-    kl = orbit_cocycles(h, 3, cfg)
+    kl = orbit_cocycles(h, 3)
     for need in range(1, 9):
         got = depth_outcome(orbit._certification_depth, h, kl, need)
         assert got == depth_outcome(word_walk_depth, h, kl, need), (name, need)
@@ -524,9 +524,12 @@ def _count_calls(monkeypatch, module, name):
 
 def test_classify_skips_potential_identity_without_lag(monkeypatch, recoder, cfg):
     h, h_inv = expansion_maps(3, {2: 1, 3: 1})
-    kl1 = orbit_cocycles(h, 3, cfg)
-    kl2 = orbit_cocycles(h_inv, 3, cfg)
-    _, direct_wit = check_conjugacy(h, cfg, depth=3)
+    kl1 = orbit_cocycles(h, 3)
+    kl2 = orbit_cocycles(h_inv, 3)
+    _, direct_wit = check_conjugacy(h)
+    assert apply_map(h, shift_point(h.source, direct_wit)) != shift_point(
+        h.target, apply_map(h, direct_wit)
+    )
     calls = _count_calls(monkeypatch, orbit, "check_potential_identity")
     v = classify(h, h_inv, cfg)
     assert calls == []
