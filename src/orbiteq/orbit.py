@@ -442,12 +442,35 @@ def _certification_depth(h, kl, need):
         return memo[q, m]
 
     for d in range(max(c, 2), MAX_DEPTH + 1):
-        # the caller builds the depth-d word table next: cap it as words does
+        # the caller's walk visits one leaf per depth-d word: cap them as
+        # words caps its table
         if src.word_count(d) > WORD_TABLE_LIMIT:
             raise TooLarge(f"word table at depth {d} too large")
         if all(budget + least(q, d - c) >= need for budget, q in starts):
             return d
     raise TooLarge(f"potential not certifiable within depth cap {MAX_DEPTH}")
+
+
+def _runs(h, kl, d):
+    """``(w, k, l, out, out_s)`` for each admissible source word ``w`` of
+    length ``d``, in the order of ``ShiftSpace.words(d)``: the cocycles on
+    ``w`` and the output of ``h`` on ``w`` and on ``w[1:]``.
+
+    The words grow depth first, one follower at a time, and each step runs
+    both machines one ``delta`` step, so shared prefixes run once and no
+    depth-``d`` word table is built.
+    """
+    m = _as_transducer(h)
+    delta, fol, c, s0 = m.delta, m.source.matrix.followers, kl.depth, m.initial
+    stack = [((a,), *delta[s0, a], s0, ()) for a in range(m.source.n, 0, -1)]
+    while stack:
+        w, sa, out, sb, out_s = stack.pop()
+        if len(w) == d:
+            yield w, kl.k.table[w[:c]], kl.l.table[w[:c]], out, out_s
+            continue
+        for b in reversed(fol[w[-1] - 1]):
+            (ta, xa), (tb, xb) = delta[sa, b], delta[sb, b]
+            stack.append((w + (b,), ta, out + xa, tb, out_s + xb))
 
 
 def induced_potential(h, kl, f):
@@ -458,7 +481,9 @@ def induced_potential(h, kl, f):
     over the first ``k+1`` positions of the shifted point's image.  The
     result is constant on cylinders of the returned depth by
     construction: every summand is read off output prefixes that the
-    cylinder word determines.
+    cylinder word determines.  Those prefixes come from one depth-first
+    walk of the source words (:func:`_runs`), so each shared prefix runs
+    once, and the table's keys are in the order of ``ShiftSpace.words``.
 
     The map is additive in ``f``, and for ``f`` constant equal to ``c``
     the result is ``c * (l - k)``.
@@ -467,23 +492,18 @@ def induced_potential(h, kl, f):
     ------
     TooLarge
         if the required certification depth exceeds the depth cap, or its
-        word table exceeds the word-table cap.
+        words exceed the word-table cap.
     """
     if f.space != h.target:
         raise ValueError("f must live on the target space of the map")
     d = _certification_depth(h, kl, f.depth)
-    src = h.source
     df = f.depth
     table = {}
-    for w in src.words(d):
-        k = kl.k.table[w[: kl.depth]]
-        l = kl.l.table[w[: kl.depth]]
-        out = h.output_prefix(w)
-        out_s = h.output_prefix(w[1:])
+    for w, k, l, out, out_s in _runs(h, kl, d):
         pos = sum(f.table[out[i : i + df]] for i in range(l + 1))
         neg = sum(f.table[out_s[j : j + df]] for j in range(k + 1))
         table[w] = pos - neg
-    return CylinderFunction(src, d, table)
+    return CylinderFunction(h.source, d, table)
 
 
 def check_potential_identity(h, kl, depth):
@@ -494,7 +514,9 @@ def check_potential_identity(h, kl, depth):
     ``depth``: shallower indicators are sums of depth-``depth`` ones.
     Per source cylinder the check is one signed multiset comparison of
     output windows, which is exactly the identity quantified over all
-    indicators at once.
+    indicators at once.  The cylinders of the certified depth come from
+    one depth-first walk (:func:`_runs`) in lexicographic order, which
+    stops at the first that fails; no word table of that depth is built.
 
     For a :class:`BlockCode` with ``l - k = 1`` on every cylinder the
     answer is ``(True, None)`` in closed form, with no word table built.
@@ -509,7 +531,7 @@ def check_potential_identity(h, kl, depth):
     ------
     TooLarge
         if output prefixes cannot be certified within the depth cap, or
-        the word table at the certified depth exceeds its cap.
+        the words of the certified depth exceed the word-table cap.
     """
     if isinstance(h, BlockCode) and kl.difference().is_constant(1):
         # a block code commutes with the shift, so the image of w[1:] is the
@@ -517,11 +539,7 @@ def check_potential_identity(h, kl, depth):
         # image of w, at offsets 0..l and 0..k+1, the same ones when l = k + 1
         return True, None
     d = _certification_depth(h, kl, depth)
-    for w in h.source.words(d):
-        k = kl.k.table[w[: kl.depth]]
-        l = kl.l.table[w[: kl.depth]]
-        out = h.output_prefix(w)
-        out_s = h.output_prefix(w[1:])
+    for _, k, l, out, out_s in _runs(h, kl, d):
         c = Counter(out[i : i + depth] for i in range(l + 1))
         c.subtract(out_s[j : j + depth] for j in range(k + 1))
         c[out[:depth]] -= 1
@@ -623,6 +641,19 @@ def reduce_orbit_segments(space, K, y, w):
 # classification
 
 
+def _search_cocycles(walks, cfg):
+    """The cocycles of each ``(transducer, safe set)`` of ``walks`` at the
+    least depth from ``min(cfg.depth, 3)`` to ``cfg.depth`` at which all of
+    them align; raises NoAlignment when they do not at ``cfg.depth``."""
+    depths = range(min(cfg.depth, 3), cfg.depth + 1)
+    for depth in depths:
+        try:
+            return [_cocycles(m, depth, safe) for m, safe in walks]
+        except NoAlignment:
+            if depth == depths[-1]:
+                raise
+
+
 def _align(h, h_inv, cfg):
     """Both cocycle pairs, the witness of :func:`check_conjugacy` and the
     least lag :func:`check_eventual_conjugacy` accepts (or None).
@@ -632,17 +663,8 @@ def _align(h, h_inv, cfg):
     each map share one set of safe nodes.
     """
     m, m_inv = _as_transducer(h), _as_transducer(h_inv)
-    safe, safe_inv = set(), set()
-    depths = range(min(cfg.depth, 3), cfg.depth + 1)
-    for depth in depths:
-        try:
-            kl1 = _cocycles(m, depth, safe)
-            kl2 = _cocycles(m_inv, depth, safe_inv)
-        except NoAlignment:
-            if depth == depths[-1]:
-                raise
-        else:
-            break
+    safe = set()
+    kl1, kl2 = _search_cocycles([(m, safe), (m_inv, set())], cfg)
     direct_wit = _intertwining_witness(m, 0, safe)
     lag = None
     if kl1.difference().is_constant(1) and kl2.difference().is_constant(1):

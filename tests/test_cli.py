@@ -18,7 +18,9 @@ from orbiteq import (
     build_shift_space,
     cli,
     identity_code,
+    induced_potential,
     maps,
+    orbit_cocycles,
     out_split,
 )
 from orbiteq import jsonio
@@ -431,6 +433,28 @@ def test_psi_recoder_indicator_flag_false(files, capsys):
     )
     assert code == 0
     assert json.loads(out)["matchesComposition"] is False
+
+
+def test_psi_searches_cocycle_depths_like_verify(files, capsys):
+    # the (1) <-> (2, 2, 2) exchange aligns at cocycle depth 4, not 3
+    full2 = build_shift_space([[1, 1], [1, 1]])
+    exchange = prefix_exchange(full2, (1,), (2, 2, 2))
+    path = files["write"]("exchange.json", jsonio.map_to_json(exchange))
+    argv = ["psi", files["full2"], files["full2"], path, files["ind1"]]
+    code, out = run(capsys, argv + ["--format", "json"])
+    assert code == 0
+    payload = json.loads(out)
+    kl = orbit_cocycles(exchange, 4)
+    f = jsonio.function_from_json(full2, {"depth": 1, "values": {"1": 1, "2": 0}})
+    g = induced_potential(exchange, kl, f)
+    assert payload["cocycles"] == jsonio.cocycles_to_json(kl)
+    assert payload["induced"] == jsonio.function_to_json(g)
+    assert (g.depth, len(g.table)) == (5, 32)
+    # with the search capped at depth 3 it finds nothing: undecided
+    code, out = run(capsys, argv + ["--depth", "3", "--format", "json"])
+    assert code == 2
+    note = "no orbit alignment on cylinder (1, 2, 2)"
+    assert json.loads(out) == {"verdict": "Undecided", "note": note}
 
 
 def test_compare_undecided_exits_2(files, capsys):

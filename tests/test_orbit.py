@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orbiteq import (
+    BlockCode,
     CylinderFunction,
     InconsistentRoutes,
     OrbitCocyclePair,
@@ -637,3 +638,119 @@ def test_block_code_identity_matches_transducer_path(identity_oracle_codes, data
         assert ok == ok_general, depth
         if not ok:
             assert wit is not None and wit_general is not None
+
+
+# --- the depth-first walk against the word-table loops -----------------------
+
+
+def table_identity(h, kl, depth):
+    """:func:`check_potential_identity` as it was written over the word
+    table of the certified depth: the oracle for the depth-first walk."""
+    if isinstance(h, BlockCode) and kl.difference().is_constant(1):
+        return True, None
+    d = orbit._certification_depth(h, kl, depth)
+    for w in h.source.words(d):
+        k = kl.k.table[w[: kl.depth]]
+        l = kl.l.table[w[: kl.depth]]
+        out = h.output_prefix(w)
+        out_s = h.output_prefix(w[1:])
+        c = Counter(out[i : i + depth] for i in range(l + 1))
+        c.subtract(out_s[j : j + depth] for j in range(k + 1))
+        c[out[:depth]] -= 1
+        for v, mult in c.items():
+            if mult != 0:
+                return False, v
+    return True, None
+
+
+def table_potential(h, kl, f):
+    """:func:`induced_potential` as it was written over the word table."""
+    d = orbit._certification_depth(h, kl, f.depth)
+    src = h.source
+    df = f.depth
+    table = {}
+    for w in src.words(d):
+        k = kl.k.table[w[: kl.depth]]
+        l = kl.l.table[w[: kl.depth]]
+        out = h.output_prefix(w)
+        out_s = h.output_prefix(w[1:])
+        pos = sum(f.table[out[i : i + df]] for i in range(l + 1))
+        neg = sum(f.table[out_s[j : j + df]] for j in range(k + 1))
+        table[w] = pos - neg
+    return CylinderFunction(src, d, table)
+
+
+def identity_and_potential(identity, induce, h, kl, f):
+    """What ``identity`` says at depths 1..3, then the depth and the items,
+    in order, of what ``induce`` gives for ``f``; each outcome is the cap
+    error's type and message when one is raised."""
+
+    def items(h, kl, f):
+        g = induce(h, kl, f)
+        return g.depth, list(g.table.items())
+
+    outcomes = [depth_outcome(identity, h, kl, d) for d in (1, 2, 3)]
+    return outcomes + [depth_outcome(items, h, kl, f)]
+
+
+def assert_walk_matches_tables(h, kl, f):
+    walk = identity_and_potential(check_potential_identity, induced_potential, h, kl, f)
+    assert walk == identity_and_potential(table_identity, table_potential, h, kl, f)
+    return walk
+
+
+@st.composite
+def target_functions(draw, space):
+    c = draw(st.integers(1, 2))
+    return CylinderFunction(
+        space, c, {w: draw(st.integers(-2, 2)) for w in space.words(c)}
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_potential_walk_matches_tables_on_recoders(data):
+    h, kl = data.draw(recoders_with_bounds())
+    assert_walk_matches_tables(h, kl, data.draw(target_functions(h.target)))
+
+
+@pytest.mark.parametrize("name,h", list(_transducer_maps()))
+def test_potential_walk_matches_tables_on_ladder_maps(name, h):
+    kl = orbit_cocycles(h, 3)
+    rng = random.Random(name)
+    f = CylinderFunction(
+        h.target, 2, {w: rng.randint(-2, 2) for w in h.target.words(2)}
+    )
+    assert_walk_matches_tables(h, kl, f)
+
+
+def test_potential_walk_matches_tables_on_block_codes(identity_oracle_codes):
+    # constant l - k other than 1 takes the general path, not the closed form
+    failed = 0
+    for h in identity_oracle_codes:
+        f = indicator(h.target, h.target.words(1)[0])
+        for k, l in ((0, 1), (0, 2), (1, 1), (1, 3)):
+            kl = OrbitCocyclePair(constant(h.source, k, 2), constant(h.source, l, 2))
+            walk = assert_walk_matches_tables(h, kl, f)
+            failed += l - k != 1 and walk[0][0] is False
+    assert failed == 3 * len(identity_oracle_codes)
+
+
+def test_potential_identity_builds_no_deep_word_table():
+    # a dense 4-state recoder certifies its identity at depth 10, 148,913
+    # words; the walk stops at the first failing word and builds no table
+    space = build_shift_space(
+        [[1, 1, 1, 0], [1, 1, 0, 1], [1, 0, 1, 1], [1, 1, 1, 1]]
+    )
+    h = recoder_map(space, random_tau(random.Random(43), space))
+    kl = orbit_cocycles(h, 3)
+    assert orbit._certification_depth(h, kl, 8) == 10
+    tracemalloc.start()
+    try:
+        ok, wit = check_potential_identity(h, kl, 8)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ok is False and len(wit) == 8
+    assert max(space._words) == 3
+    assert peak < 2**20
