@@ -29,7 +29,7 @@ from .invariants import (
     invariant_report,
     obstruction_report,
 )
-from .maps import _as_transducer, verify_inverse_pair
+from .maps import verify_inverse_pair
 from .orbit import _search_cocycles, classify, induced_potential
 from .shifts import count_periodic
 
@@ -163,7 +163,7 @@ def cmd_verify(cfg, h, h_inv):
 
 
 def cmd_psi(cfg, h, f):
-    (kl,) = _search_cocycles([(_as_transducer(h), set())], cfg)
+    (kl,) = _search_cocycles(cfg, [h])
     g = induced_potential(h, kl, f)
     try:
         matches = tables_equal(g, pullback(f, h))

@@ -410,43 +410,49 @@ def _certification_depth(h, kl, need):
     """Least input depth whose output prefixes cover ``need`` symbols past
     the cocycle bounds, for the word and its shift."""
     src = h.source
+    c = kl.depth
     if isinstance(h, BlockCode):
         # a window-w code emits exactly len(word) - w + 1 symbols
         w = h.window
-        d = max(
-            kl.depth,
-            2,
-            kl.l.max() + need + w - 1,
-            kl.k.max() + need + w,
-        )
-        if d > MAX_DEPTH:
+        least_d = max(c, 2, kl.l.max() + need + w - 1, kl.k.max() + need + w)
+        if least_d > MAX_DEPTH:
             raise TooLarge(f"potential not certifiable within depth cap {MAX_DEPTH}")
-        return d
-    # per depth-c word u and its shift u[1:]: output past the cocycle bound,
-    # and the configuration (state, last input) reached; then extend by d - c
-    c = kl.depth
-    starts = []
-    for u in src.words(c):
-        for v, bound in ((u, kl.l.table[u]), (u[1:], kl.k.table[u])):
-            state, out = h._run(v)
-            starts.append((len(out) - bound, (state, u[-1])))
-    memo = {}
 
-    def least(q, m):
-        """Fewest symbols emitted over ``m`` more inputs from configuration ``q``."""
-        if m == 0:
-            return 0
-        if (q, m) not in memo:
-            steps = [(h.step(q[0], b), b) for b in src.matrix.followers[q[1] - 1]]
-            memo[q, m] = min(len(out) + least((s, b), m - 1) for (s, out), b in steps)
-        return memo[q, m]
+        def certified(d):
+            return d >= least_d
+
+    else:
+        # per depth-c word u and its shift u[1:]: output past the cocycle
+        # bound, and the configuration (state, last input) reached; then
+        # extend by d - c
+        starts = []
+        for u in src.words(c):
+            for v, bound in ((u, kl.l.table[u]), (u[1:], kl.k.table[u])):
+                state, out = h._run(v)
+                starts.append((len(out) - bound, (state, u[-1])))
+        memo = {}
+
+        def least(q, m):
+            """Fewest symbols output over ``m`` more inputs from configuration ``q``."""
+            if m == 0:
+                return 0
+            if (q, m) not in memo:
+                fol = src.matrix.followers[q[1] - 1]
+                steps = [(h.step(q[0], b), b) for b in fol]
+                memo[q, m] = min(
+                    len(out) + least((s, b), m - 1) for (s, out), b in steps
+                )
+            return memo[q, m]
+
+        def certified(d):
+            return all(budget + least(q, d - c) >= need for budget, q in starts)
 
     for d in range(max(c, 2), MAX_DEPTH + 1):
-        # the caller's walk visits one leaf per depth-d word: cap them as
-        # words caps its table
+        # the caller's walk visits one leaf per depth-d word: the cap bounds
+        # them as it bounds a word table, for block codes and transducers
         if src.word_count(d) > WORD_TABLE_LIMIT:
             raise TooLarge(f"word table at depth {d} too large")
-        if all(budget + least(q, d - c) >= need for budget, q in starts):
+        if certified(d):
             return d
     raise TooLarge(f"potential not certifiable within depth cap {MAX_DEPTH}")
 
@@ -641,10 +647,13 @@ def reduce_orbit_segments(space, K, y, w):
 # classification
 
 
-def _search_cocycles(walks, cfg):
-    """The cocycles of each ``(transducer, safe set)`` of ``walks`` at the
-    least depth from ``min(cfg.depth, 3)`` to ``cfg.depth`` at which all of
-    them align; raises NoAlignment when they do not at ``cfg.depth``."""
+def _search_cocycles(cfg, maps, safes=None):
+    """The cocycles of each map of ``maps`` at the least depth from
+    ``min(cfg.depth, 3)`` to ``cfg.depth`` at which all of them align;
+    raises NoAlignment when they do not at ``cfg.depth``.  ``safes`` holds
+    each map's set of safe nodes, kept across depths; fresh sets if None."""
+    safes = safes or [set() for _ in maps]
+    walks = [(_as_transducer(h), safe) for h, safe in zip(maps, safes)]
     depths = range(min(cfg.depth, 3), cfg.depth + 1)
     for depth in depths:
         try:
@@ -664,7 +673,7 @@ def _align(h, h_inv, cfg):
     """
     m, m_inv = _as_transducer(h), _as_transducer(h_inv)
     safe = set()
-    kl1, kl2 = _search_cocycles([(m, safe), (m_inv, set())], cfg)
+    kl1, kl2 = _search_cocycles(cfg, [m, m_inv], [safe, set()])
     direct_wit = _intertwining_witness(m, 0, safe)
     lag = None
     if kl1.difference().is_constant(1) and kl2.difference().is_constant(1):

@@ -457,6 +457,29 @@ def test_psi_searches_cocycle_depths_like_verify(files, capsys):
     assert json.loads(out) == {"verdict": "Undecided", "note": note}
 
 
+def test_psi_block_code_past_the_word_table_cap_is_undecided(files, capsys):
+    # a window-2 code on the full 16-shift with f of depth 3 certifies at
+    # depth 5, past the cap: undecided before any word is walked
+    full16 = build_shift_space([[1] * 16] * 16)
+    h = maps.compile_block_code(
+        full16, full16, 2, {w: w[0] for w in full16.words(2)}
+    )
+    f = orbiteq.CylinderFunction(full16, 3, {w: w[2] for w in full16.words(3)})
+    argv = [
+        "psi",
+        files["write"]("full16.json", jsonio.matrix_to_json(full16)),
+        files["write"]("full16.json", jsonio.matrix_to_json(full16)),
+        files["write"]("window2.json", jsonio.map_to_json(h)),
+        files["write"]("f3.json", jsonio.function_to_json(f)),
+        "--format",
+        "json",
+    ]
+    code, out = run(capsys, argv)
+    assert code == 2
+    note = "word table at depth 5 too large"
+    assert json.loads(out) == {"verdict": "Undecided", "note": note}
+
+
 def test_compare_undecided_exits_2(files, capsys):
     # beyond the matching cap and without an invariant obstruction the
     # comparison must admit it decided nothing

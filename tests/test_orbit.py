@@ -754,3 +754,17 @@ def test_potential_identity_builds_no_deep_word_table():
     assert ok is False and len(wit) == 8
     assert max(space._words) == 3
     assert peak < 2**20
+
+
+def test_potential_walk_keeps_the_word_table_cap_on_block_codes():
+    # a window-2 code on the full 16-shift with constant (k, l) = (1, 3)
+    # certifies at depth 5 or more, and 16^5 words pass the cap: the walk
+    # raises the table's error before it visits a word
+    full16 = build_shift_space([[1] * 16] * 16)
+    h = compile_block_code(full16, full16, 2, {w: w[0] for w in full16.words(2)})
+    kl = OrbitCocyclePair(constant(full16, 1, 2), constant(full16, 3, 2))
+    f = indicator(full16, (1,))
+    walk = identity_and_potential(check_potential_identity, induced_potential, h, kl, f)
+    assert walk == [(TooLarge, "word table at depth 5 too large")] * 4
+    assert max(full16._words) == 3  # compile_block_code checks the 3-words
+    assert walk == identity_and_potential(table_identity, table_potential, h, kl, f)
