@@ -16,20 +16,19 @@ The integer side computes the Smith normal form of ``I - A`` exactly, in
 one pass, and reads every invariant off its diagonal once: the cokernel
 factors of ``I - A`` and of its transpose ``I - A^T`` (the K_0 group of
 the Cuntz-Krieger algebra), the rank of ``ker(I - A^T)`` (K_1), and,
-with an exact determinant, the sign of ``det(I - A)``.  Those are
-preserved down the whole equivalence ladder, so disagreement refutes
-every rung at once; agreement never certifies anything.
+from the determinants of its unimodular factors, the sign of
+``det(I - A)``.  Those are preserved down the whole equivalence ladder,
+so disagreement refutes every rung at once; agreement never certifies
+anything.
 """
 
 from dataclasses import dataclass
-
-import numpy as np
 
 from .config import MAX_MATCH_STATES
 from .errors import InvalidPartition, TooLarge
 from .functions import _least_table
 from .maps import _composite_mismatch, compile_block_code
-from .shifts import ShiftSpace, TransitionMatrix, build_shift_space
+from .shifts import IntMatrix, ShiftSpace, TransitionMatrix, build_shift_space
 
 __all__ = [
     "InvariantReport",
@@ -97,11 +96,11 @@ def out_split(space, partition):
     copies = [(i, t) for i in range(1, m.n + 1) for t in range(len(blocks[i]))]
     idx = {c: k + 1 for k, c in enumerate(copies)}
     size = len(copies)
-    rows = np.zeros((size, size), dtype=int)
+    rows = [[0] * size for _ in range(size)]
     for (i, t) in copies:
         for j in blocks[i][t]:
             for u in range(len(blocks[j])):
-                rows[idx[(i, t)] - 1, idx[(j, u)] - 1] = 1
+                rows[idx[(i, t)] - 1][idx[(j, u)] - 1] = 1
     split_space = build_shift_space(rows)
     # block index of each transition: the copy a 2-word lands in
     block_of = {}
@@ -123,7 +122,8 @@ def out_split(space, partition):
 
 
 def _entries(x, capped=True):
-    """Integer entries of a shift space, transition matrix or integer array.
+    """Integer entries of a shift space, a transition matrix or any
+    iterable of integer rows, as an :class:`IntMatrix`.
 
     Raises
     ------
@@ -133,8 +133,9 @@ def _entries(x, capped=True):
     if isinstance(x, ShiftSpace):
         x = x.matrix
     if isinstance(x, TransitionMatrix):
-        x = x.entries
-    a = np.asarray(x, dtype=int)
+        a = x.entries
+    else:
+        a = IntMatrix(tuple(int(v) for v in row) for row in x)
     if capped and len(a) > MAX_MATCH_STATES:
         raise TooLarge(f"state count exceeds matching cap {MAX_MATCH_STATES}")
     return a
@@ -147,36 +148,44 @@ def _amalgamate(entries):
     columns: row ``q`` is added to row ``p`` and ``q`` is dropped.  Returns
     ``(t, edge)`` where ``edge`` maps every allowed 2-word of the 0-1 matrix
     (1-based symbols) to an edge ``(source, target, index)`` of ``t``
-    (0-based states, ``index < t[source, target]``).  Across a merge an
+    (0-based states, ``index < t[source][target]``).  Across a merge an
     edge into ``q`` becomes the edge into ``p`` with the same source and
     index, and an edge out of ``q`` an edge out of ``p`` whose index is
-    shifted by the pre-merge count ``t[p, d]``.  Reading the labels of
+    shifted by the pre-merge count ``t[p][d]``.  Reading the labels of
     consecutive 2-words is a one-sided conjugacy onto the edge shift of
-    ``t``; its inverse reads one more edge per merge.
+    ``t``; its inverse reads one more edge per merge.  ``t`` is returned
+    as an :class:`IntMatrix`.
     """
-    t = np.array(entries, dtype=int)
-    edge = {(i + 1, j + 1): (i, j, 0) for i, j in np.argwhere(t).tolist()}
+    t = [list(row) for row in entries]
+    edge = {
+        (i + 1, j + 1): (i, j, 0)
+        for i, row in enumerate(t)
+        for j, x in enumerate(row)
+        if x
+    }
     while True:
         n = len(t)
+        cols = list(zip(*t))
         pair = next(
-            ((p, q) for p in range(n) for q in range(p + 1, n)
-             if (t[:, p] == t[:, q]).all()),
+            ((p, q) for p in range(n) for q in range(p + 1, n) if cols[p] == cols[q]),
             None,
         )
         if pair is None:
-            return t, edge
+            return IntMatrix(tuple(row) for row in t), edge
         p, q = pair
 
         def move(s, d, k):
             if s == q:
-                s, k = p, k + int(t[p, d])
+                s, k = p, k + t[p][d]
             if d == q:
                 d = p
             return s - (s > q), d - (d > q), k
 
         edge = {w: move(*e) for w, e in edge.items()}
-        t[p] += t[q]
-        t = np.delete(np.delete(t, q, axis=0), q, axis=1)
+        t[p] = [x + y for x, y in zip(t[p], t[q])]
+        del t[q]
+        for row in t:
+            del row[q]
 
 
 def total_amalgamation(matrix):
@@ -184,7 +193,7 @@ def total_amalgamation(matrix):
 
     States with equal columns merge and their rows add, until no two
     columns are equal.  The result is a nonnegative integer matrix, unique
-    up to a state permutation, returned read-only.
+    up to a state permutation, returned as an :class:`IntMatrix`.
 
     Examples
     --------
@@ -192,7 +201,6 @@ def total_amalgamation(matrix):
     [[2]]
     """
     t, _ = _amalgamate(_entries(matrix, capped=False))
-    t.setflags(write=False)
     return t
 
 
@@ -214,7 +222,7 @@ def decide_one_sided_conjugacy(a, b):
     """
     ta, _ = _amalgamate(_entries(a))
     tb, _ = _amalgamate(_entries(b))
-    return _find_iso_arrays(ta, tb) is not None
+    return _find_iso(ta, tb) is not None
 
 
 def _code_through(source, source_edge, target, target_edge):
@@ -258,7 +266,7 @@ def conjugacy_from_amalgamation(a, b):
     """
     ta, edge_a = _amalgamate(_entries(a))
     tb, edge_b = _amalgamate(_entries(b))
-    perm = _find_iso_arrays(ta, tb)
+    perm = _find_iso(ta, tb)
     if perm is None:
         return None
     edge_a = {w: (perm[s], perm[d], k) for w, (s, d, k) in edge_a.items()}
@@ -277,12 +285,13 @@ def conjugacy_from_amalgamation(a, b):
 
 def _color_classes(a):
     n = len(a)
-    colors = [(int(a[i].sum()), int(a[:, i].sum()), int(a[i, i])) for i in range(n)]
+    cols = list(zip(*a))
+    colors = [(sum(a[i]), sum(cols[i]), a[i][i]) for i in range(n)]
     while True:
         sig = []
         for i in range(n):
-            outs = tuple(sorted(colors[j] for j in np.flatnonzero(a[i])))
-            ins = tuple(sorted(colors[j] for j in np.flatnonzero(a[:, i])))
+            outs = tuple(sorted(colors[j] for j, x in enumerate(a[i]) if x))
+            ins = tuple(sorted(colors[j] for j, x in enumerate(cols[i]) if x))
             sig.append((colors[i], outs, ins))
         relabel = {s: k for k, s in enumerate(sorted(set(sig)))}
         new = [relabel[s] for s in sig]
@@ -291,8 +300,8 @@ def _color_classes(a):
         colors = new
 
 
-def _find_iso_arrays(a, b):
-    """A permutation ``perm`` with ``a[i, j] == b[perm[i], perm[j]]``, or None."""
+def _find_iso(a, b):
+    """A permutation ``perm`` with ``a[i][j] == b[perm[i]][perm[j]]``, or None."""
     n = len(a)
     if n != len(b):
         return None
@@ -311,10 +320,10 @@ def _find_iso_arrays(a, b):
             ok = True
             for i2 in range(i):
                 j2 = perm[i2]
-                if a[i, i2] != b[j, j2] or a[i2, i] != b[j2, j]:
+                if a[i][i2] != b[j][j2] or a[i2][i] != b[j2][j]:
                     ok = False
                     break
-            if ok and a[i, i] == b[j, j]:
+            if ok and a[i][i] == b[j][j]:
                 perm[i] = j
                 used[j] = True
                 if extend(i + 1):
@@ -328,12 +337,12 @@ def _find_iso_arrays(a, b):
 
 def matrices_isomorphic(a, b):
     """True iff the matrices agree after some relabeling of states."""
-    return _find_iso_arrays(_entries(a), _entries(b)) is not None
+    return _find_iso(_entries(a), _entries(b)) is not None
 
 
 def find_isomorphism(a, b):
     """A relabeling ``perm`` (0-based, ``a -> b``) or None."""
-    return _find_iso_arrays(_entries(a), _entries(b))
+    return _find_iso(_entries(a), _entries(b))
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +352,7 @@ def find_isomorphism(a, b):
 def exact_det(m):
     """Exact integer determinant (fraction-free Gaussian elimination); the
     0x0 determinant is 1."""
-    a = [[int(x) for x in row] for row in np.asarray(m)]
+    a = [[int(x) for x in row] for row in m]
     n = len(a)
     if n == 0:
         return 1
@@ -391,12 +400,19 @@ def smith_normal_form(m):
     ends the step divides everything after it.  The certificate and the
     unimodularity of U and V are verified exactly before returning.
 
-    Returns ``(U, D, V)`` as nested lists of Python ints.
+    ``m`` is any iterable of integer rows.  Returns ``(U, D, V)`` as
+    nested lists of Python ints.
     """
-    arr = np.asarray(m)
-    a = [[int(x) for x in row] for row in arr]
-    # a numpy array keeps its column count when it has no rows
-    rows, cols = arr.shape if arr.ndim == 2 else (len(a), 0)
+    u, d, v, _ = _smith(m)
+    return u, d, v
+
+
+def _smith(m):
+    """:func:`smith_normal_form` with ``det U * det V`` (which is 1 or -1)."""
+    a = [[int(x) for x in row] for row in m]
+    m_int = [row[:] for row in a]
+    # an input with no rows keeps its column count only in its ``shape``
+    rows, cols = len(a), (len(a[0]) if a else getattr(m, "shape", (0,))[-1])
     u, v = _eye(rows), _eye(cols)
 
     def row_op(i, j, q):  # row_i -= q * row_j
@@ -445,12 +461,12 @@ def smith_normal_form(m):
             a[s] = [-x for x in a[s]]
             u[s] = [-x for x in u[s]]
 
-    m_int = [[int(x) for x in row] for row in arr]
     if _matmul(_matmul(u, m_int), v) != a:
         raise AssertionError("normal form certificate failed")
-    if abs(exact_det(u)) != 1 or abs(exact_det(v)) != 1:
+    det_u, det_v = exact_det(u), exact_det(v)
+    if abs(det_u) != 1 or abs(det_v) != 1:
         raise AssertionError("transformation matrices are not unimodular")
-    return u, a, v
+    return u, a, v, det_u * det_v
 
 
 # ---------------------------------------------------------------------------
@@ -479,13 +495,19 @@ def bowen_franks(a):
     dropped.  ``I - A^T`` is its transpose and has the same diagonal, so
     they are also the factors of ``K_0 = coker(I - A^T)``, and their
     zeros count the rank of ``K_1 = ker(I - A^T)``.
+
+    The sign comes from the same certificate: ``U (I - A) V = D`` gives
+    ``det(I - A) = det U * det V * prod(d_i)``, and every ``d_i >= 0``.
     """
     a = a.matrix if isinstance(a, ShiftSpace) else a
-    i_a = np.eye(a.n, dtype=int) - a.entries
-    det = exact_det(i_a)
-    sign = 0 if det == 0 else (1 if det > 0 else -1)
-    _, d, _ = smith_normal_form(i_a)
-    return tuple(d[i][i] for i in range(a.n) if d[i][i] != 1), sign
+    i_a = [
+        [int(i == j) - x for j, x in enumerate(row)]
+        for i, row in enumerate(a.entries)
+    ]
+    _, d, _, unit = _smith(i_a)
+    diag = [d[i][i] for i in range(a.n)]
+    sign = unit if all(diag) else 0
+    return tuple(x for x in diag if x != 1), sign
 
 
 def invariant_report(a):

@@ -19,8 +19,6 @@ Words are tuples of ints; the empty word is ``()``.
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .config import MAX_ALPHABET, MAX_DEPTH, WORD_TABLE_LIMIT
 from .errors import (
     InadmissibleWord,
@@ -43,13 +41,38 @@ __all__ = [
 ]
 
 
+class IntMatrix(tuple):
+    """An integer matrix as a tuple of row tuples of Python ints.
+
+    ``tolist()`` gives the rows as nested lists, for JSON and printing.
+    """
+
+    __slots__ = ()
+
+    def tolist(self):
+        return [list(row) for row in self]
+
+
+# keyed by value, so True, 1.0 and other integer types find their int
+_BITS = {0: 0, 1: 1}
+
+
+def _support(rows):
+    """The 1-based indices of the nonzero entries of each row."""
+    return tuple(tuple(j for j, x in enumerate(row, 1) if x) for row in rows)
+
+
 class TransitionMatrix:
     """A validated square 0-1 matrix with its transition graph.
+
+    ``entries`` is an :class:`IntMatrix`: immutable rows of 0s and 1s.
+    Any iterable of rows is accepted; an entry is valid when it equals
+    0 or 1.
 
     Raises
     ------
     NotZeroOne
-        if any entry is outside ``{0, 1}`` (or the array is not square).
+        if any entry is outside ``{0, 1}`` (or the rows are not square).
     TooLarge
         if the alphabet exceeds the configured cap.
     PermutationMatrix
@@ -62,59 +85,63 @@ class TransitionMatrix:
     --------
     >>> TransitionMatrix([[1, 1], [1, 0]]).n
     2
+    >>> TransitionMatrix([[1, 1.5], [1, 0]])
+    Traceback (most recent call last):
+    ...
+    orbiteq.errors.NotZeroOne: transition matrix entries must be 0 or 1
     """
 
     def __init__(self, rows):
-        a = np.asarray(rows, dtype=int)
-        if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
+        try:
+            raw = tuple(tuple(row) for row in rows)
+        except TypeError:
+            raw = ()
+        n = len(raw)
+        if n == 0 or any(len(row) != n for row in raw):
             raise NotZeroOne("transition matrix must be square and nonempty")
-        if not np.isin(a, (0, 1)).all():
-            raise NotZeroOne("transition matrix entries must be 0 or 1")
-        n = a.shape[0]
+        try:
+            a = IntMatrix(tuple(_BITS[x] for x in row) for row in raw)
+        except (KeyError, TypeError):
+            raise NotZeroOne("transition matrix entries must be 0 or 1") from None
         if n > MAX_ALPHABET:
             raise TooLarge(f"alphabet size {n} exceeds cap {MAX_ALPHABET}")
-        if (a.sum(axis=1) == 1).all() and (a.sum(axis=0) == 1).all():
+        # followers[i] = sorted tuple of symbols j (1-based) with i -> j
+        self.followers = _support(a)
+        preceders = _support(zip(*a))
+        degrees = [len(f) for f in self.followers + preceders]
+        if all(d == 1 for d in degrees):
             raise PermutationMatrix("matrix is a permutation matrix")
-        if (a.sum(axis=1) == 0).any() or (a.sum(axis=0) == 0).any():
+        if 0 in degrees:
             raise NotIrreducible("some state has no outgoing or incoming edge")
         self.n = n
         self.entries = a
-        self.entries.setflags(write=False)
-        # followers[i] = sorted tuple of symbols j (1-based) with i -> j
-        self.followers = tuple(
-            tuple(int(j) + 1 for j in np.flatnonzero(a[i])) for i in range(n)
-        )
-        if not self._strongly_connected():
+        if not (_reaches_all(self.followers) and _reaches_all(preceders)):
             raise NotIrreducible("transition graph is not strongly connected")
-
-    def _strongly_connected(self):
-        def reach(adj):
-            seen = {0}
-            stack = [0]
-            while stack:
-                i = stack.pop()
-                for j in np.flatnonzero(adj[i]):
-                    if int(j) not in seen:
-                        seen.add(int(j))
-                        stack.append(int(j))
-            return len(seen) == self.n
-
-        return reach(self.entries) and reach(self.entries.T)
 
     def allows(self, i, j):
         """True iff the transition ``i -> j`` (1-based symbols) is allowed."""
-        return bool(self.entries[i - 1, j - 1])
+        return bool(self.entries[i - 1][j - 1])
 
     def __eq__(self, other):
-        return isinstance(other, TransitionMatrix) and np.array_equal(
-            self.entries, other.entries
-        )
+        return isinstance(other, TransitionMatrix) and self.entries == other.entries
 
     def __hash__(self):
-        return hash((self.n, self.entries.tobytes()))
+        return hash(self.entries)
 
     def __repr__(self):
         return f"TransitionMatrix({self.entries.tolist()})"
+
+
+def _reaches_all(adj):
+    """True iff every state is reachable from state 1 along ``adj``."""
+    seen = {1}
+    stack = [1]
+    while stack:
+        for j in adj[stack.pop() - 1]:
+            if j not in seen:
+                seen.add(j)
+                stack.append(j)
+    return len(seen) == len(adj)
 
 
 class ShiftSpace:
@@ -408,7 +435,20 @@ def count_periodic(space, n):
     """Number of points fixed by the n-fold shift.
 
     Those are exactly the canonical points with empty preperiod whose
-    cycle length divides ``n``; the count equals ``trace(A^n)``.
+    cycle length divides ``n``; the count equals ``trace(A^n)``, taken
+    over the rows of ``A^n`` built up from the follower lists.
+
+    Examples
+    --------
+    >>> count_periodic(build_shift_space([[1, 1], [1, 0]]), 5)
+    11
     """
-    a = np.linalg.matrix_power(space.matrix.entries.astype(object), n)
-    return int(np.trace(a))
+    n_states = space.n
+    # walks[i][j] = number of walks of the current length from i to j
+    walks = [[int(i == j) for j in range(n_states)] for i in range(n_states)]
+    for _ in range(n):
+        walks = [
+            [sum(col) for col in zip(*(walks[b - 1] for b in f))]
+            for f in space.matrix.followers
+        ]
+    return sum(walks[i][i] for i in range(n_states))

@@ -283,17 +283,58 @@ def test_psi_cap_hit_has_the_verify_undecided_form(files, capsys, monkeypatch):
     assert run(capsys, argv) == (2, f"undecided: {UNDECIDED['note']}\n")
 
 
-def run_process(argv):
-    """``python -m orbiteq.cli`` in a child interpreter, on this package."""
+def run_child(args):
+    """A child interpreter run with ``args``, on this package."""
     src = str(Path(orbiteq.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-m", "orbiteq.cli", *argv],
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
         timeout=120,
     )
+
+
+def run_process(argv):
+    """``python -m orbiteq.cli`` in a child interpreter, on this package."""
+    return run_child(["-m", "orbiteq.cli", *argv])
+
+
+def test_analyze_entry_not_0_or_1_exits_1_without_traceback(files):
+    # 1.5 was once truncated to 1, and the golden mean analysed
+    half = files["write"]("half.json", {"rows": [[1, 1.5], [1, 0]]})
+    proc = run_process(["analyze", half])
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == (
+        "error: NotZeroOne: transition matrix entries must be 0 or 1\n"
+    )
+    for name, rows in (
+        ("point5", [[1, 0.5], [1, 1]]),
+        ("string", [[1, "1"], [1, 0]]),
+        ("ragged", [[1, 1], [1]]),
+    ):
+        code = main(["analyze", files["write"](f"{name}.json", {"rows": rows})])
+        assert code == 1, name
+
+
+def test_cli_commands_do_not_import_numpy(files):
+    # a fresh interpreter: the test session itself imports numpy
+    argvs = [
+        ["analyze", files["golden"], "--format", "json"],
+        ["compare", files["full2"], files["full3"]],
+        ["verify", files["full2"], files["full2"], files["recoder"], files["recoder"]],
+        ["psi", files["full2"], files["full2"], files["ident2"], files["ind1"]],
+    ]
+    script = (
+        "import sys\n"
+        "from orbiteq.cli import main\n"
+        f"codes = [main(argv) for argv in {argvs!r}]\n"
+        "print(codes, 'numpy' in sys.modules)\n"
+    )
+    proc = run_child(["-c", script])
+    assert proc.stderr == ""
+    assert proc.stdout.splitlines()[-1] == "[0, 0, 0, 0] False"
 
 
 def test_cli_process_maps_caps_and_malformed_files_to_exit_codes(files):

@@ -46,10 +46,35 @@ def test_not_irreducible_rejected():
 
 
 def test_bad_entries_rejected():
-    with pytest.raises(NotZeroOne):
-        build_shift_space([[1, 2], [1, 1]])
-    with pytest.raises(NotZeroOne):
-        build_shift_space([[1, 1, 1], [1, 1, 1]])
+    for rows in (
+        [[1, 2], [1, 1]],
+        [[1, 1, 1], [1, 1, 1]],
+        [[1, 1.5], [1, 0]],  # once truncated to the golden mean
+        [[1, 0.5], [1, 1]],  # once truncated to [[1, 0], [1, 1]]
+        [["1", 1], [1, 0]],
+        [[1, float("nan")], [1, 0]],
+        [[1, 1], [1]],
+        [[1, 1], [1, 1, 1]],
+        [[[1], [1]], [[1], [0]]],
+        3,
+    ):
+        with pytest.raises(NotZeroOne):
+            build_shift_space(rows)
+
+
+def test_entries_equal_to_0_or_1_become_ints(golden):
+    for rows in (
+        [[True, True], [True, False]],
+        np.array([[1, 1], [1, 0]]),
+        np.array([[1, 1], [1, 0]], dtype=np.uint8),
+        [[1.0, 1], [1, 0.0]],
+        ((1, 1), (1, 0)),
+    ):
+        space = build_shift_space(rows)
+        assert space == golden
+        assert space.matrix.entries == ((1, 1), (1, 0))
+        assert all(type(x) is int for row in space.matrix.entries for x in row)
+        assert space.matrix.entries.tolist() == [[1, 1], [1, 0]]
 
 
 def test_alphabet_cap():
@@ -79,7 +104,7 @@ def test_allowed_words_full2(full2):
 def test_allowed_words_golden(golden):
     assert golden.words(2) == ((1, 1), (1, 2), (2, 1))
     # path count of length 2 = total of A^2
-    a = golden.matrix.entries
+    a = np.array(golden.matrix.entries)
     assert len(golden.words(3)) == int((a @ a).sum()) == 5
 
 
@@ -242,8 +267,19 @@ def test_periodic_counts_match_trace(full2, golden):
                 for p in enumerate_points(s, 0, n)
                 if n % len(p.cycle) == 0
             ]
-            a = np.linalg.matrix_power(s.matrix.entries.astype(object), n)
+            a = np.linalg.matrix_power(np.array(s.matrix.entries, dtype=object), n)
             assert len(fixed) == int(np.trace(a)) == count_periodic(s, n)
+
+
+def test_count_periodic_matches_numpy_trace():
+    # reference: trace of the object-dtype numpy power, exact for any n
+    rng = random.Random(20261018)
+    for _ in range(100):
+        s = random_shift_space(rng, rng.randint(2, 7))
+        a = np.array(s.matrix.entries, dtype=object)
+        for n in range(0, 9):
+            ref = int(np.trace(np.linalg.matrix_power(a, n)))
+            assert count_periodic(s, n) == ref
 
 
 def test_point_with_prefix(full2, golden):
