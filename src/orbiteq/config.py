@@ -12,8 +12,9 @@ MAX_ALPHABET = 64
 MAX_DEPTH = 24
 MAX_MATCH_STATES = 12  # backtracking isomorphism search
 WORD_TABLE_LIMIT = 1_000_000  # safety valve for allowed-word tables
-# the orbit alignment search per point reaches HORIZON_MULT times
-# (depth + |preperiod| + |cycle|)
+# only the point fallback of the orbit cocycles reads it (a cylinder whose
+# two runs never share a state): its search per point reaches HORIZON_MULT
+# times (depth + |preperiod| + |cycle|)
 HORIZON_MULT = 2
 
 

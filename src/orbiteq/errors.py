@@ -52,7 +52,8 @@ class InvalidPartition(OrbiteqError):
 
 
 class NoAlignment(OrbiteqError):
-    """Orbit alignment search exhausted its horizon without a match."""
+    """No orbit alignment exists on some cylinder: a mismatch recurs on a
+    cycle of the walk (or the point fallback found none in its horizon)."""
 
 
 class InconsistentRoutes(OrbiteqError):

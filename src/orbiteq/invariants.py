@@ -121,6 +121,15 @@ def out_split(space, partition):
 # amalgamation
 
 
+def _int(v):
+    """``v`` as a Python int; a ``ValueError`` unless it equals one, so a
+    fraction is never truncated and a string never accepted."""
+    i = int(v)
+    if i != v:
+        raise ValueError(f"matrix entry {v!r} is not an integer")
+    return i
+
+
 def _entries(x, capped=True):
     """Integer entries of a shift space, a transition matrix or any
     iterable of integer rows, as an :class:`IntMatrix`.
@@ -129,13 +138,15 @@ def _entries(x, capped=True):
     ------
     TooLarge
         if ``capped`` and the matrix exceeds the matching cap.
+    ValueError
+        if an entry is not an integer.
     """
     if isinstance(x, ShiftSpace):
         x = x.matrix
     if isinstance(x, TransitionMatrix):
         a = x.entries
     else:
-        a = IntMatrix(tuple(int(v) for v in row) for row in x)
+        a = IntMatrix(tuple(_int(v) for v in row) for row in x)
     if capped and len(a) > MAX_MATCH_STATES:
         raise TooLarge(f"state count exceeds matching cap {MAX_MATCH_STATES}")
     return a
@@ -351,8 +362,9 @@ def find_isomorphism(a, b):
 
 def exact_det(m):
     """Exact integer determinant (fraction-free Gaussian elimination); the
-    0x0 determinant is 1."""
-    a = [[int(x) for x in row] for row in m]
+    0x0 determinant is 1.  An entry that is not an integer is a
+    ``ValueError``."""
+    a = [[_int(x) for x in row] for row in m]
     n = len(a)
     if n == 0:
         return 1
@@ -400,8 +412,9 @@ def smith_normal_form(m):
     ends the step divides everything after it.  The certificate and the
     unimodularity of U and V are verified exactly before returning.
 
-    ``m`` is any iterable of integer rows.  Returns ``(U, D, V)`` as
-    nested lists of Python ints.
+    ``m`` is any iterable of integer rows; an entry that is not an integer
+    is a ``ValueError``.  Returns ``(U, D, V)`` as nested lists of Python
+    ints.
     """
     u, d, v, _ = _smith(m)
     return u, d, v
@@ -409,7 +422,7 @@ def smith_normal_form(m):
 
 def _smith(m):
     """:func:`smith_normal_form` with ``det U * det V`` (which is 1 or -1)."""
-    a = [[int(x) for x in row] for row in m]
+    a = [[_int(x) for x in row] for row in m]
     m_int = [row[:] for row in a]
     # an input with no rows keeps its column count only in its ``shape``
     rows, cols = len(a), (len(a[0]) if a else getattr(m, "shape", (0,))[-1])

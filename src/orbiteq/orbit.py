@@ -23,20 +23,26 @@ conjugacy from eventual conjugacy, and :func:`check_potential_identity`
 decides that over all indicator functions up to a depth.
 
 The cocycles and the intertwining checks are exact on every point, not
-only on eventually periodic ones.  Points only propose candidate pairs;
-a breadth-first walk over pairs of states of ``h`` (the square of a
-transducer, Béal, Carton, Prieur and Sakarovitch 2003) certifies a
-candidate on a whole cylinder, or returns the shortest word that
-refutes it, and a point starting with that word joins the candidates'
-points.  A pair of block codes that composition shows to be inverse is
-a conjugacy whose cocycles :func:`classify` gives in closed form.  A
-search that finds nothing, or a walk that hits a cap, reports
-undecided, never a refutation.  :func:`cylinder_family` and
-:func:`verify_cocycles` remain for sampled re-checks on explicit points.
+only on eventually periodic ones, and come from walks over pairs of
+states of ``h`` (the square of a transducer, Béal, Carton, Prieur and
+Sakarovitch 2003), one run on a cylinder word ``w`` and one on
+``w[1:]``.  On ``[w]`` the difference ``c = l - k`` is how far the run on
+``w`` is ahead in output where the two runs first share a state, and the
+least ``l`` is ``max(c, 0)`` plus the most symbols one walk compares up
+to its last mismatch; no point is mapped.  The pair is the least one
+whenever ``h`` is injective, as every map given to :func:`classify` is.
+A cylinder whose runs never share a state falls back on points that
+propose candidate pairs, each certified or refuted by a walk.  A pair of
+block codes that composition shows to be inverse is a conjugacy whose
+cocycles :func:`classify` gives in closed form.  A mismatch that recurs
+on a cycle, or a walk that hits a cap, reports undecided, never a
+refutation.  :func:`cylinder_family` and :func:`verify_cocycles` remain
+for sampled re-checks on explicit points.
 """
 
 from collections import Counter
 from dataclasses import dataclass
+from math import inf
 
 from .config import HORIZON_MULT, MAX_DEPTH, WORD_TABLE_LIMIT, RunConfig
 from .errors import (
@@ -257,20 +263,28 @@ def _solutions(rec, l, top):
 # the product walk
 
 
-def _aligned(sa, sb, last, da, db, xa, xb):
-    """The walk node after side A has emitted ``xa`` and side B ``xb``, or
-    None when they disagree.
+def _compared(sa, sb, last, da, db, xa, xb):
+    """The walk node after side A has emitted ``xa`` and side B ``xb``,
+    the number of symbol pairs compared, and one past the index of the
+    last pair that differs (0 when all agree).
 
     Each side first drops the symbols it still owes (``da``, ``db``); what
-    is left of the two streams is matched, and the rest is the unmatched
+    is left of the two streams is compared, and the rest is the unmatched
     output of the side that is ahead.
     """
     xa, da = xa[da:], max(0, da - len(xa))
     xb, db = xb[db:], max(0, db - len(xb))
-    m = min(len(xa), len(xb))
-    if xa[:m] != xb[:m]:
-        return None
-    return sa, sb, last, da, db, xa[m:], xb[m:]
+    n = min(len(xa), len(xb))
+    miss = 0
+    if xa[:n] != xb[:n]:
+        miss = next(i for i in range(n, 0, -1) if xa[i - 1] != xb[i - 1])
+    return (sa, sb, last, da, db, xa[n:], xb[n:]), n, miss
+
+
+def _aligned(sa, sb, last, da, db, xa, xb):
+    """The node of :func:`_compared`, or None when the streams disagree."""
+    node, _, miss = _compared(sa, sb, last, da, db, xa, xb)
+    return None if miss else node
 
 
 def _misaligned(m, words, k, l, safe):
@@ -318,6 +332,121 @@ def _intertwining_witness(m, k, safe):
     return word and point_with_prefix(m.source, word)
 
 
+def _difference(m, sa, sb, last, d):
+    """``l - k`` read where the two runs first share a state, or None when
+    they never do.
+
+    The runs stand in states ``sa`` (side A) and ``sb`` (side B) after
+    input ending in ``last``, with side A ``d`` symbols ahead in output.
+    Breadth first over ``(state A, state B, last input)``, the first
+    node with equal states gives the answer: from there both sides emit
+    the same stream, so ``sigma^k h(sigma x) = sigma^l h(x)`` with ``l -
+    k`` equal to how far side A is ahead, on the whole cylinder of the
+    path to that node.
+    """
+    delta, fol = m.delta, m.source.matrix.followers
+    frontier, seen = [(sa, sb, last, d)], {(sa, sb, last)}
+    while frontier:
+        nxt = []
+        for sa, sb, last, d in frontier:
+            if sa == sb:
+                return d
+            for a in fol[last - 1]:
+                (ta, xa), (tb, xb) = delta[sa, a], delta[sb, a]
+                if (ta, tb, a) not in seen:
+                    seen.add((ta, tb, a))
+                    nxt.append((ta, tb, a, d + len(xa) - len(xb)))
+        frontier = nxt
+    return None
+
+
+def _last_mismatch(m, root, safe, late):
+    """The most symbol pairs a walk from ``root`` compares up to and
+    including its last mismatch: 0 when no mismatch is reachable, ``inf``
+    when a mismatch recurs on a cycle.
+
+    The walk steps both sides of ``m`` on each admissible input, as
+    :func:`_misaligned` does, but a mismatch is an edge label, not a dead
+    end.  Every cycle of the walk compares at least one pair (``m`` is
+    productive), so a mismatch that a cycle reaches recurs at unbounded
+    positions.  The strongly connected components of the nodes reached
+    are finished sinks first (Tarjan, iteratively), so a node's value is
+    read off its finished successors.  What a node leads to depends on
+    the node alone: values above 0 are kept in ``late``, nodes of value 0
+    join ``safe``, and both are shared by every walk of ``m``.
+
+    Raises
+    ------
+    TooLarge
+        if a node's queues hold more than ``MAX_DEPTH`` symbols, or the
+        walk passes ``WORD_TABLE_LIMIT`` new nodes.
+    """
+    if root in safe:
+        return 0
+    if root in late:
+        return late[root]
+    delta, fol = m.delta, m.source.matrix.followers
+    # per node on the stack: its number, low link, the greatest value of
+    # an edge leaving its component, and of a mismatch inside it (-1: no
+    # edge inside)
+    num, low, best, inner = {}, {}, {}, {}
+    stack, path = [], []
+
+    def enter(node):
+        if len(num) >= WORD_TABLE_LIMIT:
+            raise TooLarge(f"product walk past {WORD_TABLE_LIMIT} nodes")
+        num[node] = low[node] = len(num)
+        best[node], inner[node] = 0, -1
+        stack.append(node)
+        path.append([node, iter(fol[node[2] - 1]), None])
+
+    def edge(node, child, n, miss):
+        if child in safe:
+            best[node] = max(best[node], miss)
+        elif child in late:
+            best[node] = max(best[node], n + late[child])
+        else:  # on the stack, so in the component of node
+            low[node] = min(low[node], low[child])
+            inner[node] = max(inner[node], miss)
+
+    enter(root)
+    while path:
+        frame = path[-1]
+        node = frame[0]
+        if frame[2] is not None:  # back from the child it names
+            edge(node, *frame[2])
+            frame[2] = None
+        sa, sb, _, da, db, qa, qb = node
+        for a in frame[1]:
+            (ta, xa), (tb, xb) = delta[sa, a], delta[sb, a]
+            child, n, miss = _compared(ta, tb, a, da, db, qa + xa, qb + xb)
+            if child in num or child in safe or child in late:
+                edge(node, child, n, miss)
+                continue
+            if len(child[-2]) + len(child[-1]) > MAX_DEPTH:
+                raise TooLarge(f"product queue past {MAX_DEPTH} symbols")
+            frame[2] = (child, n, miss)
+            enter(child)
+            break
+        else:
+            path.pop()
+            if low[node] != num[node]:
+                continue
+            comp = []
+            while not comp or comp[-1] is not node:
+                comp.append(stack.pop())
+            value = best[node]
+            if len(comp) > 1 or inner[node] >= 0:
+                value = inf if any(best[s] or inner[s] > 0 for s in comp) else 0
+            if value:
+                late.update(dict.fromkeys(comp, value))
+            else:
+                safe.update(comp)
+            if value == inf:
+                return inf
+    return late.get(root, 0)
+
+
 # ---------------------------------------------------------------------------
 # orbit cocycles
 
@@ -343,47 +472,84 @@ def _candidate(h, w, depth, points, images):
     raise NoAlignment(f"no orbit alignment on cylinder {w}")
 
 
+def _proposed(m, w, depth, safe):
+    """The least pair on ``[w]`` from points: the least pair that aligns
+    the points found so far, certified by :func:`_misaligned` or refuted
+    by a word whose point joins them.  Only a cylinder whose two runs
+    never share a state needs it."""
+    src = m.source
+    points = {point_with_prefix(src, w), aperiodic_point_with_prefix(src, w)}
+    images = {}
+    while True:
+        k, l = _candidate(m, w, depth, points, images)
+        word = _misaligned(m, (w,), k, l, safe)
+        if word is None:
+            return k, l
+        points.add(point_with_prefix(src, word))
+
+
+def _least_pair(m, w, depth, safe, late):
+    """The least ``(k, l)`` on the cylinder ``[w]``, as
+    :func:`orbit_cocycles` finds it."""
+    (sa, oa), (sb, ob) = m._run(w), m._run(w[1:])
+    c = _difference(m, sa, sb, w[-1], len(oa) - len(ob))
+    if c is None:
+        return _proposed(m, w, depth, safe)
+    root, n, miss = _compared(sa, sb, w[-1], max(c, 0), max(-c, 0), oa, ob)
+    after = _last_mismatch(m, root, safe, late)
+    if after == inf:
+        raise NoAlignment(f"no orbit alignment on cylinder {w}")
+    l = max(c, 0) + (n + after if after else miss)
+    return l - c, l
+
+
 def orbit_cocycles(h, depth):
     """The minimal orbit cocycle pair of ``h`` at the given cylinder depth.
 
     For each depth-cylinder ``[w]`` the returned ``(k, l)`` is the
     lexicographically least pair (minimize ``l``, then ``k``) with
     ``sigma^k h(sigma x) = sigma^l h(x)`` for *every* point ``x`` of
-    ``[w]``, not only for eventually periodic ones.  Points only propose
-    candidates: the search starts from one periodic and one
-    preperiod-bearing point of ``[w]``, and a product walk over the states
-    of ``h`` (:func:`_misaligned`) certifies each candidate on the whole
-    cylinder or returns the shortest word that refutes it.  A point that
-    starts with that word joins the cylinder's points, and the search goes
-    on.  The pair is searched within ``HORIZON_MULT * (depth + |preperiod|
-    + |cycle|)`` of the shortest of those points.
+    ``[w]``, not only for eventually periodic ones.  Both come from the
+    square of ``h``, one run on ``w`` (side A) and one on ``w[1:]`` (side
+    B), with no point mapped:
+
+    * ``c = l - k`` is how far side A is ahead in output at the first
+      node, breadth first, where the two runs share a state
+      (:func:`_difference`).  From there both sides emit one stream, so
+      ``(k, l)`` with that difference aligns a subcylinder of ``[w]``.
+      When ``h`` is injective, ``[w]`` holds points whose image is not
+      eventually periodic, and such a point is aligned by one difference
+      only.
+    * ``l0`` is ``max(c, 0)`` plus the most symbol pairs any walk compares
+      up to its last mismatch, side A dropping ``max(c, 0)`` symbols and
+      side B ``max(-c, 0)`` (:func:`_last_mismatch`), and ``k0 = l0 -
+      c``.  For a fixed difference the aligning ``l`` are those past every
+      mismatch, so ``(k0, l0)`` is the least pair.
+
+    The pair is least whenever ``h`` is injective, which holds for every
+    map :func:`classify` is given.  A cylinder whose two runs never share
+    a state falls back on :func:`_proposed`, which searches pairs within
+    ``HORIZON_MULT * (depth + |preperiod| + |cycle|)`` of a point.
 
     Raises
     ------
     NoAlignment
-        if some cylinder admits no aligning pair within the horizon; the
-        map is then not an orbit map as far as this search can see.
+        if on some cylinder a mismatch recurs on a cycle of the walk (or
+        the fallback finds no pair within its horizon); the map is then
+        not an orbit map.
     TooLarge
         if a product walk hits a cap.
     """
-    return _cocycles(_as_transducer(h), depth, set())
+    return _cocycles(_as_transducer(h), depth, set(), {})
 
 
-def _cocycles(m, depth, safe):
-    """:func:`orbit_cocycles` of the transducer ``m``, sharing ``safe``
-    with the other walks of ``m``."""
+def _cocycles(m, depth, safe, late):
+    """:func:`orbit_cocycles` of the transducer ``m``, sharing ``safe`` and
+    ``late`` (:func:`_last_mismatch`) with the other walks of ``m``."""
     src = m.source
-    images = {}
     ktab, ltab = {}, {}
     for w in src.words(depth):
-        points = {point_with_prefix(src, w), aperiodic_point_with_prefix(src, w)}
-        while True:
-            k, l = _candidate(m, w, depth, points, images)
-            word = _misaligned(m, (w,), k, l, safe)
-            if word is None:
-                break
-            points.add(point_with_prefix(src, word))
-        ktab[w], ltab[w] = k, l
+        ktab[w], ltab[w] = _least_pair(m, w, depth, safe, late)
     return OrbitCocyclePair(
         CylinderFunction(src, depth, ktab), CylinderFunction(src, depth, ltab)
     )
@@ -651,13 +817,14 @@ def _search_cocycles(cfg, maps, safes=None):
     """The cocycles of each map of ``maps`` at the least depth from
     ``min(cfg.depth, 3)`` to ``cfg.depth`` at which all of them align;
     raises NoAlignment when they do not at ``cfg.depth``.  ``safes`` holds
-    each map's set of safe nodes, kept across depths; fresh sets if None."""
+    each map's set of safe nodes, kept across depths with its memo of
+    later mismatches (:func:`_last_mismatch`); fresh sets if None."""
     safes = safes or [set() for _ in maps]
-    walks = [(_as_transducer(h), safe) for h, safe in zip(maps, safes)]
+    walks = [(_as_transducer(h), safe, {}) for h, safe in zip(maps, safes)]
     depths = range(min(cfg.depth, 3), cfg.depth + 1)
     for depth in depths:
         try:
-            return [_cocycles(m, depth, safe) for m, safe in walks]
+            return [_cocycles(m, depth, safe, late) for m, safe, late in walks]
         except NoAlignment:
             if depth == depths[-1]:
                 raise

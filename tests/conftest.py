@@ -4,6 +4,7 @@ from orbiteq import (
     RunConfig,
     build_shift_space,
     compile_block_code,
+    orbit,
     transducer,
 )
 
@@ -82,6 +83,20 @@ def recoder(full2):
             ("copy", 2): ("copy", (2,)),
         },
     )
+
+
+@pytest.fixture
+def orbit_images(monkeypatch):
+    """The points that ``orbiteq.orbit`` maps with ``apply_map``, in order."""
+    calls = []
+    apply_map = orbit.apply_map
+
+    def counted(m, p):
+        calls.append(p)
+        return apply_map(m, p)
+
+    monkeypatch.setattr(orbit, "apply_map", counted)
+    return calls
 
 
 # --- raw sequence helpers used as test-side oracles -------------------------

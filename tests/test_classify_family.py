@@ -1,16 +1,14 @@
 """``classify`` certifies with product walks and builds no point family.
 
 The answers must be those of the public routines called one by one, no
-cylinder family may be built, each candidate point is mapped once per
-map, every witness re-checks with ``apply_map``, and nothing may outlive
-the call.
+point may be mapped, every witness re-checks with ``apply_map``, and
+nothing may outlive the call.
 """
 
 import dataclasses
 import gc
 import random
 import weakref
-from collections import Counter
 
 import pytest
 
@@ -24,7 +22,6 @@ from orbiteq import (
     check_potential_identity,
     classify,
     jsonio,
-    orbit,
     orbit_cocycles,
     shift_point,
     transducer,
@@ -162,35 +159,31 @@ def test_block_code_closed_form_matches_transducer_path(i):
     assert jsonio.dumps(closed) == jsonio.dumps(general)
 
 
-# --- no family; one image per candidate point and map -----------------------
+# --- no family and no image ------------------------------------------------
 
 
-def test_classify_builds_no_family(monkeypatch):
-    # the transducer presentations take the product walks; the block codes
-    # themselves are decided by composition, with no walk and no image
+def test_classify_builds_no_family(orbit_images):
+    # the transducer presentations take the product walks, whose cocycles
+    # come from the square of each map; the block codes themselves are
+    # decided by composition, with no walk
     code, code_inv = split_pair(0)
     h, h_inv = block_to_transducer(code), block_to_transducer(code_inv)
-    families = Counter()
-    images = Counter()
-    cylinder_family = orbit.cylinder_family
-    apply_map = orbit.apply_map
-
-    def counted_family(space, depth, cfg):
-        families[id(space)] += 1
-        return cylinder_family(space, depth, cfg)
-
-    def counted_map(m, p):
-        images[(id(m), p)] += 1
-        return apply_map(m, p)
-
-    monkeypatch.setattr(orbit, "cylinder_family", counted_family)
-    monkeypatch.setattr(orbit, "apply_map", counted_map)
     assert classify(code, code_inv, CFG).kind == "Conjugacy"
-    assert (families, images) == ({}, {})
     assert classify(h, h_inv, CFG).kind == "Conjugacy"
-    assert families == {}
-    assert {m for m, _ in images} == {id(h), id(h_inv)}
-    assert max(images.values()) == 1
+    assert orbit_images == []
+
+
+def test_identity_on_full_8_shift_maps_no_point(orbit_images):
+    # one walk from the one-symbol roots certifies (0, 1) on all 512
+    # depth-3 cylinders, with no point proposed
+    space = build_shift_space([[1] * 8 for _ in range(8)])
+    ident = transducer(
+        space, space, ["s"], "s", {("s", a): ("s", (a,)) for a in range(1, 9)}
+    )
+    v = classify(ident, ident, CFG)
+    assert v.kind == "Conjugacy"
+    assert {(kl.k.max(), kl.l.min(), kl.l.max()) for kl in v.cocycles} == {(0, 1, 1)}
+    assert orbit_images == []
 
 
 # --- no state outlives the call ---------------------------------------------

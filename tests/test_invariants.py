@@ -109,6 +109,31 @@ def test_exact_det_of_empty_matrix_is_one():
     assert exact_det([]) == 1
 
 
+@pytest.mark.parametrize(
+    "call,m",
+    [
+        (total_amalgamation, [[1, 1.5], [1, 0]]),
+        (lambda m: matrices_isomorphic(m, [[2]]), [[2.9]]),
+        (lambda m: find_isomorphism([[2]], m), [[2.9]]),
+        (exact_det, [[1.5, 0], [0, 1]]),
+        (smith_normal_form, [[1.5]]),
+        (smith_normal_form, [["2"]]),
+        (exact_det, [["1", 0], [0, 1]]),
+        (total_amalgamation, [["1", 1], [1, 0]]),
+    ],
+)
+def test_non_integer_entries_are_rejected(call, m):
+    with pytest.raises(ValueError, match="not an integer"):
+        call(m)
+
+
+def test_integral_entries_of_other_types_are_read_as_ints():
+    # an entry equal to an integer is that integer, whatever its type
+    assert exact_det([[2.0, True], [np.int64(1), 1]]) == 1
+    assert smith_normal_form(np.array([[4.0, 0.0], [0.0, 6.0]]))[1] == [[2, 0], [0, 12]]
+    assert matrices_isomorphic([[np.int8(1), 1.0], [1, 0]], [[0, 1], [1, 1]])
+
+
 def determinantal_divisors(m):
     """``D_k``, the gcd of all k x k minors, for k = 1..min(rows, cols)."""
     rows, cols = len(m), len(m[0])
