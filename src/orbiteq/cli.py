@@ -4,7 +4,9 @@ Four subcommands: ``analyze`` (validate a matrix and report its
 invariants), ``compare`` (invariant obstructions plus the amalgamation
 conjugacy decision for two matrices), ``verify`` (classify a candidate
 homeomorphism given with its inverse), and ``psi`` (evaluate the induced
-potential of a function under a map).
+potential of a function under a map).  ``psi`` takes no inverse, so it
+does not check that the map is injective; its cocycles are the least
+ones only for an injective map.
 
 Every subcommand takes ``--format``; only ``verify`` and ``psi`` take the
 search flag ``--depth``.
@@ -220,7 +222,11 @@ def build_parser():
     search(p)
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("psi", help="induced potential of a function under a map")
+    p = sub.add_parser(
+        "psi",
+        help="induced potential of a function under a map, "
+        "assumed injective (its cocycles are least only then)",
+    )
     p.add_argument("a")
     p.add_argument("b")
     p.add_argument("map")

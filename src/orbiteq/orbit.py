@@ -490,7 +490,11 @@ def _proposed(m, w, depth, safe):
 
 def _least_pair(m, w, depth, safe, late):
     """The least ``(k, l)`` on the cylinder ``[w]``, as
-    :func:`orbit_cocycles` finds it."""
+    :func:`orbit_cocycles` finds it.
+
+    The :func:`_proposed` fork serves only runs that never share a state.
+    Reading ``c`` from cycles of the square instead would let it go
+    (``ROADMAP.md``, item 9)."""
     (sa, oa), (sb, ob) = m._run(w), m._run(w[1:])
     c = _difference(m, sa, sb, w[-1], len(oa) - len(ob))
     if c is None:

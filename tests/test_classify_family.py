@@ -1,8 +1,8 @@
 """``classify`` certifies with product walks and builds no point family.
 
 The answers must be those of the public routines called one by one, no
-point may be mapped, every witness re-checks with ``apply_map``, and
-nothing may outlive the call.
+cylinder family may be built, no point may be mapped, every witness
+re-checks with ``apply_map``, and nothing may outlive the call.
 """
 
 import dataclasses
@@ -22,6 +22,7 @@ from orbiteq import (
     check_potential_identity,
     classify,
     jsonio,
+    orbit,
     orbit_cocycles,
     shift_point,
     transducer,
@@ -162,15 +163,24 @@ def test_block_code_closed_form_matches_transducer_path(i):
 # --- no family and no image ------------------------------------------------
 
 
-def test_classify_builds_no_family(orbit_images):
+def test_classify_builds_no_family(orbit_images, monkeypatch):
     # the transducer presentations take the product walks, whose cocycles
     # come from the square of each map; the block codes themselves are
     # decided by composition, with no walk
     code, code_inv = split_pair(0)
     h, h_inv = block_to_transducer(code), block_to_transducer(code_inv)
+    families = []
+    cylinder_family = orbit.cylinder_family
+
+    def counted_family(space, depth, cfg):
+        families.append(space)
+        return cylinder_family(space, depth, cfg)
+
+    monkeypatch.setattr(orbit, "cylinder_family", counted_family)
     assert classify(code, code_inv, CFG).kind == "Conjugacy"
+    assert (families, orbit_images) == ([], [])
     assert classify(h, h_inv, CFG).kind == "Conjugacy"
-    assert orbit_images == []
+    assert (families, orbit_images) == ([], [])
 
 
 def test_identity_on_full_8_shift_maps_no_point(orbit_images):

@@ -476,6 +476,22 @@ def test_psi_recoder_indicator_flag_false(files, capsys):
     assert json.loads(out)["matchesComposition"] is False
 
 
+def test_psi_on_a_constant_code_reads_the_square_pair(files, capsys):
+    # psi does not check that its map is injective; for the constant code
+    # the square gives (0, 1) on every cylinder, though (0, 0) aligns too,
+    # and the induced table is l - k = 1 on every word
+    const = files["write"](
+        "const.json", {"type": "block", "window": 1, "table": {"1": "1", "2": "1"}}
+    )
+    argv = ["psi", files["full2"], files["full2"], const, files["one"]]
+    code, out = run(capsys, argv + ["--format", "json"])
+    assert code == 0
+    payload = json.loads(out)
+    assert set(payload["cocycles"]["k"]["values"].values()) == {0}
+    assert set(payload["cocycles"]["l"]["values"].values()) == {1}
+    assert set(payload["induced"]["values"].values()) == {1}
+
+
 def test_psi_searches_cocycle_depths_like_verify(files, capsys):
     # the (1) <-> (2, 2, 2) exchange aligns at cocycle depth 4, not 3
     full2 = build_shift_space([[1, 1], [1, 1]])
