@@ -52,8 +52,9 @@ class InvalidPartition(OrbiteqError):
 
 
 class NoAlignment(OrbiteqError):
-    """No orbit alignment exists on some cylinder: a mismatch recurs on a
-    cycle of the walk (or the point fallback found none in its horizon)."""
+    """No orbit alignment exists on some cylinder: at every candidate
+    difference ``l - k`` a mismatch recurs on a cycle of the walk, or the
+    walk at a guessed difference hits a cap."""
 
 
 class InconsistentRoutes(OrbiteqError):

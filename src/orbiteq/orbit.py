@@ -31,8 +31,8 @@ Sakarovitch 2003), one run on a cylinder word ``w`` and one on
 least ``l`` is ``max(c, 0)`` plus the most symbols one walk compares up
 to its last mismatch; no point is mapped.  The pair is the least one
 whenever ``h`` is injective, as every map given to :func:`classify` is.
-A cylinder whose runs never share a state falls back on points that
-propose candidate pairs, each certified or refuted by a walk.  A pair of
+A cylinder whose runs never share a state tries the differences outward
+from the output lead of its two runs, one walk each.  A pair of
 block codes that composition shows to be inverse is a conjugacy whose
 cocycles :func:`classify` gives in closed form.  A mismatch that recurs
 on a cycle, or a walk that hits a cap, reports undecided, never a
@@ -44,7 +44,7 @@ from collections import Counter
 from dataclasses import dataclass
 from math import inf
 
-from .config import HORIZON_MULT, MAX_DEPTH, WORD_TABLE_LIMIT, RunConfig
+from .config import MAX_DEPTH, WORD_TABLE_LIMIT, RunConfig
 from .errors import (
     InadmissibleWord,
     InconsistentRoutes,
@@ -451,60 +451,35 @@ def _last_mismatch(m, root, safe, late):
 # orbit cocycles
 
 
-def _candidate(h, w, depth, points, images):
-    """The least ``(k, l)``, minimizing ``l`` and then ``k``, that aligns
-    every one of ``points``, within the horizon of the shortest of them.
-
-    Raises
-    ------
-    NoAlignment
-        if no pair within the horizon aligns them all.
-    """
-    # l and k stay within every point's horizon, so within the least
-    least = min(len(p.preperiod) + len(p.cycle) for p in points)
-    top = HORIZON_MULT * (depth + least)
-    recs = [_image_record(h, p, images) for p in points]
-    for l in range(top + 1):
-        sols = [_solutions(rec, l, top) for rec in recs]
-        k = next((k for k in min(sols, key=len) if all(k in s for s in sols)), None)
-        if k is not None:
-            return k, l
-    raise NoAlignment(f"no orbit alignment on cylinder {w}")
-
-
-def _proposed(m, w, depth, safe):
-    """The least pair on ``[w]`` from points: the least pair that aligns
-    the points found so far, certified by :func:`_misaligned` or refuted
-    by a word whose point joins them.  Only a cylinder whose two runs
-    never share a state needs it."""
-    src = m.source
-    points = {point_with_prefix(src, w), aperiodic_point_with_prefix(src, w)}
-    images = {}
-    while True:
-        k, l = _candidate(m, w, depth, points, images)
-        word = _misaligned(m, (w,), k, l, safe)
-        if word is None:
-            return k, l
-        points.add(point_with_prefix(src, word))
-
-
-def _least_pair(m, w, depth, safe, late):
+def _least_pair(m, w, safe, late):
     """The least ``(k, l)`` on the cylinder ``[w]``, as
     :func:`orbit_cocycles` finds it.
 
-    The :func:`_proposed` fork serves only runs that never share a state.
-    Reading ``c`` from cycles of the square instead would let it go
-    (``ROADMAP.md``, item 9)."""
+    Where the two runs share a state, the one candidate for ``c = l - k``
+    is :func:`_difference`'s.  Where they never do, the candidates are the
+    offsets outward from the root's output lead ``d0``, in the order
+    ``d0, d0 - 1, d0 + 1, ...`` up to ``MAX_DEPTH`` away, and a candidate
+    whose walk hits a cap is skipped.  The first finite walk gives the
+    pair: for an injective map only one difference aligns ``[w]``.
+    """
     (sa, oa), (sb, ob) = m._run(w), m._run(w[1:])
-    c = _difference(m, sa, sb, w[-1], len(oa) - len(ob))
+    d0 = len(oa) - len(ob)
+    c = _difference(m, sa, sb, w[-1], d0)
     if c is None:
-        return _proposed(m, w, depth, safe)
-    root, n, miss = _compared(sa, sb, w[-1], max(c, 0), max(-c, 0), oa, ob)
-    after = _last_mismatch(m, root, safe, late)
-    if after == inf:
-        raise NoAlignment(f"no orbit alignment on cylinder {w}")
-    l = max(c, 0) + (n + after if after else miss)
-    return l - c, l
+        span = range(d0 - MAX_DEPTH, d0 + MAX_DEPTH + 1)
+        diffs, skipped = sorted(span, key=lambda c: (abs(c - d0), c)), TooLarge
+    else:
+        diffs, skipped = [c], ()  # a cap hit at the read difference propagates
+    for c in diffs:
+        root, n, miss = _compared(sa, sb, w[-1], max(c, 0), max(-c, 0), oa, ob)
+        try:
+            after = _last_mismatch(m, root, safe, late)
+        except skipped:
+            continue
+        if after < inf:
+            l = max(c, 0) + (n + after if after else miss)
+            return l - c, l
+    raise NoAlignment(f"no orbit alignment on cylinder {w}")
 
 
 def orbit_cocycles(h, depth):
@@ -532,15 +507,16 @@ def orbit_cocycles(h, depth):
 
     The pair is least whenever ``h`` is injective, which holds for every
     map :func:`classify` is given.  A cylinder whose two runs never share
-    a state falls back on :func:`_proposed`, which searches pairs within
-    ``HORIZON_MULT * (depth + |preperiod| + |cycle|)`` of a point.
+    a state takes ``c`` from the first finite walk among the differences
+    outward from the output lead of the two runs on ``w`` and ``w[1:]``,
+    up to ``MAX_DEPTH`` away (:func:`_least_pair`).
 
     Raises
     ------
     NoAlignment
-        if on some cylinder a mismatch recurs on a cycle of the walk (or
-        the fallback finds no pair within its horizon); the map is then
-        not an orbit map.
+        if on some cylinder a mismatch recurs on a cycle of the walk at
+        every candidate difference, or the walks at guessed differences
+        hit a cap; the map is then no orbit map, or undecided at the caps.
     TooLarge
         if a product walk hits a cap.
     """
@@ -553,7 +529,7 @@ def _cocycles(m, depth, safe, late):
     src = m.source
     ktab, ltab = {}, {}
     for w in src.words(depth):
-        ktab[w], ltab[w] = _least_pair(m, w, depth, safe, late)
+        ktab[w], ltab[w] = _least_pair(m, w, safe, late)
     return OrbitCocyclePair(
         CylinderFunction(src, depth, ktab), CylinderFunction(src, depth, ltab)
     )

@@ -253,9 +253,6 @@ class Point:
         reps = -(-k // len(cyc))
         return pre + (cyc * reps)[:k]
 
-    def is_periodic(self):
-        return not self.preperiod
-
     def __repr__(self):
         p = ",".join(map(str, self.preperiod))
         c = ",".join(map(str, self.cycle))

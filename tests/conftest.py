@@ -177,6 +177,39 @@ def expansion_maps(n, expand):
     )
 
 
+# --- identities whose runs on w and on w[1:] may never share a state --------
+
+
+def pair_buffer():
+    """The identity of the full 2-shift that reads its input in pairs and
+    emits each pair whole: the runs on ``w`` and on ``w[1:]`` stay at
+    opposite parity, so they never share a state."""
+    space = build_shift_space([[1, 1], [1, 1]])
+    delta = {}
+    for a in (1, 2):
+        delta[("E", a)] = (f"O{a}", ())
+        for b in (1, 2):
+            delta[(f"O{a}", b)] = ("E", (a, b))
+    return transducer(space, space, ["E", "O1", "O2"], "E", delta)
+
+
+def two_mode():
+    """The identity of the full 2-shift that copies at once after a leading
+    ``1`` and holds back two symbols after a leading ``2``: on ``[1 2]``
+    the run on ``w`` copies and the run on ``w[1:]`` buffers, so they
+    never share a state, and the run on ``w`` stays three symbols ahead."""
+    space = build_shift_space([[1, 1], [1, 1]])
+    delta = {("q0", 1): ("C", (1,)), ("q0", 2): ("B2", ())}
+    for a in (1, 2):
+        delta[("C", a)] = ("C", (a,))
+        delta[("B2", a)] = (f"B2{a}", ())
+        for b in (1, 2):
+            for c in (1, 2):
+                delta[(f"B{b}{c}", a)] = (f"B{c}{a}", (b,))
+    states = ["q0", "C", "B2"] + [f"B{b}{c}" for b in (1, 2) for c in (1, 2)]
+    return transducer(space, space, states, "q0", delta)
+
+
 def delay_line_json(length, loop_to=None):
     """A transducer of the full 2-shift, as JSON, that reads ``length``
     symbols through a chain of states emitting nothing and then copies its

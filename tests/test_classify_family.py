@@ -29,6 +29,8 @@ from orbiteq import (
 )
 from orbiteq.generators import random_shift_space, split_chain
 
+from conftest import pair_buffer, two_mode
+
 SEED = 20261018
 CFG = RunConfig(depth=6)
 CDEPTH = 3  # the cocycle depth classify uses at CFG
@@ -181,6 +183,11 @@ def test_classify_builds_no_family(orbit_images, monkeypatch):
     assert (families, orbit_images) == ([], [])
     assert classify(h, h_inv, CFG).kind == "Conjugacy"
     assert (families, orbit_images) == ([], [])
+    # identities whose runs on w and on w[1:] never share a state on some
+    # cylinders, where l - k comes from walks at offsets of the output lead
+    for ident in (pair_buffer(), two_mode()):
+        assert classify(ident, ident, CFG).kind == "Conjugacy"
+        assert (families, orbit_images) == ([], [])
 
 
 def test_identity_on_full_8_shift_maps_no_point(orbit_images):

@@ -1,11 +1,12 @@
 """The least cocycles from the square of a map, cylinder by cylinder.
 
 ``orbit._least_pair`` reads ``l - k`` where the runs on ``w`` and on
-``w[1:]`` first share a state, and the least ``l`` from one walk over
-the square.  Here each cylinder's pair is compared with the point
-proposal loop (``orbit._proposed``), which searches pairs on mapped
-points and certifies each with a product walk, and no point may be
-mapped on the way.
+``w[1:]`` first share a state, or else from the first finite walk among
+the differences outward from the output lead of the two runs, and the
+least ``l`` from one walk over the square; it maps no point.  Here each
+cylinder's pair is compared with a point proposal loop held in this
+file (:func:`point_loop`), which searches pairs on mapped points and
+certifies each with a product walk.
 """
 
 import itertools
@@ -29,8 +30,9 @@ from orbiteq import (
 )
 from orbiteq.generators import prefix_exchange, random_shift_space
 from orbiteq.maps import _as_transducer
+from orbiteq.shifts import point_with_prefix
 
-from conftest import expansion_maps, random_tau, recoder_map
+from conftest import expansion_maps, pair_buffer, random_tau, recoder_map, two_mode
 
 INPUTS = Path(__file__).resolve().parents[1] / "bench" / "inputs"
 FULL2 = build_shift_space([[1, 1], [1, 1]])
@@ -131,74 +133,139 @@ def outcome(find):
         return "NoAlignment"
 
 
-def assert_square_matches_points(images, maps, depths):
-    """Each cylinder's pair from the square, found with no point mapped,
-    equals the point loop's.  Returns the number of cylinders with no
-    alignment and the number of cylinders."""
+def least_on_points(m, w, depth, points, images):
+    """The least ``(k, l)``, minimizing ``l`` and then ``k``, that aligns
+    every one of ``points``, searching up to twice ``depth`` plus the
+    preperiod and cycle length of the shortest of them."""
+    least = min(len(p.preperiod) + len(p.cycle) for p in points)
+    top = 2 * (depth + least)
+    recs = [orbit._image_record(m, p, images) for p in points]
+    for l in range(top + 1):
+        sols = [orbit._solutions(rec, l, top) for rec in recs]
+        k = next((k for k in min(sols, key=len) if all(k in s for s in sols)), None)
+        if k is not None:
+            return k, l
+    raise NoAlignment(f"no orbit alignment on cylinder {w}")
+
+
+def point_loop(m, w, depth):
+    """The least pair on ``[w]`` from points: the least pair that aligns
+    the points found so far, certified by ``orbit._misaligned`` or refuted
+    by a word whose point joins them."""
+    src = m.source
+    points = {point_with_prefix(src, w), orbit.aperiodic_point_with_prefix(src, w)}
+    images, safe = {}, set()
+    while True:
+        k, l = least_on_points(m, w, depth, points, images)
+        word = orbit._misaligned(m, (w,), k, l, safe)
+        if word is None:
+            return k, l
+        points.add(point_with_prefix(src, word))
+
+
+def unshared(m, w):
+    """Do the runs on ``w`` and on ``w[1:]`` never share a state?"""
+    (sa, oa), (sb, ob) = m._run(w), m._run(w[1:])
+    return orbit._difference(m, sa, sb, w[-1], len(oa) - len(ob)) is None
+
+
+def assert_square_matches_points(maps, depths):
+    """Each cylinder's pair from the square equals the point loop's.
+    Returns the number of cylinders with no alignment, the number of
+    cylinders, and the number whose two runs never share a state."""
     rows = []
     for name, h in maps:
         m = _as_transducer(h)
         for depth in depths:
             safe, late = set(), {}
             for w in m.source.words(depth):
-                pair = outcome(lambda: orbit._least_pair(m, w, depth, safe, late))
-                rows.append((name, depth, w, m, pair))
-    assert images == []  # every root reaches a node with equal states
-    for name, depth, w, m, pair in rows:
-        proposed = outcome(lambda: orbit._proposed(m, w, depth, set()))
-        assert pair == proposed, (name, depth, w)
-    return sum(pair == "NoAlignment" for *_, pair in rows), len(rows)
+                pair = outcome(lambda: orbit._least_pair(m, w, safe, late))
+                assert pair == outcome(lambda: point_loop(m, w, depth)), (name, w)
+                rows.append((pair, unshared(m, w)))
+    unaligned = sum(pair == "NoAlignment" for pair, _ in rows)
+    return unaligned, len(rows), sum(u for _, u in rows)
 
 
 @pytest.mark.parametrize("seed", [1, 2])
-def test_square_matches_point_loop_on_ladder_maps(orbit_images, seed):
+def test_square_matches_point_loop_on_ladder_maps(seed):
     maps = list(ladder_maps(seed))
     assert len(maps) == 2 * (44 + 71)
-    assert_square_matches_points(orbit_images, maps, [3])
+    *_, unshared_roots = assert_square_matches_points(maps, [3])
+    assert unshared_roots == 0  # every root reaches a node with equal states
 
 
-def test_square_matches_point_loop_on_prefix_exchanges(orbit_images):
+def test_square_matches_point_loop_on_prefix_exchanges():
     maps = list(exchanges())
     assert len(maps) == 71
-    unaligned, cylinders = assert_square_matches_points(orbit_images, maps, [3, 4, 5])
+    unaligned, cylinders, unshared_roots = assert_square_matches_points(
+        maps, [3, 4, 5]
+    )
     assert cylinders == 71 * (8 + 16 + 32)
     assert unaligned > 0  # some exchanges need deeper cylinders
+    assert unshared_roots == 0
 
 
-def test_square_matches_point_loop_on_small_maps(orbit_images):
+def test_square_matches_point_loop_on_small_maps():
     maps = [
         ("recoder2", committed("recoder2.json")),
         ("duplicator", duplicator()),
         ("late-recoder", late_recoder()),
+        ("pair-buffer", pair_buffer()),
+        ("two-mode", two_mode()),
     ]
-    assert_square_matches_points(orbit_images, maps, [1, 2, 3, 4])
+    for name, h in maps:
+        _, _, unshared_roots = assert_square_matches_points([(name, h)], [1, 2, 3, 4])
+        assert (unshared_roots > 0) is (name in ("pair-buffer", "two-mode")), name
     kl = orbit_cocycles(late_recoder(), 3)
     assert (set(kl.k.table.values()), set(kl.l.table.values())) == ({3}, {4})
+    for depth in (1, 2, 3, 4):
+        kl = orbit_cocycles(two_mode(), depth)
+        assert (set(kl.k.table.values()), set(kl.l.table.values())) == ({0}, {1})
 
 
 # --- edge cases --------------------------------------------------------------
 
 
-def pair_buffer():
-    """The identity of the full 2-shift that reads its input in pairs and
-    emits each pair whole: the runs on ``w`` and on ``w[1:]`` stay at
-    opposite parity, so they never share a state."""
-    delta = {}
-    for a in (1, 2):
-        delta[("E", a)] = (f"O{a}", ())
-        for b in (1, 2):
-            delta[(f"O{a}", b)] = ("E", (a, b))
-    return transducer(FULL2, FULL2, ["E", "O1", "O2"], "E", delta)
-
-
-def test_pair_buffer_identity_falls_back_on_points(orbit_images):
+def test_pair_buffer_identity_maps_no_point(orbit_images):
     h = pair_buffer()
     for depth in (3, 4):
         kl = orbit_cocycles(h, depth)
         assert set(kl.k.table.values()) == {0}
         assert set(kl.l.table.values()) == {1}
-    assert orbit_images  # the fallback maps points
+    assert orbit_images == []
     assert classify(h, h, RunConfig(depth=4)).kind == "Conjugacy"
+
+
+def test_output_lead_is_not_the_difference_on_the_two_mode_identity():
+    # on [1 2 1] the run on w copies and the run on w[1:] buffers two
+    # symbols: w's output leads by 3 at the root and on every node after,
+    # yet l - k = 1, so no balance of output lengths gives the difference
+    m = two_mode()
+    w = (1, 2, 1)
+    (sa, oa), (sb, ob) = m._run(w), m._run(w[1:])
+    assert len(oa) - len(ob) == 3
+    assert unshared(m, w)
+    assert orbit._least_pair(m, w, set(), {}) == (0, 1)
+
+
+def pair_doubler():
+    """Reads its input in pairs ``(a, b)`` and emits ``(a, a)``: not
+    injective, not an orbit map, and its runs never share a state."""
+    delta = {}
+    for a in (1, 2):
+        delta[("E", a)] = (f"O{a}", ())
+        for b in (1, 2):
+            delta[(f"O{a}", b)] = ("E", (a, a))
+    return transducer(FULL2, FULL2, ["E", "O1", "O2"], "E", delta)
+
+
+def test_pair_doubler_has_no_alignment_on_any_cylinder():
+    m = pair_doubler()
+    safe, late = set(), {}
+    for w in FULL2.words(3):
+        assert unshared(m, w)
+        with pytest.raises(NoAlignment):
+            orbit._least_pair(m, w, safe, late)
 
 
 def test_constant_code_is_not_injective_and_gets_0_1():
@@ -213,7 +280,7 @@ def test_constant_code_is_not_injective_and_gets_0_1():
         assert set(kl.k.table.values()) == {0}
         assert set(kl.l.table.values()) == {1}
         for w in FULL2.words(depth):
-            assert orbit._proposed(m, w, depth, set()) == (0, 0)
+            assert point_loop(m, w, depth) == (0, 0)
 
 
 def walk_from(delta, root):
