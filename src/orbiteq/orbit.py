@@ -595,7 +595,10 @@ def _certification_depth(h, kl, need):
 
     for d in range(max(c, 2), MAX_DEPTH + 1):
         # the caller's walk visits one leaf per depth-d word: the cap bounds
-        # them as it bounds a word table, for block codes and transducers
+        # them as it bounds a word table, for block codes and transducers.
+        # The potential identity skips settled subtrees and may visit far
+        # fewer, but the cap stays: loosening it turns undecided verdicts
+        # into decided ones, a change of verdicts in its own right
         if src.word_count(d) > WORD_TABLE_LIMIT:
             raise TooLarge(f"word table at depth {d} too large")
         if certified(d):
@@ -603,7 +606,7 @@ def _certification_depth(h, kl, need):
     raise TooLarge(f"potential not certifiable within depth cap {MAX_DEPTH}")
 
 
-def _runs(h, kl, d):
+def _runs(h, kl, d, skip_settled=False):
     """``(w, k, l, out, out_s)`` for each admissible source word ``w`` of
     length ``d``, in the order of ``ShiftSpace.words(d)``: the cocycles on
     ``w`` and the output of ``h`` on ``w`` and on ``w[1:]``.
@@ -611,12 +614,28 @@ def _runs(h, kl, d):
     The words grow depth first, one follower at a time, and each step runs
     both machines one ``delta`` step, so shared prefixes run once and no
     depth-``d`` word table is built.
+
+    With ``skip_settled`` a node ``w`` of length at least ``kl.depth`` is
+    dropped with its whole subtree when ``l - k = 1`` on it, both runs are
+    in the same state and ``out[1:] == out_s`` with ``out`` nonempty.  From
+    there both runs read the same symbols from the same state and emit the
+    same stream, so every leaf below keeps ``out[1:] == out_s`` and, with
+    ``l = k + 1``, passes the potential identity.
     """
     m = _as_transducer(h)
     delta, fol, c, s0 = m.delta, m.source.matrix.followers, kl.depth, m.initial
     stack = [((a,), *delta[s0, a], s0, ()) for a in range(m.source.n, 0, -1)]
     while stack:
         w, sa, out, sb, out_s = stack.pop()
+        if (
+            skip_settled
+            and sa == sb
+            and len(w) >= c
+            and len(out) == len(out_s) + 1
+            and kl.l.table[w[:c]] == kl.k.table[w[:c]] + 1
+            and out[1:] == out_s
+        ):
+            continue
         if len(w) == d:
             yield w, kl.k.table[w[:c]], kl.l.table[w[:c]], out, out_s
             continue
@@ -670,6 +689,15 @@ def check_potential_identity(h, kl, depth):
     one depth-first walk (:func:`_runs`) in lexicographic order, which
     stops at the first that fails; no word table of that depth is built.
 
+    The walk skips the subtree of every node ``w`` at least ``kl.depth``
+    long where ``l - k = 1``, the runs on ``w`` and ``w[1:]`` are in the
+    same state and ``out[1:] == out_s`` (``out`` nonempty).  Both runs then
+    emit the same stream on every extension, so ``sigma h(x)`` and
+    ``h(sigma x)`` agree on all of ``[w]``; with ``l = k + 1`` the windows
+    ``out[1..l]`` cancel ``out_s[0..k]`` one for one, and every leaf below
+    passes.  A skipped subtree holds no failing word, so the witness is
+    still the first failing word in lexicographic order.
+
     For a :class:`BlockCode` with ``l - k = 1`` on every cylinder the
     answer is ``(True, None)`` in closed form, with no word table built.
     A block code with ``l - k != 1`` on some cylinder fails there, and
@@ -691,7 +719,7 @@ def check_potential_identity(h, kl, depth):
         # image of w, at offsets 0..l and 0..k+1, the same ones when l = k + 1
         return True, None
     d = _certification_depth(h, kl, depth)
-    for _, k, l, out, out_s in _runs(h, kl, d):
+    for _, k, l, out, out_s in _runs(h, kl, d, skip_settled=True):
         c = Counter(out[i : i + depth] for i in range(l + 1))
         c.subtract(out_s[j : j + depth] for j in range(k + 1))
         c[out[:depth]] -= 1

@@ -130,18 +130,23 @@ def points_agree(p, q, margin=4):
 # --- seeded maps that are not block codes ------------------------------------
 
 
-def recoder_map(space, tau):
-    """``x -> tau[x2][x1] x2 x3 ...`` as a transducer: a lag-1 eventual
-    conjugacy when ``tau[b]`` permutes the predecessors of each ``b``."""
+def recoder_map(space, tau, p=1):
+    """``x -> x1 .. x_{p-1} tau[x_{p+1}][x_p] x_{p+1} ...`` as a transducer:
+    a lag-``p`` eventual conjugacy when ``tau[b]`` permutes the
+    predecessors of each ``b``.  The first ``p - 1`` symbols are copied
+    through states ``c1 .. c_{p-1}``, so ``p = 1`` recodes ``x1``."""
     fol = space.matrix.followers
+    chain = [*(f"c{i}" for i in range(1, p)), "q0"]
     delta = {}
     for a in range(1, space.n + 1):
+        for i in range(p - 1):
+            delta[(chain[i], a)] = (chain[i + 1], (a,))
         delta[("q0", a)] = (f"s{a}", ())
         delta[("copy", a)] = ("copy", (a,))
         for b in fol[a - 1]:
             delta[(f"s{a}", b)] = ("copy", (tau[b][a], b))
-    states = ["q0", *(f"s{a}" for a in range(1, space.n + 1)), "copy"]
-    return transducer(space, space, states, "q0", delta)
+    states = [*chain, *(f"s{a}" for a in range(1, space.n + 1)), "copy"]
+    return transducer(space, space, states, chain[0], delta)
 
 
 def random_tau(rng, space):

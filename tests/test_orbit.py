@@ -736,12 +736,83 @@ def test_potential_walk_matches_tables_on_block_codes(identity_oracle_codes):
     assert failed == 3 * len(identity_oracle_codes)
 
 
+@pytest.mark.parametrize("name,h", list(_transducer_maps()))
+def test_potential_walk_matches_tables_at_the_classify_depth(name, h):
+    # classify checks the identity at depth 8, where settled subtrees are
+    # skipped far more often than at depths 1..3
+    kl = orbit_cocycles(h, 3)
+    got = depth_outcome(check_potential_identity, h, kl, 8)
+    assert got == depth_outcome(table_identity, h, kl, 8), name
+
+
+@pytest.mark.parametrize("p", [4, 5])
+def test_late_recoder_is_not_skipped_before_its_runs_meet(full2, cfg, p):
+    # on [x1 .. x_{p-1}] the runs on w and w[1:] emit x2 .. x_{p-1} alike
+    # but are in different states, so the walk may not skip that subtree:
+    # the recoded p-th symbol below it fails the identity
+    h = recoder_map(full2, {b: {1: 2, 2: 1} for b in (1, 2)}, p)
+    kl = orbit_cocycles(h, 3)
+    for depth in (1, 2, 3, 8):
+        got = depth_outcome(check_potential_identity, h, kl, depth)
+        assert got == depth_outcome(table_identity, h, kl, depth), depth
+    v = classify(h, h, cfg)
+    assert (v.kind, v.lag) == ("EventualConjugacy", p)
+
+
+def dense4():
+    return build_shift_space(
+        [[1, 1, 1, 0], [1, 1, 0, 1], [1, 0, 1, 1], [1, 1, 1, 1]]
+    )
+
+
+def identity_tau(space):
+    """``tau[b]`` fixing every predecessor of ``b``: the recoder is the identity."""
+    symbols = range(1, space.n + 1)
+    return {b: {a: a for a in symbols if space.matrix.allows(a, b)} for b in symbols}
+
+
+def test_potential_identity_skips_settled_subtrees(monkeypatch):
+    # the identity-tau recoder's runs on w and w[1:] meet in "copy" at
+    # depth 3 and emit the same stream from there: of the 46,328 words of
+    # the certified depth 9 the walk reaches none.  The seed-43 recoder
+    # fails on its first word, as before
+    leaves = []
+    runs = orbit._runs
+
+    def counted(*args, **kwargs):
+        for leaf in runs(*args, **kwargs):
+            leaves.append(leaf[0])
+            yield leaf
+
+    monkeypatch.setattr(orbit, "_runs", counted)
+    space = dense4()
+    h = recoder_map(space, identity_tau(space))
+    kl = orbit_cocycles(h, 3)
+    assert orbit._certification_depth(h, kl, 8) == 9
+    assert check_potential_identity(h, kl, 8) == (True, None)
+    assert leaves == []
+    h = recoder_map(space, random_tau(random.Random(43), space))
+    kl = orbit_cocycles(h, 3)
+    assert check_potential_identity(h, kl, 8) == (False, (3, 1, 1, 1, 1, 1, 1, 1))
+    assert len(leaves) == 1
+
+
+def test_potential_identity_keeps_the_word_table_cap_when_it_skips():
+    # the identity-tau recoder on the full 5-shift would visit no leaf,
+    # but its certified depth has 5^9 words, past the cap, so the identity
+    # stays undecided as it is over the word table
+    full5 = build_shift_space([[1] * 5] * 5)
+    h = recoder_map(full5, identity_tau(full5))
+    kl = orbit_cocycles(h, 3)
+    cap = (TooLarge, "word table at depth 9 too large")
+    assert depth_outcome(check_potential_identity, h, kl, 8) == cap
+    assert depth_outcome(table_identity, h, kl, 8) == cap
+
+
 def test_potential_identity_builds_no_deep_word_table():
     # a dense 4-state recoder certifies its identity at depth 10, 148,913
     # words; the walk stops at the first failing word and builds no table
-    space = build_shift_space(
-        [[1, 1, 1, 0], [1, 1, 0, 1], [1, 0, 1, 1], [1, 1, 1, 1]]
-    )
+    space = dense4()
     h = recoder_map(space, random_tau(random.Random(43), space))
     kl = orbit_cocycles(h, 3)
     assert orbit._certification_depth(h, kl, 8) == 10
