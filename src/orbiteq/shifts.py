@@ -156,6 +156,7 @@ class ShiftSpace:
     def __init__(self, matrix):
         self.matrix = matrix
         self._words = {1: tuple((i,) for i in range(1, matrix.n + 1))}
+        self._counts = [[1] * matrix.n]  # words of length i + 1 by first symbol
         self._enum_cache = {}
         self._rep_cache = {}
         self._aperiodic_cache = {}
@@ -192,11 +193,13 @@ class ShiftSpace:
         return self._words[m]
 
     def word_count(self, m):
-        """The number of admissible words of length ``m``, without building them."""
-        counts = [1] * self.n  # words of the current length starting at each symbol
-        for _ in range(m - 1):
-            counts = [sum(counts[b - 1] for b in f) for f in self.matrix.followers]
-        return sum(counts)
+        """The number of admissible words of length ``m``, without building
+        them; the counts per length are kept and extended on demand."""
+        counts = self._counts
+        while len(counts) < m:
+            last = counts[-1]
+            counts.append([sum(last[b - 1] for b in f) for f in self.matrix.followers])
+        return sum(counts[max(m, 1) - 1])
 
     def is_admissible(self, word):
         """True iff every consecutive pair in ``word`` is an allowed transition."""
