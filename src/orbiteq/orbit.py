@@ -32,12 +32,12 @@ least ``l`` is ``max(c, 0)`` plus the most symbols one walk compares up
 to its last mismatch; no point is mapped.  The pair is the least one
 whenever ``h`` is injective, as every map given to :func:`classify` is.
 A cylinder whose runs never share a state tries the differences outward
-from the output lead of its two runs, one walk each.  A pair of
-block codes that composition shows to be inverse is a conjugacy whose
-cocycles :func:`classify` gives in closed form.  A mismatch that recurs
-on a cycle, or a walk that hits a cap, reports undecided, never a
-refutation.  :func:`cylinder_family` and :func:`verify_cocycles` remain
-for sampled re-checks on explicit points.
+from the output lead of its two runs, one walk each.  :func:`classify`
+takes the pair to be inverse and never re-checks it, for any kind of map;
+a pair of block codes is then a conjugacy whose cocycles it gives in
+closed form.  A mismatch that recurs on a cycle, or a walk that hits a
+cap, reports undecided, never a refutation.  :func:`cylinder_family` and
+:func:`verify_cocycles` remain for sampled re-checks on explicit points.
 """
 
 from collections import Counter
@@ -60,7 +60,7 @@ from .functions import (
     find_transfer,
     transfer_obstruction,
 )
-from .maps import BlockCode, _as_transducer, _composite_mismatch, _walk, apply_map
+from .maps import BlockCode, _as_transducer, _walk, apply_map
 from .shifts import (
     _point_key,
     canonical_point,
@@ -555,61 +555,45 @@ def verify_cocycles(h, kl, points):
 def _certification_depth(h, kl, need):
     """Least input depth whose output prefixes cover ``need`` symbols past
     the cocycle bounds, for the word and its shift."""
+    h = _as_transducer(h)
     src = h.source
     c = kl.depth
-    if isinstance(h, BlockCode):
-        # a window-w code emits exactly len(word) - w + 1 symbols
-        w = h.window
-        least_d = max(c, 2, kl.l.max() + need + w - 1, kl.k.max() + need + w)
-        if least_d > MAX_DEPTH:
-            raise TooLarge(f"potential not certifiable within depth cap {MAX_DEPTH}")
+    # per depth-c word u and its shift u[1:]: output past the cocycle bound,
+    # and the configuration (state, last input) reached; then extend by d - c
+    starts = []
+    for u in src.words(c):
+        for v, bound in ((u, kl.l.table[u]), (u[1:], kl.k.table[u])):
+            state, out = h._run(v)
+            starts.append((len(out) - bound, (state, u[-1])))
+    memo = {}
 
-        def certified(d):
-            return d >= least_d
-
-    else:
-        # per depth-c word u and its shift u[1:]: output past the cocycle
-        # bound, and the configuration (state, last input) reached; then
-        # extend by d - c
-        starts = []
-        for u in src.words(c):
-            for v, bound in ((u, kl.l.table[u]), (u[1:], kl.k.table[u])):
-                state, out = h._run(v)
-                starts.append((len(out) - bound, (state, u[-1])))
-        memo = {}
-
-        def least(q, m):
-            """Fewest symbols output over ``m`` more inputs from configuration ``q``."""
-            if m == 0:
-                return 0
-            if (q, m) not in memo:
-                fol = src.matrix.followers[q[1] - 1]
-                steps = [(h.step(q[0], b), b) for b in fol]
-                memo[q, m] = min(
-                    len(out) + least((s, b), m - 1) for (s, out), b in steps
-                )
-            return memo[q, m]
-
-        def certified(d):
-            return all(budget + least(q, d - c) >= need for budget, q in starts)
+    def least(q, m):
+        """Fewest symbols output over ``m`` more inputs from configuration ``q``."""
+        if m == 0:
+            return 0
+        if (q, m) not in memo:
+            fol = src.matrix.followers[q[1] - 1]
+            steps = [(h.step(q[0], b), b) for b in fol]
+            memo[q, m] = min(len(out) + least((s, b), m - 1) for (s, out), b in steps)
+        return memo[q, m]
 
     for d in range(max(c, 2), MAX_DEPTH + 1):
         # the caller's walk visits one leaf per depth-d word: the cap bounds
-        # them as it bounds a word table, for block codes and transducers.
-        # The potential identity skips settled subtrees and may visit far
-        # fewer, but the cap stays: loosening it turns undecided verdicts
-        # into decided ones, a change of verdicts in its own right
+        # them as it bounds a word table.  The potential identity skips
+        # settled subtrees and may visit far fewer, but the cap stays:
+        # loosening it turns undecided verdicts into decided ones, a change
+        # of verdicts in its own right
         if src.word_count(d) > WORD_TABLE_LIMIT:
             raise TooLarge(f"word table at depth {d} too large")
-        if certified(d):
+        if all(budget + least(q, d - c) >= need for budget, q in starts):
             return d
     raise TooLarge(f"potential not certifiable within depth cap {MAX_DEPTH}")
 
 
-def _runs(h, kl, d, skip_settled=False):
+def _runs(m, kl, d, skip_settled=False):
     """``(w, k, l, out, out_s)`` for each admissible source word ``w`` of
     length ``d``, in the order of ``ShiftSpace.words(d)``: the cocycles on
-    ``w`` and the output of ``h`` on ``w`` and on ``w[1:]``.
+    ``w`` and the output of the transducer ``m`` on ``w`` and on ``w[1:]``.
 
     The words grow depth first, one follower at a time, and each step runs
     both machines one ``delta`` step, so shared prefixes run once and no
@@ -622,7 +606,6 @@ def _runs(h, kl, d, skip_settled=False):
     same stream, so every leaf below keeps ``out[1:] == out_s`` and, with
     ``l = k + 1``, passes the potential identity.
     """
-    m = _as_transducer(h)
     delta, fol, c, s0 = m.delta, m.source.matrix.followers, kl.depth, m.initial
     stack = [((a,), *delta[s0, a], s0, ()) for a in range(m.source.n, 0, -1)]
     while stack:
@@ -667,10 +650,11 @@ def induced_potential(h, kl, f):
     """
     if f.space != h.target:
         raise ValueError("f must live on the target space of the map")
-    d = _certification_depth(h, kl, f.depth)
+    m = _as_transducer(h)
+    d = _certification_depth(m, kl, f.depth)
     df = f.depth
     table = {}
-    for w, k, l, out, out_s in _runs(h, kl, d):
+    for w, k, l, out, out_s in _runs(m, kl, d):
         pos = sum(f.table[out[i : i + df]] for i in range(l + 1))
         neg = sum(f.table[out_s[j : j + df]] for j in range(k + 1))
         table[w] = pos - neg
@@ -696,13 +680,9 @@ def check_potential_identity(h, kl, depth):
     ``h(sigma x)`` agree on all of ``[w]``; with ``l = k + 1`` the windows
     ``out[1..l]`` cancel ``out_s[0..k]`` one for one, and every leaf below
     passes.  A skipped subtree holds no failing word, so the witness is
-    still the first failing word in lexicographic order.
-
-    For a :class:`BlockCode` with ``l - k = 1`` on every cylinder the
-    answer is ``(True, None)`` in closed form, with no word table built.
-    A block code with ``l - k != 1`` on some cylinder fails there, and
-    that input, like every transducer, runs the multiset comparison to
-    find its witness.
+    still the first failing word in lexicographic order.  A block code of
+    window ``w`` runs as its :func:`~orbiteq.maps.block_to_transducer`
+    presentation, whose two runs share a state from length ``w`` on.
 
     Returns ``(True, None)`` or ``(False, witness_word)`` where the
     witness is a target word whose indicator fails.
@@ -713,13 +693,9 @@ def check_potential_identity(h, kl, depth):
         if output prefixes cannot be certified within the depth cap, or
         the words of the certified depth exceed the word-table cap.
     """
-    if isinstance(h, BlockCode) and kl.difference().is_constant(1):
-        # a block code commutes with the shift, so the image of w[1:] is the
-        # image of w less its first symbol: both sides count windows of the
-        # image of w, at offsets 0..l and 0..k+1, the same ones when l = k + 1
-        return True, None
-    d = _certification_depth(h, kl, depth)
-    for _, k, l, out, out_s in _runs(h, kl, d, skip_settled=True):
+    m = _as_transducer(h)
+    d = _certification_depth(m, kl, depth)
+    for _, k, l, out, out_s in _runs(m, kl, d, skip_settled=True):
         c = Counter(out[i : i + depth] for i in range(l + 1))
         c.subtract(out_s[j : j + depth] for j in range(k + 1))
         c[out[:depth]] -= 1
@@ -861,12 +837,18 @@ def _align(h, h_inv, cfg):
 def classify(h, h_inv, cfg=None):
     """Strongest equivalence rung certified for the pair ``(h, h_inv)``.
 
-    The caller is expected to have verified the inverse pair.  Two
+    The pair must be inverse (:func:`~orbiteq.maps.verify_inverse_pair`);
+    ``classify`` never re-checks it, for any kind of map.  Two
     independent routes decide conjugacy: the direct shift-intertwining
     check, and the potential-identity route (eventual conjugacy at the
     least lag the cocycles allow, and only then the induced potential
-    equalling composition).  The routes must agree; disagreement raises
-    :class:`InconsistentRoutes` because it can only be a bug.
+    equalling composition).  The identity at the finite depth
+    ``cfg.depth`` is a necessary condition for conjugacy, not a
+    sufficient one, so the routes are inconsistent only when the direct
+    check passes and the theorem route fails; that raises
+    :class:`InconsistentRoutes`, because it can only be a bug.  A failing
+    direct check with a lag and a passing identity is an eventual
+    conjugacy whose witness is the direct check's point.
 
     Weaker rungs: constant cocycle differences ``l - k = 1`` with a
     verified lag give eventual conjugacy; transfer functions give strong
@@ -877,9 +859,8 @@ def classify(h, h_inv, cfg=None):
     ``cfg.depth``; an alignment search that finds nothing at any of them
     yields ``Undecided``.
 
-    A pair of block codes that composition certifies as inverse is a
-    ``Conjugacy`` with cocycles ``(0, 1)`` on every cylinder, in closed
-    form, with no point family and no images:
+    A pair of block codes is a ``Conjugacy`` with cocycles ``(0, 1)`` on
+    every cylinder, in closed form, with no walk and no images:
 
     * a block code commutes with the shift, and a shift-commuting
       homeomorphism is a conjugacy;
@@ -893,15 +874,8 @@ def classify(h, h_inv, cfg=None):
     ``min(cfg.depth, 3)``.
     """
     cfg = cfg or RunConfig()
-    kl_depth = min(cfg.depth, 3)
-    codes = isinstance(h, BlockCode) and isinstance(h_inv, BlockCode)
-    try:
-        closed = codes and not (
-            _composite_mismatch(h_inv, h) or _composite_mismatch(h, h_inv)
-        )
-    except TooLarge:  # the product walks below decide, or hit their own cap
-        closed = False
-    if closed:
+    if isinstance(h, BlockCode) and isinstance(h_inv, BlockCode):
+        kl_depth = min(cfg.depth, 3)
         kl1, kl2 = (
             OrbitCocyclePair(
                 constant(m.source, 0, kl_depth), constant(m.source, 1, kl_depth)
@@ -924,7 +898,7 @@ def classify(h, h_inv, cfg=None):
             pass
 
     theorem_route = eventual and psi_ok  # None while psi is undecided
-    if theorem_route is not None and theorem_route != direct:
+    if direct and theorem_route is False:
         raise InconsistentRoutes(
             f"direct conjugacy check ({direct}) disagrees with the "
             f"potential-identity route (eventual={eventual}, "

@@ -22,10 +22,12 @@ from orbiteq import (
     check_potential_identity,
     classify,
     jsonio,
+    maps,
     orbit,
     orbit_cocycles,
     shift_point,
     transducer,
+    verify_inverse_pair,
 )
 from orbiteq.generators import random_shift_space, split_chain
 
@@ -162,13 +164,35 @@ def test_block_code_closed_form_matches_transducer_path(i):
     assert jsonio.dumps(closed) == jsonio.dumps(general)
 
 
+def test_classify_composes_no_block_codes(monkeypatch):
+    # the inverse pair is the caller's precondition, so a pair of block
+    # codes is composed by verify_inverse_pair and never again by classify
+    calls = []
+    composite = maps._composite_mismatch
+
+    def counted(outer, inner):
+        calls.append((outer, inner))
+        return composite(outer, inner)
+
+    monkeypatch.setattr(maps, "_composite_mismatch", counted)
+    # an import by name into orbit would bypass the patch above
+    monkeypatch.setattr(orbit, "_composite_mismatch", counted, raising=False)
+    for i in range(20):
+        code, code_inv = split_pair(i)
+        assert verify_inverse_pair(code, code_inv) == (True, None)
+        assert len(calls) == 2
+        assert classify(code, code_inv, CFG).kind == "Conjugacy"
+        assert len(calls) == 2
+        calls.clear()
+
+
 # --- no family and no image ------------------------------------------------
 
 
 def test_classify_builds_no_family(orbit_images, monkeypatch):
     # the transducer presentations take the product walks, whose cocycles
-    # come from the square of each map; the block codes themselves are
-    # decided by composition, with no walk
+    # come from the square of each map; the block codes themselves are a
+    # closed form, with no walk
     code, code_inv = split_pair(0)
     h, h_inv = block_to_transducer(code), block_to_transducer(code_inv)
     families = []

@@ -242,6 +242,19 @@ def test_verify_inconsistent_routes_exits_1(files, capsys, monkeypatch):
     )
 
 
+def test_verify_equal_window_exchange_at_depth_1(files, capsys):
+    # the exchange 1 1 2 <-> 1 2 1 passes the potential identity at depth 1
+    # but fails the direct check: an eventual conjugacy, not an error
+    full2 = build_shift_space([[1, 1], [1, 1]])
+    exchange = prefix_exchange(full2, (1, 1, 2), (1, 2, 1))
+    swap = files["write"]("swap.json", jsonio.map_to_json(exchange))
+    argv = ["verify", files["full2"], files["full2"], swap, swap, "--depth", "1"]
+    code, out = run(capsys, [*argv, "--format", "json"])
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["verdict"], payload["K"]) == ("EventualConjugacy", 3)
+
+
 def full32_block(files):
     """``verify`` of the identity of the full shift on 32 symbols as a
     1-block code, which is a conjugacy in closed form with 1-words only."""

@@ -18,11 +18,14 @@ from orbiteq import (
     apply_map,
     build_shift_space,
     canonical_point,
+    check_conjugacy,
+    check_eventual_conjugacy,
     classify,
     evaluate,
     jsonio,
     orbit_cocycles,
     shift_point,
+    verify_inverse_pair,
 )
 from orbiteq.generators import prefix_exchange, random_shift_space
 
@@ -72,6 +75,35 @@ def test_recoder2_is_lag_one_at_every_family_size(max_pre, max_cyc):
     )
     verdict = classify(h, h, RunConfig(max_pre=max_pre, max_cyc=max_cyc))
     assert (verdict.kind, verdict.lag) == ("EventualConjugacy", 1)
+
+
+def equal_window_exchange(D):
+    """The exchange ``u <-> v`` on the full 2-shift with ``s = 1^(D-1)``,
+    ``u = 1 s 1 s 2 s`` and ``v = 1 s 2 s 1 s``.  The two words have the
+    same multiset of ``D``-windows, the same first symbol and the same last
+    ``D - 1`` symbols, so the potential identity holds at depth ``D``,
+    though the map does not commute with the shift."""
+    s = (1,) * (D - 1)
+    return prefix_exchange(FULL2, (1, *s, 1, *s, 2, *s), (1, *s, 2, *s, 1, *s))
+
+
+@pytest.mark.parametrize("D,lag", [(1, 3), (2, 5), (3, 7)])
+def test_equal_window_exchange_is_eventual_at_every_depth(D, lag):
+    # the identity at one depth is only a necessary condition for
+    # conjugacy: where it passes and the direct check fails, the verdict
+    # is an eventual conjugacy whose witness is the direct check's point
+    f = equal_window_exchange(D)
+    assert verify_inverse_pair(f, f) == (True, None)
+    _, point = check_conjugacy(f)
+    image = apply_map(f, shift_point(FULL2, point))
+    assert image != shift_point(FULL2, apply_map(f, point))
+    for depth in range(1, 9):
+        verdict = classify(f, f, RunConfig(depth=depth))
+        assert (verdict.kind, verdict.lag) == ("EventualConjugacy", lag), depth
+        if depth <= D:
+            assert verdict.witness == point, depth
+    assert check_eventual_conjugacy(f, f, lag)[0]
+    assert not check_eventual_conjugacy(f, f, lag - 1)[0]
 
 
 def random_points(space, rng, count):

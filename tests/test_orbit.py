@@ -446,7 +446,10 @@ def depth_outcome(find, h, kl, need):
         return type(e), str(e)
 
 
-def _transducer_maps():
+def _transducer_maps(codes=False):
+    """Recoders, symbol expansions and split codes with their inverses; the
+    split codes as :class:`BlockCode` objects when ``codes``, else through
+    :func:`block_to_transducer`."""
     rng = random.Random(20261018)
     for i in range(4):
         space = random_shift_space(rng, 3)
@@ -462,11 +465,16 @@ def _transducer_maps():
     for i in range(2):
         base = random_shift_space(rng, 2)
         _, code, inverse = split_chain(rng, base, max_splits=2)
-        yield f"split-{i}", block_to_transducer(code)
-        yield f"split-{i}-inverse", block_to_transducer(inverse)
+        for name, c in ((f"split-{i}", code), (f"split-{i}-inverse", inverse)):
+            yield name, c if codes else block_to_transducer(c)
 
 
-@pytest.mark.parametrize("name,h", list(_transducer_maps()))
+SPLIT_CODES = [
+    (f"{name}-code", h) for name, h in _transducer_maps(True) if isinstance(h, BlockCode)
+]
+
+
+@pytest.mark.parametrize("name,h", list(_transducer_maps()) + SPLIT_CODES)
 def test_certification_depth_matches_word_walk(name, h, cfg):
     kl = orbit_cocycles(h, 3)
     for need in range(1, 9):
@@ -572,8 +580,9 @@ def test_direct_conjugacy_against_failed_identity_is_inconsistent(
 
 def test_block_code_identity_builds_no_word_table():
     # a 33-cycle with one loop and a window-4 code: with cocycles (0, 1) the
-    # identity is decided from the cocycles alone, so no table longer than
-    # the ones already built and no lookup table over 34**4 entries
+    # runs on w and w[1:] settle at length 4, so the walk reaches no leaf,
+    # builds no table longer than the ones already built and no lookup
+    # table over 34**4 entries
     n = 33
     space = build_shift_space(
         [[int(j == (i + 1) % n or i == j == 0) for j in range(n)] for i in range(n)]
@@ -593,9 +602,6 @@ def test_block_code_identity_builds_no_word_table():
         tracemalloc.stop()
     assert peak < 2**20
     assert max(space._words) == built
-
-
-# --- the block-code potential identity against the transducer path ----------
 
 
 @pytest.fixture(scope="module")
@@ -625,29 +631,12 @@ def cocycle_pairs(draw, space):
     return OrbitCocyclePair(CylinderFunction(space, c, k), CylinderFunction(space, c, l))
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.data())
-def test_block_code_identity_matches_transducer_path(identity_oracle_codes, data):
-    h = data.draw(st.sampled_from(identity_oracle_codes))
-    kl = data.draw(cocycle_pairs(h.source))
-    # the transducer presentation runs the general multiset comparison
-    general = block_to_transducer(h)
-    for depth in (1, 2, 3):
-        ok, wit = check_potential_identity(h, kl, depth)
-        ok_general, wit_general = check_potential_identity(general, kl, depth)
-        assert ok == ok_general, depth
-        if not ok:
-            assert wit is not None and wit_general is not None
-
-
 # --- the depth-first walk against the word-table loops -----------------------
 
 
 def table_identity(h, kl, depth):
     """:func:`check_potential_identity` as it was written over the word
     table of the certified depth: the oracle for the depth-first walk."""
-    if isinstance(h, BlockCode) and kl.difference().is_constant(1):
-        return True, None
     d = orbit._certification_depth(h, kl, depth)
     for w in h.source.words(d):
         k = kl.k.table[w[: kl.depth]]
@@ -724,16 +713,20 @@ def test_potential_walk_matches_tables_on_ladder_maps(name, h):
     assert_walk_matches_tables(h, kl, f)
 
 
-def test_potential_walk_matches_tables_on_block_codes(identity_oracle_codes):
-    # constant l - k other than 1 takes the general path, not the closed form
-    failed = 0
-    for h in identity_oracle_codes:
-        f = indicator(h.target, h.target.words(1)[0])
-        for k, l in ((0, 1), (0, 2), (1, 1), (1, 3)):
-            kl = OrbitCocyclePair(constant(h.source, k, 2), constant(h.source, l, 2))
-            walk = assert_walk_matches_tables(h, kl, f)
-            failed += l - k != 1 and walk[0][0] is False
-    assert failed == 3 * len(identity_oracle_codes)
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_potential_walk_matches_tables_on_block_codes(identity_oracle_codes, data):
+    # a block code takes the walk of its transducer presentation, and a
+    # shift-commuting map passes the identity exactly where l - k = 1
+    h = data.draw(st.sampled_from(identity_oracle_codes))
+    kl = data.draw(cocycle_pairs(h.source))
+    f = data.draw(target_functions(h.target))
+    walk = assert_walk_matches_tables(h, kl, f)
+    general = block_to_transducer(h)
+    assert walk == identity_and_potential(
+        check_potential_identity, induced_potential, general, kl, f
+    )
+    assert walk[0][0] is kl.difference().is_constant(1)
 
 
 @pytest.mark.parametrize("name,h", list(_transducer_maps()))
