@@ -631,6 +631,23 @@ def cocycle_pairs(draw, space):
     return OrbitCocyclePair(CylinderFunction(space, c, k), CylinderFunction(space, c, l))
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_block_code_identity_matches_transducer_path(identity_oracle_codes, data):
+    h = data.draw(st.sampled_from(identity_oracle_codes))
+    kl = data.draw(cocycle_pairs(h.source))
+    # a block code and its transducer presentation give the same verdict and
+    # the same first failing word at every depth
+    general = block_to_transducer(h)
+    for depth in (1, 2, 3):
+        ok, wit = check_potential_identity(h, kl, depth)
+        ok_general, wit_general = check_potential_identity(general, kl, depth)
+        assert ok == ok_general, depth
+        assert wit == wit_general, depth
+        if not ok:
+            assert wit is not None
+
+
 # --- the depth-first walk against the word-table loops -----------------------
 
 
