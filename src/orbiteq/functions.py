@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 from .config import MAX_DEPTH
 from .errors import InadmissibleWord, InconsistentRoutes, TooLarge
-from .shifts import ShiftSpace, canonical_point, shift_point
+from .shifts import ShiftSpace, _shortest_walk, _tree_path, canonical_point, shift_point
 
 __all__ = [
     "CylinderFunction",
@@ -192,10 +192,11 @@ def _solve_transfer(space, g, c):
 
     Returns ``(out, b, parent, bad)``: ``out[u]`` lists ``(v, r)`` for each
     ``(m+1)``-word from the ``m``-word ``u`` to ``v``, with ``r`` the value
-    of ``g - c`` on it; ``b`` and its BFS tree ``parent`` from
-    ``b[root] = 0`` and ``b[v] = b[u] - r`` forward from the least
-    ``m``-word; and the first edge ``(u, v)`` with ``b[u] - b[v] != r``,
-    or None.
+    of ``g - c`` on it; ``b`` from ``b[root] = 0`` and ``b[v] = b[u] - r``
+    forward from the least ``m``-word, breadth-first; ``parent``, the
+    tree that ``b`` was set along, from which :func:`transfer_obstruction`
+    takes its walks out from the root; and the first edge ``(u, v)`` with
+    ``b[u] - b[v] != r``, or None.
     """
     d, gt = _least_table(g.depth, g.table)
     m = max(d - 1, 1)
@@ -248,31 +249,19 @@ def transfer_obstruction(space, g, c):
     period of ``point``, or None when :func:`find_transfer` finds a
     transfer.  For the first edge ``u -> v`` that breaks the potential,
     the closed walks ``root -> u -> v -> root`` and ``root -> v -> root``
-    (along the BFS tree and a BFS path from ``v`` to the root) differ in
-    sum by the edge's defect, so one of them sums to non-zero; the first
-    symbols of its words are the cycle.
+    differ in sum by the edge's defect, so one of them sums to non-zero;
+    the first symbols of its words are the cycle.  The walks out from the
+    root follow the tree that :func:`_solve_transfer` set ``b`` along, on
+    which ``b`` is exactly the running sum, as the argument needs; the
+    walk back is the shortest one from ``v`` to the root.
     """
     out, _, parent, bad = _solve_transfer(space, g, c)
     if bad is None:
         return None
     u, v = bad
-    prev = {v: None}  # a BFS tree from v, to find a path back to the root
-    queue = [v]
-    for x in queue:
-        for y, _ in out[x]:
-            if y not in prev:
-                prev[y] = x
-                queue.append(y)
-
-    def path(x, step):
-        walk = []
-        while x is not None:
-            walk.append(x)
-            x = step[x]
-        return walk[::-1]
-
-    back = path(next(iter(out)), prev)
-    for walk in (path(u, parent) + back, path(v, parent) + back[1:]):
+    root = next(iter(out))
+    back = _shortest_walk(lambda x: (y for y, _ in out[x]), v, lambda x: x == root)
+    for walk in (_tree_path(parent, u) + back, _tree_path(parent, v) + back[1:]):
         if len(walk) > 1:
             p = canonical_point(space, (), tuple(x[0] for x in walk[:-1]))
             n = len(p.cycle)

@@ -175,9 +175,7 @@ def _witness_to_json(w):
         return None
     if isinstance(w, Point):
         return {"point": point_to_json(w)}
-    if isinstance(w, tuple):
-        return {"word": word_key(w)}
-    return {"detail": str(w)}
+    return {"word": word_key(w)}
 
 
 def verdict_to_json(v):

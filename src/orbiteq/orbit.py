@@ -46,7 +46,6 @@ from math import inf
 
 from .config import MAX_DEPTH, WORD_TABLE_LIMIT, RunConfig
 from .errors import (
-    InadmissibleWord,
     InconsistentRoutes,
     NoAlignment,
     PreconditionFailed,
@@ -63,6 +62,7 @@ from .functions import (
 from .maps import BlockCode, _as_transducer, _walk, apply_map
 from .shifts import (
     _point_key,
+    _shortest_walk,
     canonical_point,
     enumerate_points,
     point_with_prefix,
@@ -143,27 +143,18 @@ def _mismatched_cycle(space, s):
 
     Looks for ``v`` in the followers of ``s`` and ``u != s`` with
     ``u -> v`` allowed and ``u`` reachable from ``v``; the cycle word is
-    then the shortest walk ``v ... u``.  Returns None if no follower of
-    ``s`` admits one (then every follower's only predecessor is ``s``).
+    then the shortest walk ``v ... u`` (:func:`shifts._shortest_walk`),
+    from the first follower ``v`` that has one.  Returns None if no
+    follower of ``s`` admits one (then every follower's only predecessor
+    is ``s``).
     """
     m = space.matrix
     for v in m.followers[s - 1]:
-        parent = {v: None}
-        frontier = [v]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                if x != s and m.allows(x, v):
-                    path = []
-                    while x is not None:
-                        path.append(x)
-                        x = parent[x]
-                    return tuple(reversed(path))
-                for y in m.followers[x - 1]:
-                    if y not in parent:
-                        parent[y] = x
-                        nxt.append(y)
-            frontier = nxt
+        walk = _shortest_walk(
+            lambda x: m.followers[x - 1], v, lambda x: x != s and m.allows(x, v)
+        )
+        if walk is not None:
+            return walk
     return None
 
 
@@ -172,36 +163,25 @@ def aperiodic_point_with_prefix(space, word):
 
     Such points exist in every cylinder: were every follower of every
     state entered only from that state, all column sums would be 1 and
-    the matrix a permutation, which is excluded.  The construction
-    extends the word until its end state admits a closing cycle whose
-    last symbol differs, so no preperiod symbol can be absorbed.
+    the matrix a permutation, which is excluded.  Unless the periodic
+    representative already has a preperiod, the word is extended by the
+    shortest walk to a state that admits a closing cycle whose last
+    symbol differs (:func:`_mismatched_cycle`), so no preperiod symbol
+    can be absorbed.  Of the shortest extensions this takes the
+    lexicographically least, as a walk with first-reached parents does.
     """
     word = tuple(word)
-    cached = space._aperiodic_cache.get(word)
-    if cached is not None:
-        return cached
     z = point_with_prefix(space, word)
-    result = None
     if z.preperiod:
-        result = z
-    else:
-        fol = space.matrix.followers
-        frontier = [word]
-        for _ in range(space.n + 1):
-            nxt = []
-            for pre in frontier:
-                cyc = _mismatched_cycle(space, pre[-1])
-                if cyc is not None:
-                    result = canonical_point(space, pre, cyc)
-                    break
-                nxt.extend(pre + (b,) for b in fol[pre[-1] - 1])
-            if result is not None:
-                break
-            frontier = nxt
-    if result is None:
-        raise InadmissibleWord(f"no aperiodic representative for {word}")
-    space._aperiodic_cache[word] = result
-    return result
+        return z
+    fol = space.matrix.followers
+    walk = _shortest_walk(
+        lambda x: fol[x - 1],
+        word[-1],
+        lambda x: _mismatched_cycle(space, x) is not None,
+    )
+    pre = word + walk[1:]
+    return canonical_point(space, pre, _mismatched_cycle(space, pre[-1]))
 
 
 def cylinder_family(space, depth, cfg):

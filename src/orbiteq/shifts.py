@@ -145,21 +145,18 @@ def _reaches_all(adj):
 
 
 class ShiftSpace:
-    """A shift space with cached word tables per depth.
+    """A shift space with cached word tables and word counts per depth.
 
     The table at depth ``m`` holds exactly the admissible words
     ``w_1 ... w_m`` (every consecutive pair an allowed transition), in
-    lexicographic order.  Tables are filled lazily and never mutated
-    afterwards, so concurrent reads are safe.
+    lexicographic order.  Tables and counts are filled lazily, when a
+    longer length is first asked for.
     """
 
     def __init__(self, matrix):
         self.matrix = matrix
         self._words = {1: tuple((i,) for i in range(1, matrix.n + 1))}
         self._counts = [[1] * matrix.n]  # words of length i + 1 by first symbol
-        self._enum_cache = {}
-        self._rep_cache = {}
-        self._aperiodic_cache = {}
 
     @property
     def n(self):
@@ -352,7 +349,8 @@ def enumerate_points(space, max_pre, max_cyc):
 
     An admissible pair ``(pre, cyc)`` is canonical exactly when ``cyc`` is
     primitive and ``pre`` is empty or does not end in ``cyc[-1]``; those
-    pairs are listed directly, sorted, in a fresh list.
+    pairs are listed directly, sorted, in a list built afresh on every
+    call.
 
     Examples
     --------
@@ -362,26 +360,53 @@ def enumerate_points(space, max_pre, max_cyc):
     """
     if max_cyc < 1:
         raise ValueError("max_cyc must be >= 1")
-    cached = space._enum_cache.get((max_pre, max_cyc))
-    if cached is None:
-        fol = space.matrix.followers
-        cycles = []
-        for m in range(1, max_cyc + 1):
-            for w in space.words(m):
-                if w[0] in fol[w[-1] - 1] and _primitive(w) == w:
-                    cycles.append(w)
-        prefixes = [()]
-        for m in range(1, max_pre + 1):
-            prefixes.extend(space.words(m))
-        points = [
-            Point(pre, cyc)
-            for cyc in cycles
-            for pre in prefixes
-            if not pre or (pre[-1] != cyc[-1] and cyc[0] in fol[pre[-1] - 1])
-        ]
-        cached = tuple(sorted(points, key=_point_key))
-        space._enum_cache[(max_pre, max_cyc)] = cached
-    return list(cached)
+    fol = space.matrix.followers
+    cycles = []
+    for m in range(1, max_cyc + 1):
+        for w in space.words(m):
+            if w[0] in fol[w[-1] - 1] and _primitive(w) == w:
+                cycles.append(w)
+    prefixes = [()]
+    for m in range(1, max_pre + 1):
+        prefixes.extend(space.words(m))
+    points = [
+        Point(pre, cyc)
+        for cyc in cycles
+        for pre in prefixes
+        if not pre or (pre[-1] != cyc[-1] and cyc[0] in fol[pre[-1] - 1])
+    ]
+    return sorted(points, key=_point_key)
+
+
+def _tree_path(parent, x):
+    """The walk from the root of the tree ``parent`` (child -> parent, the
+    root's parent None) down to ``x``."""
+    walk = []
+    while x is not None:
+        walk.append(x)
+        x = parent[x]
+    return tuple(reversed(walk))
+
+
+def _shortest_walk(successors, start, goal):
+    """The shortest walk ``(start, ..., x)`` to the first node ``x`` with
+    ``goal(x)``, or None when no such node is reachable.
+
+    Breadth-first: ``successors(x)`` is taken in order, each node's
+    parent is the node that first reached it, and ``goal`` is tested as a
+    node leaves the queue, so a tie goes to the earlier successor and a
+    goal at ``start`` gives ``(start,)``.
+    """
+    parent = {start: None}
+    queue = [start]
+    for x in queue:
+        if goal(x):
+            return _tree_path(parent, x)
+        for y in successors(x):
+            if y not in parent:
+                parent[y] = x
+                queue.append(y)
+    return None
 
 
 def point_with_prefix(space, word):
@@ -389,46 +414,17 @@ def point_with_prefix(space, word):
 
     Used to guarantee every cylinder of a given depth has at least one
     representative: the word is closed up by the shortest cycle through
-    its last symbol.
+    its last symbol, the shortest walk from it to a state it follows.
     """
     word = tuple(word)
-    cached = space._rep_cache.get(word)
-    if cached is not None:
-        return cached
     if not space.is_admissible(word) or not word:
         raise InadmissibleWord(f"word {word} not admissible")
-    # BFS for the shortest path last -> last; the path symbols after the
-    # start form an admissible cycle word whose wrap is the first step.
     start = word[-1]
     fol = space.matrix.followers
-    parent = {}
-    frontier = [start]
-    found = None
-    seen = set()
-    while found is None:
-        nxt = []
-        for i in frontier:
-            for j in fol[i - 1]:
-                if j == start:
-                    found = i
-                    break
-                if j not in seen:
-                    seen.add(j)
-                    parent[j] = i
-                    nxt.append(j)
-            if found is not None:
-                break
-        frontier = nxt
-    path = []
-    i = found
-    while i != start:
-        path.append(i)
-        i = parent[i]
-    path.reverse()
-    cyc = tuple(path) + (start,)
-    p = _canonical_unchecked(word, cyc)
-    space._rep_cache[word] = p
-    return p
+    walk = _shortest_walk(lambda x: fol[x - 1], start, lambda x: start in fol[x - 1])
+    # the walk after the start, closed by the step back to it, is a cycle
+    # word whose wrap is the walk's first step
+    return _canonical_unchecked(word, walk[1:] + (start,))
 
 
 def count_periodic(space, n):

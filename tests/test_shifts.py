@@ -22,6 +22,7 @@ from orbiteq import (
     shift_point,
 )
 from orbiteq.generators import random_shift_space
+from orbiteq.shifts import _shortest_walk
 
 from conftest import expand_point, points_agree, raw_expand
 
@@ -288,6 +289,33 @@ def test_point_with_prefix(full2, golden):
             for w in s.words(d):
                 p = point_with_prefix(s, w)
                 assert expand_point(p, d) == w
+
+
+def test_point_with_prefix_closes_with_a_shortest_cycle():
+    # oracle without a breadth-first search: the least L for which the
+    # last symbol reaches itself in L steps, by iterating follower sets
+    rng = random.Random(20261019)
+    for _ in range(100):
+        s = random_shift_space(rng, rng.randint(2, 6))
+        fol = s.matrix.followers
+        for m in (1, 2, 3):
+            for w in s.words(m):
+                p = point_with_prefix(s, w)
+                assert expand_point(p, m) == w
+                reach, steps = set(fol[w[-1] - 1]), 1
+                while w[-1] not in reach:
+                    reach = {b for a in reach for b in fol[a - 1]}
+                    steps += 1
+                assert len(p.cycle) == steps, (s, w, p)
+
+
+def test_shortest_walk():
+    succ = {1: (2, 3), 2: (4,), 3: (4,), 4: (1,), 5: (1,)}.__getitem__
+    assert _shortest_walk(succ, 1, lambda x: x == 1) == (1,)
+    # 4 is reached through 2 and through 3; the earlier follower wins
+    assert _shortest_walk(succ, 1, lambda x: x == 4) == (1, 2, 4)
+    assert _shortest_walk(succ, 1, lambda x: x > 2) == (1, 3)
+    assert _shortest_walk(succ, 1, lambda x: x == 5) is None
 
 
 def _canonicalising_enumeration(space, max_pre, max_cyc):

@@ -9,9 +9,7 @@ file (:func:`point_loop`), which searches pairs on mapped points and
 certifies each with a product walk.
 """
 
-import itertools
 import json
-import random
 from math import inf
 from pathlib import Path
 
@@ -28,65 +26,26 @@ from orbiteq import (
     orbit_cocycles,
     transducer,
 )
-from orbiteq.generators import prefix_exchange, random_shift_space
 from orbiteq.maps import _as_transducer
 from orbiteq.shifts import point_with_prefix
 
-from conftest import expansion_maps, pair_buffer, random_tau, recoder_map, two_mode
+import golden
+from conftest import pair_buffer, two_mode
 
 INPUTS = Path(__file__).resolve().parents[1] / "bench" / "inputs"
 FULL2 = build_shift_space([[1, 1], [1, 1]])
 
 
-def relabelled(space, p):
-    rows = [[0] * space.n for _ in range(space.n)]
-    for i, row in enumerate(space.matrix.entries, start=1):
-        for j, x in enumerate(row, start=1):
-            rows[p[i] - 1][p[j] - 1] = x
-    return build_shift_space(rows)
-
-
-def permutation(rng, n):
-    image = list(range(1, n + 1))
-    rng.shuffle(image)
-    return dict(zip(range(1, n + 1), image))
-
-
 def ladder_maps(seed):
-    """Recoders and expansions drawn from one fixed pool, as the
-    ``transducer-ladder`` benchmark draws them, relabelled by ``seed``;
-    both directions of each pair."""
-    pool = random.Random("transducer-ladder/pool")
-    recoders = []
-    for n in (3,) * 40 + (4,) * 3 + (5,):
-        space = random_shift_space(pool, n)
-        recoders.append((space, random_tau(pool, space)))
-    expansions = []
-    for n in (2,) * 60 + (3,) * 10 + (4,):
-        symbols = list(range(1, n + 1))
-        pool.shuffle(symbols)
-        cut = pool.randint(1, n - 1)
-        kept = symbols[cut:]
-        expansions.append((n, {j: pool.choice(kept) for j in sorted(symbols[:cut])}))
-    for j, (space, tau) in enumerate(recoders):
-        p = permutation(random.Random(f"transducer-ladder/{seed}/recoder/{j}"), space.n)
-        tau = {p[b]: {p[a]: p[v] for a, v in t.items()} for b, t in tau.items()}
-        inv = {b: {v: a for a, v in t.items()} for b, t in tau.items()}
-        space = relabelled(space, p)
-        yield f"recoder-{j}", recoder_map(space, tau)
-        yield f"recoder-{j}-inverse", recoder_map(space, inv)
-    for j, (n, expand) in enumerate(expansions):
-        p = permutation(random.Random(f"transducer-ladder/{seed}/expansion/{j}"), n)
-        h, h_inv = expansion_maps(n, {p[a]: p[c] for a, c in expand.items()})
-        yield f"expansion-{j}", h
-        yield f"expansion-{j}-inverse", h_inv
-
-
-def exchanges():
-    words = [w for m in (1, 2, 3) for w in FULL2.words(m)]
-    for u, v in itertools.combinations(words, 2):
-        if u[: len(v)] != v[: len(u)]:
-            yield f"exchange-{u}-{v}", prefix_exchange(FULL2, u, v)
+    """Both directions of each recoder and expansion pair of the
+    ``transducer-ladder`` benchmark at ``seed``, from its own case list;
+    the three committed ``fixed-*`` maps are left out."""
+    for build in golden.bench_cases().transducer_ladder(seed):
+        case = build()
+        if not case.id.startswith("fixed-"):
+            h, h_inv, _ = case.args
+            yield case.id, h
+            yield f"{case.id}-inverse", h_inv
 
 
 def committed(name):
@@ -195,7 +154,7 @@ def test_square_matches_point_loop_on_ladder_maps(seed):
 
 
 def test_square_matches_point_loop_on_prefix_exchanges():
-    maps = list(exchanges())
+    maps = [(f"exchange-{u}-{v}", f) for u, v, f in golden.exchanges()]
     assert len(maps) == 71
     unaligned, cylinders, unshared_roots = assert_square_matches_points(
         maps, [3, 4, 5]
