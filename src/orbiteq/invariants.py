@@ -139,7 +139,7 @@ def _entries(x, capped=True):
     TooLarge
         if ``capped`` and the matrix exceeds the matching cap.
     ValueError
-        if an entry is not an integer.
+        if an entry is not an integer or the rows are not square.
     """
     if isinstance(x, ShiftSpace):
         x = x.matrix
@@ -147,6 +147,8 @@ def _entries(x, capped=True):
         a = x.entries
     else:
         a = IntMatrix(tuple(_int(v) for v in row) for row in x)
+        if any(len(row) != len(a) for row in a):
+            raise ValueError("matrix is not square")
     if capped and len(a) > MAX_MATCH_STATES:
         raise TooLarge(f"state count exceeds matching cap {MAX_MATCH_STATES}")
     return a
@@ -362,10 +364,12 @@ def find_isomorphism(a, b):
 
 def exact_det(m):
     """Exact integer determinant (fraction-free Gaussian elimination); the
-    0x0 determinant is 1.  An entry that is not an integer is a
-    ``ValueError``."""
+    0x0 determinant is 1.  An entry that is not an integer, or a matrix
+    that is not square, is a ``ValueError``."""
     a = [[_int(x) for x in row] for row in m]
     n = len(a)
+    if any(len(row) != n for row in a):
+        raise ValueError("matrix is not square")
     if n == 0:
         return 1
     sign = 1
@@ -412,9 +416,9 @@ def smith_normal_form(m):
     ends the step divides everything after it.  The certificate and the
     unimodularity of U and V are verified exactly before returning.
 
-    ``m`` is any iterable of integer rows; an entry that is not an integer
-    is a ``ValueError``.  Returns ``(U, D, V)`` as nested lists of Python
-    ints.
+    ``m`` is any iterable of integer rows of one length; an entry that is
+    not an integer, or a ragged row, is a ``ValueError``.  Returns ``(U,
+    D, V)`` as nested lists of Python ints.
     """
     u, d, v, _ = _smith(m)
     return u, d, v
@@ -426,6 +430,8 @@ def _smith(m):
     m_int = [row[:] for row in a]
     # an input with no rows keeps its column count only in its ``shape``
     rows, cols = len(a), (len(a[0]) if a else getattr(m, "shape", (0,))[-1])
+    if any(len(row) != cols for row in a):
+        raise ValueError("matrix rows differ in length")
     u, v = _eye(rows), _eye(cols)
 
     def row_op(i, j, q):  # row_i -= q * row_j

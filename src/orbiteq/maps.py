@@ -332,6 +332,31 @@ def _composite_mismatch(outer, inner):
     return next(filter(None, (miss(x, (inner.table[x],)) for x in words)), None)
 
 
+def _compared(sa, sb, last, da, db, xa, xb):
+    """The walk node after side A has emitted ``xa`` and side B ``xb``,
+    the number of symbol pairs compared, and one past the index of the
+    last pair that differs (0 when all agree).
+
+    Each side first drops the symbols it still owes (``da``, ``db``); what
+    is left of the two streams is compared, and the rest is the unmatched
+    output of the side that is ahead.
+    """
+    if da or db:  # most steps owe nothing: this skips two slices and two max calls
+        xa, da = xa[da:], max(0, da - len(xa))
+        xb, db = xb[db:], max(0, db - len(xb))
+    n = min(len(xa), len(xb))
+    miss = 0
+    if xa[:n] != xb[:n]:
+        miss = next(i for i in range(n, 0, -1) if xa[i - 1] != xb[i - 1])
+    return (sa, sb, last, da, db, xa[n:], xb[n:]), n, miss
+
+
+def _aligned(sa, sb, last, da, db, xa, xb):
+    """The node of :func:`_compared`, or None when the streams disagree."""
+    node, _, miss = _compared(sa, sb, last, da, db, xa, xb)
+    return None if miss else node
+
+
 def _walk(space, roots, step, safe):
     """Breadth first over the nodes of a product of machines reading one
     input from ``space``; the shortest input word that ends in a mismatch,
@@ -387,17 +412,18 @@ def _product_mismatch(outer, inner):
     identity on every point.
 
     The two machines run in series, in a :func:`_walk` from the start,
-    over nodes ``(inner state, outer state, last input symbol, unmatched
-    input, output ahead of input)``.  Each admissible next symbol feeds
-    ``inner``, its output feeds ``outer``, and what ``outer`` emits is
-    matched against the input stream; at most one of the two queues is
-    nonempty.  The output symbols are fixed by the input read so far, so
-    every point that starts with a returned word is changed by the
-    composite.  When the walk closes without a mismatch, the emitted
-    output agrees with the input at every finite stage, and both machines
-    are productive, so the composite is the identity.  This is the square
-    of a transducer (Béal, Carton, Prieur, Sakarovitch 2003); a bounded
-    queue is Choffrut's twinning property.
+    over the nodes of :func:`_compared` with no drops: ``(inner state,
+    outer state, last input symbol, 0, 0, unmatched input, output ahead
+    of input)``.  Each admissible next symbol feeds ``inner``, its output
+    feeds ``outer``, and what ``outer`` emits is matched against the input
+    stream; at most one of the two queues is nonempty.  The output symbols
+    are fixed by the input read so far, so every point that starts with a
+    returned word is changed by the composite.  When the walk closes
+    without a mismatch, the emitted output agrees with the input at every
+    finite stage, and both machines are productive, so the composite is
+    the identity.  This is the square of a transducer (Béal, Carton,
+    Prieur, Sakarovitch 2003); a bounded queue is Choffrut's twinning
+    property.
 
     Raises
     ------
@@ -408,19 +434,14 @@ def _product_mismatch(outer, inner):
         raise ValueError("maps are not composable")
 
     def step(node, a):
-        s, t, _, behind, ahead = node
+        s, t, _, _, _, behind, ahead = node
         s, mid = inner.delta[(s, a)]
-        out = list(ahead)
         for b in mid:
             t, emitted = outer.delta[(t, b)]
-            out.extend(emitted)
-        read = behind + (a,)
-        k = min(len(read), len(out))
-        if read[:k] != tuple(out[:k]):
-            return None
-        return s, t, a, read[k:], tuple(out[k:])
+            ahead += emitted
+        return _aligned(s, t, a, 0, 0, behind + (a,), ahead)
 
-    start = (inner.initial, outer.initial, None, (), ())
+    start = (inner.initial, outer.initial, None, 0, 0, (), ())
     return _walk(inner.source, {start: ()}, step, set())
 
 

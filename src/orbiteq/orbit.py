@@ -26,18 +26,20 @@ The cocycles and the intertwining checks are exact on every point, not
 only on eventually periodic ones, and come from walks over pairs of
 states of ``h`` (the square of a transducer, Béal, Carton, Prieur and
 Sakarovitch 2003), one run on a cylinder word ``w`` and one on
-``w[1:]``.  On ``[w]`` the difference ``c = l - k`` is how far the run on
-``w`` is ahead in output where the two runs first share a state, and the
-least ``l`` is ``max(c, 0)`` plus the most symbols one walk compares up
-to its last mismatch; no point is mapped.  The pair is the least one
-whenever ``h`` is injective, as every map given to :func:`classify` is.
-A cylinder whose runs never share a state tries the differences outward
-from the output lead of its two runs, one walk each.  :func:`classify`
-takes the pair to be inverse and never re-checks it, for any kind of map;
-a pair of block codes is then a conjugacy whose cocycles it gives in
-closed form.  A mismatch that recurs on a cycle, or a walk that hits a
-cap, reports undecided, never a refutation.  :func:`cylinder_family` and
-:func:`verify_cocycles` remain for sampled re-checks on explicit points.
+``w[1:]``.  On ``[w]`` the difference ``c = l - k`` is how far the run
+on ``w`` is ahead in output where the two runs first share a state (one
+shortest walk over pairs of states), and the least ``l`` is
+``max(c, 0)`` plus the most symbols one walk compares up to its last
+mismatch; no point is mapped.  The pair is the least one whenever ``h``
+is injective, as every map given to :func:`classify` is.  A cylinder
+whose runs never share a state tries the differences outward from the
+output lead of its two runs, one walk each.  :func:`classify` takes the
+pair to be inverse and never re-checks it, for any kind of map; a pair
+of block codes is then a conjugacy whose cocycles it gives in closed
+form.  A mismatch that recurs on a cycle, or a walk that hits a cap,
+reports undecided, never a refutation.  :func:`cylinder_family` and
+:func:`verify_cocycles` remain for sampled re-checks on explicit points,
+the latter by mapping and shifting each point itself.
 """
 
 from collections import Counter
@@ -59,7 +61,7 @@ from .functions import (
     find_transfer,
     transfer_obstruction,
 )
-from .maps import BlockCode, _as_transducer, _walk, apply_map
+from .maps import BlockCode, _aligned, _as_transducer, _compared, _walk, apply_map
 from .shifts import (
     _point_key,
     _shortest_walk,
@@ -204,67 +206,8 @@ def cylinder_family(space, depth, cfg):
     return fam
 
 
-def _record(a, b):
-    """``(a, b, |a.pre|, |b.pre|, |a.cycle|, r)`` with ``r`` the rotation
-    taking ``a.cycle`` to ``b.cycle``, None if none does (both primitive)."""
-    ca, cb = a.cycle, b.cycle
-    turns = range(len(ca)) if len(cb) == len(ca) else ()
-    r = next((i for i in turns if ca[i:] + ca[:i] == cb), None)
-    return a, b, len(a.preperiod), len(b.preperiod), len(ca), r
-
-
-def _image_record(h, p, images):
-    """:func:`_record` of ``h(p)`` and ``h(sigma p)``, mapping each point
-    once: ``images`` holds the images found so far."""
-    sp = shift_point(h.source, p)
-    for q in (p, sp):
-        if q not in images:
-            images[q] = apply_map(h, q)
-    return _record(images[p], images[sp])
-
-
-def _solutions(rec, l, top):
-    """The ``k <= top`` with ``sigma^l a = sigma^k b`` as a range, for the
-    :func:`_record` of canonical ``a, b``: one ``k`` while ``l < |a.pre|``,
-    else the class of ``|b.pre| + l - |a.pre| - r`` modulo the cycle length."""
-    a, b, na, nb, c, r = rec
-    if l < 0 or top < 0:
-        raise ValueError("shift count must be >= 0")
-    if l < na:
-        k = l - na + nb
-        ok = 0 <= k <= top and r == 0 and a.preperiod[l:] == b.preperiod[k:]
-        return range(k, k + ok)
-    if r is None:
-        return range(0)
-    return range(nb + (l - na - r) % c, top + 1, c)
-
-
 # ---------------------------------------------------------------------------
 # the product walk
-
-
-def _compared(sa, sb, last, da, db, xa, xb):
-    """The walk node after side A has emitted ``xa`` and side B ``xb``,
-    the number of symbol pairs compared, and one past the index of the
-    last pair that differs (0 when all agree).
-
-    Each side first drops the symbols it still owes (``da``, ``db``); what
-    is left of the two streams is compared, and the rest is the unmatched
-    output of the side that is ahead.
-    """
-    xa, da = xa[da:], max(0, da - len(xa))
-    xb, db = xb[db:], max(0, db - len(xb))
-    n = min(len(xa), len(xb))
-    miss = 0
-    if xa[:n] != xb[:n]:
-        miss = next(i for i in range(n, 0, -1) if xa[i - 1] != xb[i - 1])
-    return (sa, sb, last, da, db, xa[n:], xb[n:]), n, miss
-
-
-def _aligned(sa, sb, last, da, db, xa, xb):
-    """The node of :func:`_compared`, or None when the streams disagree."""
-    node, _, miss = _compared(sa, sb, last, da, db, xa, xb)
-    return None if miss else node
 
 
 def _misaligned(m, words, k, l, safe):
@@ -318,26 +261,24 @@ def _difference(m, sa, sb, last, d):
 
     The runs stand in states ``sa`` (side A) and ``sb`` (side B) after
     input ending in ``last``, with side A ``d`` symbols ahead in output.
-    Breadth first over ``(state A, state B, last input)``, the first
-    node with equal states gives the answer: from there both sides emit
-    the same stream, so ``sigma^k h(sigma x) = sigma^l h(x)`` with ``l -
-    k`` equal to how far side A is ahead, on the whole cylinder of the
-    path to that node.
+    One :func:`~orbiteq.shifts._shortest_walk` over nodes ``(state A,
+    state B, last input)`` goes to the first node with equal states, and
+    ``l - k`` is ``d`` plus what side A gains in output along it: from
+    there both sides emit the same stream, so ``sigma^k h(sigma x) =
+    sigma^l h(x)`` on the whole cylinder of the walk.
     """
     delta, fol = m.delta, m.source.matrix.followers
-    frontier, seen = [(sa, sb, last, d)], {(sa, sb, last)}
-    while frontier:
-        nxt = []
-        for sa, sb, last, d in frontier:
-            if sa == sb:
-                return d
-            for a in fol[last - 1]:
-                (ta, xa), (tb, xb) = delta[sa, a], delta[sb, a]
-                if (ta, tb, a) not in seen:
-                    seen.add((ta, tb, a))
-                    nxt.append((ta, tb, a, d + len(xa) - len(xb)))
-        frontier = nxt
-    return None
+
+    def successors(node):
+        sa, sb, last = node
+        return ((delta[sa, a][0], delta[sb, a][0], a) for a in fol[last - 1])
+
+    walk = _shortest_walk(successors, (sa, sb, last), lambda node: node[0] == node[1])
+    if walk is None:
+        return None
+    for (sa, sb, _), (_, _, a) in zip(walk, walk[1:]):
+        d += len(delta[sa, a][1]) - len(delta[sb, a][1])
+    return d
 
 
 def _last_mismatch(m, root, safe, late):
@@ -516,14 +457,18 @@ def _cocycles(m, depth, safe, late):
 
 
 def verify_cocycles(h, kl, points):
-    """Re-check the alignment equation for ``kl`` on explicit points.
+    """Re-check ``sigma^k h(sigma p) = sigma^l h(p)`` for ``kl`` on explicit
+    points, mapping each with :func:`~orbiteq.maps.apply_map` and shifting
+    with :func:`~orbiteq.shifts.shift_point`.
 
-    Returns ``(True, None)`` or ``(False, witness_point)``.
+    Returns ``(True, None)`` or ``(False, witness_point)``.  A negative
+    ``k`` or ``l`` raises ``ValueError``.
     """
-    images = {}
+    src, tgt = h.source, h.target
     for p in points:
         k, l = evaluate(kl.k, p), evaluate(kl.l, p)
-        if k not in _solutions(_image_record(h, p, images), l, k):
+        ahead = shift_point(tgt, apply_map(h, shift_point(src, p)), k)
+        if ahead != shift_point(tgt, apply_map(h, p), l):
             return False, p
     return True, None
 
@@ -534,8 +479,8 @@ def verify_cocycles(h, kl, points):
 
 def _certification_depth(h, kl, need):
     """Least input depth whose output prefixes cover ``need`` symbols past
-    the cocycle bounds, for the word and its shift."""
-    h = _as_transducer(h)
+    the cocycle bounds, for the word and its shift, under the transducer
+    ``h``."""
     src = h.source
     c = kl.depth
     # per depth-c word u and its shift u[1:]: output past the cocycle bound,

@@ -192,11 +192,13 @@ class ShiftSpace:
     def word_count(self, m):
         """The number of admissible words of length ``m``, without building
         them; the counts per length are kept and extended on demand."""
+        if m < 1:
+            raise ValueError("word length must be >= 1")
         counts = self._counts
         while len(counts) < m:
             last = counts[-1]
             counts.append([sum(last[b - 1] for b in f) for f in self.matrix.followers])
-        return sum(counts[max(m, 1) - 1])
+        return sum(counts[m - 1])
 
     def is_admissible(self, word):
         """True iff every consecutive pair in ``word`` is an allowed transition."""

@@ -127,6 +127,33 @@ def points_agree(p, q, margin=4):
     return expand_point(p, n) == expand_point(q, n)
 
 
+def alignment_record(a, b):
+    """``(a, b, |a.pre|, |b.pre|, |a.cycle|, r)`` for canonical points
+    ``a, b``, with ``r`` the rotation taking ``a.cycle`` to ``b.cycle``,
+    None if none does (both primitive): what :func:`aligning_shifts`
+    reads."""
+    ca, cb = a.cycle, b.cycle
+    turns = range(len(ca)) if len(cb) == len(ca) else ()
+    r = next((i for i in turns if ca[i:] + ca[:i] == cb), None)
+    return a, b, len(a.preperiod), len(b.preperiod), len(ca), r
+
+
+def aligning_shifts(rec, l, top):
+    """The ``k <= top`` with ``sigma^l a = sigma^k b`` as a range, in
+    closed form, for the :func:`alignment_record` of ``a, b``: one ``k``
+    while ``l < |a.pre|``, else the class of ``|b.pre| + l - |a.pre| - r``
+    modulo the cycle length.  A test-side oracle for the alignment
+    equation, independent of ``shift_point``."""
+    a, b, na, nb, c, r = rec
+    if l < na:
+        k = l - na + nb
+        ok = 0 <= k <= top and r == 0 and a.preperiod[l:] == b.preperiod[k:]
+        return range(k, k + ok)
+    if r is None:
+        return range(0)
+    return range(nb + (l - na - r) % c, top + 1, c)
+
+
 # --- seeded maps that are not block codes ------------------------------------
 
 

@@ -127,6 +127,25 @@ def test_non_integer_entries_are_rejected(call, m):
         call(m)
 
 
+@pytest.mark.parametrize(
+    "call,m,message",
+    [
+        (exact_det, [[1, 2, 3], [4, 5, 6]], "not square"),
+        (exact_det, [[1, 2], [3, 4], [5, 6]], "not square"),
+        (exact_det, [[1, 2], [3]], "not square"),
+        (smith_normal_form, [[1], [2, 3]], "rows differ in length"),
+        (smith_normal_form, [[1, 2], [3]], "rows differ in length"),
+        (total_amalgamation, [[1, 1, 1], [1, 1, 1]], "not square"),
+        (lambda m: matrices_isomorphic(m, [[1, 1], [1, 0]]), [[1, 1], [1]], "not square"),
+        (lambda m: find_isomorphism([[2]], m), [[2, 1]], "not square"),
+    ],
+)
+def test_misshapen_matrices_are_rejected(call, m, message):
+    # these used to answer for a truncated matrix or raise IndexError
+    with pytest.raises(ValueError, match=message):
+        call(m)
+
+
 def test_integral_entries_of_other_types_are_read_as_ints():
     # an entry equal to an integer is that integer, whatever its type
     assert exact_det([[2.0, True], [np.int64(1), 1]]) == 1

@@ -50,8 +50,11 @@ from orbiteq import (
 )
 from orbiteq.config import MAX_DEPTH
 from orbiteq.generators import random_shift_space, split_chain
+from orbiteq.maps import _as_transducer
 
 from conftest import (
+    aligning_shifts,
+    alignment_record,
     expand_point,
     expansion_maps,
     random_tau,
@@ -138,10 +141,18 @@ def test_recoder_cocycle_table(full2, recoder, cfg):
 
 
 def test_cocycle_identity_reverifies(full2, recoder, duplicator, cfg):
+    points = enumerate_points(full2, 3, 4)
     for h, depth in ((recoder, 3), (duplicator, 2)):
         kl = orbit_cocycles(h, depth)
-        ok, wit = verify_cocycles(h, kl, enumerate_points(full2, 3, 4))
+        ok, wit = verify_cocycles(h, kl, points)
         assert ok, wit
+        # one more shift on one side, on one cylinder, fails inside it
+        for w, side in itertools.product(full2.words(depth), ("k", "l")):
+            f = getattr(kl, side)
+            bumped = CylinderFunction(full2, depth, {**f.table, w: f.table[w] + 1})
+            wrong = OrbitCocyclePair(**{"k": kl.k, "l": kl.l, side: bumped})
+            ok, wit = verify_cocycles(h, wrong, points)
+            assert not ok and wit.expand(depth) == w, (w, side)
     for k, l in ((-1, 0), (0, -1)):  # no point shifts a negative number of times
         kl = OrbitCocyclePair(constant(full2, k), constant(full2, l))
         with pytest.raises(ValueError):
@@ -391,8 +402,10 @@ def test_classify_recoder(full2, recoder, cfg):
 
 
 def test_closed_form_alignment_matches_shift_point():
-    """``k in _solutions(_record(a, b), l, 12)`` exactly when
-    ``sigma^l a = sigma^k b``, over all pairs of enumerated points."""
+    """``k in aligning_shifts(alignment_record(a, b), l, 12)`` exactly
+    when ``sigma^l a = sigma^k b``, over all pairs of enumerated points:
+    the closed-form oracle of ``tests/test_square_cocycles.py`` against
+    ``shift_point``."""
     rng = random.Random(20261018)
     top = 12
     kinds = Counter()
@@ -405,9 +418,9 @@ def test_closed_form_alignment_matches_shift_point():
             for k, q in enumerate(shifts[b]):
                 at.setdefault(b, {}).setdefault(q, set()).add(k)
         for a, b in itertools.product(pts, repeat=2):
-            rec = orbit._record(a, b)
+            rec = alignment_record(a, b)
             for l in range(top + 1):
-                sols = orbit._solutions(rec, l, top)
+                sols = aligning_shifts(rec, l, top)
                 assert set(sols) == at[b].get(shifts[a][l], set()), (a, b, l)
                 if a != b and l < len(a.preperiod) and sols:
                     kinds["aligned inside the preperiods"] += 1
@@ -478,7 +491,7 @@ SPLIT_CODES = [
 def test_certification_depth_matches_word_walk(name, h, cfg):
     kl = orbit_cocycles(h, 3)
     for need in range(1, 9):
-        got = depth_outcome(orbit._certification_depth, h, kl, need)
+        got = depth_outcome(orbit._certification_depth, _as_transducer(h), kl, need)
         assert got == depth_outcome(word_walk_depth, h, kl, need), (name, need)
         if name == "expansion-4-inverse" and need == 8:
             assert got[0] is TooLarge and got[1].startswith("word table at depth")
@@ -654,7 +667,7 @@ def test_block_code_identity_matches_transducer_path(identity_oracle_codes, data
 def table_identity(h, kl, depth):
     """:func:`check_potential_identity` as it was written over the word
     table of the certified depth: the oracle for the depth-first walk."""
-    d = orbit._certification_depth(h, kl, depth)
+    d = orbit._certification_depth(_as_transducer(h), kl, depth)
     for w in h.source.words(d):
         k = kl.k.table[w[: kl.depth]]
         l = kl.l.table[w[: kl.depth]]
@@ -671,7 +684,7 @@ def table_identity(h, kl, depth):
 
 def table_potential(h, kl, f):
     """:func:`induced_potential` as it was written over the word table."""
-    d = orbit._certification_depth(h, kl, f.depth)
+    d = orbit._certification_depth(_as_transducer(h), kl, f.depth)
     src = h.source
     df = f.depth
     table = {}

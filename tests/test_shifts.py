@@ -127,6 +127,14 @@ def test_word_count_without_building(golden, full2):
     assert max(full4._words) == 1
 
 
+@pytest.mark.parametrize("m", [0, -3])
+def test_word_count_rejects_lengths_below_one(golden, m):
+    # as words(m) does; both used to answer the alphabet size
+    for count in (golden.word_count, golden.words):
+        with pytest.raises(ValueError, match="word length must be >= 1"):
+            count(m)
+
+
 def test_canonical_primitive_reduction(full2):
     assert canonical_point(full2, (), (1, 2, 1, 2)) == Point((), (1, 2))
 

@@ -5,8 +5,9 @@
 the differences outward from the output lead of the two runs, and the
 least ``l`` from one walk over the square; it maps no point.  Here each
 cylinder's pair is compared with a point proposal loop held in this
-file (:func:`point_loop`), which searches pairs on mapped points and
-certifies each with a product walk.
+file (:func:`point_loop`), which searches pairs on mapped points with
+the test suite's own closed-form solver (``conftest.aligning_shifts``)
+and certifies each with a product walk.
 """
 
 import json
@@ -26,11 +27,11 @@ from orbiteq import (
     orbit_cocycles,
     transducer,
 )
-from orbiteq.maps import _as_transducer
-from orbiteq.shifts import point_with_prefix
+from orbiteq.maps import _as_transducer, apply_map
+from orbiteq.shifts import point_with_prefix, shift_point
 
 import golden
-from conftest import pair_buffer, two_mode
+from conftest import aligning_shifts, alignment_record, pair_buffer, two_mode
 
 INPUTS = Path(__file__).resolve().parents[1] / "bench" / "inputs"
 FULL2 = build_shift_space([[1, 1], [1, 1]])
@@ -95,12 +96,19 @@ def outcome(find):
 def least_on_points(m, w, depth, points, images):
     """The least ``(k, l)``, minimizing ``l`` and then ``k``, that aligns
     every one of ``points``, searching up to twice ``depth`` plus the
-    preperiod and cycle length of the shortest of them."""
+    preperiod and cycle length of the shortest of them.  ``images`` holds
+    the images of ``p`` and ``sigma p`` mapped so far."""
     least = min(len(p.preperiod) + len(p.cycle) for p in points)
     top = 2 * (depth + least)
-    recs = [orbit._image_record(m, p, images) for p in points]
+    recs = []
+    for p in points:
+        sp = shift_point(m.source, p)
+        for q in (p, sp):
+            if q not in images:
+                images[q] = apply_map(m, q)
+        recs.append(alignment_record(images[p], images[sp]))
     for l in range(top + 1):
-        sols = [orbit._solutions(rec, l, top) for rec in recs]
+        sols = [aligning_shifts(rec, l, top) for rec in recs]
         k = next((k for k in min(sols, key=len) if all(k in s for s in sols)), None)
         if k is not None:
             return k, l
