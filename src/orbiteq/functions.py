@@ -198,6 +198,8 @@ def _solve_transfer(space, g, c):
     takes its walks out from the root; and the first edge ``(u, v)`` with
     ``b[u] - b[v] != r``, or None.
     """
+    if g.space != space:
+        raise ValueError("g must live on the given space")
     d, gt = _least_table(g.depth, g.table)
     m = max(d - 1, 1)
     out = {u: [] for u in space.words(m)}
@@ -229,7 +231,8 @@ def find_transfer(space, g, c):
 
     Returns ``b`` normalized to 0 on the least ``m``-word, or ``None``
     when no continuous transfer exists; :func:`transfer_obstruction` then
-    names a periodic point that proves it.
+    names a periodic point that proves it.  ``ValueError`` if ``g`` lives
+    on another space.
     """
     _, b, _, bad = _solve_transfer(space, g, c)
     if bad is not None:
@@ -253,7 +256,8 @@ def transfer_obstruction(space, g, c):
     the first symbols of its words are the cycle.  The walks out from the
     root follow the tree that :func:`_solve_transfer` set ``b`` along, on
     which ``b`` is exactly the running sum, as the argument needs; the
-    walk back is the shortest one from ``v`` to the root.
+    walk back is the shortest one from ``v`` to the root.  ``ValueError``
+    if ``g`` lives on another space.
     """
     out, _, parent, bad = _solve_transfer(space, g, c)
     if bad is None:

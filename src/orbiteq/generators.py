@@ -10,7 +10,8 @@ construction.  All randomness flows through a caller-supplied
 
 import random
 
-from .errors import InadmissibleWord, OrbiteqError, PreconditionFailed
+from .config import MAX_ALPHABET
+from .errors import InadmissibleWord, OrbiteqError, PreconditionFailed, TooLarge
 from .invariants import out_split
 from .maps import compose_block_codes, identity_code, transducer
 from .shifts import build_shift_space
@@ -24,7 +25,12 @@ __all__ = [
 
 
 def random_shift_space(rng, n, density=0.6):
-    """A random valid shift space on ``n`` states."""
+    """A random valid shift space on ``n`` states: ``TooLarge`` above
+    ``MAX_ALPHABET`` states, ``ValueError`` where no draw can be valid."""
+    if n > MAX_ALPHABET:
+        raise TooLarge(f"alphabet size {n} exceeds cap {MAX_ALPHABET}")
+    if n < 2 or density <= 0:
+        raise ValueError(f"no valid shift space on {n} states at density {density}")
     while True:
         rows = [
             [1 if rng.random() < density else 0 for _ in range(n)]

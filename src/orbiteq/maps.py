@@ -16,7 +16,7 @@ current and later input symbols, never on earlier ones.
 
 from .config import MAX_DEPTH, WORD_TABLE_LIMIT
 from .errors import ImageInadmissible, NotTotal, StallingCycle, TooLarge
-from .shifts import _canonical_unchecked, point_with_prefix
+from .shifts import _canonical_unchecked, _tree_path, point_with_prefix
 
 __all__ = [
     "BlockCode",
@@ -351,25 +351,28 @@ def _compared(sa, sb, last, da, db, xa, xb):
     return (sa, sb, last, da, db, xa[n:], xb[n:]), n, miss
 
 
-def _aligned(sa, sb, last, da, db, xa, xb):
-    """The node of :func:`_compared`, or None when the streams disagree."""
-    node, _, miss = _compared(sa, sb, last, da, db, xa, xb)
-    return None if miss else node
+def _admit(child, count):
+    """Raise TooLarge if ``child``'s queues pass ``MAX_DEPTH``, else if ``count``
+    nodes reach ``WORD_TABLE_LIMIT``."""
+    if len(child[-2]) + len(child[-1]) > MAX_DEPTH:
+        raise TooLarge(f"product queue past {MAX_DEPTH} symbols")
+    if count >= WORD_TABLE_LIMIT:
+        raise TooLarge(f"product walk past {WORD_TABLE_LIMIT} nodes")
 
 
-def _walk(space, roots, step, safe):
+def _walk(space, roots, step, memo):
     """Breadth first over the nodes of a product of machines reading one
     input from ``space``; the shortest input word that ends in a mismatch,
     or None.
 
     ``roots`` maps each start node to the input word that reaches it.  A
-    node is a tuple whose third entry is the last input symbol (None
-    before the first) and whose last two entries are its queues of
-    unmatched symbols; ``step(node, a)`` is the node after input ``a``, or
-    None when that input shows a mismatch.  The returned word is the
-    root's word, then the inputs down to the failing step.  What a node
-    does next depends on the node alone, so nodes in ``safe`` are not
-    expanded, and when a walk closes its nodes join ``safe``.
+    node is a tuple whose third entry is its input (None at the start)
+    and whose last two entries are its queues of unmatched symbols;
+    ``step(node, a)`` is :func:`_compared`'s ``(node, pairs, miss)``, and
+    a nonzero ``miss`` ends the walk with the root's word, then the inputs
+    down to the failing step.  ``memo`` is the machine's one memo
+    (:func:`orbiteq.orbit._last_mismatch`): a node of value 0 reaches no
+    mismatch and is not expanded, and a closed walk gives 0 to its nodes.
 
     Raises
     ------
@@ -380,29 +383,19 @@ def _walk(space, roots, step, safe):
     fol = space.matrix.followers
     every = range(1, space.n + 1)
     parent = dict.fromkeys(roots)
-    frontier = [node for node in roots if node not in safe]
-    while frontier:
-        nxt = []
-        for node in frontier:
-            last = node[2]
-            for a in every if last is None else fol[last - 1]:
-                child = step(node, a)
-                if child is None:
-                    word = [a]
-                    while parent[node] is not None:
-                        node, c = parent[node]
-                        word.append(c)
-                    return roots[node] + tuple(reversed(word))
-                if child in parent or child in safe:
-                    continue
-                if len(child[-2]) + len(child[-1]) > MAX_DEPTH:
-                    raise TooLarge(f"product queue past {MAX_DEPTH} symbols")
-                if len(parent) >= WORD_TABLE_LIMIT:
-                    raise TooLarge(f"product walk past {WORD_TABLE_LIMIT} nodes")
-                parent[child] = (node, a)
-                nxt.append(child)
-        frontier = nxt
-    safe.update(parent)
+    queue = [node for node in roots if memo.get(node) != 0]
+    for node in queue:
+        for a in every if node[2] is None else fol[node[2] - 1]:
+            child, _, miss = step(node, a)
+            if miss:
+                path = _tree_path(parent, node)
+                return roots[path[0]] + tuple(x[2] for x in path[1:]) + (a,)
+            if child in parent or memo.get(child) == 0:
+                continue
+            _admit(child, len(parent))
+            parent[child] = node
+            queue.append(child)
+    memo.update(dict.fromkeys(parent, 0))
     return None
 
 
@@ -439,10 +432,10 @@ def _product_mismatch(outer, inner):
         for b in mid:
             t, emitted = outer.delta[(t, b)]
             ahead += emitted
-        return _aligned(s, t, a, 0, 0, behind + (a,), ahead)
+        return _compared(s, t, a, 0, 0, behind + (a,), ahead)
 
     start = (inner.initial, outer.initial, None, 0, 0, (), ())
-    return _walk(inner.source, {start: ()}, step, set())
+    return _walk(inner.source, {start: ()}, step, {})
 
 
 def verify_inverse_pair(h, h_inv, test_pre=None, test_cyc=None):

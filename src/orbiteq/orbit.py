@@ -44,6 +44,7 @@ the latter by mapping and shifting each point itself.
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import partial
 from math import inf
 
 from .config import MAX_DEPTH, WORD_TABLE_LIMIT, RunConfig
@@ -61,7 +62,7 @@ from .functions import (
     find_transfer,
     transfer_obstruction,
 )
-from .maps import BlockCode, _aligned, _as_transducer, _compared, _walk, apply_map
+from .maps import BlockCode, _admit, _as_transducer, _compared, _walk, apply_map
 from .shifts import (
     _point_key,
     _shortest_walk,
@@ -210,48 +211,47 @@ def cylinder_family(space, depth, cfg):
 # the product walk
 
 
-def _misaligned(m, words, k, l, safe):
+def _square_step(delta, node, a):
+    """:func:`~orbiteq.maps._compared` after both sides of ``node``, ``(state
+    A, state B, input, drops owed by A and B, queues of A and B)``, read ``a``."""
+    sa, sb, _, da, db, qa, qb = node
+    (sa, oa), (sb, ob) = delta[sa, a], delta[sb, a]
+    return _compared(sa, sb, a, da, db, qa + oa, qb + ob)
+
+
+def _misaligned(m, words, k, l, memo):
     """The shortest input word, starting with one of ``words``, on which
     ``sigma^k m(sigma x) = sigma^l m(x)`` fails for every ``x`` that starts
     with it; None when it holds on all of their cylinders.
 
     ``m`` is a transducer.  It runs on each word ``w`` (side A) and on
     ``w[1:]`` (side B); after that both sides read the same input, and
-    the :func:`~orbiteq.maps._walk` goes breadth first over nodes ``(state
-    A, state B, last input, drops left on A, drops left on B, unmatched
-    output of A, unmatched output of B)``.  A closed walk certifies the
-    equation on every point of the cylinders, not only on eventually
-    periodic ones: the output symbols are fixed by the input read, and
-    ``m`` is productive.  ``safe`` is shared by all the walks of one
-    machine.
+    the :func:`~orbiteq.maps._walk` goes breadth first over the nodes of
+    :func:`_square_step`.  A closed walk certifies the equation on every
+    point of the cylinders, not only on eventually periodic ones: the
+    output symbols are fixed by the input read, and ``m`` is productive.
+    ``memo`` is the machine's one memo: the walk skips nodes of value 0,
+    which reach no mismatch, and gives 0 to every node of a closed walk.
 
     Raises
     ------
     TooLarge
         if the walk hits a cap.
     """
-    delta = m.delta
-
-    def step(node, a):
-        sa, sb, _, da, db, qa, qb = node
-        sa, oa = delta[(sa, a)]
-        sb, ob = delta[(sb, a)]
-        return _aligned(sa, sb, a, da, db, qa + oa, qb + ob)
-
     roots = {}
     for w in words:
         (sa, oa), (sb, ob) = m._run(w), m._run(w[1:])
-        node = _aligned(sa, sb, w[-1], l, k, oa, ob)
-        if node is None:
+        node, _, miss = _compared(sa, sb, w[-1], l, k, oa, ob)
+        if miss:
             return w
         roots.setdefault(node, w)
-    return _walk(m.source, roots, step, safe)
+    return _walk(m.source, roots, partial(_square_step, m.delta), memo)
 
 
-def _intertwining_witness(m, k, safe):
+def _intertwining_witness(m, k):
     """A point ``x`` with ``sigma^k m(sigma x) != sigma^(k+1) m(x)``, from
     the shortest word that shows it, or None when there is none."""
-    word = _misaligned(m, m.source.words(1), k, k + 1, safe)
+    word = _misaligned(m, m.source.words(1), k, k + 1, {})
     return word and point_with_prefix(m.source, word)
 
 
@@ -281,20 +281,21 @@ def _difference(m, sa, sb, last, d):
     return d
 
 
-def _last_mismatch(m, root, safe, late):
+def _last_mismatch(m, root, memo):
     """The most symbol pairs a walk from ``root`` compares up to and
     including its last mismatch: 0 when no mismatch is reachable, ``inf``
     when a mismatch recurs on a cycle.
 
-    The walk steps both sides of ``m`` on each admissible input, as
-    :func:`_misaligned` does, but a mismatch is an edge label, not a dead
+    The walk steps both sides of ``m`` on each admissible input
+    (:func:`_square_step`), but a mismatch is an edge label, not a dead
     end.  Every cycle of the walk compares at least one pair (``m`` is
     productive), so a mismatch that a cycle reaches recurs at unbounded
     positions.  The strongly connected components of the nodes reached
     are finished sinks first (Tarjan, iteratively), so a node's value is
-    read off its finished successors.  What a node leads to depends on
-    the node alone: values above 0 are kept in ``late``, nodes of value 0
-    join ``safe``, and both are shared by every walk of ``m``.
+    read off its finished successors: an edge of ``n`` pairs to a node of
+    value ``v`` gives ``n + v``, or its own mismatch when ``v`` is 0.  What
+    a node leads to depends on the node alone, so ``memo``, the one memo of
+    ``m``, maps each finished node to its value.
 
     Raises
     ------
@@ -302,10 +303,8 @@ def _last_mismatch(m, root, safe, late):
         if a node's queues hold more than ``MAX_DEPTH`` symbols, or the
         walk passes ``WORD_TABLE_LIMIT`` new nodes.
     """
-    if root in safe:
-        return 0
-    if root in late:
-        return late[root]
+    if root in memo:
+        return memo[root]
     delta, fol = m.delta, m.source.matrix.followers
     # per node on the stack: its number, low link, the greatest value of
     # an edge leaving its component, and of a mismatch inside it (-1: no
@@ -314,18 +313,15 @@ def _last_mismatch(m, root, safe, late):
     stack, path = [], []
 
     def enter(node):
-        if len(num) >= WORD_TABLE_LIMIT:
-            raise TooLarge(f"product walk past {WORD_TABLE_LIMIT} nodes")
         num[node] = low[node] = len(num)
         best[node], inner[node] = 0, -1
         stack.append(node)
         path.append([node, iter(fol[node[2] - 1]), None])
 
     def edge(node, child, n, miss):
-        if child in safe:
-            best[node] = max(best[node], miss)
-        elif child in late:
-            best[node] = max(best[node], n + late[child])
+        if child in memo:
+            v = memo[child]
+            best[node] = max(best[node], n + v if v else miss)
         else:  # on the stack, so in the component of node
             low[node] = min(low[node], low[child])
             inner[node] = max(inner[node], miss)
@@ -337,15 +333,12 @@ def _last_mismatch(m, root, safe, late):
         if frame[2] is not None:  # back from the child it names
             edge(node, *frame[2])
             frame[2] = None
-        sa, sb, _, da, db, qa, qb = node
         for a in frame[1]:
-            (ta, xa), (tb, xb) = delta[sa, a], delta[sb, a]
-            child, n, miss = _compared(ta, tb, a, da, db, qa + xa, qb + xb)
-            if child in num or child in safe or child in late:
+            child, n, miss = _square_step(delta, node, a)
+            if child in num or child in memo:
                 edge(node, child, n, miss)
                 continue
-            if len(child[-2]) + len(child[-1]) > MAX_DEPTH:
-                raise TooLarge(f"product queue past {MAX_DEPTH} symbols")
+            _admit(child, len(num))
             frame[2] = (child, n, miss)
             enter(child)
             break
@@ -359,20 +352,17 @@ def _last_mismatch(m, root, safe, late):
             value = best[node]
             if len(comp) > 1 or inner[node] >= 0:
                 value = inf if any(best[s] or inner[s] > 0 for s in comp) else 0
-            if value:
-                late.update(dict.fromkeys(comp, value))
-            else:
-                safe.update(comp)
+            memo.update(dict.fromkeys(comp, value))
             if value == inf:
                 return inf
-    return late.get(root, 0)
+    return memo[root]
 
 
 # ---------------------------------------------------------------------------
 # orbit cocycles
 
 
-def _least_pair(m, w, safe, late):
+def _least_pair(m, w, memo):
     """The least ``(k, l)`` on the cylinder ``[w]``, as
     :func:`orbit_cocycles` finds it.
 
@@ -394,7 +384,7 @@ def _least_pair(m, w, safe, late):
     for c in diffs:
         root, n, miss = _compared(sa, sb, w[-1], max(c, 0), max(-c, 0), oa, ob)
         try:
-            after = _last_mismatch(m, root, safe, late)
+            after = _last_mismatch(m, root, memo)
         except skipped:
             continue
         if after < inf:
@@ -441,16 +431,16 @@ def orbit_cocycles(h, depth):
     TooLarge
         if a product walk hits a cap.
     """
-    return _cocycles(_as_transducer(h), depth, set(), {})
+    return _cocycles(_as_transducer(h), depth, {})
 
 
-def _cocycles(m, depth, safe, late):
-    """:func:`orbit_cocycles` of the transducer ``m``, sharing ``safe`` and
-    ``late`` (:func:`_last_mismatch`) with the other walks of ``m``."""
+def _cocycles(m, depth, memo):
+    """:func:`orbit_cocycles` of the transducer ``m``, sharing ``memo``
+    (:func:`_last_mismatch`) with the other walks of ``m``."""
     src = m.source
     ktab, ltab = {}, {}
     for w in src.words(depth):
-        ktab[w], ltab[w] = _least_pair(m, w, safe, late)
+        ktab[w], ltab[w] = _least_pair(m, w, memo)
     return OrbitCocyclePair(
         CylinderFunction(src, depth, ktab), CylinderFunction(src, depth, ltab)
     )
@@ -614,10 +604,14 @@ def check_potential_identity(h, kl, depth):
 
     Raises
     ------
+    ValueError
+        if ``depth < 1``.
     TooLarge
         if output prefixes cannot be certified within the depth cap, or
         the words of the certified depth exceed the word-table cap.
     """
+    if depth < 1:
+        raise ValueError("the indicator depth must be at least 1")
     m = _as_transducer(h)
     d = _certification_depth(m, kl, depth)
     for _, k, l, out, out_s in _runs(m, kl, d, skip_settled=True):
@@ -642,7 +636,7 @@ def check_conjugacy(h):
     ``(True, None)`` or ``(False, witness_point)``, the witness starting
     with the shortest word on which the equation fails.
     """
-    wit = _intertwining_witness(_as_transducer(h), 0, set())
+    wit = _intertwining_witness(_as_transducer(h), 0)
     return wit is None, wit
 
 
@@ -655,8 +649,8 @@ def check_eventual_conjugacy(h, h_inv, K):
     """
     if K < 0:
         raise ValueError("lag must be nonnegative")
-    wit = _intertwining_witness(_as_transducer(h), K, set())
-    wit = wit or _intertwining_witness(_as_transducer(h_inv), K, set())
+    wit = _intertwining_witness(_as_transducer(h), K)
+    wit = wit or _intertwining_witness(_as_transducer(h_inv), K)
     return wit is None, wit
 
 
@@ -722,18 +716,16 @@ def reduce_orbit_segments(space, K, y, w):
 # classification
 
 
-def _search_cocycles(cfg, maps, safes=None):
+def _search_cocycles(cfg, maps):
     """The cocycles of each map of ``maps`` at the least depth from
     ``min(cfg.depth, 3)`` to ``cfg.depth`` at which all of them align;
-    raises NoAlignment when they do not at ``cfg.depth``.  ``safes`` holds
-    each map's set of safe nodes, kept across depths with its memo of
-    later mismatches (:func:`_last_mismatch`); fresh sets if None."""
-    safes = safes or [set() for _ in maps]
-    walks = [(_as_transducer(h), safe, {}) for h, safe in zip(maps, safes)]
+    raises NoAlignment when they do not at ``cfg.depth``.  Across depths
+    each map keeps one memo (:func:`_last_mismatch`, 0: no mismatch reachable)."""
+    walks = [(_as_transducer(h), {}) for h in maps]
     depths = range(min(cfg.depth, 3), cfg.depth + 1)
     for depth in depths:
         try:
-            return [_cocycles(m, depth, safe, late) for m, safe, late in walks]
+            return [_cocycles(m, depth, memo) for m, memo in walks]
         except NoAlignment:
             if depth == depths[-1]:
                 raise
@@ -744,13 +736,12 @@ def _align(h, h_inv, cfg):
     least lag :func:`check_eventual_conjugacy` accepts (or None).
 
     The cocycles are searched at depth ``min(cfg.depth, 3)``, and at each
-    depth up to ``cfg.depth`` while no alignment is found.  The walks of
-    each map share one set of safe nodes.
+    depth up to ``cfg.depth`` while no alignment is found.  Each map keeps
+    one memo (0: no mismatch reachable); the direct check keeps its own.
     """
-    m, m_inv = _as_transducer(h), _as_transducer(h_inv)
-    safe = set()
-    kl1, kl2 = _search_cocycles(cfg, [m, m_inv], [safe, set()])
-    direct_wit = _intertwining_witness(m, 0, safe)
+    m = _as_transducer(h)
+    kl1, kl2 = _search_cocycles(cfg, [m, h_inv])
+    direct_wit = _intertwining_witness(m, 0)
     lag = None
     if kl1.difference().is_constant(1) and kl2.difference().is_constant(1):
         # each point aligns at (k(x), k(x) + 1); shifting by K - k(x) >= 0

@@ -433,14 +433,16 @@ def count_periodic(space, n):
     """Number of points fixed by the n-fold shift.
 
     Those are exactly the canonical points with empty preperiod whose
-    cycle length divides ``n``; the count equals ``trace(A^n)``, taken
-    over the rows of ``A^n`` built up from the follower lists.
+    cycle length divides ``n``; the count is ``trace(A^n)``, with ``A^n``
+    built up from the follower lists.  ``ValueError`` if ``n < 0``.
 
     Examples
     --------
     >>> count_periodic(build_shift_space([[1, 1], [1, 0]]), 5)
     11
     """
+    if n < 0:
+        raise ValueError("the shift count must be nonnegative")
     n_states = space.n
     # walks[i][j] = number of walks of the current length from i to j
     walks = [[int(i == j) for j in range(n_states)] for i in range(n_states)]

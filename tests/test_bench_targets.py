@@ -51,7 +51,9 @@ def orbiteq_names(tree):
             yield owners[node.value.id], node.attr
 
 
-@pytest.mark.parametrize("name", ["cases.py", "check.py", "worker.py"])
+@pytest.mark.parametrize(
+    "name", ["cases.py", "check.py", "launcher.py", "selftest.py", "worker.py"]
+)
 def test_bench_imports_resolve(name):
     tree = ast.parse((BENCH / name).read_text(encoding="utf-8"))
     names = sorted(set(orbiteq_names(tree)))

@@ -156,6 +156,15 @@ def test_find_transfer_word_cap_is_not_found():
     assert find_transfer(full16, constant(full16, 0), 1) is None
 
 
+@pytest.mark.parametrize("solve", [find_transfer, transfer_obstruction])
+def test_transfer_rejects_a_function_on_another_space(golden, full2, solve):
+    # full-2 tables read over golden-mean words used to answer None, or
+    # fail find_transfer's re-check with InconsistentRoutes
+    for g in (indicator(full2, (2, 2)), constant(full2, 1, 2)):
+        with pytest.raises(ValueError, match="given space"):
+            solve(golden, g, 1)
+
+
 def test_find_transfer_deeper_coboundary(golden):
     ind = indicator(golden, (1, 2))
     g = combine(1, constant(golden, 1), 1, combine(1, ind, -1, compose_shift(ind)))

@@ -232,6 +232,14 @@ def test_potential_identity_conjugacy_true(full2, golden, swap2, cfg):
             assert ok, (h, depth, wit)
 
 
+@pytest.mark.parametrize("depth", [0, -1])
+def test_potential_identity_rejects_depths_below_one(recoder, depth):
+    # at depth 0 every window is the empty word, so it used to pass vacuously
+    kl = orbit_cocycles(recoder, 3)
+    with pytest.raises(ValueError, match="at least 1"):
+        check_potential_identity(recoder, kl, depth)
+
+
 def test_potential_identity_recoder_false_with_witness(full2, recoder, cfg):
     kl = orbit_cocycles(recoder, 3)
     ok, witness = check_potential_identity(recoder, kl, 2)

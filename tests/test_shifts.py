@@ -135,6 +135,29 @@ def test_word_count_rejects_lengths_below_one(golden, m):
             count(m)
 
 
+@pytest.mark.parametrize(
+    "n, density, error",
+    [
+        (0, 0.6, ValueError),
+        (1, 0.6, ValueError),
+        (65, 0.6, TooLarge),
+        (3, 0, ValueError),
+        (3, -0.5, ValueError),
+    ],
+)
+def test_random_shift_space_rejects_draws_that_cannot_be_valid(n, density, error):
+    # no draw is a valid space here; the draw loop used to retry forever
+    with pytest.raises(error):
+        random_shift_space(random.Random(1), n, density)
+
+
+@pytest.mark.parametrize("n", [-1, -4])
+def test_count_periodic_rejects_negative_counts(golden, n):
+    # it used to answer the state count, trace(I)
+    with pytest.raises(ValueError, match="nonnegative"):
+        count_periodic(golden, n)
+
+
 def test_canonical_primitive_reduction(full2):
     assert canonical_point(full2, (), (1, 2, 1, 2)) == Point((), (1, 2))
 

@@ -121,10 +121,10 @@ def point_loop(m, w, depth):
     by a word whose point joins them."""
     src = m.source
     points = {point_with_prefix(src, w), orbit.aperiodic_point_with_prefix(src, w)}
-    images, safe = {}, set()
+    images, memo = {}, {}
     while True:
         k, l = least_on_points(m, w, depth, points, images)
-        word = orbit._misaligned(m, (w,), k, l, safe)
+        word = orbit._misaligned(m, (w,), k, l, memo)
         if word is None:
             return k, l
         points.add(point_with_prefix(src, word))
@@ -144,9 +144,9 @@ def assert_square_matches_points(maps, depths):
     for name, h in maps:
         m = _as_transducer(h)
         for depth in depths:
-            safe, late = set(), {}
+            memo = {}
             for w in m.source.words(depth):
-                pair = outcome(lambda: orbit._least_pair(m, w, safe, late))
+                pair = outcome(lambda: orbit._least_pair(m, w, memo))
                 assert pair == outcome(lambda: point_loop(m, w, depth)), (name, w)
                 rows.append((pair, unshared(m, w)))
     unaligned = sum(pair == "NoAlignment" for pair, _ in rows)
@@ -212,7 +212,7 @@ def test_output_lead_is_not_the_difference_on_the_two_mode_identity():
     (sa, oa), (sb, ob) = m._run(w), m._run(w[1:])
     assert len(oa) - len(ob) == 3
     assert unshared(m, w)
-    assert orbit._least_pair(m, w, set(), {}) == (0, 1)
+    assert orbit._least_pair(m, w, {}) == (0, 1)
 
 
 def pair_doubler():
@@ -228,11 +228,11 @@ def pair_doubler():
 
 def test_pair_doubler_has_no_alignment_on_any_cylinder():
     m = pair_doubler()
-    safe, late = set(), {}
+    memo = {}
     for w in FULL2.words(3):
         assert unshared(m, w)
         with pytest.raises(NoAlignment):
-            orbit._least_pair(m, w, safe, late)
+            orbit._least_pair(m, w, memo)
 
 
 def test_constant_code_is_not_injective_and_gets_0_1():
@@ -256,7 +256,7 @@ def walk_from(delta, root):
     delta = {**delta, **{("C", a): ("C", (a,)) for a in (1, 2)}}
     states = sorted({s for s, _ in delta})
     m = transducer(FULL2, FULL2, states, root[0], delta)
-    return orbit._last_mismatch(m, (*root, 1, 0, 0, (), ()), set(), {})
+    return orbit._last_mismatch(m, (*root, 1, 0, 0, (), ()), {})
 
 
 def test_mismatch_on_a_self_loop_recurs():
@@ -289,3 +289,19 @@ def test_mismatch_reached_from_a_two_node_cycle_recurs():
     del delta[("P2", 1)], delta[("Q2", 1)]
     delta[("P2", 1)], delta[("Q2", 1)] = ("C", (1,)), ("C", (1,))
     assert walk_from(delta, ("P1", "Q1")) == 1
+
+
+def test_one_memo_holds_what_a_fresh_walk_reads():
+    # the cocycle walks and the intertwining walk of a map share one memo:
+    # each node's entry must be what a walk from that node alone reads,
+    # 0 where no mismatch is reachable
+    maps = [h for _, h in ladder_maps(1)] + [f for _, _, f in golden.exchanges()]
+    entries = 0
+    for h in maps:
+        m, memo = _as_transducer(h), {}
+        outcome(lambda: orbit._cocycles(m, 3, memo))
+        orbit._misaligned(m, m.source.words(1), 0, 1, memo)
+        for node, value in memo.items():
+            assert value == orbit._last_mismatch(m, node, {}), node
+        entries += len(memo)
+    assert entries > 0
