@@ -23,6 +23,7 @@ anything.
 """
 
 from dataclasses import dataclass
+from operator import mul
 
 from .config import MAX_MATCH_STATES
 from .errors import InvalidPartition, TooLarge
@@ -245,21 +246,26 @@ def _code_through(source, source_edge, target, target_edge):
     the least ``r`` at which the labels of a target word's first ``r + 1``
     2-words determine its first symbol, that symbol is read off the labels
     of the source's ``(r + 2)``-words; trailing window symbols the table
-    does not depend on are then dropped.
+    does not depend on are then dropped.  A word's label path is its
+    prefix's path and one more edge, interned per length as an int that
+    both spaces share, so each length costs one lookup per word.
     """
-    def labels(edge, w):
-        return tuple(edge[w[i : i + 2]] for i in range(len(w) - 1))
-
+    spaces = ((target, target_edge), (source, source_edge))
+    paths = [{(i,): () for i in range(1, space.n + 1)} for space, _ in spaces]
     for window in range(2, target.n + 2):
+        ids = {}
+        paths = [
+            {w: ids.setdefault((path[w[:-1]], edge[w[-2:]]), len(ids))
+             for w in space.words(window)}
+            for (space, edge), path in zip(spaces, paths)
+        ]
         first = {}
-        if all(
-            first.setdefault(labels(target_edge, w), w[0]) == w[0]
-            for w in target.words(window)
-        ):
+        if all(first.setdefault(p, w[0]) == w[0] for w, p in paths[0].items()):
             break
     else:
         raise AssertionError("edge labels do not determine the target symbol")
-    table = {w: first[labels(source_edge, w)] for w in source.words(window)}
+    table = {w: first[p] for w, p in paths[1].items()}
+    del paths, ids, first  # before compile builds the (window + 1)-words
     return compile_block_code(source, target, *_least_table(window, table))
 
 
@@ -396,11 +402,8 @@ def _eye(n):
 
 
 def _matmul(a, b):
-    rows, mid, cols = len(a), len(b), len(b[0]) if b else 0
-    return [
-        [sum(a[i][k] * b[k][j] for k in range(mid)) for j in range(cols)]
-        for i in range(rows)
-    ]
+    cols = list(zip(*b))
+    return [[sum(map(mul, row, col)) for col in cols] for row in a]
 
 
 def smith_normal_form(m):
@@ -409,12 +412,13 @@ def smith_normal_form(m):
     ``D`` is diagonal with nonnegative entries in a divisibility chain
     ``d_1 | d_2 | ...``, zeros last.  One pass builds it: step ``s``
     pivots on the nonzero entry of least absolute value in the trailing
-    block (ties broken by position), clears the pivot's row and column by
-    floor division, and pivots again while a remainder is left.  When
-    some trailing entry is not divisible by the pivot, that entry's row
-    is added to the pivot row and the step goes on, so the pivot that
-    ends the step divides everything after it.  The certificate and the
-    unimodularity of U and V are verified exactly before returning.
+    block (ties broken by position; the scan stops at the first 1),
+    clears the pivot's row and column by floor division, and pivots again
+    while a remainder is left.  When some trailing entry is not divisible
+    by the pivot, that entry's row is added to the pivot row and the step
+    goes on, so the pivot that ends the step divides everything after it.
+    The certificate ``U @ m @ V == D`` and the unimodularity of U and V
+    are verified exactly, with Python ints, before returning.
 
     ``m`` is any iterable of integer rows of one length; an entry that is
     not an integer, or a ragged row, is a ``ValueError``.  Returns ``(U,
@@ -433,40 +437,41 @@ def _smith(m):
     if any(len(row) != cols for row in a):
         raise ValueError("matrix rows differ in length")
     u, v = _eye(rows), _eye(cols)
-
-    def row_op(i, j, q):  # row_i -= q * row_j
-        a[i] = [x - q * y for x, y in zip(a[i], a[j])]
-        u[i] = [x - q * y for x, y in zip(u[i], u[j])]
-
-    def col_op(i, j, q):  # col_i -= q * col_j
-        for r in range(rows):
-            a[r][i] -= q * a[r][j]
-        for r in range(cols):
-            v[r][i] -= q * v[r][j]
-
     for s in range(min(rows, cols)):
         while True:
-            nonzero = [
-                (abs(a[i][j]), i, j)
-                for i in range(s, rows)
-                for j in range(s, cols)
-                if a[i][j]
-            ]
-            if not nonzero:
+            # the least (|x|, i, j) of a nonzero entry: a 1 ends the scan
+            best = None
+            for i in range(s, rows):
+                for j in range(s, cols):
+                    x = abs(a[i][j])
+                    if x and (best is None or x < best[0]):
+                        best = x, i, j
+                if best and best[0] == 1:
+                    break
+            if best is None:
                 break
-            _, i, j = min(nonzero)
+            _, i, j = best
             a[s], a[i] = a[i], a[s]
             u[s], u[i] = u[i], u[s]
-            for x in a + v:  # swap columns s and j of a and v
-                x[s], x[j] = x[j], x[s]
-            p = a[s][s]
+            if j != s:
+                for x in a:
+                    x[s], x[j] = x[j], x[s]
+                for x in v:
+                    x[s], x[j] = x[j], x[s]
+            p, a_s, u_s = a[s][s], a[s], u[s]
             for i in range(s + 1, rows):
-                if a[i][s]:
-                    row_op(i, s, a[i][s] // p)
+                q = a[i][s] // p
+                if q:  # row_i -= q * row_s
+                    a[i] = [x - q * y for x, y in zip(a[i], a_s)]
+                    u[i] = [x - q * y for x, y in zip(u[i], u_s)]
+            # col_j -= q * col_s, on the rows where col_s is not zero
+            live = [x for x in a if x[s]] + [x for x in v if x[s]]
             for j in range(s + 1, cols):
-                if a[s][j]:
-                    col_op(j, s, a[s][j] // p)
-            if any(a[i][s] for i in range(s + 1, rows)) or any(a[s][s + 1 :]):
+                q = a_s[j] // p
+                if q:
+                    for x in live:
+                        x[j] -= q * x[s]
+            if any(a[i][s] for i in range(s + 1, rows)) or any(a_s[s + 1 :]):
                 continue  # a remainder is left: pivot on it
             bad = next(
                 (i for i in range(s + 1, rows) for j in range(s + 1, cols)
@@ -475,7 +480,8 @@ def _smith(m):
             )
             if bad is None:
                 break
-            row_op(s, bad, -1)  # row_s += row_bad
+            a[s] = [x + y for x, y in zip(a_s, a[bad])]
+            u[s] = [x + y for x, y in zip(u_s, u[bad])]
         if a[s][s] < 0:
             a[s] = [-x for x in a[s]]
             u[s] = [-x for x in u[s]]

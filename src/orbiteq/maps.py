@@ -301,8 +301,11 @@ def _composite_mismatch(outer, inner):
     The composite reads ``w = inner.window + outer.window - 1`` symbols,
     and it is the identity exactly when it maps every admissible
     ``w``-word to the word's first symbol.  The words grow one follower at
-    a time from ``inner``'s window-words, so no composite table is built
-    and no longer word table is left cached on the space.
+    a time from ``inner``'s window-words, and a word one symbol short of
+    ``w`` compares its followers' images in its own loop; when ``outer``
+    reads one symbol the window-words are compared directly.  So no
+    composite table is built and no longer word table is left cached on
+    the space.
 
     Raises
     ------
@@ -315,21 +318,21 @@ def _composite_mismatch(outer, inner):
     w = k + outer.window - 1
     if src.word_count(w) > WORD_TABLE_LIMIT:
         raise TooLarge(f"composite word table at depth {w} too large")
-    fol = src.matrix.followers
+    fol, f, g = src.matrix.followers, inner.table, outer.table
+    if outer.window == 1:
+        return next((x for x in src.words(k) if g[(f[x],)] != x[0]), None)
 
     def miss(word, out):
         # ``out`` is what ``inner`` has emitted on ``word``
-        if len(out) == outer.window:
-            return None if outer.table[out] == word[0] else word
         for b in fol[word[-1] - 1]:
             u = word + (b,)
-            found = miss(u, out + (inner.table[u[-k:]],))
+            o = out + (f[u[-k:]],)
+            found = miss(u, o) if len(o) < outer.window else g[o] != u[0] and u
             if found:
                 return found
         return None
 
-    words = src.words(k)
-    return next(filter(None, (miss(x, (inner.table[x],)) for x in words)), None)
+    return next(filter(None, (miss(x, (f[x],)) for x in src.words(k))), None)
 
 
 def _compared(sa, sb, last, da, db, xa, xb):

@@ -265,8 +265,12 @@ def _difference(m, sa, sb, last, d):
     state B, last input)`` goes to the first node with equal states, and
     ``l - k`` is ``d`` plus what side A gains in output along it: from
     there both sides emit the same stream, so ``sigma^k h(sigma x) =
-    sigma^l h(x)`` on the whole cylinder of the walk.
+    sigma^l h(x)`` on the whole cylinder of the walk.  Runs that already
+    share a state give ``d`` at once, the walk's own answer at its start,
+    without paying for the walk.
     """
+    if sa == sb:
+        return d
     delta, fol = m.delta, m.source.matrix.followers
 
     def successors(node):

@@ -26,8 +26,12 @@ from orbiteq import (
     total_amalgamation,
     verify_inverse_pair,
 )
+from orbiteq import invariants
+from orbiteq.functions import _least_table
 from orbiteq.maps import _composite_mismatch
-from orbiteq.generators import random_shift_space, random_single_split
+from orbiteq.generators import random_shift_space, random_single_split, split_chain
+
+from golden import bench_cases
 
 
 def minor_det(m):
@@ -107,6 +111,116 @@ def test_snf_of_array_without_rows_keeps_its_columns():
 
 def test_exact_det_of_empty_matrix_is_one():
     assert exact_det([]) == 1
+
+
+def reference_smith(m):
+    """The row-by-row Smith normal form that ``_smith`` must reproduce
+    exactly: the same pivot rule and the same row and column operations,
+    with a generator ``sum`` per product entry and every operation done
+    on every row."""
+    a = [[int(x) for x in row] for row in m]
+    m_int = [row[:] for row in a]
+    rows, cols = len(a), (len(a[0]) if a else getattr(m, "shape", (0,))[-1])
+    u = [[int(i == j) for j in range(rows)] for i in range(rows)]
+    v = [[int(i == j) for j in range(cols)] for i in range(cols)]
+
+    def row_op(i, j, q):  # row_i -= q * row_j
+        a[i] = [x - q * y for x, y in zip(a[i], a[j])]
+        u[i] = [x - q * y for x, y in zip(u[i], u[j])]
+
+    def col_op(i, j, q):  # col_i -= q * col_j
+        for r in range(rows):
+            a[r][i] -= q * a[r][j]
+        for r in range(cols):
+            v[r][i] -= q * v[r][j]
+
+    for s in range(min(rows, cols)):
+        while True:
+            nonzero = [
+                (abs(a[i][j]), i, j)
+                for i in range(s, rows)
+                for j in range(s, cols)
+                if a[i][j]
+            ]
+            if not nonzero:
+                break
+            _, i, j = min(nonzero)
+            a[s], a[i] = a[i], a[s]
+            u[s], u[i] = u[i], u[s]
+            for x in a + v:  # swap columns s and j of a and v
+                x[s], x[j] = x[j], x[s]
+            p = a[s][s]
+            for i in range(s + 1, rows):
+                if a[i][s]:
+                    row_op(i, s, a[i][s] // p)
+            for j in range(s + 1, cols):
+                if a[s][j]:
+                    col_op(j, s, a[s][j] // p)
+            if any(a[i][s] for i in range(s + 1, rows)) or any(a[s][s + 1 :]):
+                continue  # a remainder is left: pivot on it
+            bad = next(
+                (i for i in range(s + 1, rows) for j in range(s + 1, cols)
+                 if a[i][j] % p),
+                None,
+            )
+            if bad is None:
+                break
+            row_op(s, bad, -1)  # row_s += row_bad
+        if a[s][s] < 0:
+            a[s] = [-x for x in a[s]]
+            u[s] = [-x for x in u[s]]
+
+    assert matmul(matmul(u, m_int), v) == a
+    return u, a, v, exact_det(u) * exact_det(v)
+
+
+def compare_pool_matrices(seed):
+    """``I - A`` of every space of the ``invariants-compare`` cases."""
+    for build in bench_cases().WORKLOADS["invariants-compare"](seed):
+        for space in build().args:
+            yield (np.eye(space.n, dtype=int) - space.matrix.entries).tolist()
+
+
+def random_smith_inputs(rng):
+    """Rows-free, column-free, rectangular and square integer matrices,
+    entries -4..4."""
+    for k in range(4):
+        yield np.zeros((0, k), dtype=int)
+        yield [[] for _ in range(k)]
+    for _ in range(150):
+        r, c = rng.randint(1, 9), rng.randint(1, 9)
+        yield [[rng.randint(-4, 4) for _ in range(c)] for _ in range(r)]
+    for n in range(1, 10):
+        for _ in range(15):
+            yield [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
+
+
+def test_smith_matches_the_row_by_row_reference():
+    inputs = [*random_smith_inputs(random.Random(25)), *compare_pool_matrices(1)]
+    assert len(inputs) > 1000
+    for m in inputs:
+        u, d, v, unit = reference_smith(m)
+        assert invariants._smith(m) == (u, d, v, unit), m
+        assert smith_normal_form(m) == (u, d, v)
+
+
+def test_smith_checks_its_certificate_and_unimodularity(monkeypatch):
+    def perturbed(a, b):
+        out = matmul(a, b)
+        out[0][0] += 1
+        return out
+
+    m = [[2, 4, 1], [6, 9, 0], [3, 3, 5]]
+    with monkeypatch.context() as patch:
+        patch.setattr(invariants, "exact_det", lambda m: 2)
+        with pytest.raises(AssertionError, match="not unimodular"):
+            invariants._smith(m)
+    with monkeypatch.context() as patch:
+        patch.setattr(invariants, "_matmul", perturbed)
+        with pytest.raises(AssertionError, match="certificate failed"):
+            invariants._smith(m)
+    _, d, _, unit = invariants._smith(m)  # unpatched, both checks pass
+    assert (d, unit) == ([[1, 0, 0], [0, 1, 0], [0, 0, 39]], -1)  # det m = -39
 
 
 @pytest.mark.parametrize(
@@ -456,6 +570,58 @@ def test_inverse_check_reads_every_composite_word(golden, full2):
     )
     assert not undoes(identity_code(full2), bend)
     assert not undoes(bend, identity_code(full2))
+
+
+def reference_code_through(source, source_edge, target, target_edge):
+    """``invariants._code_through`` with every word's edge labels read off
+    from scratch at every window length."""
+    def labels(edge, w):
+        return tuple(edge[w[i : i + 2]] for i in range(len(w) - 1))
+
+    for window in range(2, target.n + 2):
+        first = {}
+        if all(
+            first.setdefault(labels(target_edge, w), w[0]) == w[0]
+            for w in target.words(window)
+        ):
+            break
+    else:
+        raise AssertionError("edge labels do not determine the target symbol")
+    table = {w: first[labels(source_edge, w)] for w in source.words(window)}
+    return compile_block_code(source, target, *_least_table(window, table))
+
+
+def test_codes_through_terminals_match_the_per_word_labels(monkeypatch):
+    rng = random.Random(31)
+    pairs = []
+    for _ in range(40):
+        base = random_shift_space(rng, rng.randint(2, 9))
+        split, _, _ = split_chain(rng, base, max_splits=min(3, 12 - base.n))
+        pairs += [(base, split), (split, base)]
+    found = [conjugacy_from_amalgamation(a, b) for a, b in pairs]
+    monkeypatch.setattr(invariants, "_code_through", reference_code_through)
+    for (a, b), codes in zip(pairs, found):
+        expected = conjugacy_from_amalgamation(a, b)
+        for h, g in zip(codes, expected):
+            assert (h.window, h.table) == (g.window, g.table)
+    assert max(h.window for codes in found for h in codes) >= 4
+
+
+def test_compare_reads_one_smith_form_and_one_amalgamation_per_matrix(
+    golden, monkeypatch
+):
+    calls = {"_smith": 0, "_amalgamate": 0}
+    for name in calls:
+        def counted(*args, name=name, call=getattr(invariants, name)):
+            calls[name] += 1
+            return call(*args)
+
+        monkeypatch.setattr(invariants, name, counted)
+    split, _, _ = out_split(golden, {1: [(1,), (2,)]})
+    assert not obstruction_report(golden, split).obstructed
+    assert calls == {"_smith": 2, "_amalgamate": 0}
+    assert conjugacy_from_amalgamation(golden, split) is not None
+    assert calls == {"_smith": 2, "_amalgamate": 2}
 
 
 def test_invariance_under_splits():
