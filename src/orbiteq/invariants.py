@@ -138,20 +138,21 @@ def _entries(x, capped=True):
     Raises
     ------
     TooLarge
-        if ``capped`` and the matrix exceeds the matching cap.
+        if ``capped`` and the row count, read before any row is copied,
+        exceeds the matching cap.
     ValueError
         if an entry is not an integer or the rows are not square.
     """
     if isinstance(x, ShiftSpace):
         x = x.matrix
-    if isinstance(x, TransitionMatrix):
-        a = x.entries
-    else:
-        a = IntMatrix(tuple(_int(v) for v in row) for row in x)
-        if any(len(row) != len(a) for row in a):
-            raise ValueError("matrix is not square")
+    valid = isinstance(x, TransitionMatrix)
+    a = x.entries if valid else tuple(x)
     if capped and len(a) > MAX_MATCH_STATES:
         raise TooLarge(f"state count exceeds matching cap {MAX_MATCH_STATES}")
+    if not valid:
+        a = IntMatrix(tuple(_int(v) for v in row) for row in a)
+        if any(len(row) != len(a) for row in a):
+            raise ValueError("matrix is not square")
     return a
 
 
@@ -289,8 +290,8 @@ def conjugacy_from_amalgamation(a, b):
     if perm is None:
         return None
     edge_a = {w: (perm[s], perm[d], k) for w, (s, d, k) in edge_a.items()}
-    space_a = a if isinstance(a, ShiftSpace) else ShiftSpace(a)
-    space_b = b if isinstance(b, ShiftSpace) else ShiftSpace(b)
+    space_a = a if isinstance(a, ShiftSpace) else build_shift_space(a)
+    space_b = b if isinstance(b, ShiftSpace) else build_shift_space(b)
     h = _code_through(space_a, edge_a, space_b, edge_b)
     h_inv = _code_through(space_b, edge_b, space_a, edge_a)
     if _composite_mismatch(h_inv, h) or _composite_mismatch(h, h_inv):
@@ -389,11 +390,13 @@ def exact_det(m):
                     break
             else:
                 return 0
-        for i in range(k + 1, n):
+        pivot, row_k = a[k][k], a[k]
+        for row in a[k + 1 :]:
+            f = row[k]
             for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
+                row[j] = (row[j] * pivot - f * row_k[j]) // prev
+            row[k] = 0
+        prev = pivot
     return sign * a[-1][-1]
 
 

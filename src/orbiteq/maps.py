@@ -12,11 +12,20 @@ either.
 
 Maps here have anticipation only: an output symbol may depend on the
 current and later input symbols, never on earlier ones.
+
+The product walks over pairs of states live here too: two machines in
+series for :func:`verify_inverse_pair`, and the square of one machine,
+run on a word and on its shift, for the orbit cocycles and intertwining
+checks of :mod:`orbiteq.orbit`.  Every walk node is built by
+:func:`_compared` and admitted under the caps by :func:`_admit`.
 """
+
+from functools import partial
+from math import inf
 
 from .config import MAX_DEPTH, WORD_TABLE_LIMIT
 from .errors import ImageInadmissible, NotTotal, StallingCycle, TooLarge
-from .shifts import _canonical_unchecked, _tree_path, point_with_prefix
+from .shifts import _canonical_unchecked, _shortest_walk, _tree_path, point_with_prefix
 
 __all__ = [
     "BlockCode",
@@ -363,19 +372,15 @@ def _admit(child, count):
         raise TooLarge(f"product walk past {WORD_TABLE_LIMIT} nodes")
 
 
-def _walk(space, roots, step, memo):
-    """Breadth first over the nodes of a product of machines reading one
-    input from ``space``; the shortest input word that ends in a mismatch,
-    or None.
+def _walk(roots, edges):
+    """Breadth first over the nodes of a product of machines; the shortest
+    input word that ends in a mismatch, or None.
 
-    ``roots`` maps each start node to the input word that reaches it.  A
-    node is a tuple whose third entry is its input (None at the start)
-    and whose last two entries are its queues of unmatched symbols;
-    ``step(node, a)`` is :func:`_compared`'s ``(node, pairs, miss)``, and
-    a nonzero ``miss`` ends the walk with the root's word, then the inputs
-    down to the failing step.  ``memo`` is the machine's one memo
-    (:func:`orbiteq.orbit._last_mismatch`): a node of value 0 reaches no
-    mismatch and is not expanded, and a closed walk gives 0 to its nodes.
+    ``roots`` maps each start node to the input word that reaches it, and
+    ``edges(node)`` yields ``(input, child, pairs, miss)`` for each
+    admissible input after ``node``, as :func:`_square_edges` does.  A
+    nonzero ``miss`` ends the walk with the root's word, then the inputs
+    down to the failing step.
 
     Raises
     ------
@@ -383,23 +388,161 @@ def _walk(space, roots, step, memo):
         if a node's queues hold more than ``MAX_DEPTH`` symbols, or the
         walk passes ``WORD_TABLE_LIMIT`` nodes.
     """
-    fol = space.matrix.followers
-    every = range(1, space.n + 1)
     parent = dict.fromkeys(roots)
-    queue = [node for node in roots if memo.get(node) != 0]
+    queue = list(roots)
     for node in queue:
-        for a in every if node[2] is None else fol[node[2] - 1]:
-            child, _, miss = step(node, a)
+        for a, child, _, miss in edges(node):
             if miss:
                 path = _tree_path(parent, node)
                 return roots[path[0]] + tuple(x[2] for x in path[1:]) + (a,)
-            if child in parent or memo.get(child) == 0:
+            if child in parent:
                 continue
             _admit(child, len(parent))
             parent[child] = node
             queue.append(child)
-    memo.update(dict.fromkeys(parent, 0))
     return None
+
+
+def _square_edges(m, node):
+    """``(input, child, pairs, miss)`` for each admissible input after
+    ``node``: both sides of the square of the transducer ``m`` read it, and
+    :func:`_compared` matches what they emit.  A node is ``(state A, state
+    B, last input, drops owed by A and B, queues of A and B)``."""
+    sa, sb, last, da, db, qa, qb = node
+    delta = m.delta
+    for a in m.source.matrix.followers[last - 1]:
+        (ta, oa), (tb, ob) = delta[sa, a], delta[sb, a]
+        yield (a, *_compared(ta, tb, a, da, db, qa + oa, qb + ob))
+
+
+def _misaligned(m, words, k, l):
+    """The shortest input word, starting with one of ``words``, on which
+    ``sigma^k m(sigma x) = sigma^l m(x)`` fails for every ``x`` that starts
+    with it; None when it holds on all of their cylinders.
+
+    The transducer ``m`` runs on each word ``w`` (side A) and on ``w[1:]``
+    (side B); then the :func:`_walk` steps both sides on the same input
+    (:func:`_square_edges`).  A closed walk certifies the equation on
+    every point of the cylinders, eventually periodic or not: the output
+    symbols are fixed by the input read, and ``m`` is productive.
+
+    Raises
+    ------
+    TooLarge
+        if the walk hits a cap.
+    """
+    roots = {}
+    for w in words:
+        (sa, oa), (sb, ob) = m._run(w), m._run(w[1:])
+        node, _, miss = _compared(sa, sb, w[-1], l, k, oa, ob)
+        if miss:
+            return w
+        roots.setdefault(node, w)
+    return _walk(roots, partial(_square_edges, m))
+
+
+def _difference(m, sa, sb, last, d):
+    """``l - k`` read where the two runs of the transducer ``m`` first
+    share a state, or None when they never do.
+
+    The runs stand in states ``sa`` (side A) and ``sb`` (side B) after
+    input ending in ``last``, with side A ``d`` symbols ahead in output.
+    One :func:`~orbiteq.shifts._shortest_walk` over nodes ``(state A,
+    state B, last input)`` goes to the first node with equal states, and
+    ``l - k`` is ``d`` plus what side A gains in output along it: from
+    there both sides emit the same stream, so ``sigma^k m(sigma x) =
+    sigma^l m(x)`` on the whole cylinder of the walk.  Runs that already
+    share a state give ``d`` without paying for the walk.
+    """
+    if sa == sb:
+        return d
+    delta, fol = m.delta, m.source.matrix.followers
+
+    def successors(node):
+        sa, sb, last = node
+        return ((delta[sa, a][0], delta[sb, a][0], a) for a in fol[last - 1])
+
+    walk = _shortest_walk(successors, (sa, sb, last), lambda node: node[0] == node[1])
+    if walk is None:
+        return None
+    for (sa, sb, _), (_, _, a) in zip(walk, walk[1:]):
+        d += len(delta[sa, a][1]) - len(delta[sb, a][1])
+    return d
+
+
+def _last_mismatch(m, root, memo):
+    """The most symbol pairs a walk from ``root`` compares up to and
+    including its last mismatch: 0 when no mismatch is reachable, ``inf``
+    when a mismatch recurs on a cycle.
+
+    The walk steps both sides of the transducer ``m`` on each admissible
+    input (:func:`_square_edges`), but a mismatch is an edge label, not a
+    dead end.  Every cycle of the walk compares at least one pair (``m``
+    is productive), so a mismatch that a cycle reaches recurs at unbounded
+    positions.  The strongly connected components of the nodes reached
+    are finished sinks first (Tarjan, iteratively), so a node's value is
+    read off its finished successors: an edge of ``n`` pairs to a node of
+    value ``v`` gives ``n + v``, or its own mismatch when ``v`` is 0.  What
+    a node leads to depends on the node alone, so ``memo``, the one memo of
+    ``m``, maps each finished node to its value.
+
+    Raises
+    ------
+    TooLarge
+        if a node's queues hold more than ``MAX_DEPTH`` symbols, or the
+        walk passes ``WORD_TABLE_LIMIT`` new nodes.
+    """
+    if root in memo:
+        return memo[root]
+    # per node on the stack: its number, low link, the greatest value of
+    # an edge leaving its component, and of a mismatch inside it (-1: no
+    # edge inside)
+    num, low, best, inner = {}, {}, {}, {}
+    stack, path = [], []
+
+    def enter(node):
+        num[node] = low[node] = len(num)
+        best[node], inner[node] = 0, -1
+        stack.append(node)
+        path.append([node, _square_edges(m, node), None])
+
+    def edge(node, child, n, miss):
+        if child in memo:
+            v = memo[child]
+            best[node] = max(best[node], n + v if v else miss)
+        else:  # on the stack, so in the component of node
+            low[node] = min(low[node], low[child])
+            inner[node] = max(inner[node], miss)
+
+    enter(root)
+    while path:
+        frame = path[-1]
+        node = frame[0]
+        if frame[2] is not None:  # back from the child it names
+            edge(node, *frame[2])
+            frame[2] = None
+        for _, child, n, miss in frame[1]:
+            if child in num or child in memo:
+                edge(node, child, n, miss)
+                continue
+            _admit(child, len(num))
+            frame[2] = (child, n, miss)
+            enter(child)
+            break
+        else:
+            path.pop()
+            if low[node] != num[node]:
+                continue
+            comp = []
+            while not comp or comp[-1] is not node:
+                comp.append(stack.pop())
+            value = best[node]
+            if len(comp) > 1 or inner[node] >= 0:
+                value = inf if any(best[s] or inner[s] > 0 for s in comp) else 0
+            memo.update(dict.fromkeys(comp, value))
+            if value == inf:
+                return inf
+    return memo[root]
 
 
 def _product_mismatch(outer, inner):
@@ -428,17 +571,20 @@ def _product_mismatch(outer, inner):
     """
     if inner.target != outer.source:
         raise ValueError("maps are not composable")
+    fol = inner.source.matrix.followers
 
-    def step(node, a):
-        s, t, _, _, _, behind, ahead = node
-        s, mid = inner.delta[(s, a)]
-        for b in mid:
-            t, emitted = outer.delta[(t, b)]
-            ahead += emitted
-        return _compared(s, t, a, 0, 0, behind + (a,), ahead)
+    def edges(node):
+        s, t, last, _, _, behind, ahead = node
+        for a in range(1, len(fol) + 1) if last is None else fol[last - 1]:
+            sa, mid = inner.delta[(s, a)]
+            sb, out = t, ahead
+            for b in mid:
+                sb, emitted = outer.delta[(sb, b)]
+                out += emitted
+            yield (a, *_compared(sa, sb, a, 0, 0, behind + (a,), out))
 
     start = (inner.initial, outer.initial, None, 0, 0, (), ())
-    return _walk(inner.source, {start: ()}, step, {})
+    return _walk({start: ()}, edges)
 
 
 def verify_inverse_pair(h, h_inv, test_pre=None, test_cyc=None):

@@ -23,28 +23,21 @@ conjugacy from eventual conjugacy, and :func:`check_potential_identity`
 decides that over all indicator functions up to a depth.
 
 The cocycles and the intertwining checks are exact on every point, not
-only on eventually periodic ones, and come from walks over pairs of
-states of ``h`` (the square of a transducer, Béal, Carton, Prieur and
-Sakarovitch 2003), one run on a cylinder word ``w`` and one on
-``w[1:]``.  On ``[w]`` the difference ``c = l - k`` is how far the run
-on ``w`` is ahead in output where the two runs first share a state (one
-shortest walk over pairs of states), and the least ``l`` is
-``max(c, 0)`` plus the most symbols one walk compares up to its last
-mismatch; no point is mapped.  The pair is the least one whenever ``h``
-is injective, as every map given to :func:`classify` is.  A cylinder
-whose runs never share a state tries the differences outward from the
-output lead of its two runs, one walk each.  :func:`classify` takes the
-pair to be inverse and never re-checks it, for any kind of map; a pair
-of block codes is then a conjugacy whose cocycles it gives in closed
-form.  A mismatch that recurs on a cycle, or a walk that hits a cap,
-reports undecided, never a refutation.  :func:`cylinder_family` and
-:func:`verify_cocycles` remain for sampled re-checks on explicit points,
-the latter by mapping and shifting each point itself.
+only on eventually periodic ones, and map no point.  They come from
+walks over pairs of states of ``h`` (the square of a transducer, Béal,
+Carton, Prieur and Sakarovitch 2003), one run on a cylinder word ``w``
+and one on ``w[1:]``; the walks live in :mod:`orbiteq.maps`, and
+:func:`orbit_cocycles` reads the least pair off them.  :func:`classify`
+takes the pair to be inverse and never re-checks it, for any kind of
+map; a pair of block codes is then a conjugacy whose cocycles it gives
+in closed form.  A mismatch that recurs on a cycle, or a walk that hits
+a cap, reports undecided, never a refutation.  :func:`cylinder_family`
+and :func:`verify_cocycles` remain for sampled re-checks on explicit
+points, the latter by mapping and shifting each point itself.
 """
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import partial
 from math import inf
 
 from .config import MAX_DEPTH, WORD_TABLE_LIMIT, RunConfig
@@ -62,7 +55,15 @@ from .functions import (
     find_transfer,
     transfer_obstruction,
 )
-from .maps import BlockCode, _admit, _as_transducer, _compared, _walk, apply_map
+from .maps import (
+    BlockCode,
+    _as_transducer,
+    _compared,
+    _difference,
+    _last_mismatch,
+    _misaligned,
+    apply_map,
+)
 from .shifts import (
     _point_key,
     _shortest_walk,
@@ -208,161 +209,6 @@ def cylinder_family(space, depth, cfg):
 
 
 # ---------------------------------------------------------------------------
-# the product walk
-
-
-def _square_step(delta, node, a):
-    """:func:`~orbiteq.maps._compared` after both sides of ``node``, ``(state
-    A, state B, input, drops owed by A and B, queues of A and B)``, read ``a``."""
-    sa, sb, _, da, db, qa, qb = node
-    (sa, oa), (sb, ob) = delta[sa, a], delta[sb, a]
-    return _compared(sa, sb, a, da, db, qa + oa, qb + ob)
-
-
-def _misaligned(m, words, k, l, memo):
-    """The shortest input word, starting with one of ``words``, on which
-    ``sigma^k m(sigma x) = sigma^l m(x)`` fails for every ``x`` that starts
-    with it; None when it holds on all of their cylinders.
-
-    ``m`` is a transducer.  It runs on each word ``w`` (side A) and on
-    ``w[1:]`` (side B); after that both sides read the same input, and
-    the :func:`~orbiteq.maps._walk` goes breadth first over the nodes of
-    :func:`_square_step`.  A closed walk certifies the equation on every
-    point of the cylinders, not only on eventually periodic ones: the
-    output symbols are fixed by the input read, and ``m`` is productive.
-    ``memo`` is the machine's one memo: the walk skips nodes of value 0,
-    which reach no mismatch, and gives 0 to every node of a closed walk.
-
-    Raises
-    ------
-    TooLarge
-        if the walk hits a cap.
-    """
-    roots = {}
-    for w in words:
-        (sa, oa), (sb, ob) = m._run(w), m._run(w[1:])
-        node, _, miss = _compared(sa, sb, w[-1], l, k, oa, ob)
-        if miss:
-            return w
-        roots.setdefault(node, w)
-    return _walk(m.source, roots, partial(_square_step, m.delta), memo)
-
-
-def _intertwining_witness(m, k):
-    """A point ``x`` with ``sigma^k m(sigma x) != sigma^(k+1) m(x)``, from
-    the shortest word that shows it, or None when there is none."""
-    word = _misaligned(m, m.source.words(1), k, k + 1, {})
-    return word and point_with_prefix(m.source, word)
-
-
-def _difference(m, sa, sb, last, d):
-    """``l - k`` read where the two runs first share a state, or None when
-    they never do.
-
-    The runs stand in states ``sa`` (side A) and ``sb`` (side B) after
-    input ending in ``last``, with side A ``d`` symbols ahead in output.
-    One :func:`~orbiteq.shifts._shortest_walk` over nodes ``(state A,
-    state B, last input)`` goes to the first node with equal states, and
-    ``l - k`` is ``d`` plus what side A gains in output along it: from
-    there both sides emit the same stream, so ``sigma^k h(sigma x) =
-    sigma^l h(x)`` on the whole cylinder of the walk.  Runs that already
-    share a state give ``d`` at once, the walk's own answer at its start,
-    without paying for the walk.
-    """
-    if sa == sb:
-        return d
-    delta, fol = m.delta, m.source.matrix.followers
-
-    def successors(node):
-        sa, sb, last = node
-        return ((delta[sa, a][0], delta[sb, a][0], a) for a in fol[last - 1])
-
-    walk = _shortest_walk(successors, (sa, sb, last), lambda node: node[0] == node[1])
-    if walk is None:
-        return None
-    for (sa, sb, _), (_, _, a) in zip(walk, walk[1:]):
-        d += len(delta[sa, a][1]) - len(delta[sb, a][1])
-    return d
-
-
-def _last_mismatch(m, root, memo):
-    """The most symbol pairs a walk from ``root`` compares up to and
-    including its last mismatch: 0 when no mismatch is reachable, ``inf``
-    when a mismatch recurs on a cycle.
-
-    The walk steps both sides of ``m`` on each admissible input
-    (:func:`_square_step`), but a mismatch is an edge label, not a dead
-    end.  Every cycle of the walk compares at least one pair (``m`` is
-    productive), so a mismatch that a cycle reaches recurs at unbounded
-    positions.  The strongly connected components of the nodes reached
-    are finished sinks first (Tarjan, iteratively), so a node's value is
-    read off its finished successors: an edge of ``n`` pairs to a node of
-    value ``v`` gives ``n + v``, or its own mismatch when ``v`` is 0.  What
-    a node leads to depends on the node alone, so ``memo``, the one memo of
-    ``m``, maps each finished node to its value.
-
-    Raises
-    ------
-    TooLarge
-        if a node's queues hold more than ``MAX_DEPTH`` symbols, or the
-        walk passes ``WORD_TABLE_LIMIT`` new nodes.
-    """
-    if root in memo:
-        return memo[root]
-    delta, fol = m.delta, m.source.matrix.followers
-    # per node on the stack: its number, low link, the greatest value of
-    # an edge leaving its component, and of a mismatch inside it (-1: no
-    # edge inside)
-    num, low, best, inner = {}, {}, {}, {}
-    stack, path = [], []
-
-    def enter(node):
-        num[node] = low[node] = len(num)
-        best[node], inner[node] = 0, -1
-        stack.append(node)
-        path.append([node, iter(fol[node[2] - 1]), None])
-
-    def edge(node, child, n, miss):
-        if child in memo:
-            v = memo[child]
-            best[node] = max(best[node], n + v if v else miss)
-        else:  # on the stack, so in the component of node
-            low[node] = min(low[node], low[child])
-            inner[node] = max(inner[node], miss)
-
-    enter(root)
-    while path:
-        frame = path[-1]
-        node = frame[0]
-        if frame[2] is not None:  # back from the child it names
-            edge(node, *frame[2])
-            frame[2] = None
-        for a in frame[1]:
-            child, n, miss = _square_step(delta, node, a)
-            if child in num or child in memo:
-                edge(node, child, n, miss)
-                continue
-            _admit(child, len(num))
-            frame[2] = (child, n, miss)
-            enter(child)
-            break
-        else:
-            path.pop()
-            if low[node] != num[node]:
-                continue
-            comp = []
-            while not comp or comp[-1] is not node:
-                comp.append(stack.pop())
-            value = best[node]
-            if len(comp) > 1 or inner[node] >= 0:
-                value = inf if any(best[s] or inner[s] > 0 for s in comp) else 0
-            memo.update(dict.fromkeys(comp, value))
-            if value == inf:
-                return inf
-    return memo[root]
-
-
-# ---------------------------------------------------------------------------
 # orbit cocycles
 
 
@@ -371,11 +217,12 @@ def _least_pair(m, w, memo):
     :func:`orbit_cocycles` finds it.
 
     Where the two runs share a state, the one candidate for ``c = l - k``
-    is :func:`_difference`'s.  Where they never do, the candidates are the
-    offsets outward from the root's output lead ``d0``, in the order
-    ``d0, d0 - 1, d0 + 1, ...`` up to ``MAX_DEPTH`` away, and a candidate
-    whose walk hits a cap is skipped.  The first finite walk gives the
-    pair: for an injective map only one difference aligns ``[w]``.
+    is :func:`maps._difference`'s.  Where they never do, the candidates
+    are the offsets outward from the root's output lead ``d0``, in the
+    order ``d0, d0 - 1, d0 + 1, ...`` up to ``MAX_DEPTH`` away, and a
+    candidate whose walk hits a cap is skipped.  The first finite walk
+    gives the pair: for an injective map only one difference aligns
+    ``[w]``.
     """
     (sa, oa), (sb, ob) = m._run(w), m._run(w[1:])
     d0 = len(oa) - len(ob)
@@ -409,16 +256,16 @@ def orbit_cocycles(h, depth):
 
     * ``c = l - k`` is how far side A is ahead in output at the first
       node, breadth first, where the two runs share a state
-      (:func:`_difference`).  From there both sides emit one stream, so
-      ``(k, l)`` with that difference aligns a subcylinder of ``[w]``.
-      When ``h`` is injective, ``[w]`` holds points whose image is not
-      eventually periodic, and such a point is aligned by one difference
-      only.
+      (:func:`maps._difference`).  From there both sides emit one
+      stream, so ``(k, l)`` with that difference aligns a subcylinder of
+      ``[w]``.  When ``h`` is injective, ``[w]`` holds points whose image
+      is not eventually periodic, and such a point is aligned by one
+      difference only.
     * ``l0`` is ``max(c, 0)`` plus the most symbol pairs any walk compares
       up to its last mismatch, side A dropping ``max(c, 0)`` symbols and
-      side B ``max(-c, 0)`` (:func:`_last_mismatch`), and ``k0 = l0 -
-      c``.  For a fixed difference the aligning ``l`` are those past every
-      mismatch, so ``(k0, l0)`` is the least pair.
+      side B ``max(-c, 0)`` (:func:`maps._last_mismatch`), and ``k0 =
+      l0 - c``.  For a fixed difference the aligning ``l`` are those
+      past every mismatch, so ``(k0, l0)`` is the least pair.
 
     The pair is least whenever ``h`` is injective, which holds for every
     map :func:`classify` is given.  A cylinder whose two runs never share
@@ -439,8 +286,8 @@ def orbit_cocycles(h, depth):
 
 
 def _cocycles(m, depth, memo):
-    """:func:`orbit_cocycles` of the transducer ``m``, sharing ``memo``
-    (:func:`_last_mismatch`) with the other walks of ``m``."""
+    """:func:`orbit_cocycles` of the transducer ``m``; ``memo``
+    (:func:`maps._last_mismatch`) may be shared across depths."""
     src = m.source
     ktab, ltab = {}, {}
     for w in src.words(depth):
@@ -632,13 +479,20 @@ def check_potential_identity(h, kl, depth):
 # ladder checks
 
 
+def _intertwining_witness(m, k):
+    """A point ``x`` with ``sigma^k m(sigma x) != sigma^(k+1) m(x)``, from
+    the shortest word that shows it, or None when there is none."""
+    word = _misaligned(m, m.source.words(1), k, k + 1)
+    return word and point_with_prefix(m.source, word)
+
+
 def check_conjugacy(h):
     """Does ``h`` intertwine the shifts, ``h(sigma x) = sigma h(x)`` for
     every point ``x``?
 
-    Decided exactly by one product walk (:func:`_misaligned`).  Returns
-    ``(True, None)`` or ``(False, witness_point)``, the witness starting
-    with the shortest word on which the equation fails.
+    Decided exactly by one product walk (:func:`maps._misaligned`).
+    Returns ``(True, None)`` or ``(False, witness_point)``, the witness
+    starting with the shortest word on which the equation fails.
     """
     wit = _intertwining_witness(_as_transducer(h), 0)
     return wit is None, wit
@@ -724,7 +578,8 @@ def _search_cocycles(cfg, maps):
     """The cocycles of each map of ``maps`` at the least depth from
     ``min(cfg.depth, 3)`` to ``cfg.depth`` at which all of them align;
     raises NoAlignment when they do not at ``cfg.depth``.  Across depths
-    each map keeps one memo (:func:`_last_mismatch`, 0: no mismatch reachable)."""
+    each map keeps one memo (:func:`maps._last_mismatch`, 0: no mismatch
+    reachable)."""
     walks = [(_as_transducer(h), {}) for h in maps]
     depths = range(min(cfg.depth, 3), cfg.depth + 1)
     for depth in depths:
@@ -733,25 +588,6 @@ def _search_cocycles(cfg, maps):
         except NoAlignment:
             if depth == depths[-1]:
                 raise
-
-
-def _align(h, h_inv, cfg):
-    """Both cocycle pairs, the witness of :func:`check_conjugacy` and the
-    least lag :func:`check_eventual_conjugacy` accepts (or None).
-
-    The cocycles are searched at depth ``min(cfg.depth, 3)``, and at each
-    depth up to ``cfg.depth`` while no alignment is found.  Each map keeps
-    one memo (0: no mismatch reachable); the direct check keeps its own.
-    """
-    m = _as_transducer(h)
-    kl1, kl2 = _search_cocycles(cfg, [m, h_inv])
-    direct_wit = _intertwining_witness(m, 0)
-    lag = None
-    if kl1.difference().is_constant(1) and kl2.difference().is_constant(1):
-        # each point aligns at (k(x), k(x) + 1); shifting by K - k(x) >= 0
-        # gives lag K, and no smaller K holds on the cylinder of greatest k
-        lag = max(kl1.k.max(), kl2.k.max())
-    return kl1, kl2, direct_wit, lag
 
 
 def classify(h, h_inv, cfg=None):
@@ -803,17 +639,22 @@ def classify(h, h_inv, cfg=None):
             for m in (h, h_inv)
         )
         return Verdict("Conjugacy", lag=0, cocycles=(kl1, kl2), depth=cfg.depth)
+    m, m_inv = _as_transducer(h), _as_transducer(h_inv)
     try:
-        kl1, kl2, direct_wit, lag = _align(h, h_inv, cfg)
+        kl1, kl2 = _search_cocycles(cfg, [m, m_inv])
     except NoAlignment as e:
         return Verdict("Undecided", depth=cfg.depth, note=str(e))
+    direct_wit = _intertwining_witness(m, 0)
     direct = direct_wit is None
-    eventual = lag is not None
+    # each point aligns at (k(x), k(x) + 1); shifting by K - k(x) >= 0
+    # gives lag K, and no smaller K holds on the cylinder of greatest k
+    eventual = all(kl.difference().is_constant(1) for kl in (kl1, kl2))
+    lag = max(kl1.k.max(), kl2.k.max()) if eventual else None
 
     psi_ok = psi_wit = None
     if eventual:  # without a lag the theorem route is False whatever psi says
         try:
-            psi_ok, psi_wit = check_potential_identity(h, kl1, cfg.depth)
+            psi_ok, psi_wit = check_potential_identity(m, kl1, cfg.depth)
         except TooLarge:
             pass
 

@@ -74,7 +74,8 @@ class TransitionMatrix:
     NotZeroOne
         if any entry is outside ``{0, 1}`` (or the rows are not square).
     TooLarge
-        if the alphabet exceeds the configured cap.
+        if the alphabet exceeds the configured cap; checked first, on the
+        row count alone.
     PermutationMatrix
         if every row and column sums to 1.
     NotIrreducible
@@ -93,7 +94,10 @@ class TransitionMatrix:
 
     def __init__(self, rows):
         try:
-            raw = tuple(tuple(row) for row in rows)
+            raw = tuple(rows)
+            if len(raw) > MAX_ALPHABET:
+                raise TooLarge(f"alphabet size {len(raw)} exceeds cap {MAX_ALPHABET}")
+            raw = tuple(tuple(row) for row in raw)
         except TypeError:
             raw = ()
         n = len(raw)
@@ -103,8 +107,6 @@ class TransitionMatrix:
             a = IntMatrix(tuple(_BITS[x] for x in row) for row in raw)
         except (KeyError, TypeError):
             raise NotZeroOne("transition matrix entries must be 0 or 1") from None
-        if n > MAX_ALPHABET:
-            raise TooLarge(f"alphabet size {n} exceeds cap {MAX_ALPHABET}")
         # followers[i] = sorted tuple of symbols j (1-based) with i -> j
         self.followers = _support(a)
         preceders = _support(zip(*a))

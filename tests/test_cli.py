@@ -13,9 +13,11 @@ from hypothesis import strategies as st
 import orbiteq
 from orbiteq import (
     InconsistentRoutes,
+    RunConfig,
     TooLarge,
     apply_map,
     build_shift_space,
+    classify,
     cli,
     identity_code,
     induced_potential,
@@ -383,6 +385,25 @@ def test_verify_product_cap_is_undecided(files, capsys, monkeypatch):
     assert code == 2
     note = "product queue past 0 symbols"
     assert json.loads(out) == {"verdict": "Undecided", "note": note}
+
+
+def test_verify_undecided_when_no_cocycle_depth_aligns(files, capsys):
+    # the (1) <-> (2^7 1) exchange aligns on no cylinder of depth 3 to 8
+    full2 = build_shift_space([[1, 1], [1, 1]])
+    exchange = prefix_exchange(full2, (1,), (2,) * 7 + (1,))
+    assert jsonio.verdict_to_json(classify(exchange, exchange, RunConfig())) == {
+        "verdict": "Undecided",
+        "K": None,
+        "witness": None,
+        "cocycles": None,
+        "transfers": None,
+        "depth": 8,
+        "note": "no orbit alignment on cylinder (1, 2, 2, 2, 2, 2, 2, 2)",
+    }
+    path = files["write"]("exchange.json", jsonio.map_to_json(exchange))
+    code, out = run(capsys, ["verify", files["full2"], files["full2"], path, path])
+    assert code == 2
+    assert "verdict: Undecided" in out
 
 
 def test_verify_long_delay_line_has_no_traceback(files):

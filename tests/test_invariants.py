@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from itertools import combinations
 from math import gcd
 
@@ -605,6 +606,40 @@ def test_codes_through_terminals_match_the_per_word_labels(monkeypatch):
         for h, g in zip(codes, expected):
             assert (h.window, h.table) == (g.window, g.table)
     assert max(h.window for codes in found for h in codes) >= 4
+
+
+def test_conjugacy_from_amalgamation_takes_rows_matrices_and_spaces():
+    rows = lambda space: space.matrix.entries.tolist()  # noqa: E731
+    rng = random.Random(26)
+    pairs = []
+    for _ in range(6):
+        base = random_shift_space(rng, rng.randint(2, 4))
+        split, _, _ = split_chain(rng, base, max_splits=2)
+        other = random_shift_space(rng, split.n)
+        pairs += [(base, split), (split, base), (split, other)]
+    decided = []
+    for a, b in pairs:
+        forms = [
+            conjugacy_from_amalgamation(x, y)
+            for x, y in ((a, b), (a.matrix, b.matrix), (rows(a), rows(b)))
+        ]
+        tables = [codes and [(h.window, h.table) for h in codes] for codes in forms]
+        assert tables[0] == tables[1] == tables[2]
+        assert (forms[0] is not None) is decide_one_sided_conjugacy(a, b)
+        decided.append(forms[0] is not None)
+    assert True in decided and False in decided
+
+
+def test_matching_cap_checked_before_copying_rows():
+    rows = [[1] * 3000] * 3000
+    tracemalloc.start()
+    try:
+        with pytest.raises(TooLarge):
+            matrices_isomorphic(rows, rows)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_compare_reads_one_smith_form_and_one_amalgamation_per_matrix(

@@ -1,3 +1,4 @@
+import ast
 import copy
 import itertools
 import random
@@ -27,6 +28,7 @@ from orbiteq import (
     enumerate_points,
     identity_code,
     indicator,
+    orbit_cocycles,
     pullback,
     random_shift_space,
     shift_point,
@@ -522,3 +524,23 @@ def test_classify_leaves_transducers_unchanged(cfg):
     before = state(h), state(h_inv)
     assert classify(h, h_inv, cfg).kind == "EventualConjugacy"
     assert (state(h), state(h_inv)) == before
+
+
+def test_every_product_walk_caps_its_nodes(monkeypatch, full2):
+    # the inverse check and the cocycle walks both admit nodes in maps._admit
+    monkeypatch.setattr(maps, "WORD_TABLE_LIMIT", 3)
+    f = prefix_exchange(full2, (1,), (2, 2, 1))
+    for check in (lambda: verify_inverse_pair(f, f), lambda: orbit_cocycles(f, 3)):
+        with pytest.raises(TooLarge, match="product walk past 3 nodes"):
+            check()
+
+
+def test_only_maps_admits_product_walk_nodes():
+    # one admission point, where every product walk counts and caps its nodes
+    named = set()
+    for path in Path(maps.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = (getattr(node, f, None) for f in ("id", "attr", "name"))
+            if "_admit" in names:
+                named.add(path.name)
+    assert named == {"maps.py"}

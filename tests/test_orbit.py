@@ -573,14 +573,9 @@ def test_classify_skips_potential_identity_without_lag(monkeypatch, recoder, cfg
 
 
 def test_direct_conjugacy_without_lag_is_inconsistent(monkeypatch, cfg):
+    # the cocycles of this expansion give no lag, so the theorem route fails
     h, h_inv = expansion_maps(3, {2: 1, 3: 1})
-    align = orbit._align
-
-    def direct_without_lag(*args):
-        kl1, kl2, _, _ = align(*args)
-        return kl1, kl2, None, None
-
-    monkeypatch.setattr(orbit, "_align", direct_without_lag)
+    monkeypatch.setattr(orbit, "_intertwining_witness", lambda m, k: None)
     with pytest.raises(InconsistentRoutes):
         classify(h, h_inv, cfg)
 
@@ -588,13 +583,8 @@ def test_direct_conjugacy_without_lag_is_inconsistent(monkeypatch, cfg):
 def test_direct_conjugacy_against_failed_identity_is_inconsistent(
     monkeypatch, recoder, cfg
 ):
-    align = orbit._align
-
-    def direct_with_lag(*args):
-        kl1, kl2, _, lag = align(*args)
-        return kl1, kl2, None, lag
-
-    monkeypatch.setattr(orbit, "_align", direct_with_lag)
+    # the recoder has a lag, and its potential identity fails
+    monkeypatch.setattr(orbit, "_intertwining_witness", lambda m, k: None)
     with pytest.raises(InconsistentRoutes):
         classify(recoder, recoder, cfg)
 

@@ -14,6 +14,7 @@ from orbiteq import (
     PermutationMatrix,
     Point,
     TooLarge,
+    TransitionMatrix,
     build_shift_space,
     canonical_point,
     count_periodic,
@@ -96,6 +97,18 @@ def test_word_table_cap_checked_before_building():
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2**20
+
+
+def test_alphabet_cap_checked_before_copying_rows():
+    rows = [[1] * 3000] * 3000  # 3000 references to one row
+    tracemalloc.start()
+    try:
+        with pytest.raises(TooLarge):
+            TransitionMatrix(rows)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_allowed_words_full2(full2):

@@ -27,7 +27,14 @@ from orbiteq import (
     orbit_cocycles,
     transducer,
 )
-from orbiteq.maps import _as_transducer, apply_map
+from orbiteq.maps import (
+    _as_transducer,
+    _compared,
+    _difference,
+    _last_mismatch,
+    _misaligned,
+    apply_map,
+)
 from orbiteq.shifts import point_with_prefix, shift_point
 
 import golden
@@ -117,14 +124,14 @@ def least_on_points(m, w, depth, points, images):
 
 def point_loop(m, w, depth):
     """The least pair on ``[w]`` from points: the least pair that aligns
-    the points found so far, certified by ``orbit._misaligned`` or refuted
+    the points found so far, certified by ``maps._misaligned`` or refuted
     by a word whose point joins them."""
     src = m.source
     points = {point_with_prefix(src, w), orbit.aperiodic_point_with_prefix(src, w)}
-    images, memo = {}, {}
+    images = {}
     while True:
         k, l = least_on_points(m, w, depth, points, images)
-        word = orbit._misaligned(m, (w,), k, l, memo)
+        word = _misaligned(m, (w,), k, l)
         if word is None:
             return k, l
         points.add(point_with_prefix(src, word))
@@ -133,7 +140,7 @@ def point_loop(m, w, depth):
 def unshared(m, w):
     """Do the runs on ``w`` and on ``w[1:]`` never share a state?"""
     (sa, oa), (sb, ob) = m._run(w), m._run(w[1:])
-    return orbit._difference(m, sa, sb, w[-1], len(oa) - len(ob)) is None
+    return _difference(m, sa, sb, w[-1], len(oa) - len(ob)) is None
 
 
 def assert_square_matches_points(maps, depths):
@@ -251,12 +258,13 @@ def test_constant_code_is_not_injective_and_gets_0_1():
 
 
 def walk_from(delta, root):
-    """:func:`orbit._last_mismatch` from ``(root states, last input 1)``
+    """:func:`maps._last_mismatch` from ``(root states, last input 1)``
     on a copying machine of the full 2-shift with the given extra moves."""
     delta = {**delta, **{("C", a): ("C", (a,)) for a in (1, 2)}}
     states = sorted({s for s, _ in delta})
     m = transducer(FULL2, FULL2, states, root[0], delta)
-    return orbit._last_mismatch(m, (*root, 1, 0, 0, (), ()), {})
+    node, _, _ = _compared(*root, 1, 0, 0, (), ())
+    return _last_mismatch(m, node, {})
 
 
 def test_mismatch_on_a_self_loop_recurs():
@@ -292,16 +300,16 @@ def test_mismatch_reached_from_a_two_node_cycle_recurs():
 
 
 def test_one_memo_holds_what_a_fresh_walk_reads():
-    # the cocycle walks and the intertwining walk of a map share one memo:
-    # each node's entry must be what a walk from that node alone reads,
-    # 0 where no mismatch is reachable
+    # the cocycle walks of a map share one memo across cylinders and
+    # depths, as ``orbit._search_cocycles`` does: each node's entry must be
+    # what a walk from that node alone reads, 0 where no mismatch is reachable
     maps = [h for _, h in ladder_maps(1)] + [f for _, _, f in golden.exchanges()]
     entries = 0
     for h in maps:
         m, memo = _as_transducer(h), {}
-        outcome(lambda: orbit._cocycles(m, 3, memo))
-        orbit._misaligned(m, m.source.words(1), 0, 1, memo)
+        for depth in (3, 4):
+            outcome(lambda: orbit._cocycles(m, depth, memo))
         for node, value in memo.items():
-            assert value == orbit._last_mismatch(m, node, {}), node
+            assert value == _last_mismatch(m, node, {}), node
         entries += len(memo)
     assert entries > 0
