@@ -5,7 +5,7 @@ desk scale; they are deliberately generous for the alphabet sizes this
 package targets.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 # Hard caps, shared by every module.
 MAX_ALPHABET = 64
@@ -14,23 +14,29 @@ MAX_MATCH_STATES = 12  # backtracking isomorphism search
 WORD_TABLE_LIMIT = 1_000_000  # safety valve for allowed-word tables
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(namedtuple("RunConfig", "depth max_pre max_cyc")):
     """Parameters of the verification pipeline.
 
     ``depth`` bounds the cocycle depths :func:`~orbiteq.orbit.classify`
     searches and the potential identity it checks.  ``max_pre`` and
     ``max_cyc`` size only :func:`~orbiteq.orbit.cylinder_family`, the
     sampled re-check; no verdict reads them.  The defaults are the ones
-    the acceptance suite runs with.
+    the acceptance suite runs with.  A field that is not an in-range
+    ``int`` (a ``bool`` is not one) raises ValueError.
     """
 
-    depth: int = 8
-    max_pre: int = 3
-    max_cyc: int = 4
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (1 <= self.depth <= MAX_DEPTH):
+    def __new__(cls, depth=8, max_pre=3, max_cyc=4):
+        if {type(depth), type(max_pre), type(max_cyc)} != {int}:
+            raise ValueError("depth, max_pre and max_cyc must be integers")
+        if not (1 <= depth <= MAX_DEPTH):
             raise ValueError(f"depth must be in 1..{MAX_DEPTH}")
-        if self.max_pre < 0 or self.max_cyc < 1:
+        if max_pre < 0 or max_cyc < 1:
             raise ValueError("max_pre must be >= 0 and max_cyc >= 1")
+        return tuple.__new__(cls, (depth, max_pre, max_cyc))
+
+    @classmethod
+    def _make(cls, iterable):
+        # the namedtuple's own _make (and so _replace) would skip __new__
+        return cls(*iterable)

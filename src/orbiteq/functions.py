@@ -11,11 +11,9 @@ shift exact table operations.
 All arithmetic is plain Python integers; nothing here rounds.
 """
 
-from dataclasses import dataclass, field
-
 from .config import MAX_DEPTH
 from .errors import InadmissibleWord, InconsistentRoutes, TooLarge
-from .shifts import ShiftSpace, _shortest_walk, _tree_path, canonical_point, shift_point
+from .shifts import _shortest_walk, _tree_path, canonical_point, shift_point
 
 __all__ = [
     "CylinderFunction",
@@ -32,20 +30,25 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class CylinderFunction:
-    """An integer function given by its value on each depth-``m`` word."""
+    """An immutable integer function given by its value on each depth-``m`` word."""
 
-    space: ShiftSpace
-    depth: int
-    table: dict = field(compare=False)
+    __slots__ = ("space", "depth", "table")
 
-    def __post_init__(self):
-        words = self.space.words(self.depth)
-        if set(self.table) != set(words):
+    def __init__(self, space, depth, table):
+        if set(table) != set(space.words(depth)):
             raise InadmissibleWord(
                 "table keys must be exactly the allowed words of the depth"
             )
+        setattr_ = object.__setattr__
+        setattr_(self, "space", space)
+        setattr_(self, "depth", depth)
+        setattr_(self, "table", table)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
 
     def __call__(self, word):
         """Value on the cylinder of ``word`` (len(word) >= depth)."""
@@ -70,6 +73,9 @@ class CylinderFunction:
         if not isinstance(other, CylinderFunction):
             return NotImplemented
         return tables_equal(self, other)
+
+    def __hash__(self):
+        return hash((self.space, self.depth))
 
     def __repr__(self):
         return f"CylinderFunction(depth={self.depth}, {len(self.table)} words)"

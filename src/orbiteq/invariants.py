@@ -22,7 +22,7 @@ so disagreement refutes every rung at once; agreement never certifies
 anything.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from operator import mul
 
 from .config import MAX_MATCH_STATES
@@ -501,8 +501,7 @@ def _smith(m):
 # invariant reports
 
 
-@dataclass(frozen=True)
-class InvariantReport:
+class InvariantReport(namedtuple("InvariantReport", "bf_factors det_sign")):
     """Cokernel invariants of ``I - A`` and ``I - A^T``.
 
     ``bf_factors`` lists invariant factors with the trivial 1s dropped
@@ -512,8 +511,7 @@ class InvariantReport:
     rank of K_1.
     """
 
-    bf_factors: tuple
-    det_sign: int
+    __slots__ = ()
 
 
 def bowen_franks(a):
@@ -542,8 +540,7 @@ def invariant_report(a):
     return InvariantReport(*bowen_franks(a))
 
 
-@dataclass(frozen=True)
-class ObstructionReport:
+class ObstructionReport(namedtuple("ObstructionReport", "left right ruled_out")):
     """Which equivalence rungs an invariant mismatch rules out.
 
     ``ruled_out`` maps rung names to booleans.  If the cokernel factors
@@ -552,9 +549,7 @@ class ObstructionReport:
     nothing and is reported as no obstruction found.
     """
 
-    left: InvariantReport
-    right: InvariantReport
-    ruled_out: dict
+    __slots__ = ()
 
     @property
     def obstructed(self):

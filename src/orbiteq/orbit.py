@@ -36,8 +36,7 @@ and :func:`verify_cocycles` remain for sampled re-checks on explicit
 points, the latter by mapping and shifting each point itself.
 """
 
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from math import inf
 
 from .config import MAX_DEPTH, WORD_TABLE_LIMIT, RunConfig
@@ -65,7 +64,6 @@ from .maps import (
     apply_map,
 )
 from .shifts import (
-    _point_key,
     _shortest_walk,
     canonical_point,
     enumerate_points,
@@ -91,12 +89,10 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class OrbitCocyclePair:
+class OrbitCocyclePair(namedtuple("OrbitCocyclePair", "k l")):
     """Nonnegative cylinder functions ``k, l`` aligning orbits under a map."""
 
-    k: CylinderFunction
-    l: CylinderFunction
+    __slots__ = ()
 
     @property
     def depth(self):
@@ -107,8 +103,13 @@ class OrbitCocyclePair:
         return combine(1, self.l, -1, self.k)
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(
+    namedtuple(
+        "Verdict",
+        "kind lag cocycles transfers witness depth note",
+        defaults=(None, None, None, None, None, ""),
+    )
+):
     """Outcome of :func:`classify`, with re-verifiable witnesses.
 
     ``kind`` is one of ``Conjugacy``, ``EventualConjugacy``, ``StrongCOE``,
@@ -121,21 +122,13 @@ class Verdict:
     period of it.
     """
 
-    kind: str
-    lag: int | None = None
-    cocycles: tuple | None = None
-    transfers: tuple | None = None
-    witness: object = None
-    depth: int | None = None
-    note: str = ""
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class SegmentReduction:
+class SegmentReduction(namedtuple("SegmentReduction", "equal period", defaults=[None])):
     """Outcome of the orbit-segment cancellation: equality or a period."""
 
-    equal: bool
-    period: int | None = None
+    __slots__ = ()
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +197,7 @@ def cylinder_family(space, depth, cfg):
         pts = set(members.get(w, ()))
         pts.add(point_with_prefix(space, w))
         pts.add(aperiodic_point_with_prefix(space, w))
-        fam[w] = tuple(sorted(pts, key=_point_key))
+        fam[w] = tuple(sorted(pts))
     return fam
 
 

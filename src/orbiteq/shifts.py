@@ -17,7 +17,7 @@ makes every downstream check exact.
 Words are tuples of ints; the empty word is ``()``.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .config import MAX_ALPHABET, MAX_DEPTH, WORD_TABLE_LIMIT
 from .errors import (
@@ -234,19 +234,18 @@ def build_shift_space(rows):
     return ShiftSpace(TransitionMatrix(rows))
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class Point:
+class Point(namedtuple("Point", "preperiod cycle")):
     """An eventually periodic point in canonical form.
 
     ``preperiod`` may be empty; ``cycle`` is nonempty and primitive (not a
     power of a shorter word), and no preperiod symbol can be absorbed by
     rotating the cycle.  Two Point values are equal iff they denote the
     same sequence.  Construct through :func:`canonical_point`, which
-    establishes the invariants.
+    establishes the invariants.  A Point is the tuple
+    ``(preperiod, cycle)``, and orders as one.
     """
 
-    preperiod: tuple
-    cycle: tuple
+    __slots__ = ()
 
     def expand(self, n):
         """The first ``n`` symbols of the sequence, as a tuple."""
@@ -261,11 +260,6 @@ class Point:
         p = ",".join(map(str, self.preperiod))
         c = ",".join(map(str, self.cycle))
         return f"Point({p}|{c})"
-
-
-def _point_key(p):
-    """The order of :class:`Point` as a plain tuple, cheaper to compare."""
-    return p.preperiod, p.cycle
 
 
 def _primitive(cycle):
@@ -379,7 +373,7 @@ def enumerate_points(space, max_pre, max_cyc):
         for pre in prefixes
         if not pre or (pre[-1] != cyc[-1] and cyc[0] in fol[pre[-1] - 1])
     ]
-    return sorted(points, key=_point_key)
+    return sorted(points)
 
 
 def _tree_path(parent, x):

@@ -5,7 +5,6 @@ cylinder family may be built, no point may be mapped, every witness
 re-checks with ``apply_map``, and nothing may outlive the call.
 """
 
-import dataclasses
 import gc
 import random
 import weakref
@@ -14,15 +13,19 @@ import pytest
 
 from orbiteq import (
     RunConfig,
+    SegmentReduction,
     apply_map,
     block_to_transducer,
     build_shift_space,
+    canonical_point,
     check_conjugacy,
     check_eventual_conjugacy,
     check_potential_identity,
     classify,
+    invariant_report,
     jsonio,
     maps,
+    obstruction_report,
     orbit,
     orbit_cocycles,
     shift_point,
@@ -241,7 +244,39 @@ def test_classify_keeps_no_space_alive():
     assert ref() is None
 
 
-def test_verdict_is_frozen():
+def _records():
     v = classify(*split_pair(0), CFG)
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        v.kind = "COE"
+    full2 = build_shift_space([[1, 1], [1, 1]])
+    return {
+        "Verdict": (v, "kind"),
+        "OrbitCocyclePair": (v.cocycles[0], "k"),
+        "CylinderFunction": (v.cocycles[0].k, "depth"),
+        "Point": (canonical_point(full2, (1,), (2,)), "preperiod"),
+        "SegmentReduction": (SegmentReduction(True), "equal"),
+        "InvariantReport": (invariant_report(full2), "bf_factors"),
+        "ObstructionReport": (obstruction_report(full2, full2), "ruled_out"),
+        "RunConfig": (CFG, "depth"),
+    }
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        "Verdict",
+        "OrbitCocyclePair",
+        "CylinderFunction",
+        "Point",
+        "SegmentReduction",
+        "InvariantReport",
+        "ObstructionReport",
+        "RunConfig",
+    ],
+)
+def test_records_are_frozen(name):
+    record, field = _records()[name]
+    before = getattr(record, field)
+    with pytest.raises(AttributeError):
+        setattr(record, field, None)
+    with pytest.raises(AttributeError):
+        record.extra = None
+    assert getattr(record, field) is before

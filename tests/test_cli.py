@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -334,7 +335,8 @@ def test_analyze_entry_not_0_or_1_exits_1_without_traceback(files):
 
 
 def test_cli_commands_do_not_import_numpy(files):
-    # a fresh interpreter: the test session itself imports numpy
+    # a fresh interpreter: the test session itself imports numpy; nor may
+    # a command pay for dataclasses and the inspect it pulls in
     argvs = [
         ["analyze", files["golden"], "--format", "json"],
         ["compare", files["full2"], files["full3"]],
@@ -345,11 +347,28 @@ def test_cli_commands_do_not_import_numpy(files):
         "import sys\n"
         "from orbiteq.cli import main\n"
         f"codes = [main(argv) for argv in {argvs!r}]\n"
-        "print(codes, 'numpy' in sys.modules)\n"
+        "print(codes, sorted({'numpy', 'dataclasses', 'inspect'} & set(sys.modules)))\n"
     )
     proc = run_child(["-c", script])
     assert proc.stderr == ""
-    assert proc.stdout.splitlines()[-1] == "[0, 0, 0, 0] False"
+    assert proc.stdout.splitlines()[-1] == "[0, 0, 0, 0] []"
+
+
+def test_no_module_imports_dataclasses_or_inspect():
+    # the records are namedtuples and __slots__ classes, so no command
+    # loads dataclasses, and inspect with it, at start-up
+    importers = set()
+    for path in Path(orbiteq.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            if {m.split(".")[0] for m in modules} & {"dataclasses", "inspect"}:
+                importers.add(path.name)
+    assert importers == set()
 
 
 def test_cli_process_maps_caps_and_malformed_files_to_exit_codes(files):
