@@ -75,7 +75,9 @@ class CylinderFunction:
         return tables_equal(self, other)
 
     def __hash__(self):
-        return hash((self.space, self.depth))
+        # equal functions may differ in depth (``__eq__`` compares at the
+        # common refinement), so only the space is hashed
+        return hash(self.space)
 
     def __repr__(self):
         return f"CylinderFunction(depth={self.depth}, {len(self.table)} words)"

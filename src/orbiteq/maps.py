@@ -135,9 +135,6 @@ class Transducer:
         self.initial = initial
         self.delta = {k: (s, tuple(out)) for k, (s, out) in delta.items()}
 
-    def step(self, state, symbol):
-        return self.delta[(state, symbol)]
-
     def _run(self, word):
         """State and emitted output after consuming ``word`` from the start."""
         state, out = self.initial, []
@@ -256,10 +253,11 @@ def _as_transducer(h):
 def apply_map(h, p):
     """Image of the point ``p`` under the map ``h``, in canonical form.
 
-    For a block code the image windows are read off directly.  For a
-    transducer the preperiod is consumed first, then whole cycle passes
-    are run until the machine state repeats at a pass boundary; the
-    output between the repeats is the image cycle.
+    A block code reads the image off its :meth:`BlockCode.output_prefix` on
+    the preperiod, one cycle pass and the window's lookahead.  A transducer
+    runs the preperiod with :meth:`Transducer._run`, then whole cycle passes
+    until the machine state repeats at a pass boundary; the output since the
+    first visit of that state is the image cycle.
 
     Raises
     ------
@@ -267,40 +265,23 @@ def apply_map(h, p):
         if the detected output cycle is empty (cannot happen for a
         validated transducer).
     """
+    pre_n = len(p.preperiod)
     if isinstance(h, BlockCode):
-        w = h.window
-        pre_n, cyc_n = len(p.preperiod), len(p.cycle)
-        seq = p.expand(pre_n + cyc_n + w - 1)
-        out_pre = tuple(h.table[seq[i : i + w]] for i in range(pre_n))
-        out_cyc = tuple(
-            h.table[seq[i : i + w]] for i in range(pre_n, pre_n + cyc_n)
-        )
+        out = h.output_prefix(p.expand(pre_n + len(p.cycle) + h.window - 1))
         # image admissibility was checked when the code was compiled
-        return _canonical_unchecked(out_pre, out_cyc)
-    state = h.initial
-    out_pre = []
-    for a in p.preperiod:
-        state, out = h.step(state, a)
-        out_pre.extend(out)
-    # run full cycle passes until the state at a pass boundary repeats
-    seen = {state: 0}
-    chunks = []
-    while True:
-        emitted = []
+        return _canonical_unchecked(out[:pre_n], out[pre_n:])
+    state, out = h._run(p.preperiod)
+    out, seen = list(out), {}
+    while state not in seen:
+        seen[state] = len(out)
         for a in p.cycle:
-            state, out = h.step(state, a)
-            emitted.extend(out)
-        chunks.append(tuple(emitted))
-        if state in seen:
-            first = seen[state]
-            break
-        seen[state] = len(chunks)
-    head = tuple(x for c in chunks[:first] for x in c)
-    cyc = tuple(x for c in chunks[first:] for x in c)
-    if not cyc:
+            state, emitted = h.delta[state, a]
+            out += emitted
+    start = seen[state]
+    if start == len(out):
         raise StallingCycle("map produced an empty output cycle")
     # output admissibility was checked when the transducer was validated
-    return _canonical_unchecked(tuple(out_pre) + head, cyc)
+    return _canonical_unchecked(tuple(out[:start]), tuple(out[start:]))
 
 
 def _composite_mismatch(outer, inner):

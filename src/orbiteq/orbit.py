@@ -314,28 +314,18 @@ def verify_cocycles(h, kl, points):
 def _certification_depth(h, kl, need):
     """Least input depth whose output prefixes cover ``need`` symbols past
     the cocycle bounds, for the word and its shift, under the transducer
-    ``h``."""
-    src = h.source
-    c = kl.depth
-    # per depth-c word u and its shift u[1:]: output past the cocycle bound,
-    # and the configuration (state, last input) reached; then extend by d - c
-    starts = []
+    ``h``.  One forward pass: ``front`` maps each configuration ``(state,
+    last input)`` that the runs of the current depth end in to the least
+    output past the bound over those runs."""
+    src, fol, c = h.source, h.source.matrix.followers, kl.depth
+    # seeded by the runs on each depth-c word u (bound l(u)) and on u[1:]
+    # (bound k(u)); each further depth steps every configuration once
+    front = {}
     for u in src.words(c):
         for v, bound in ((u, kl.l.table[u]), (u[1:], kl.k.table[u])):
             state, out = h._run(v)
-            starts.append((len(out) - bound, (state, u[-1])))
-    memo = {}
-
-    def least(q, m):
-        """Fewest symbols output over ``m`` more inputs from configuration ``q``."""
-        if m == 0:
-            return 0
-        if (q, m) not in memo:
-            fol = src.matrix.followers[q[1] - 1]
-            steps = [(h.step(q[0], b), b) for b in fol]
-            memo[q, m] = min(len(out) + least((s, b), m - 1) for (s, out), b in steps)
-        return memo[q, m]
-
+            q = (state, u[-1])
+            front[q] = min(front.get(q, inf), len(out) - bound)
     for d in range(max(c, 2), MAX_DEPTH + 1):
         # the caller's walk visits one leaf per depth-d word: the cap bounds
         # them as it bounds a word table.  The potential identity skips
@@ -344,7 +334,13 @@ def _certification_depth(h, kl, need):
         # of verdicts in its own right
         if src.word_count(d) > WORD_TABLE_LIMIT:
             raise TooLarge(f"word table at depth {d} too large")
-        if all(budget + least(q, d - c) >= need for budget, q in starts):
+        if d > c:
+            front, old = {}, front
+            for (s, last), budget in old.items():
+                for b in fol[last - 1]:
+                    t, out = h.delta[s, b]
+                    front[t, b] = min(front.get((t, b), inf), budget + len(out))
+        if min(front.values()) >= need:
             return d
     raise TooLarge(f"potential not certifiable within depth cap {MAX_DEPTH}")
 

@@ -356,6 +356,8 @@ def enumerate_points(space, max_pre, max_cyc):
     >>> len(enumerate_points(s, 0, 1))
     2
     """
+    if max_pre < 0:
+        raise ValueError("max_pre must be >= 0")
     if max_cyc < 1:
         raise ValueError("max_cyc must be >= 1")
     fol = space.matrix.followers

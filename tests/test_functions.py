@@ -92,6 +92,16 @@ def test_refinement_soundness(golden):
             assert evaluate(r, p) == evaluate(f, p)
 
 
+def test_equal_functions_hash_equal(golden, full2):
+    # equality is taken at the common refinement, so the depth is no part
+    # of the hash: equal functions of different depths are one set member
+    assert constant(full2, 1, 1) == constant(full2, 1, 2)
+    assert len({constant(full2, 1, 1), constant(full2, 1, 2)}) == 1
+    f = indicator(golden, (1, 2))
+    assert len({f, refine(f, 4)}) == 1
+    assert len({constant(full2, 1), constant(golden, 1)}) == 2
+
+
 def test_pullback_of_constant(full2, swap2):
     c = constant(full2, 7)
     assert tables_equal(pullback(c, swap2), c)

@@ -503,6 +503,33 @@ def test_apply_map_matches_raw_transduction(seed, kind, data):
     assert raw and apply_map(h, p).expand(len(raw)) == raw
 
 
+def test_apply_map_agrees_with_output_prefix(full2, golden, xor2, recoder):
+    # the image of every point starts with what the map emits on a long
+    # prefix of it, for both presentations of a block code too
+    for h in (
+        xor2,
+        block_to_transducer(xor2),
+        recoder,
+        prefix_exchange(full2, (1, 1, 2), (2, 2, 1)),
+        prefix_exchange(golden, (1,), (2, 1)),
+    ):
+        for p in enumerate_points(h.source, 2, 4):
+            raw = h.output_prefix(p.expand(24))
+            assert raw and apply_map(h, p).expand(len(raw)) == raw, (h, p)
+
+
+def test_apply_map_rejects_an_empty_output_cycle(full2):
+    # bare machines, not validated: one is silent on every input, the other
+    # after its first symbol, so no point has an output cycle
+    silent = {("q", a): ("q", ()) for a in (1, 2)}
+    once = {**silent, **{("a", a): ("q", (a,)) for a in (1, 2)}}
+    for states, delta in ((["q"], silent), (["a", "q"], once)):
+        h = maps.Transducer(full2, full2, states, states[0], delta)
+        for p in (Point((), (1,)), Point((2,), (1,)), Point((), (1, 2))):
+            with pytest.raises(StallingCycle, match="empty output cycle"):
+                apply_map(h, p)
+
+
 def test_classify_leaves_transducers_unchanged(cfg):
     # a transducer keeps no state of its own: classifying a recoder pair,
     # which runs both maps on every word at the certified depth, must not

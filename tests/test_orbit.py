@@ -48,13 +48,15 @@ from orbiteq import (
     verify_cocycles,
     verify_inverse_pair,
 )
-from orbiteq.config import MAX_DEPTH
+from orbiteq import jsonio
+from orbiteq.config import MAX_DEPTH, WORD_TABLE_LIMIT
 from orbiteq.generators import random_shift_space, split_chain
 from orbiteq.maps import _as_transducer
 
 from conftest import (
     aligning_shifts,
     alignment_record,
+    delay_line_json,
     expand_point,
     expansion_maps,
     random_tau,
@@ -535,6 +537,33 @@ def test_certification_depth_property(map_and_bounds, need):
     assert depth_outcome(orbit._certification_depth, h, kl, need) == depth_outcome(
         word_walk_depth, h, kl, need
     )
+
+
+def test_certification_depth_cap_on_a_long_delay_line(golden):
+    # 25 silent inputs before the copy starts: the golden mean's word counts
+    # stay under the word-table cap through the depth cap, so the depth cap
+    # is what stops the search
+    h = jsonio.map_from_json(golden, golden, delay_line_json(25))
+    assert len(h.states) == 26 and golden.word_count(MAX_DEPTH) <= WORD_TABLE_LIMIT
+    kl = OrbitCocyclePair(constant(golden, 0), constant(golden, 1))
+    message = f"^potential not certifiable within depth cap {MAX_DEPTH}$"
+    for need in (1, 2):
+        with pytest.raises(TooLarge, match=message):
+            orbit._certification_depth(h, kl, need)
+    with pytest.raises(TooLarge, match=message):
+        induced_potential(h, kl, indicator(golden, (1,)))
+
+
+@pytest.mark.parametrize("name,h", list(_transducer_maps()))
+def test_pullback_stops_within_the_certification_depth(name, h):
+    # every word of the certified depth emits at least f.depth symbols, so
+    # the composition with the map is determined at no greater depth
+    kl = orbit_cocycles(h, 3)
+    for d in (1, 2, 3):
+        for w in h.target.words(d):
+            f = indicator(h.target, w)
+            g = induced_potential(h, kl, f)
+            assert pullback(f, h).depth <= g.depth, (name, w)
 
 
 # --- the potential identity runs only where it can decide --------------------

@@ -398,6 +398,15 @@ def test_enumerate_points_matches_canonicalising_every_pair():
             )
 
 
+@pytest.mark.parametrize(
+    "max_pre, max_cyc, message",
+    [(-1, 2, "max_pre must be >= 0"), (0, 0, "max_cyc must be >= 1")],
+)
+def test_enumerate_points_rejects_out_of_range_sizes(full2, max_pre, max_cyc, message):
+    with pytest.raises(ValueError, match=message):
+        enumerate_points(full2, max_pre, max_cyc)
+
+
 def test_enumerate_points_cache_cannot_be_mutated(golden):
     pts = enumerate_points(golden, 2, 3)
     original = list(pts)
