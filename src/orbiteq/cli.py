@@ -94,26 +94,20 @@ def cmd_analyze(space):
 
 def cmd_compare(a, b):
     rep = obstruction_report(a, b)
-    conjugate = None
-    pair_json = None
+    conjugate, pair = False, None
     if not rep.obstructed:
         try:
             pair = conjugacy_from_amalgamation(a, b)
-        except TooLarge:  # the obstructions stand; the conjugacy is undecided
-            pair = None
-        else:
             conjugate = pair is not None
-        if pair is not None:
-            pair_json = {
-                "map": jsonio.map_to_json(pair[0]),
-                "inverse": jsonio.map_to_json(pair[1]),
-            }
-    else:
-        conjugate = False
+        except TooLarge:  # the obstructions stand; the conjugacy is undecided
+            conjugate = None
     payload = {
         "obstruction": jsonio.obstruction_to_json(rep),
         "oneSidedConjugate": conjugate,
-        "conjugacy": pair_json,
+        "conjugacy": pair and {
+            "map": jsonio.map_to_json(pair[0]),
+            "inverse": jsonio.map_to_json(pair[1]),
+        },
     }
 
     def text(p):

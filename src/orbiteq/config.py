@@ -12,29 +12,30 @@ MAX_ALPHABET = 64
 MAX_DEPTH = 24
 MAX_MATCH_STATES = 12  # backtracking isomorphism search
 WORD_TABLE_LIMIT = 1_000_000  # safety valve for allowed-word tables
+COCYCLE_START_DEPTH = 3  # the cocycle depth classify and psi search first
 
 
-class RunConfig(namedtuple("RunConfig", "depth max_pre max_cyc")):
+class RunConfig(namedtuple("RunConfig", "depth")):
     """Parameters of the verification pipeline.
 
     ``depth`` bounds the cocycle depths :func:`~orbiteq.orbit.classify`
-    searches and the potential identity it checks.  ``max_pre`` and
-    ``max_cyc`` size only :func:`~orbiteq.orbit.cylinder_family`, the
-    sampled re-check; no verdict reads them.  The defaults are the ones
-    the acceptance suite runs with.  A field that is not an in-range
-    ``int`` (a ``bool`` is not one) raises ValueError.
+    searches and the potential identity it checks; a ``depth`` that is not
+    an ``int`` in range (a ``bool`` is not one) raises ValueError.
+    ``max_pre`` and ``max_cyc`` are constants, not fields: the preperiod
+    and cycle lengths of the points :func:`~orbiteq.orbit.cylinder_family`
+    enumerates for the sampled re-check.  No verdict reads them.
     """
 
     __slots__ = ()
+    max_pre = 3
+    max_cyc = 4
 
-    def __new__(cls, depth=8, max_pre=3, max_cyc=4):
-        if {type(depth), type(max_pre), type(max_cyc)} != {int}:
-            raise ValueError("depth, max_pre and max_cyc must be integers")
+    def __new__(cls, depth=8):
+        if type(depth) is not int:
+            raise ValueError("RunConfig arguments must be integers")
         if not (1 <= depth <= MAX_DEPTH):
             raise ValueError(f"depth must be in 1..{MAX_DEPTH}")
-        if max_pre < 0 or max_cyc < 1:
-            raise ValueError("max_pre must be >= 0 and max_cyc >= 1")
-        return tuple.__new__(cls, (depth, max_pre, max_cyc))
+        return tuple.__new__(cls, (depth,))
 
     @classmethod
     def _make(cls, iterable):

@@ -59,6 +59,16 @@ def load_file(path):
         return json.load(fh)
 
 
+def _integer(v):
+    """``v`` if an ``int``, a float equal to one, or a decimal integer string
+    (as block tables are written); ValueError, not truncation, otherwise."""
+    if type(v) is int:
+        return v
+    if type(v) is str or type(v) is float and v.is_integer():
+        return int(v)
+    raise ValueError(f"not an integer: {v!r}")
+
+
 def _decoder(decode):
     """``decode`` raising :class:`OrbiteqError` on a malformed value."""
 
@@ -110,9 +120,8 @@ def function_to_json(f):
 
 @_decoder
 def function_from_json(space, obj):
-    depth = obj["depth"]
-    table = {parse_word(k): int(v) for k, v in obj["values"].items()}
-    return CylinderFunction(space, depth, table)
+    table = {parse_word(k): _integer(v) for k, v in obj["values"].items()}
+    return CylinderFunction(space, _integer(obj["depth"]), table)
 
 
 # --- maps -------------------------------------------------------------------
@@ -142,14 +151,14 @@ def map_to_json(h):
 def map_from_json(source, target, obj):
     kind = obj.get("type")
     if kind == "block":
-        table = {parse_word(k): int(v) for k, v in obj["table"].items()}
-        return compile_block_code(source, target, int(obj["window"]), table)
+        table = {parse_word(k): _integer(v) for k, v in obj["table"].items()}
+        return compile_block_code(source, target, _integer(obj["window"]), table)
     if kind == "transducer":
         delta = {}
         for row in obj["delta"]:
-            delta[(_state_key(row["state"]), int(row["in"]))] = (
+            delta[(_state_key(row["state"]), _integer(row["in"]))] = (
                 _state_key(row["next"]),
-                tuple(int(b) for b in row["out"]),
+                tuple(_integer(b) for b in row["out"]),
             )
         states = [_state_key(s) for s in obj["states"]]
         return transducer(source, target, states, _state_key(obj["initial"]), delta)

@@ -39,7 +39,7 @@ points, the latter by mapping and shifting each point itself.
 from collections import Counter, namedtuple
 from math import inf
 
-from .config import MAX_DEPTH, WORD_TABLE_LIMIT, RunConfig
+from .config import COCYCLE_START_DEPTH, MAX_DEPTH, WORD_TABLE_LIMIT, RunConfig
 from .errors import (
     InconsistentRoutes,
     NoAlignment,
@@ -183,8 +183,9 @@ def aperiodic_point_with_prefix(space, word):
 
 def cylinder_family(space, depth, cfg):
     """Points to re-check per depth-cylinder: the enumerated members within
-    ``cfg.max_pre`` and ``cfg.max_cyc``, plus one periodic and one
-    preperiod-bearing representative each.
+    the constants ``RunConfig.max_pre`` and ``RunConfig.max_cyc``, read
+    off ``cfg``, plus one periodic and one preperiod-bearing
+    representative each.
 
     Returns a dict mapping each allowed depth-word to a nonempty tuple of
     canonical points whose sequences start with that word.
@@ -505,13 +506,13 @@ def check_strong_coe(h, h_inv, kl1=None, kl2=None):
     """Transfer functions certifying strong orbit equivalence, if any exist.
 
     Solves ``l - k = 1 + b - b o sigma`` exactly in both directions, on the
-    given cocycles or on those of depth 3.  Returns ``(b1, b2)``, or
-    ``None`` when no continuous transfer exists in some direction
-    (:func:`~orbiteq.functions.transfer_obstruction` names a periodic
-    point that proves it).
+    given cocycles or on those of depth ``COCYCLE_START_DEPTH``.  Returns
+    ``(b1, b2)``, or ``None`` when no continuous transfer exists in some
+    direction (:func:`~orbiteq.functions.transfer_obstruction` names a
+    periodic point that proves it).
     """
-    kl1 = kl1 or orbit_cocycles(h, 3)
-    kl2 = kl2 or orbit_cocycles(h_inv, 3)
+    kl1 = kl1 or orbit_cocycles(h, COCYCLE_START_DEPTH)
+    kl2 = kl2 or orbit_cocycles(h_inv, COCYCLE_START_DEPTH)
     b1 = find_transfer(h.source, kl1.difference(), 1)
     if b1 is None:
         return None
@@ -565,12 +566,12 @@ def reduce_orbit_segments(space, K, y, w):
 
 def _search_cocycles(cfg, maps):
     """The cocycles of each map of ``maps`` at the least depth from
-    ``min(cfg.depth, 3)`` to ``cfg.depth`` at which all of them align;
-    raises NoAlignment when they do not at ``cfg.depth``.  Across depths
-    each map keeps one memo (:func:`maps._last_mismatch`, 0: no mismatch
-    reachable)."""
+    ``min(cfg.depth, COCYCLE_START_DEPTH)`` to ``cfg.depth`` at which all
+    of them align; raises NoAlignment when they do not at ``cfg.depth``.
+    Across depths each map keeps one memo (:func:`maps._last_mismatch`,
+    0: no mismatch reachable)."""
     walks = [(_as_transducer(h), {}) for h in maps]
-    depths = range(min(cfg.depth, 3), cfg.depth + 1)
+    depths = range(min(cfg.depth, COCYCLE_START_DEPTH), cfg.depth + 1)
     for depth in depths:
         try:
             return [_cocycles(m, depth, memo) for m, memo in walks]
@@ -600,9 +601,9 @@ def classify(h, h_inv, cfg=None):
     orbit equivalence; bare cocycles give orbit equivalence, and then the
     note carries the periodic point that shows no transfer exists for
     this map.  The cocycles are exact (:func:`orbit_cocycles`), searched
-    at depth ``min(cfg.depth, 3)`` and then at each depth up to
-    ``cfg.depth``; an alignment search that finds nothing at any of them
-    yields ``Undecided``.
+    at depth ``min(cfg.depth, COCYCLE_START_DEPTH)`` and then at each
+    depth up to ``cfg.depth``; an alignment search that finds nothing at
+    any of them yields ``Undecided``.
 
     A pair of block codes is a ``Conjugacy`` with cocycles ``(0, 1)`` on
     every cylinder, in closed form, with no walk and no images:
@@ -616,11 +617,11 @@ def classify(h, h_inv, cfg=None):
       ``(0, 1)`` is the least pair.
 
     These are the cocycles :func:`orbit_cocycles` returns at depth
-    ``min(cfg.depth, 3)``.
+    ``min(cfg.depth, COCYCLE_START_DEPTH)``.
     """
     cfg = cfg or RunConfig()
     if isinstance(h, BlockCode) and isinstance(h_inv, BlockCode):
-        kl_depth = min(cfg.depth, 3)
+        kl_depth = min(cfg.depth, COCYCLE_START_DEPTH)
         kl1, kl2 = (
             OrbitCocyclePair(
                 constant(m.source, 0, kl_depth), constant(m.source, 1, kl_depth)

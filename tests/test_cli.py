@@ -395,6 +395,90 @@ def test_cli_process_maps_caps_and_malformed_files_to_exit_codes(files):
         assert proc.stderr.startswith("error: OrbiteqError: malformed input: ")
 
 
+def _recoder_with(**row):
+    """``RECODER_JSON`` with the first row of its delta changed."""
+    first, *rest = RECODER_JSON["delta"]
+    return {**RECODER_JSON, "delta": [{**first, **row}, *rest]}
+
+
+def _argv_with(files, command, path):
+    """``verify`` with ``path`` as the forward map, or ``psi`` with it as
+    the function, on the full 2-shift."""
+    full2 = files["full2"]
+    if command == "verify":
+        return ["verify", full2, full2, path, files["ident2"]]
+    return ["psi", full2, full2, files["ident2"], path]
+
+
+BLOCK_TABLE = {"1": "1", "2": "2"}
+
+
+@pytest.mark.parametrize(
+    "command, obj",
+    [
+        ("verify", {"type": "block", "window": 1, "table": {"1": 1.7, "2": "2"}}),
+        ("verify", {"type": "block", "window": 1, "table": {"1": "1.5", "2": "2"}}),
+        ("verify", {"type": "block", "window": 1.5, "table": BLOCK_TABLE}),
+        ("verify", {"type": "block", "window": True, "table": BLOCK_TABLE}),
+        ("verify", _recoder_with(out=[2.9])),
+        ("verify", _recoder_with(**{"in": True})),
+        ("psi", {"depth": 1, "values": {"1": 1.5, "2": 0}}),
+        ("psi", {"depth": True, "values": {"1": 1, "2": 0}}),
+        ("psi", {"depth": "1.5", "values": {"1": 1, "2": 0}}),
+    ],
+    ids=[
+        "table-1.7",
+        "table-str-1.5",
+        "window-1.5",
+        "window-true",
+        "out-2.9",
+        "in-true",
+        "value-1.5",
+        "depth-true",
+        "depth-str-1.5",
+    ],
+)
+def test_malformed_numbers_exit_1_with_one_line(files, capsys, command, obj):
+    # refused, not truncated or read as a bool: a table value 1.7 once read
+    # as 1, and verify answered Conjugacy for a map the file does not give
+    assert main(_argv_with(files, command, files["write"]("bad.json", obj))) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        "error: OrbiteqError: malformed input: ValueError: "
+    )
+    assert len(captured.err.splitlines()) == 1
+
+
+def test_integral_floats_read_as_integers(files, capsys):
+    # a psi function of depth 1.0 once ended in a slicing TypeError
+    full2 = files["full2"]
+    values = {"1": 1.0, "2": "0"}
+    whole = files["write"]("whole.json", {"depth": 1.0, "values": values})
+    psi = ["psi", full2, full2, files["ident2"]]
+    assert run(capsys, psi + [whole]) == run(capsys, psi + [files["ind1"]])
+    swap = {"type": "block", "window": 1.0, "table": {"1": 2.0, "2": 1}}
+    table = files["write"]("table.json", swap)
+    verify = ["verify", full2, full2]
+    assert run(capsys, verify + [table, table]) == run(
+        capsys, verify + [files["swap2"], files["swap2"]]
+    )
+
+
+@pytest.mark.parametrize(
+    "command, obj",
+    [
+        ("verify", {"type": "block", "window": 25, "table": {}}),
+        ("psi", {"depth": 25, "values": {}}),
+    ],
+)
+def test_depth_past_the_cap_in_a_file_exits_1(files, capsys, command, obj):
+    assert main(_argv_with(files, command, files["write"]("deep.json", obj))) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: TooLarge: depth 25 exceeds cap 24\n"
+
+
 def test_verify_product_cap_is_undecided(files, capsys, monkeypatch):
     # the committed recoder holds back one input symbol, past a cap of none
     monkeypatch.setattr(maps, "MAX_DEPTH", 0)

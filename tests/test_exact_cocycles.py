@@ -21,10 +21,12 @@ from orbiteq import (
     check_conjugacy,
     check_eventual_conjugacy,
     classify,
+    enumerate_points,
     evaluate,
     jsonio,
     orbit_cocycles,
     shift_point,
+    verify_cocycles,
     verify_inverse_pair,
 )
 from orbiteq.generators import prefix_exchange, random_shift_space
@@ -50,10 +52,11 @@ def transfer_holds(difference, b):
     )
 
 
-@pytest.mark.parametrize("cfg", [RunConfig(), RunConfig(max_pre=0, max_cyc=1)])
+@pytest.mark.parametrize("cfg", [RunConfig(), RunConfig(depth=4)])
 def test_prefix_exchange_sweep(cfg):
     # every exchange of incomparable words of length 1-3: equal lengths
-    # give a lag-|u| eventual conjugacy at most, other lengths strong COE
+    # give a lag-|u| eventual conjugacy at most, other lengths strong COE;
+    # depth 4 is the least at which (1) <-> (2, 1, 1) aligns
     assert len(EXCHANGES) == 71
     for u, v in EXCHANGES:
         f = prefix_exchange(FULL2, u, v)
@@ -69,12 +72,15 @@ def test_prefix_exchange_sweep(cfg):
 
 @pytest.mark.parametrize("max_pre,max_cyc", [(0, 1), (1, 1), (3, 4)])
 def test_recoder2_is_lag_one_at_every_family_size(max_pre, max_cyc):
+    # the verdict reads no point family; its cocycles hold on every one
     space = jsonio.matrix_from_json(json.loads((INPUTS / "full2.json").read_text()))
     h = jsonio.map_from_json(
         space, space, json.loads((INPUTS / "recoder2.json").read_text())
     )
-    verdict = classify(h, h, RunConfig(max_pre=max_pre, max_cyc=max_cyc))
+    verdict = classify(h, h)
     assert (verdict.kind, verdict.lag) == ("EventualConjugacy", 1)
+    family = enumerate_points(space, max_pre, max_cyc)
+    assert verify_cocycles(h, verdict.cocycles[0], family) == (True, None)
 
 
 def equal_window_exchange(D):

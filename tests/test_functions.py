@@ -22,8 +22,10 @@ from orbiteq import (
     transducer,
     transfer_obstruction,
 )
+from orbiteq import jsonio
+from orbiteq.config import MAX_DEPTH
 
-from conftest import raw_expand
+from conftest import delay_line_json, raw_expand
 
 
 def test_indicator_tables(golden, full2):
@@ -136,6 +138,15 @@ def test_pullback_word_cap_is_too_large():
     t = transducer(full4, full4, range(10), 0, delta)
     with pytest.raises(TooLarge, match="word table at depth"):
         pullback(constant(full4, 1), t)
+
+
+def test_pullback_depth_cap_is_too_large(golden):
+    # 25 silent inputs before the copy starts: the golden mean's word tables
+    # fit through the depth cap, so the depth cap is what stops the search
+    h = jsonio.map_from_json(golden, golden, delay_line_json(25))
+    message = f"^1 output symbols not determined by {MAX_DEPTH} input symbols$"
+    with pytest.raises(TooLarge, match=message):
+        pullback(indicator(golden, (1,)), h)
 
 
 def test_find_transfer_zero(full2):

@@ -69,6 +69,12 @@ def test_not_total_rejected(full2):
         compile_block_code(full2, full2, 1, {(1,): 1})
 
 
+@pytest.mark.parametrize("value", [0, 3])
+def test_table_value_outside_the_target_alphabet_rejected(full2, value):
+    with pytest.raises(ImageInadmissible, match="^table value outside the target"):
+        compile_block_code(full2, full2, 1, {(1,): 1, (2,): value})
+
+
 def test_apply_identity(full2, golden):
     ident = identity_code(full2)
     for p in enumerate_points(full2, 2, 3):
