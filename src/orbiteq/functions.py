@@ -50,10 +50,6 @@ class CylinderFunction:
 
     __delattr__ = __setattr__
 
-    def __call__(self, word):
-        """Value on the cylinder of ``word`` (len(word) >= depth)."""
-        return self.table[word[: self.depth]]
-
     def values(self):
         return tuple(self.table[w] for w in self.space.words(self.depth))
 

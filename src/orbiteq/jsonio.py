@@ -43,10 +43,7 @@ def word_key(word):
 
 
 def parse_word(s):
-    s = s.strip()
-    if not s:
-        return ()
-    return tuple(int(a) for a in s.split(","))
+    return tuple(_integer(a) for a in s.split(",")) if s else ()
 
 
 def dumps(obj):
@@ -60,13 +57,24 @@ def load_file(path):
 
 
 def _integer(v):
-    """``v`` if an ``int``, a float equal to one, or a decimal integer string
-    (as block tables are written); ValueError, not truncation, otherwise."""
+    """``v`` if an ``int``, a float equal to one, or a string of ASCII
+    decimal digits (as words and block tables are written); ValueError,
+    not truncation, otherwise."""
     if type(v) is int:
         return v
-    if type(v) is str or type(v) is float and v.is_integer():
+    if type(v) is float and v.is_integer():
+        return int(v)
+    if type(v) is str and v.isascii() and v.isdigit():
         return int(v)
     raise ValueError(f"not an integer: {v!r}")
+
+
+def _word_table(obj):
+    """``obj`` with words as keys and integers as values, no word twice."""
+    table = {parse_word(k): _integer(v) for k, v in obj.items()}
+    if len(table) != len(obj):
+        raise ValueError("a word is given twice")
+    return table
 
 
 def _decoder(decode):
@@ -120,7 +128,7 @@ def function_to_json(f):
 
 @_decoder
 def function_from_json(space, obj):
-    table = {parse_word(k): _integer(v) for k, v in obj["values"].items()}
+    table = _word_table(obj["values"])
     return CylinderFunction(space, _integer(obj["depth"]), table)
 
 
@@ -151,16 +159,21 @@ def map_to_json(h):
 def map_from_json(source, target, obj):
     kind = obj.get("type")
     if kind == "block":
-        table = {parse_word(k): _integer(v) for k, v in obj["table"].items()}
+        table = _word_table(obj["table"])
         return compile_block_code(source, target, _integer(obj["window"]), table)
     if kind == "transducer":
         delta = {}
         for row in obj["delta"]:
-            delta[(_state_key(row["state"]), _integer(row["in"]))] = (
+            key = (_state_key(row["state"]), _integer(row["in"]))
+            if key in delta:
+                raise ValueError(f"two delta rows for state {key[0]!r}, input {key[1]}")
+            delta[key] = (
                 _state_key(row["next"]),
                 tuple(_integer(b) for b in row["out"]),
             )
         states = [_state_key(s) for s in obj["states"]]
+        if len(set(states)) != len(states):  # 1 and true are one state
+            raise ValueError("a state is given twice")
         return transducer(source, target, states, _state_key(obj["initial"]), delta)
     raise OrbiteqError(f"unknown map type {kind!r}")
 

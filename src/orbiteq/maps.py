@@ -13,18 +13,21 @@ either.
 Maps here have anticipation only: an output symbol may depend on the
 current and later input symbols, never on earlier ones.
 
-The product walks over pairs of states live here too: two machines in
-series for :func:`verify_inverse_pair`, and the square of one machine,
-run on a word and on its shift, for the orbit cocycles and intertwining
-checks of :mod:`orbiteq.orbit`.  Every walk node is built by
-:func:`_compared` and admitted under the caps by :func:`_admit`.
+Every walk that steps a machine lives here too: the product walks, each
+node built by :func:`_compared` and admitted under the caps by
+:func:`_admit`, over two machines in series (:func:`verify_inverse_pair`)
+or the square of one machine on a word and on its shift (the intertwining
+checks and the least cocycle pair per cylinder, :func:`_least_pair`); and
+the potential identity's walks over source words,
+:func:`_certification_depth` and :func:`_runs`.
 """
 
+import graphlib
 from functools import partial
 from math import inf
 
 from .config import MAX_DEPTH, WORD_TABLE_LIMIT
-from .errors import ImageInadmissible, NotTotal, StallingCycle, TooLarge
+from .errors import ImageInadmissible, NoAlignment, NotTotal, StallingCycle, TooLarge
 from .shifts import _canonical_unchecked, _shortest_walk, _tree_path, point_with_prefix
 
 __all__ = [
@@ -174,7 +177,7 @@ def transducer(source, target, states, initial, delta):
     start = (initial, None, None)
     seen = {start}
     stack = [start]
-    zero_edges = []  # (config, config) pairs with empty emission
+    stalls = graphlib.TopologicalSorter()  # the edges with empty emission
     while stack:
         state, prev, last = stack.pop()
         symbols = range(1, n + 1) if prev is None else fol[prev - 1]
@@ -191,28 +194,17 @@ def transducer(source, target, states, initial, delta):
                 raise ImageInadmissible(
                     f"emission {out} after output symbol {last} is inadmissible"
                 )
-            new_last = out[-1] if out else last
-            cfg = (nxt, a, new_last)
-            src_cfg = (state, prev, last)
+            cfg = (nxt, a, out[-1] if out else last)
             if not out:
-                zero_edges.append((src_cfg, cfg))
+                stalls.add(cfg, (state, prev, last))
             if cfg not in seen:
                 seen.add(cfg)
                 stack.append(cfg)
-    # a cycle made of zero-emission edges would stall the output; peel off
-    # the configurations no such edge enters, and what is left holds one
-    adj, into = {}, {}
-    for u, v in zero_edges:
-        adj.setdefault(u, []).append(v)
-        into[v] = into.get(v, 0) + 1
-    free = [u for u in adj if u not in into]
-    while free:
-        for v in adj.get(free.pop(), ()):
-            into[v] -= 1
-            if not into[v]:
-                free.append(v)
-    if any(into.values()):
-        raise StallingCycle("reachable cycle emits no output")
+    # a cycle made of zero-emission edges would stall the output
+    try:
+        stalls.prepare()
+    except graphlib.CycleError:
+        raise StallingCycle("reachable cycle emits no output") from None
     return t
 
 
@@ -524,6 +516,109 @@ def _last_mismatch(m, root, memo):
             if value == inf:
                 return inf
     return memo[root]
+
+
+def _least_pair(m, w, memo):
+    """The least ``(k, l)`` on the cylinder ``[w]``, as
+    :func:`~orbiteq.orbit.orbit_cocycles` finds it.
+
+    Where the two runs share a state, the one candidate for ``c = l - k``
+    is :func:`_difference`'s.  Where they never do, the candidates
+    are the offsets outward from the root's output lead ``d0``, in the
+    order ``d0, d0 - 1, d0 + 1, ...`` up to ``MAX_DEPTH`` away, and a
+    candidate whose walk hits a cap is skipped.  The first finite walk
+    gives the pair: for an injective map only one difference aligns
+    ``[w]``.
+    """
+    (sa, oa), (sb, ob) = m._run(w), m._run(w[1:])
+    d0 = len(oa) - len(ob)
+    c = _difference(m, sa, sb, w[-1], d0)
+    if c is None:
+        span = range(d0 - MAX_DEPTH, d0 + MAX_DEPTH + 1)
+        diffs, skipped = sorted(span, key=lambda c: (abs(c - d0), c)), TooLarge
+    else:
+        diffs, skipped = [c], ()  # a cap hit at the read difference propagates
+    for c in diffs:
+        root, n, miss = _compared(sa, sb, w[-1], max(c, 0), max(-c, 0), oa, ob)
+        try:
+            after = _last_mismatch(m, root, memo)
+        except skipped:
+            continue
+        if after < inf:
+            l = max(c, 0) + (n + after if after else miss)
+            return l - c, l
+    raise NoAlignment(f"no orbit alignment on cylinder {w}")
+
+
+def _certification_depth(h, kl, need):
+    """Least input depth whose output prefixes cover ``need`` symbols past
+    the cocycle bounds, for the word and its shift, under the transducer
+    ``h``.  One forward pass: ``front`` maps each configuration ``(state,
+    last input)`` that the runs of the current depth end in to the least
+    output past the bound over those runs."""
+    src, fol, c = h.source, h.source.matrix.followers, kl.depth
+    # seeded by the runs on each depth-c word u (bound l(u)) and on u[1:]
+    # (bound k(u)); each further depth steps every configuration once
+    front = {}
+    for u in src.words(c):
+        for v, bound in ((u, kl.l.table[u]), (u[1:], kl.k.table[u])):
+            state, out = h._run(v)
+            q = (state, u[-1])
+            front[q] = min(front.get(q, inf), len(out) - bound)
+    for d in range(max(c, 2), MAX_DEPTH + 1):
+        # the caller's walk visits one leaf per depth-d word: the cap bounds
+        # them as it bounds a word table.  The potential identity skips
+        # settled subtrees and may visit far fewer, but the cap stays:
+        # loosening it turns undecided verdicts into decided ones, a change
+        # of verdicts in its own right
+        if src.word_count(d) > WORD_TABLE_LIMIT:
+            raise TooLarge(f"word table at depth {d} too large")
+        if d > c:
+            front, old = {}, front
+            for (s, last), budget in old.items():
+                for b in fol[last - 1]:
+                    t, out = h.delta[s, b]
+                    front[t, b] = min(front.get((t, b), inf), budget + len(out))
+        if min(front.values()) >= need:
+            return d
+    raise TooLarge(f"potential not certifiable within depth cap {MAX_DEPTH}")
+
+
+def _runs(m, kl, d, skip_settled=False):
+    """``(w, k, l, out, out_s)`` for each admissible source word ``w`` of
+    length ``d``, in the order of ``ShiftSpace.words(d)``: the cocycles on
+    ``w`` and the output of the transducer ``m`` on ``w`` and on ``w[1:]``.
+
+    The words grow depth first, one follower at a time, and each step runs
+    both machines one ``delta`` step, so shared prefixes run once and no
+    depth-``d`` word table is built.
+
+    With ``skip_settled`` a node ``w`` of length at least ``kl.depth`` is
+    dropped with its whole subtree when ``l - k = 1`` on it, both runs are
+    in the same state and ``out[1:] == out_s`` with ``out`` nonempty.  From
+    there both runs read the same symbols from the same state and emit the
+    same stream, so every leaf below keeps ``out[1:] == out_s`` and, with
+    ``l = k + 1``, passes the potential identity.
+    """
+    delta, fol, c, s0 = m.delta, m.source.matrix.followers, kl.depth, m.initial
+    stack = [((a,), *delta[s0, a], s0, ()) for a in range(m.source.n, 0, -1)]
+    while stack:
+        w, sa, out, sb, out_s = stack.pop()
+        if (
+            skip_settled
+            and sa == sb
+            and len(w) >= c
+            and len(out) == len(out_s) + 1
+            and kl.l.table[w[:c]] == kl.k.table[w[:c]] + 1
+            and out[1:] == out_s
+        ):
+            continue
+        if len(w) == d:
+            yield w, kl.k.table[w[:c]], kl.l.table[w[:c]], out, out_s
+            continue
+        for b in reversed(fol[w[-1] - 1]):
+            (ta, xa), (tb, xb) = delta[sa, b], delta[sb, b]
+            stack.append((w + (b,), ta, out + xa, tb, out_s + xb))
 
 
 def _product_mismatch(outer, inner):

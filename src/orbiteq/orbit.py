@@ -37,9 +37,9 @@ points, the latter by mapping and shifting each point itself.
 """
 
 from collections import Counter, namedtuple
-from math import inf
+from functools import partial
 
-from .config import COCYCLE_START_DEPTH, MAX_DEPTH, WORD_TABLE_LIMIT, RunConfig
+from .config import COCYCLE_START_DEPTH, RunConfig
 from .errors import (
     InconsistentRoutes,
     NoAlignment,
@@ -57,10 +57,10 @@ from .functions import (
 from .maps import (
     BlockCode,
     _as_transducer,
-    _compared,
-    _difference,
-    _last_mismatch,
+    _certification_depth,
+    _least_pair,
     _misaligned,
+    _runs,
     apply_map,
 )
 from .shifts import (
@@ -206,38 +206,6 @@ def cylinder_family(space, depth, cfg):
 # orbit cocycles
 
 
-def _least_pair(m, w, memo):
-    """The least ``(k, l)`` on the cylinder ``[w]``, as
-    :func:`orbit_cocycles` finds it.
-
-    Where the two runs share a state, the one candidate for ``c = l - k``
-    is :func:`maps._difference`'s.  Where they never do, the candidates
-    are the offsets outward from the root's output lead ``d0``, in the
-    order ``d0, d0 - 1, d0 + 1, ...`` up to ``MAX_DEPTH`` away, and a
-    candidate whose walk hits a cap is skipped.  The first finite walk
-    gives the pair: for an injective map only one difference aligns
-    ``[w]``.
-    """
-    (sa, oa), (sb, ob) = m._run(w), m._run(w[1:])
-    d0 = len(oa) - len(ob)
-    c = _difference(m, sa, sb, w[-1], d0)
-    if c is None:
-        span = range(d0 - MAX_DEPTH, d0 + MAX_DEPTH + 1)
-        diffs, skipped = sorted(span, key=lambda c: (abs(c - d0), c)), TooLarge
-    else:
-        diffs, skipped = [c], ()  # a cap hit at the read difference propagates
-    for c in diffs:
-        root, n, miss = _compared(sa, sb, w[-1], max(c, 0), max(-c, 0), oa, ob)
-        try:
-            after = _last_mismatch(m, root, memo)
-        except skipped:
-            continue
-        if after < inf:
-            l = max(c, 0) + (n + after if after else miss)
-            return l - c, l
-    raise NoAlignment(f"no orbit alignment on cylinder {w}")
-
-
 def orbit_cocycles(h, depth):
     """The minimal orbit cocycle pair of ``h`` at the given cylinder depth.
 
@@ -265,7 +233,7 @@ def orbit_cocycles(h, depth):
     map :func:`classify` is given.  A cylinder whose two runs never share
     a state takes ``c`` from the first finite walk among the differences
     outward from the output lead of the two runs on ``w`` and ``w[1:]``,
-    up to ``MAX_DEPTH`` away (:func:`_least_pair`).
+    up to ``MAX_DEPTH`` away (:func:`maps._least_pair`).
 
     Raises
     ------
@@ -312,77 +280,6 @@ def verify_cocycles(h, kl, points):
 # the induced potential
 
 
-def _certification_depth(h, kl, need):
-    """Least input depth whose output prefixes cover ``need`` symbols past
-    the cocycle bounds, for the word and its shift, under the transducer
-    ``h``.  One forward pass: ``front`` maps each configuration ``(state,
-    last input)`` that the runs of the current depth end in to the least
-    output past the bound over those runs."""
-    src, fol, c = h.source, h.source.matrix.followers, kl.depth
-    # seeded by the runs on each depth-c word u (bound l(u)) and on u[1:]
-    # (bound k(u)); each further depth steps every configuration once
-    front = {}
-    for u in src.words(c):
-        for v, bound in ((u, kl.l.table[u]), (u[1:], kl.k.table[u])):
-            state, out = h._run(v)
-            q = (state, u[-1])
-            front[q] = min(front.get(q, inf), len(out) - bound)
-    for d in range(max(c, 2), MAX_DEPTH + 1):
-        # the caller's walk visits one leaf per depth-d word: the cap bounds
-        # them as it bounds a word table.  The potential identity skips
-        # settled subtrees and may visit far fewer, but the cap stays:
-        # loosening it turns undecided verdicts into decided ones, a change
-        # of verdicts in its own right
-        if src.word_count(d) > WORD_TABLE_LIMIT:
-            raise TooLarge(f"word table at depth {d} too large")
-        if d > c:
-            front, old = {}, front
-            for (s, last), budget in old.items():
-                for b in fol[last - 1]:
-                    t, out = h.delta[s, b]
-                    front[t, b] = min(front.get((t, b), inf), budget + len(out))
-        if min(front.values()) >= need:
-            return d
-    raise TooLarge(f"potential not certifiable within depth cap {MAX_DEPTH}")
-
-
-def _runs(m, kl, d, skip_settled=False):
-    """``(w, k, l, out, out_s)`` for each admissible source word ``w`` of
-    length ``d``, in the order of ``ShiftSpace.words(d)``: the cocycles on
-    ``w`` and the output of the transducer ``m`` on ``w`` and on ``w[1:]``.
-
-    The words grow depth first, one follower at a time, and each step runs
-    both machines one ``delta`` step, so shared prefixes run once and no
-    depth-``d`` word table is built.
-
-    With ``skip_settled`` a node ``w`` of length at least ``kl.depth`` is
-    dropped with its whole subtree when ``l - k = 1`` on it, both runs are
-    in the same state and ``out[1:] == out_s`` with ``out`` nonempty.  From
-    there both runs read the same symbols from the same state and emit the
-    same stream, so every leaf below keeps ``out[1:] == out_s`` and, with
-    ``l = k + 1``, passes the potential identity.
-    """
-    delta, fol, c, s0 = m.delta, m.source.matrix.followers, kl.depth, m.initial
-    stack = [((a,), *delta[s0, a], s0, ()) for a in range(m.source.n, 0, -1)]
-    while stack:
-        w, sa, out, sb, out_s = stack.pop()
-        if (
-            skip_settled
-            and sa == sb
-            and len(w) >= c
-            and len(out) == len(out_s) + 1
-            and kl.l.table[w[:c]] == kl.k.table[w[:c]] + 1
-            and out[1:] == out_s
-        ):
-            continue
-        if len(w) == d:
-            yield w, kl.k.table[w[:c]], kl.l.table[w[:c]], out, out_s
-            continue
-        for b in reversed(fol[w[-1] - 1]):
-            (ta, xa), (tb, xb) = delta[sa, b], delta[sb, b]
-            stack.append((w + (b,), ta, out + xa, tb, out_s + xb))
-
-
 def induced_potential(h, kl, f):
     """Carry ``f`` on the target space to the source space along ``kl``.
 
@@ -392,7 +289,7 @@ def induced_potential(h, kl, f):
     result is constant on cylinders of the returned depth by
     construction: every summand is read off output prefixes that the
     cylinder word determines.  Those prefixes come from one depth-first
-    walk of the source words (:func:`_runs`), so each shared prefix runs
+    walk of the source words (:func:`maps._runs`), so each shared prefix runs
     once, and the table's keys are in the order of ``ShiftSpace.words``.
 
     The map is additive in ``f``, and for ``f`` constant equal to ``c``
@@ -426,7 +323,7 @@ def check_potential_identity(h, kl, depth):
     Per source cylinder the check is one signed multiset comparison of
     output windows, which is exactly the identity quantified over all
     indicators at once.  The cylinders of the certified depth come from
-    one depth-first walk (:func:`_runs`) in lexicographic order, which
+    one depth-first walk (:func:`maps._runs`) in lexicographic order, which
     stops at the first that fails; no word table of that depth is built.
 
     The walk skips the subtree of every node ``w`` at least ``kl.depth``
@@ -634,57 +531,44 @@ def classify(h, h_inv, cfg=None):
         kl1, kl2 = _search_cocycles(cfg, [m, m_inv])
     except NoAlignment as e:
         return Verdict("Undecided", depth=cfg.depth, note=str(e))
+    verdict = partial(Verdict, cocycles=(kl1, kl2), depth=cfg.depth)
     direct_wit = _intertwining_witness(m, 0)
-    direct = direct_wit is None
-    # each point aligns at (k(x), k(x) + 1); shifting by K - k(x) >= 0
-    # gives lag K, and no smaller K holds on the cylinder of greatest k
     eventual = all(kl.difference().is_constant(1) for kl in (kl1, kl2))
-    lag = max(kl1.k.max(), kl2.k.max()) if eventual else None
-
     psi_ok = psi_wit = None
-    if eventual:  # without a lag the theorem route is False whatever psi says
+    if eventual:  # without a lag the theorem route fails whatever psi says
         try:
             psi_ok, psi_wit = check_potential_identity(m, kl1, cfg.depth)
         except TooLarge:
-            pass
+            pass  # psi undecided: the theorem route neither passes nor fails
 
-    theorem_route = eventual and psi_ok  # None while psi is undecided
-    if direct and theorem_route is False:
+    if direct_wit is None and (not eventual or psi_ok is False):
         raise InconsistentRoutes(
-            f"direct conjugacy check ({direct}) disagrees with the "
+            "direct conjugacy check (True) disagrees with the "
             f"potential-identity route (eventual={eventual}, "
             f"potential identity={psi_ok})"
         )
 
-    if direct:
-        return Verdict("Conjugacy", lag=0, cocycles=(kl1, kl2), depth=cfg.depth)
+    if direct_wit is None:
+        return verdict("Conjugacy", lag=0)
     if eventual:
-        return Verdict(
+        # each point aligns at (k(x), k(x) + 1); shifting by K - k(x) >= 0
+        # gives lag K, and no smaller K holds on the cylinder of greatest k
+        return verdict(
             "EventualConjugacy",
-            lag=lag,
-            cocycles=(kl1, kl2),
+            lag=max(kl1.k.max(), kl2.k.max()),
             witness=psi_wit if psi_ok is False else direct_wit,
-            depth=cfg.depth,
         )
     transfers = check_strong_coe(h, h_inv, kl1, kl2)
     if transfers is not None:
-        return Verdict(
-            "StrongCOE",
-            cocycles=(kl1, kl2),
-            transfers=transfers,
-            witness=direct_wit,
-            depth=cfg.depth,
-        )
-    for direction, hh, kl in (("forward", h, kl1), ("backward", h_inv, kl2)):
-        obstruction = transfer_obstruction(hh.source, kl.difference(), 1)
-        if obstruction is not None:
-            break
-    p, s = obstruction
-    return Verdict(
+        return verdict("StrongCOE", transfers=transfers, witness=direct_wit)
+    direction, (p, s) = next(
+        (direction, found)
+        for direction, hh, kl in (("forward", h, kl1), ("backward", h_inv, kl2))
+        if (found := transfer_obstruction(hh.source, kl.difference(), 1))
+    )
+    return verdict(
         "COE",
-        cocycles=(kl1, kl2),
         witness=direct_wit,
-        depth=cfg.depth,
         note=(
             f"no strong orbit equivalence transfer exists: {direction} "
             f"l - k - 1 sums to {s} over the cycle {','.join(map(str, p.cycle))}"

@@ -450,6 +450,66 @@ def test_malformed_numbers_exit_1_with_one_line(files, capsys, command, obj):
     assert len(captured.err.splitlines()) == 1
 
 
+BOOL_STATE = {
+    "type": "transducer",
+    "states": [1, True],
+    "initial": 1,
+    "delta": [
+        {"state": 1, "in": 1, "out": [1], "next": True},
+        {"state": 1, "in": 2, "out": [2], "next": True},
+        {"state": True, "in": 1, "out": [2], "next": 1},
+        {"state": True, "in": 2, "out": [1], "next": 1},
+    ],
+}
+HALF_BOOL_STATE = {**BOOL_STATE, "delta": BOOL_STATE["delta"][:2]}
+# not strings of ASCII decimal digits, though int() reads each
+DIGIT_LOOKALIKES = {"arabic-2": "٢", "plus-2": "+2", "space-2": " 2", "1_0": "1_0"}
+
+
+def _block(table):
+    return {"type": "block", "window": 1, "table": table}
+
+
+@pytest.mark.parametrize(
+    "command, obj, message",
+    [
+        ("verify", _block({**BLOCK_TABLE, "01": "2", "02": "1"}), "given twice"),
+        ("psi", {"depth": 1, "values": {"1": 0, "2": 0, "01": 5}}, "given twice"),
+        ("verify", BOOL_STATE, "two delta rows for state True, input 1"),
+        ("verify", HALF_BOOL_STATE, "a state is given twice"),
+        *(
+            ("verify", _block({"1": s, "2": "1"}), repr(s))
+            for s in DIGIT_LOOKALIKES.values()
+        ),
+        *(
+            ("psi", {"depth": 1, "values": {"1": 0, s: 0}}, repr(s))
+            for s in DIGIT_LOOKALIKES.values()
+        ),
+    ],
+    ids=[
+        "table-repeats-1",
+        "values-repeat-1",
+        "state-1-and-true",
+        "state-true-without-rows",
+        *(f"value-{name}" for name in DIGIT_LOOKALIKES),
+        *(f"key-{name}" for name in DIGIT_LOOKALIKES),
+    ],
+)
+def test_misread_files_exit_1_with_one_line(files, capsys, command, obj, message):
+    # each file was once read as another: a repeated key kept its last value
+    # (the table above as the swap), 1 and true were one state (with no rows
+    # of its own, true took the rows of 1), and the symbols below were read
+    # as 2 or as 10
+    assert main(_argv_with(files, command, files["write"]("bad.json", obj))) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        "error: OrbiteqError: malformed input: ValueError: "
+    )
+    assert message in captured.err
+    assert len(captured.err.splitlines()) == 1
+
+
 def test_integral_floats_read_as_integers(files, capsys):
     # a psi function of depth 1.0 once ended in a slicing TypeError
     full2 = files["full2"]

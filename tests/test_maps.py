@@ -577,3 +577,25 @@ def test_only_maps_admits_product_walk_nodes():
             if "_admit" in names:
                 named.add(path.name)
     assert named == {"maps.py"}
+
+
+def test_only_maps_steps_a_machine():
+    # every walk that steps a machine lives in maps.py; jsonio.py reads
+    # delta and initial only to write a transducer out
+    steps = {"delta", "initial", "_run"}
+    walk_parts = {"_compared", "_difference", "_last_mismatch"}
+    found = set()
+    for path in Path(maps.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = {getattr(node, f, None) for f in ("id", "attr", "name")}
+            read = {node.attr} & steps if isinstance(node, ast.Attribute) else set()
+            found.update((path.name, name) for name in read | names & walk_parts)
+    outside = {(module, name) for module, name in found if module != "maps.py"}
+    assert outside <= {("jsonio.py", "delta"), ("jsonio.py", "initial")}
+
+
+def test_misaligned_mismatch_at_a_root(full2):
+    # the identity's runs on (1, 2) and on (2,) emit 1, 2 and 2: with no
+    # shift on either side they differ at the first pair, before any walk
+    m = block_to_transducer(identity_code(full2))
+    assert maps._misaligned(m, ((1, 2),), 0, 0) == (1, 2)

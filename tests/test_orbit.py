@@ -3,6 +3,7 @@ import random
 import re
 import tracemalloc
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -322,6 +323,18 @@ def test_strong_coe_reverifies(full2, recoder, cfg):
     b1, b2 = check_strong_coe(recoder, recoder, kl1, kl2)
     lhs = combine(1, constant(full2, 1), 1, combine(1, b1, -1, compose_shift(b1)))
     assert tables_equal(lhs, kl1.difference())
+
+
+def test_strong_coe_is_none_when_only_the_backward_direction_fails(full2, golden):
+    # the identity admits a transfer, the committed golden map does not:
+    # the forward solve passes and the backward one refuses
+    path = Path(__file__).resolve().parents[1] / "bench/inputs/golden-map.json"
+    golden_map = jsonio.map_from_json(full2, golden, jsonio.load_file(path))
+    ident = identity_code(full2)
+    assert find_transfer(full2, orbit_cocycles(ident, 3).difference(), 1) is not None
+    kl = orbit_cocycles(golden_map, 3)
+    assert transfer_obstruction(full2, kl.difference(), 1) is not None
+    assert check_strong_coe(ident, golden_map) is None
 
 
 @pytest.mark.parametrize(
