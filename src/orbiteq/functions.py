@@ -31,12 +31,14 @@ __all__ = [
 
 
 class CylinderFunction:
-    """An immutable integer function given by its value on each depth-``m`` word."""
+    """An immutable integer function given by its value on each depth-``m`` word
+    (the keys are checked by their count, then each word is looked up)."""
 
     __slots__ = ("space", "depth", "table")
 
     def __init__(self, space, depth, table):
-        if set(table) != set(space.words(depth)):
+        words = space.words(depth)
+        if len(table) != len(words) or not all(map(table.__contains__, words)):
             raise InadmissibleWord(
                 "table keys must be exactly the allowed words of the depth"
             )

@@ -266,7 +266,7 @@ def _code_through(source, source_edge, target, target_edge):
     else:
         raise AssertionError("edge labels do not determine the target symbol")
     table = {w: first[p] for w, p in paths[1].items()}
-    del paths, ids, first  # before compile builds the (window + 1)-words
+    del paths, ids, first  # before compile copies the table
     return compile_block_code(source, target, *_least_table(window, table))
 
 
@@ -393,6 +393,8 @@ def exact_det(m):
         pivot, row_k = a[k][k], a[k]
         for row in a[k + 1 :]:
             f = row[k]
+            if f == 0 and pivot == prev:
+                continue  # the step would leave the row as it is
             for j in range(k + 1, n):
                 row[j] = (row[j] * pivot - f * row_k[j]) // prev
             row[k] = 0
@@ -476,6 +478,8 @@ def _smith(m):
                         x[j] -= q * x[s]
             if any(a[i][s] for i in range(s + 1, rows)) or any(a_s[s + 1 :]):
                 continue  # a remainder is left: pivot on it
+            if abs(p) == 1:
+                break  # a unit divides every entry
             bad = next(
                 (i for i in range(s + 1, rows) for j in range(s + 1, cols)
                  if a[i][j] % p),

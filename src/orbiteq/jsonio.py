@@ -52,8 +52,16 @@ def dumps(obj):
 
 
 def load_file(path):
+    """The JSON value in the file at ``path``; a key written twice is a ValueError."""
     with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+        return json.load(fh, object_pairs_hook=_object)
+
+
+def _object(pairs):
+    obj = dict(pairs)  # ``json.load`` alone keeps the last value of a repeated key
+    if len(obj) != len(pairs):
+        raise ValueError("a key is written twice in one object")
+    return obj
 
 
 def _integer(v):
@@ -174,7 +182,9 @@ def map_from_json(source, target, obj):
         states = [_state_key(s) for s in obj["states"]]
         if len(set(states)) != len(states):  # 1 and true are one state
             raise ValueError("a state is given twice")
-        return transducer(source, target, states, _state_key(obj["initial"]), delta)
+        initial = _state_key(obj["initial"])
+        _plain_state((*states, initial, *delta, *delta.values()))
+        return transducer(source, target, states, initial, delta)
     raise OrbiteqError(f"unknown map type {kind!r}")
 
 
@@ -183,6 +193,17 @@ def _state_key(s):
     if isinstance(s, list):
         return tuple(_state_key(x) for x in s)
     return s
+
+
+def _plain_state(s):
+    """ValueError if the state name ``s`` is or holds a bool or a float:
+    ``1``, ``true`` and ``1.0`` are equal, so they would name one state.
+    Delta rows may be passed whole, since their other entries are ints."""
+    if isinstance(s, (bool, float)):
+        raise ValueError(f"state name {s!r} is a bool or a float")
+    if isinstance(s, tuple):
+        for x in s:
+            _plain_state(x)
 
 
 # --- verdicts and reports ---------------------------------------------------

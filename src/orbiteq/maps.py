@@ -79,28 +79,34 @@ class BlockCode:
 
 
 def compile_block_code(source, target, window, table):
-    """Validate a block code table.
+    """Validate a block code table, building no ``(window+1)``-word table.
 
     Raises
     ------
     NotTotal
-        if the table keys are not exactly the admissible window-words.
+        if the key count, or a window-word looked up, shows that the keys
+        are not exactly the admissible window-words.
     ImageInadmissible
-        if some admissible ``(window+1)``-word maps to a forbidden target
-        transition; the witness word is attached to the error.
+        if some admissible ``(window+1)``-word, read as a window-word and a
+        follower in lexicographic order, maps to a forbidden target
+        transition; the first such word is attached to the error.
     """
     table = {tuple(k): v for k, v in table.items()}
     words = source.words(window)
-    if set(table) != set(words):
+    if len(table) != len(words) or not all(map(table.__contains__, words)):
         raise NotTotal("table keys must be exactly the allowed window-words")
     if any(not (1 <= v <= target.n) for v in table.values()):
         raise ImageInadmissible("table value outside the target alphabet")
-    for w in source.words(window + 1):
-        a, b = table[w[: window]], table[w[1 : window + 1]]
-        if not target.matrix.allows(a, b):
-            raise ImageInadmissible(
-                f"image of {w} needs forbidden transition {a}->{b}", w
-            )
+    fol, allowed = source.matrix.followers, target.matrix.followers
+    for w in words:
+        a, tail = table[w], w[1:]
+        for b in fol[w[-1] - 1]:
+            c = table[tail + (b,)]
+            if c not in allowed[a - 1]:
+                u = w + (b,)
+                raise ImageInadmissible(
+                    f"image of {u} needs forbidden transition {a}->{c}", u
+                )
     return BlockCode(source, target, window, table)
 
 
@@ -306,12 +312,15 @@ def _composite_mismatch(outer, inner):
 
     def miss(word, out):
         # ``out`` is what ``inner`` has emitted on ``word``
+        tail, deeper = word[len(word) - k + 1 :], len(out) + 1 < outer.window
         for b in fol[word[-1] - 1]:
-            u = word + (b,)
-            o = out + (f[u[-k:]],)
-            found = miss(u, o) if len(o) < outer.window else g[o] != u[0] and u
-            if found:
-                return found
+            o = out + (f[tail + (b,)],)
+            if deeper:
+                found = miss(word + (b,), o)
+                if found:
+                    return found
+            elif g[o] != word[0]:
+                return word + (b,)
         return None
 
     return next(filter(None, (miss(x, (f[x],)) for x in src.words(k))), None)

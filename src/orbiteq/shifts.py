@@ -186,9 +186,7 @@ class ShiftSpace:
             if self.word_count(have + 1) > WORD_TABLE_LIMIT:  # before allocating
                 raise TooLarge(f"word table at depth {have + 1} too large")
             have += 1
-            self._words[have] = tuple(
-                w + (b,) for w in prev for b in fol[w[-1] - 1]
-            )
+            self._words[have] = tuple([w + (b,) for w in prev for b in fol[w[-1] - 1]])
         return self._words[m]
 
     def word_count(self, m):
@@ -198,8 +196,8 @@ class ShiftSpace:
             raise ValueError("word length must be >= 1")
         counts = self._counts
         while len(counts) < m:
-            last = counts[-1]
-            counts.append([sum(last[b - 1] for b in f) for f in self.matrix.followers])
+            c = counts[-1]
+            counts.append([sum([c[b - 1] for b in f]) for f in self.matrix.followers])
         return sum(counts[m - 1])
 
     def is_admissible(self, word):

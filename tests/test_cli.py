@@ -510,6 +510,71 @@ def test_misread_files_exit_1_with_one_line(files, capsys, command, obj, message
     assert len(captured.err.splitlines()) == 1
 
 
+def _one_state(**names):
+    """The identity on the full 2-shift as a one-state machine named 1,
+    with the names given in ``names`` (``states``, ``initial``, ``state``
+    or ``next``) put in their places instead."""
+    state, nxt = names.get("state", 1), names.get("next", 1)
+    rows = [{"state": state, "in": a, "out": [a], "next": nxt} for a in (1, 2)]
+    return {
+        "type": "transducer",
+        "states": names.get("states", [1]),
+        "initial": names.get("initial", 1),
+        "delta": rows,
+    }
+
+
+REPEATED_KEYS = (
+    '{"type": "block", "window": 1, "table": {"1": "1", "2": "2", "1": "2", "2": "1"}}'
+)
+
+
+@pytest.mark.parametrize(
+    "names, message",
+    [
+        ({"states": [1.0]}, "state name 1.0 is a bool or a float"),
+        ({"states": [True]}, "state name True is a bool or a float"),
+        ({"initial": True}, "state name True is a bool or a float"),
+        ({"state": 1.0}, "state name 1.0 is a bool or a float"),
+        ({"next": True}, "state name True is a bool or a float"),
+        (
+            {"states": [[1, True]], "initial": [1, 1], "state": [1, 1], "next": [1, 1]},
+            "state name True is a bool or a float",
+        ),
+        ({"initial": True, "state": 1.0, "next": True}, "is a bool or a float"),
+    ],
+    ids=["states-1.0", "states-true", "initial", "state", "next", "in-a-list", "mixed"],
+)
+def test_bool_and_float_state_names_exit_1_through_the_module(files, names, message):
+    # 1, true and 1.0 are equal in Python, so each file below once loaded
+    # as the one-state identity and verify answered Conjugacy
+    full2 = files["full2"]
+    plain = files["write"]("plain.json", _one_state())
+    assert run_process(["verify", full2, full2, plain, plain]).returncode == 0
+    bad = files["write"]("bad.json", _one_state(**names))
+    proc = run_process(["verify", full2, full2, bad, bad])
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.startswith("error: OrbiteqError: malformed input: ValueError: ")
+    assert message in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1
+
+
+def test_a_key_written_twice_exits_1_through_the_module(files, tmp_path):
+    # json.load keeps the last value of a repeated key: the table below
+    # once read as the swap, and verify answered Conjugacy
+    full2 = files["full2"]
+    path = tmp_path / "twice.json"
+    path.write_text(REPEATED_KEYS, encoding="utf-8")
+    proc = run_process(["verify", full2, full2, str(path), str(path)])
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == (
+        "error: ValueError: a key is written twice in one object\n"
+    )
+    # one object per level: the same key in two objects is no repeat
+    nested = {"type": "block", "window": 1, "table": {"1": "1", "2": "2"}}
+    assert jsonio.load_file(files["write"]("nested.json", nested)) == nested
+
+
 def test_integral_floats_read_as_integers(files, capsys):
     # a psi function of depth 1.0 once ended in a slicing TypeError
     full2 = files["full2"]

@@ -1,5 +1,6 @@
 import random
 import tracemalloc
+from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
@@ -8,6 +9,7 @@ import pytest
 
 from orbiteq import (
     InvalidPartition,
+    ShiftSpace,
     TooLarge,
     amalgamation_terminals,
     bowen_franks,
@@ -314,6 +316,73 @@ def test_exact_det_against_minors():
         assert exact_det(m) == minor_det(m)
 
 
+def fraction_det(m):
+    """Gaussian elimination over the rationals; independent of the
+    library's fraction-free elimination."""
+    a = [[Fraction(x) for x in row] for row in m]
+    det = Fraction(1)
+    for k in range(len(a)):
+        i = next((i for i in range(k, len(a)) if a[i][k]), None)
+        if i is None:
+            return 0
+        if i != k:
+            a[k], a[i], det = a[i], a[k], -det
+        det *= a[k][k]
+        for row in a[k + 1 :]:
+            f = row[k] / a[k][k]
+            row[k:] = [x - f * y for x, y in zip(row[k:], a[k][k:])]
+    assert det.denominator == 1
+    return int(det)
+
+
+def oracle_matrices(rng):
+    """Seeded integer matrices up to 6 x 6 of every shape: dense; sparse,
+    with zero rows; unit upper triangular, so every pivot is 1 and the rows
+    under it hold zeros; entries in {0, 2, 3, 4, 6} and their negatives,
+    so no pivot is a unit and some do not divide what follows; and rank
+    deficient."""
+    for kind in ("dense", "sparse", "unit", "nonunit", "rank") * 16:
+        r, c = rng.randint(1, 6), rng.randint(1, 6)
+        if kind == "dense":
+            m = [[rng.randint(-9, 9) for _ in range(c)] for _ in range(r)]
+        elif kind == "sparse":
+            m = [[rng.choice([0, 0, 0, 1, -1, 2]) for _ in range(c)] for _ in range(r)]
+            m[rng.randrange(r)] = [0] * c
+        elif kind == "unit":
+            m = [
+                [int(i == j) if j <= i else rng.randint(-3, 3) for j in range(c)]
+                for i in range(r)
+            ]
+            m = [row[::-1] for row in m[::-1]] if rng.random() < 0.3 else m
+        elif kind == "nonunit":
+            entries = [0, 2, 3, 4, 6, -2, -3]
+            m = [[rng.choice(entries) for _ in range(c)] for _ in range(r)]
+        else:
+            base = [rng.randint(-4, 4) for _ in range(c)]
+            m = [[x * rng.randint(-2, 2) for x in base] for _ in range(r)]
+            if r > 1:
+                m[-1] = [x + y for x, y in zip(m[0], m[1 % r])]
+        yield m
+
+
+def test_exact_kernels_against_rational_and_minor_oracles():
+    squares = 0
+    for m in oracle_matrices(random.Random(2031)):
+        rows, cols = len(m), len(m[0])
+        if rows == cols:
+            squares += 1
+            assert exact_det(m) == fraction_det(m), m
+        u, d, v = smith_normal_form(m)
+        assert matmul(matmul(u, m), v) == d
+        assert abs(fraction_det(u)) == abs(fraction_det(v)) == 1
+        assert all(d[i][j] == 0 for i in range(rows) for j in range(cols) if i != j)
+        prod = 1
+        for k, dk in enumerate(determinantal_divisors(m)):
+            prod *= d[k][k]
+            assert prod == dk, m
+    assert squares > 10
+
+
 # --- invariants --------------------------------------------------------------
 
 
@@ -554,6 +623,42 @@ def test_amalgamation_codes_on_a_deep_split():
     h, h_inv = conjugacy_from_amalgamation(full3, space)
     assert verify_inverse_pair(h, h_inv)[0]
     assert h.window + h_inv.window <= 8
+
+
+def test_amalgamation_checks_build_no_longer_word_tables(monkeypatch):
+    # a 9-state base and the out-split of one state's followers in three
+    # blocks: checking each code, and each composite, reads the words the
+    # search for the code already built, and caches no longer table
+    def keeps_depths(call):
+        def checked(*args):
+            # compile_block_code takes the spaces, _composite_mismatch two codes
+            codes = [x for x in args if hasattr(x, "table")]
+            spaces = [x for x in args if isinstance(x, ShiftSpace)]
+            spaces += [s for code in codes for s in (code.source, code.target)]
+            depths = [max(space._words) for space in spaces]
+            out = call(*args)
+            assert [max(space._words) for space in spaces] == depths
+            return out
+
+        return checked
+
+    for name in ("compile_block_code", "_composite_mismatch"):
+        monkeypatch.setattr(invariants, name, keeps_depths(getattr(invariants, name)))
+    windows = []
+    for seed in range(6):
+        rng = random.Random(seed)
+        base = random_shift_space(rng, 9, density=0.4)
+        fols = base.matrix.followers
+        i, f = next((i, f) for i, f in enumerate(fols, 1) if len(f) > 2)
+        split, _, _ = out_split(base, {i: [f[:1], f[1:2], f[2:]]})
+        a = build_shift_space(base.matrix.entries)  # fresh spaces, no words cached
+        b = build_shift_space(split.matrix.entries)
+        h, h_inv = conjugacy_from_amalgamation(a, b)
+        assert (a.n, b.n) == (9, 11)
+        windows.append(max(a._words) == h.window)
+    # mostly the search stops at the code's own window, so a longer table
+    # could only have come from a check
+    assert windows.count(True) >= 4
 
 
 def test_inverse_check_reads_every_composite_word(golden, full2):

@@ -75,6 +75,89 @@ def test_table_value_outside_the_target_alphabet_rejected(full2, value):
         compile_block_code(full2, full2, 1, {(1,): 1, (2,): value})
 
 
+def reference_compile_error(source, target, window, table):
+    """``(type, message, witness)`` of the error the table check raises when
+    it builds the ``(window + 1)``-words and reads two window-words of
+    each, or None when the table compiles."""
+    table = {tuple(k): v for k, v in table.items()}
+    if set(table) != set(source.words(window)):
+        return NotTotal, "table keys must be exactly the allowed window-words", None
+    if any(not (1 <= v <= target.n) for v in table.values()):
+        return ImageInadmissible, "table value outside the target alphabet", None
+    for w in source.words(window + 1):
+        a, b = table[w[:window]], table[w[1:]]
+        if not target.matrix.allows(a, b):
+            message = f"image of {w} needs forbidden transition {a}->{b}"
+            return ImageInadmissible, message, w
+    return None
+
+
+def _bad_tables(rng, source, target, window):
+    """Tables for ``source -> target``: values changed at the first, a
+    middle, the last and a random window-word, one of them outside the
+    target, a key missing, keys that are no window-word added, or put in
+    place of one that is."""
+    words = source.words(window)
+    if target is source:  # the identity, changed in one place at a time
+        table = {w: w[0] for w in words}
+    else:
+        table = {w: rng.randint(1, target.n) for w in words}
+    for w in (words[0], words[len(words) // 2], words[-1], rng.choice(words)):
+        yield {**table, w: rng.randint(1, target.n)}
+        yield {**table, w: rng.choice([0, target.n + 1])}
+        yield {k: v for k, v in table.items() if k != w}
+    forbidden = [
+        w + (b,) for w in source.words(window - 1)
+        for b in range(1, source.n + 1) if b not in source.matrix.followers[w[-1] - 1]
+    ] if window > 1 else []
+    longer = words[0] + (source.matrix.followers[words[0][-1] - 1][0],)
+    for extra in [*forbidden[:2], longer, (source.n + 1,) * window]:
+        yield {**table, extra: 1}
+        yield {**{k: v for k, v in table.items() if k != words[-1]}, extra: 1}
+    yield table
+
+
+def test_compile_raises_what_the_longer_word_check_raised():
+    rng = random.Random(31)
+    outcomes = []
+    for window, _ in itertools.product((1, 2, 3), range(4)):
+        rows = random_shift_space(rng, rng.randint(2, 4)).matrix.entries
+        target_rows = random_shift_space(rng, rng.randint(2, 4)).matrix.entries
+        for same in (True, False):
+            checked = build_shift_space(rows)
+            target = checked if same else build_shift_space(target_rows)
+            for table in _bad_tables(rng, checked, target, window):
+                reference = build_shift_space(rows)
+                expected = reference_compile_error(
+                    reference, reference if same else target, window, table
+                )
+                try:
+                    compile_block_code(checked, target, window, table)
+                    got = None
+                except (NotTotal, ImageInadmissible) as e:
+                    got = type(e), e.args[0], (e.args[1] if len(e.args) > 1 else None)
+                assert got == expected, (rows, window, table)
+                outcomes.append(expected and (expected[0], expected[2]))
+    # every outcome occurs, the forbidden transition at many witnesses
+    kinds = {x and (x[0], x[1] is not None) for x in outcomes}
+    image = ImageInadmissible
+    assert kinds == {None, (NotTotal, False), (image, False), (image, True)}
+    assert len({x[1] for x in outcomes if x and x[1]}) > 20
+
+
+def test_compile_builds_no_longer_word_table():
+    rng = random.Random(8)
+    for window in (1, 2, 3, 4):
+        for n in (2, 3, 4):
+            source = random_shift_space(rng, n)
+            target = build_shift_space(source.matrix.entries)
+            code = compile_block_code(
+                source, target, window, {w: w[0] for w in source.words(window)}
+            )
+            assert code.window == max(source._words) == window
+            assert max(target._words) == 1
+
+
 def test_apply_identity(full2, golden):
     ident = identity_code(full2)
     for p in enumerate_points(full2, 2, 3):

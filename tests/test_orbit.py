@@ -900,5 +900,5 @@ def test_potential_walk_keeps_the_word_table_cap_on_block_codes():
     f = indicator(full16, (1,))
     walk = identity_and_potential(check_potential_identity, induced_potential, h, kl, f)
     assert walk == [(TooLarge, "word table at depth 5 too large")] * 4
-    assert max(full16._words) == 3  # compile_block_code checks the 3-words
+    assert max(full16._words) == 2  # compile_block_code builds no 3-words
     assert walk == identity_and_potential(table_identity, table_potential, h, kl, f)
