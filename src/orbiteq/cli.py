@@ -44,19 +44,24 @@ EXIT_REFUTED = 3
 def _inputs(args):
     """The arguments of the subcommand: its decoded files in order, after
     the ``RunConfig`` of ``verify`` and ``psi`` (ValueError if a flag is
-    out of range)."""
-    load = jsonio.load_file
+    out of range).  An error in reading a file names the file."""
+    def read(decode, path, *spaces):
+        try:
+            return decode(*spaces, jsonio.load_file(path))
+        except (OrbiteqError, OSError, ValueError) as e:
+            e.where = f" (in {path})"
+            raise
     if args.command == "analyze":
-        return (jsonio.matrix_from_json(load(args.matrix)),)
+        return (read(jsonio.matrix_from_json, args.matrix),)
     if args.command == "compare":
-        return tuple(jsonio.matrix_from_json(load(f)) for f in (args.a, args.b))
+        return tuple(read(jsonio.matrix_from_json, f) for f in (args.a, args.b))
     cfg = RunConfig(depth=args.depth)
-    a = jsonio.matrix_from_json(load(args.a))
-    b = jsonio.matrix_from_json(load(args.b))
-    h = jsonio.map_from_json(a, b, load(args.map))
+    a = read(jsonio.matrix_from_json, args.a)
+    b = read(jsonio.matrix_from_json, args.b)
+    h = read(jsonio.map_from_json, args.map, a, b)
     if args.command == "verify":
-        return cfg, h, jsonio.map_from_json(b, a, load(args.inverse))
-    return cfg, h, jsonio.function_from_json(b, load(args.function))
+        return cfg, h, read(jsonio.map_from_json, args.inverse, b, a)
+    return cfg, h, read(jsonio.function_from_json, args.function, b)
 
 
 def _undecided_text(p):
@@ -257,7 +262,7 @@ def main(argv=None):
 
 
 def _error(e):
-    print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
+    print(f"error: {type(e).__name__}: {e}{getattr(e, 'where', '')}", file=sys.stderr)
     return EXIT_ERROR
 
 

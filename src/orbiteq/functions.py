@@ -181,16 +181,24 @@ def pullback(f, h):
     )
 
 
-def _least_table(d, table):
-    """A depth-``d`` word table lowered while it is constant on the prefixes
-    one symbol shorter, with its depth: the least depth of the function."""
+def _least_table(space, d, values):
+    """The least depth of a depth-``d`` function and its values there, given
+    and returned in the order of ``space.words``, where the words of one
+    shorter prefix form a run, one per follower of its last symbol: the last
+    symbol is dropped while every run is constant.  No word is built."""
+    fol = space.matrix.followers
+    lasts = [range(1, space.n + 1)]  # of the words of each length below d
+    while len(lasts) < d - 1:
+        lasts.append([b for a in lasts[-1] for b in fol[a - 1]])
     while d > 1:
-        shorter = {}
-        for w, x in table.items():
-            if shorter.setdefault(w[:-1], x) != x:
-                return d, table
-        d, table = d - 1, shorter
-    return d, table
+        shorter, j = [], 0
+        for a in lasts[d - 2]:
+            i, j = j, j + len(fol[a - 1])
+            if values[i:j].count(values[i]) != j - i:
+                return d, values
+            shorter.append(values[i])
+        d, values = d - 1, shorter
+    return d, values
 
 
 def _solve_transfer(space, g, c):
@@ -206,11 +214,13 @@ def _solve_transfer(space, g, c):
     """
     if g.space != space:
         raise ValueError("g must live on the given space")
-    d, gt = _least_table(g.depth, g.table)
+    d, gt = _least_table(space, g.depth, [g.table[w] for w in space.words(g.depth)])
+    # the values on the (m+1)-words, in order: at d = 1, each symbol's on its 2-words
+    gt = gt if d > 1 else [x for x, f in zip(gt, space.matrix.followers) for _ in f]
     m = max(d - 1, 1)
     out = {u: [] for u in space.words(m)}
-    for w in space.words(m + 1):
-        out[w[:m]].append((w[1:], gt[w[:d]] - c))
+    for w, x in zip(space.words(m + 1), gt):
+        out[w[:m]].append((w[1:], x - c))
     root = next(iter(out))
     b, parent = {root: 0}, {root: None}
     queue = [root]

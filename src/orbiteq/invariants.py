@@ -25,7 +25,7 @@ anything.
 from collections import namedtuple
 from operator import mul
 
-from .config import MAX_MATCH_STATES
+from .config import MAX_MATCH_STATES, WORD_TABLE_LIMIT
 from .errors import InvalidPartition, TooLarge
 from .functions import _least_table
 from .maps import _composite_mismatch, compile_block_code
@@ -247,27 +247,34 @@ def _code_through(source, source_edge, target, target_edge):
     the least ``r`` at which the labels of a target word's first ``r + 1``
     2-words determine its first symbol, that symbol is read off the labels
     of the source's ``(r + 2)``-words; trailing window symbols the table
-    does not depend on are then dropped.  A word's label path is its
-    prefix's path and one more edge, interned per length as an int that
-    both spaces share, so each length costs one lookup per word.
+    does not depend on are then dropped (``functions._least_table``).  The
+    words of both spaces are kept in the order of ``space.words`` as
+    ``(label path, last symbol, first symbol)`` and grown by the followers
+    of the last symbol; a path is its prefix's path and one more edge,
+    interned per length as an int that both spaces share.  The one word
+    table built is the source's, at the code's own window.  ``TooLarge``
+    if a word count passes the cap: checked as each length is grown, on the
+    target first.
     """
-    spaces = ((target, target_edge), (source, source_edge))
-    paths = [{(i,): () for i in range(1, space.n + 1)} for space, _ in spaces]
+    sides = [(target, target_edge), (source, source_edge)]
+    grown = [[((), a, a) for a in range(1, space.n + 1)] for space, _ in sides]
     for window in range(2, target.n + 2):
         ids = {}
-        paths = [
-            {w: ids.setdefault((path[w[:-1]], edge[w[-2:]]), len(ids))
-             for w in space.words(window)}
-            for (space, edge), path in zip(spaces, paths)
-        ]
+        for k, (space, edge) in enumerate(sides):
+            if space.word_count(window) > WORD_TABLE_LIMIT:  # before allocating
+                raise TooLarge(f"word table at depth {window} too large")
+            fol = space.matrix.followers
+            grown[k] = [(ids.setdefault((p, edge[a, b]), len(ids)), b, f)
+                        for p, a, f in grown[k] for b in fol[a - 1]]
         first = {}
-        if all(first.setdefault(p, w[0]) == w[0] for w, p in paths[0].items()):
+        if all(first.setdefault(p, f) == f for p, _, f in grown[0]):
             break
     else:
         raise AssertionError("edge labels do not determine the target symbol")
-    table = {w: first[p] for w, p in paths[1].items()}
-    del paths, ids, first  # before compile copies the table
-    return compile_block_code(source, target, *_least_table(window, table))
+    values = [first[p] for p, _, _ in grown[1]]
+    del grown, ids, first  # before the source's words are built
+    d, values = _least_table(source, window, values)
+    return compile_block_code(source, target, d, dict(zip(source.words(d), values)))
 
 
 def conjugacy_from_amalgamation(a, b):

@@ -25,6 +25,7 @@ the potential identity's walks over source words,
 import graphlib
 from functools import partial
 from math import inf
+from operator import index
 
 from .config import MAX_DEPTH, WORD_TABLE_LIMIT
 from .errors import ImageInadmissible, NoAlignment, NotTotal, StallingCycle, TooLarge
@@ -79,7 +80,10 @@ class BlockCode:
 
 
 def compile_block_code(source, target, window, table):
-    """Validate a block code table, building no ``(window+1)``-word table.
+    """Validate a block code table, building no ``(window+1)``-word table:
+    the images after a window-word ``w`` depend only on ``w[1:]`` (on ``w``
+    at window 1), so each set of them is read once and tested against the
+    target's followers of ``table[w]``.
 
     Raises
     ------
@@ -87,7 +91,8 @@ def compile_block_code(source, target, window, table):
         if the key count, or a window-word looked up, shows that the keys
         are not exactly the admissible window-words.
     ImageInadmissible
-        if some admissible ``(window+1)``-word, read as a window-word and a
+        if a value is no integer in ``1..target.n`` (a bool is none), or if
+        some admissible ``(window+1)``-word, read as a window-word and a
         follower in lexicographic order, maps to a forbidden target
         transition; the first such word is attached to the error.
     """
@@ -95,18 +100,28 @@ def compile_block_code(source, target, window, table):
     words = source.words(window)
     if len(table) != len(words) or not all(map(table.__contains__, words)):
         raise NotTotal("table keys must be exactly the allowed window-words")
-    if any(not (1 <= v <= target.n) for v in table.values()):
+    kinds = set(map(type, table.values()))
+    try:  # operator.index refuses a float or a str
+        symbols = set(map(index, table.values()))
+    except TypeError:
+        symbols = {0}
+    if bool in kinds or not symbols <= set(range(1, target.n + 1)):
         raise ImageInadmissible("table value outside the target alphabet")
-    fol, allowed = source.matrix.followers, target.matrix.followers
+    fol = source.matrix.followers
+    allowed = list(map(frozenset, target.matrix.followers))
+    images = {}  # by w[1:], or by w itself at window 1
     for w in words:
         a, tail = table[w], w[1:]
-        for b in fol[w[-1] - 1]:
-            c = table[tail + (b,)]
-            if c not in allowed[a - 1]:
-                u = w + (b,)
-                raise ImageInadmissible(
-                    f"image of {u} needs forbidden transition {a}->{c}", u
-                )
+        if (tail or w) not in images:
+            images[tail or w] = {table[tail + (b,)] for b in fol[w[-1] - 1]}
+        if not images[tail or w] <= allowed[a - 1]:
+            for b in fol[w[-1] - 1]:  # in order, to name the first forbidden image
+                c = table[tail + (b,)]
+                if c not in allowed[a - 1]:
+                    u = w + (b,)
+                    raise ImageInadmissible(
+                        f"image of {u} needs forbidden transition {a}->{c}", u
+                    )
     return BlockCode(source, target, window, table)
 
 

@@ -323,7 +323,7 @@ def test_analyze_entry_not_0_or_1_exits_1_without_traceback(files):
     proc = run_process(["analyze", half])
     assert (proc.returncode, proc.stdout) == (1, "")
     assert proc.stderr == (
-        "error: NotZeroOne: transition matrix entries must be 0 or 1\n"
+        f"error: NotZeroOne: transition matrix entries must be 0 or 1 (in {half})\n"
     )
     for name, rows in (
         ("point5", [[1, 0.5], [1, 1]]),
@@ -568,11 +568,29 @@ def test_a_key_written_twice_exits_1_through_the_module(files, tmp_path):
     proc = run_process(["verify", full2, full2, str(path), str(path)])
     assert (proc.returncode, proc.stdout) == (1, "")
     assert proc.stderr == (
-        "error: ValueError: a key is written twice in one object\n"
+        f"error: ValueError: a key is written twice in one object (in {path})\n"
     )
     # one object per level: the same key in two objects is no repeat
     nested = {"type": "block", "window": 1, "table": {"1": "1", "2": "2"}}
     assert jsonio.load_file(files["write"]("nested.json", nested)) == nested
+
+
+def test_a_file_that_fails_to_load_is_named(files, tmp_path):
+    # with four file arguments, an error line without a path once left the
+    # user to guess which one was malformed
+    full2 = files["full2"]
+    recoder2 = str(INPUTS / "recoder2.json")
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"type": "block", "window": 1, "table": {"1": "1", "2": "2"},}')
+    for argv in (
+        ["verify", full2, full2, str(bad), recoder2],
+        ["verify", full2, full2, recoder2, str(bad)],
+    ):
+        proc = run_process(argv)
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr.startswith("error: JSONDecodeError: Expecting property name")
+        assert proc.stderr.endswith(f" (in {bad})\n")
+        assert len(proc.stderr.splitlines()) == 1
 
 
 def test_integral_floats_read_as_integers(files, capsys):
@@ -598,10 +616,11 @@ def test_integral_floats_read_as_integers(files, capsys):
     ],
 )
 def test_depth_past_the_cap_in_a_file_exits_1(files, capsys, command, obj):
-    assert main(_argv_with(files, command, files["write"]("deep.json", obj))) == 1
+    deep = files["write"]("deep.json", obj)
+    assert main(_argv_with(files, command, deep)) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: TooLarge: depth 25 exceeds cap 24\n"
+    assert captured.err == f"error: TooLarge: depth 25 exceeds cap 24 (in {deep})\n"
 
 
 def test_verify_product_cap_is_undecided(files, capsys, monkeypatch):

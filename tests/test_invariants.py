@@ -29,7 +29,7 @@ from orbiteq import (
     total_amalgamation,
     verify_inverse_pair,
 )
-from orbiteq import invariants
+from orbiteq import invariants, shifts
 from orbiteq.functions import _least_table
 from orbiteq.maps import _composite_mismatch
 from orbiteq.generators import random_shift_space, random_single_split, split_chain
@@ -659,6 +659,17 @@ def test_amalgamation_checks_build_no_longer_word_tables(monkeypatch):
     # mostly the search stops at the code's own window, so a longer table
     # could only have come from a check
     assert windows.count(True) >= 4
+    # the search builds no word table: each space holds the words of the
+    # code it is the source of, and no longer ones for the other code
+    monkeypatch.undo()
+    for build in bench_cases().WORKLOADS["invariants-compare"](1):
+        case = build()
+        if case.id.startswith("split-pair-"):
+            a, b = (build_shift_space(s.matrix.entries) for s in case.args)
+            h, h_inv = conjugacy_from_amalgamation(a, b)
+            assert (max(a._words), max(b._words)) == (h.window, h_inv.window), case.id
+            if case.id == "split-pair-106":
+                assert (h.window, h_inv.window) == (5, 2)
 
 
 def test_inverse_check_reads_every_composite_word(golden, full2):
@@ -678,23 +689,61 @@ def test_inverse_check_reads_every_composite_word(golden, full2):
     assert not undoes(bend, identity_code(full2))
 
 
+def reference_least_table(d, table):
+    """``functions._least_table`` on a dict: a depth-``d`` word table
+    lowered while it is constant on the prefixes one symbol shorter."""
+    while d > 1:
+        shorter = {}
+        for w, x in table.items():
+            if shorter.setdefault(w[:-1], x) != x:
+                return d, table
+        d, table = d - 1, shorter
+    return d, table
+
+
 def reference_code_through(source, source_edge, target, target_edge):
     """``invariants._code_through`` with every word's edge labels read off
-    from scratch at every window length."""
+    from scratch at every window length.  Both spaces' word tables are
+    built at each length, the target's first, so a word table cap is hit
+    at the length and on the space where the library checks it."""
     def labels(edge, w):
         return tuple(edge[w[i : i + 2]] for i in range(len(w) - 1))
 
     for window in range(2, target.n + 2):
+        target_words, source_words = target.words(window), source.words(window)
         first = {}
         if all(
             first.setdefault(labels(target_edge, w), w[0]) == w[0]
-            for w in target.words(window)
+            for w in target_words
         ):
             break
     else:
         raise AssertionError("edge labels do not determine the target symbol")
-    table = {w: first[labels(source_edge, w)] for w in source.words(window)}
-    return compile_block_code(source, target, *_least_table(window, table))
+    table = {w: first[labels(source_edge, w)] for w in source_words}
+    return compile_block_code(source, target, *reference_least_table(window, table))
+
+
+def test_least_table_in_word_order_matches_the_dict_loop():
+    rng = random.Random(32)
+    depths = []
+    for _ in range(60):
+        space = random_shift_space(rng, rng.randint(2, 5))
+        d = rng.randint(1, 4)
+        least = rng.randint(1, d)  # the depth the values are drawn at
+        drawn = {w: rng.randint(0, 2) for w in space.words(least)}
+        table = {w: drawn[w[:least]] for w in space.words(d)}
+        if rng.random() < 0.5:  # changed on the extensions of one k-word
+            k = rng.randint(least, d)
+            u = rng.choice(space.words(k))
+            table = {w: x + (w[:k] == u) for w, x in table.items()}
+        expected_depth, expected = reference_least_table(d, table)
+        got_depth, values = _least_table(space, d, [table[w] for w in space.words(d)])
+        assert got_depth == expected_depth
+        assert dict(zip(space.words(got_depth), values)) == expected
+        depths.append((d, least, got_depth))
+    assert {x for d, _, x in depths if d == 4} == {1, 2, 3, 4}
+    # lowered part of the way: below d, but not down to the drawn depth
+    assert any(least < x < d for d, least, x in depths)
 
 
 def test_codes_through_terminals_match_the_per_word_labels(monkeypatch):
@@ -711,6 +760,44 @@ def test_codes_through_terminals_match_the_per_word_labels(monkeypatch):
         for h, g in zip(codes, expected):
             assert (h.window, h.table) == (g.window, g.table)
     assert max(h.window for codes in found for h in codes) >= 4
+
+
+def test_codes_through_match_the_reference_on_the_compare_pool(monkeypatch):
+    # every split pair of the bench pool at two seeds, each code built on
+    # fresh spaces; under a low word table cap both raise the same TooLarge
+    code_through = invariants._code_through
+    outcomes, windows = [], []
+
+    def outcome(build, source, source_edge, target, target_edge):
+        fresh = [build_shift_space(s.matrix.entries) for s in (source, target)]
+        try:
+            h = build(fresh[0], source_edge, fresh[1], target_edge)
+        except TooLarge as e:
+            return "TooLarge", str(e)
+        return h.window, h.table
+
+    def both(*args):
+        for limit in (40, 150, 10**6):
+            with monkeypatch.context() as m:
+                m.setattr(invariants, "WORD_TABLE_LIMIT", limit)
+                m.setattr(shifts, "WORD_TABLE_LIMIT", limit)
+                expected = outcome(reference_code_through, *args)
+                assert outcome(code_through, *args) == expected
+            outcomes.append(expected[0])
+        windows.append(expected[0])  # at the real cap
+        return code_through(*args)
+
+    monkeypatch.setattr(invariants, "_code_through", both)
+    for seed in (1, 7):
+        for build in bench_cases().WORKLOADS["invariants-compare"](seed):
+            case = build()
+            if case.id.startswith("split-pair-"):
+                h, h_inv = conjugacy_from_amalgamation(*case.args)
+                if case.id == "split-pair-106":
+                    assert (h.window, h_inv.window) == ((5, 2), (4, 1))[seed == 7]
+    assert len(windows) == 2 * 2 * 400 and max(windows) == 5
+    assert outcomes.count("TooLarge") > 100
+    assert len(set(outcomes)) > 3
 
 
 def test_conjugacy_from_amalgamation_takes_rows_matrices_and_spaces():

@@ -4,6 +4,7 @@ import itertools
 import random
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -69,10 +70,16 @@ def test_not_total_rejected(full2):
         compile_block_code(full2, full2, 1, {(1,): 1})
 
 
-@pytest.mark.parametrize("value", [0, 3])
+@pytest.mark.parametrize("value", [0, 3, 2.0, "2", True])
 def test_table_value_outside_the_target_alphabet_rejected(full2, value):
+    # 2.0 once ended in a bare TypeError, and True read as the symbol 1
     with pytest.raises(ImageInadmissible, match="^table value outside the target"):
         compile_block_code(full2, full2, 1, {(1,): 1, (2,): value})
+
+
+def test_numpy_integer_table_values_compile(full2):
+    table = {(1,): np.int64(2), (2,): np.uint8(1)}
+    assert compile_block_code(full2, full2, 1, table).table == {(1,): 2, (2,): 1}
 
 
 def reference_compile_error(source, target, window, table):
@@ -143,6 +150,28 @@ def test_compile_raises_what_the_longer_word_check_raised():
     image = ImageInadmissible
     assert kinds == {None, (NotTotal, False), (image, False), (image, True)}
     assert len({x[1] for x in outcomes if x and x[1]}) > 20
+
+
+def test_compile_names_the_first_forbidden_follower():
+    # images are tested as a set per key; the witness is still the first
+    # follower in order whose image is forbidden
+    full3 = build_shift_space([[1, 1, 1]] * 3)
+    three = build_shift_space([[1, 1, 0], [0, 1, 1], [1, 0, 1]])
+    # after (1, 1) -> 1, the images 1 and 2 of (1, 1) and (1, 2) are
+    # allowed, the image 3 of (1, 3) is not
+    # window 1: the images after (1,) are {2}, after (2,) {1, 2}, and
+    # 2 -> 1 is forbidden, so images keyed on w[1:] == () would miss it
+    two = build_shift_space([[0, 1], [1, 1]])
+    loop3 = build_shift_space([[0, 1, 0], [0, 1, 1], [1, 0, 0]])
+    for source, target, window, table, witness in (
+        (full3, three, 2, {w: w[1] for w in full3.words(2)}, (1, 1, 3)),
+        (two, loop3, 1, {(1,): 1, (2,): 2}, (2, 1)),
+    ):
+        expected = reference_compile_error(source, target, window, table)
+        assert expected[2] == witness
+        with pytest.raises(ImageInadmissible) as err:
+            compile_block_code(source, target, window, table)
+        assert (type(err.value), *err.value.args) == expected
 
 
 def test_compile_builds_no_longer_word_table():
