@@ -215,12 +215,13 @@ def _solve_transfer(space, g, c):
     if g.space != space:
         raise ValueError("g must live on the given space")
     d, gt = _least_table(space, g.depth, [g.table[w] for w in space.words(g.depth)])
-    # the values on the (m+1)-words, in order: at d = 1, each symbol's on its 2-words
-    gt = gt if d > 1 else [x for x, f in zip(gt, space.matrix.followers) for _ in f]
-    m = max(d - 1, 1)
-    out = {u: [] for u in space.words(m)}
-    for w, x in zip(space.words(m + 1), gt):
-        out[w[:m]].append((w[1:], x - c))
+    if d == 1:  # m = 1: each symbol's value on each of its 2-words
+        fol = space.matrix.followers
+        out = {(a,): [((b,), x - c) for b in fol[a - 1]] for a, x in enumerate(gt, 1)}
+    else:  # m = d - 1: the values on the d-words, in order
+        out = {u: [] for u in space.words(d - 1)}
+        for w, x in zip(space.words(d), gt):
+            out[w[:-1]].append((w[1:], x - c))
     root = next(iter(out))
     b, parent = {root: 0}, {root: None}
     queue = [root]
@@ -250,15 +251,7 @@ def find_transfer(space, g, c):
     names a periodic point that proves it.  ``ValueError`` if ``g`` lives
     on another space.
     """
-    _, b, _, bad = _solve_transfer(space, g, c)
-    if bad is not None:
-        return None
-    b = CylinderFunction(space, len(next(iter(b))), b)
-    # re-check the defining identity at the common refinement
-    lhs = combine(1, constant(space, c), 1, combine(1, b, -1, compose_shift(b)))
-    if not tables_equal(lhs, g):
-        raise InconsistentRoutes("the transfer solve fails its re-check")
-    return b
+    return _transfer(space, g, c)[0]
 
 
 def transfer_obstruction(space, g, c):
@@ -275,9 +268,21 @@ def transfer_obstruction(space, g, c):
     walk back is the shortest one from ``v`` to the root.  ``ValueError``
     if ``g`` lives on another space.
     """
-    out, _, parent, bad = _solve_transfer(space, g, c)
+    return _transfer(space, g, c)[1]
+
+
+def _transfer(space, g, c):
+    """:func:`find_transfer`'s ``b`` and :func:`transfer_obstruction`'s
+    ``(point, s)`` from one :func:`_solve_transfer`: ``(b, None)``, or
+    ``(None, (point, s))`` when no transfer exists."""
+    out, b, parent, bad = _solve_transfer(space, g, c)
     if bad is None:
-        return None
+        b = CylinderFunction(space, len(next(iter(b))), b)
+        # re-check the defining identity at the common refinement
+        lhs = combine(1, constant(space, c), 1, combine(1, b, -1, compose_shift(b)))
+        if not tables_equal(lhs, g):
+            raise InconsistentRoutes("the transfer solve fails its re-check")
+        return b, None
     u, v = bad
     root = next(iter(out))
     back = _shortest_walk(lambda x: (y for y, _ in out[x]), v, lambda x: x == root)
@@ -287,5 +292,5 @@ def transfer_obstruction(space, g, c):
             n = len(p.cycle)
             s = sum(evaluate(g, shift_point(space, p, i)) for i in range(n)) - c * n
             if s:
-                return p, s
+                return None, (p, s)
     raise InconsistentRoutes("a broken potential with no periodic obstruction")

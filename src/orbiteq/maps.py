@@ -17,9 +17,9 @@ Every walk that steps a machine lives here too: the product walks, each
 node built by :func:`_compared` and admitted under the caps by
 :func:`_admit`, over two machines in series (:func:`verify_inverse_pair`)
 or the square of one machine on a word and on its shift (the intertwining
-checks and the least cocycle pair per cylinder, :func:`_least_pair`); and
-the potential identity's walks over source words,
-:func:`_certification_depth` and :func:`_runs`.
+checks and the cocycles, :func:`_leaf_pair`); and :func:`_two_runs`, one
+depth-first walk of the runs on each word and on its shift, which the
+cocycles, :func:`_runs` and :func:`_certification_depth` read.
 """
 
 import graphlib
@@ -81,9 +81,9 @@ class BlockCode:
 
 def compile_block_code(source, target, window, table):
     """Validate a block code table, building no ``(window+1)``-word table:
-    the images after a window-word ``w`` depend only on ``w[1:]`` (on ``w``
-    at window 1), so each set of them is read once and tested against the
-    target's followers of ``table[w]``.
+    the images after a window-word ``w`` depend only on ``w[1:]``, so each
+    set of them is read once and tested against the target's followers of
+    ``table[w]`` (at window 1 each image is tested, as no set is shared).
 
     Raises
     ------
@@ -109,19 +109,21 @@ def compile_block_code(source, target, window, table):
         raise ImageInadmissible("table value outside the target alphabet")
     fol = source.matrix.followers
     allowed = list(map(frozenset, target.matrix.followers))
-    images = {}  # by w[1:], or by w itself at window 1
+    images = {}  # by w[1:]; at window 1 no set is shared, so none is built
     for w in words:
         a, tail = table[w], w[1:]
-        if (tail or w) not in images:
-            images[tail or w] = {table[tail + (b,)] for b in fol[w[-1] - 1]}
-        if not images[tail or w] <= allowed[a - 1]:
-            for b in fol[w[-1] - 1]:  # in order, to name the first forbidden image
-                c = table[tail + (b,)]
-                if c not in allowed[a - 1]:
-                    u = w + (b,)
-                    raise ImageInadmissible(
-                        f"image of {u} needs forbidden transition {a}->{c}", u
-                    )
+        if tail:
+            if tail not in images:
+                images[tail] = {table[tail + (b,)] for b in fol[w[-1] - 1]}
+            if images[tail] <= allowed[a - 1]:
+                continue
+        for b in fol[w[-1] - 1]:  # in order, to name the first forbidden image
+            c = table[tail + (b,)]
+            if c not in allowed[a - 1]:
+                u = w + (b,)
+                raise ImageInadmissible(
+                    f"image of {u} needs forbidden transition {a}->{c}", u
+                )
     return BlockCode(source, target, window, table)
 
 
@@ -406,6 +408,8 @@ def _square_edges(m, node):
     :func:`_compared` matches what they emit.  A node is ``(state A, state
     B, last input, drops owed by A and B, queues of A and B)``."""
     sa, sb, last, da, db, qa, qb = node
+    if sa == sb and not (da or db or qa or qb):
+        return  # settled: both sides now emit one stream, so no edge differs
     delta = m.delta
     for a in m.source.matrix.followers[last - 1]:
         (ta, oa), (tb, ob) = delta[sa, a], delta[sb, a]
@@ -448,11 +452,8 @@ def _difference(m, sa, sb, last, d):
     state B, last input)`` goes to the first node with equal states, and
     ``l - k`` is ``d`` plus what side A gains in output along it: from
     there both sides emit the same stream, so ``sigma^k m(sigma x) =
-    sigma^l m(x)`` on the whole cylinder of the walk.  Runs that already
-    share a state give ``d`` without paying for the walk.
+    sigma^l m(x)`` on the whole cylinder of the walk.
     """
-    if sa == sb:
-        return d
     delta, fol = m.delta, m.source.matrix.followers
 
     def successors(node):
@@ -542,20 +543,26 @@ def _last_mismatch(m, root, memo):
     return memo[root]
 
 
-def _least_pair(m, w, memo):
-    """The least ``(k, l)`` on the cylinder ``[w]``, as
-    :func:`~orbiteq.orbit.orbit_cocycles` finds it.
+def _leaf_pair(m, leaf, memo):
+    """The least ``(k, l)`` on ``[w]``, as :func:`~orbiteq.orbit.orbit_cocycles`
+    finds it, at a ``leaf`` ``(w, sa, oa, sb, ob)`` of :func:`_two_runs`.
 
-    Where the two runs share a state, the one candidate for ``c = l - k``
-    is :func:`_difference`'s.  Where they never do, the candidates
-    are the offsets outward from the root's output lead ``d0``, in the
-    order ``d0, d0 - 1, d0 + 1, ...`` up to ``MAX_DEPTH`` away, and a
-    candidate whose walk hits a cap is skipped.  The first finite walk
-    gives the pair: for an injective map only one difference aligns
-    ``[w]``.
+    Runs that end in one state emit one stream from there, so ``c = l - k``
+    is the lead ``d0 = len(oa) - len(ob)`` and ``l`` is ``max(c, 0)`` plus
+    one past the last mismatch of ``oa`` and ``ob``, ``c`` dropped from the
+    side ahead.  Otherwise ``c`` is :func:`_difference`'s, or where the runs
+    never share a state the first of ``d0, d0 - 1, d0 + 1, ...`` (up to
+    ``MAX_DEPTH`` away, skipping capped walks) whose walk is finite: for an
+    injective map only one difference aligns ``[w]``.
     """
-    (sa, oa), (sb, ob) = m._run(w), m._run(w[1:])
+    w, sa, oa, sb, ob = leaf
     d0 = len(oa) - len(ob)
+    if sa == sb:
+        xa, xb = (oa[d0:], ob) if d0 >= 0 else (oa, ob[-d0:])
+        miss = 0
+        if xa != xb:
+            miss = next(i for i in range(len(xa), 0, -1) if xa[i - 1] != xb[i - 1])
+        return max(-d0, 0) + miss, max(d0, 0) + miss
     c = _difference(m, sa, sb, w[-1], d0)
     if c is None:
         span = range(d0 - MAX_DEPTH, d0 + MAX_DEPTH + 1)
@@ -574,6 +581,32 @@ def _least_pair(m, w, memo):
     raise NoAlignment(f"no orbit alignment on cylinder {w}")
 
 
+def _least_pair(m, w, memo):
+    """:func:`_leaf_pair` on ``[w]``, its runs read by :meth:`Transducer._run`."""
+    return _leaf_pair(m, (w, *m._run(w), *m._run(w[1:])), memo)
+
+
+def _two_runs(m, d, prune=None):
+    """``(w, sa, oa, sb, ob)`` for each source word ``w`` of length ``d``, in
+    the order of ``ShiftSpace.words(d)``: the state and output of ``m`` after
+    ``w`` (side A) and after ``w[1:]`` (side B).  Depth first, so shared
+    prefixes run once; a node where ``prune(*node)`` holds is dropped with
+    its subtree."""
+    delta, fol, s0 = m.delta, m.source.matrix.followers, m.initial
+    stack = [((a,), *delta[s0, a], s0, ()) for a in range(m.source.n, 0, -1)]
+    while stack:
+        node = stack.pop()
+        if prune and prune(*node):
+            continue
+        w, sa, oa, sb, ob = node
+        if len(w) == d:
+            yield node
+            continue
+        for b in reversed(fol[w[-1] - 1]):
+            (ta, xa), (tb, xb) = delta[sa, b], delta[sb, b]
+            stack.append((w + (b,), ta, oa + xa, tb, ob + xb))
+
+
 def _certification_depth(h, kl, need):
     """Least input depth whose output prefixes cover ``need`` symbols past
     the cocycle bounds, for the word and its shift, under the transducer
@@ -584,17 +617,14 @@ def _certification_depth(h, kl, need):
     # seeded by the runs on each depth-c word u (bound l(u)) and on u[1:]
     # (bound k(u)); each further depth steps every configuration once
     front = {}
-    for u in src.words(c):
-        for v, bound in ((u, kl.l.table[u]), (u[1:], kl.k.table[u])):
-            state, out = h._run(v)
+    for u, sa, oa, sb, ob in _two_runs(h, c):
+        for state, out, bound in ((sa, oa, kl.l.table[u]), (sb, ob, kl.k.table[u])):
             q = (state, u[-1])
             front[q] = min(front.get(q, inf), len(out) - bound)
     for d in range(max(c, 2), MAX_DEPTH + 1):
-        # the caller's walk visits one leaf per depth-d word: the cap bounds
-        # them as it bounds a word table.  The potential identity skips
-        # settled subtrees and may visit far fewer, but the cap stays:
-        # loosening it turns undecided verdicts into decided ones, a change
-        # of verdicts in its own right
+        # the caller's walk visits up to one leaf per depth-d word, bounded
+        # as a word table is; loosening the cap because settled subtrees are
+        # skipped would turn undecided verdicts into decided ones
         if src.word_count(d) > WORD_TABLE_LIMIT:
             raise TooLarge(f"word table at depth {d} too large")
         if d > c:
@@ -609,40 +639,22 @@ def _certification_depth(h, kl, need):
 
 
 def _runs(m, kl, d, skip_settled=False):
-    """``(w, k, l, out, out_s)`` for each admissible source word ``w`` of
-    length ``d``, in the order of ``ShiftSpace.words(d)``: the cocycles on
-    ``w`` and the output of the transducer ``m`` on ``w`` and on ``w[1:]``.
-
-    The words grow depth first, one follower at a time, and each step runs
-    both machines one ``delta`` step, so shared prefixes run once and no
-    depth-``d`` word table is built.
-
-    With ``skip_settled`` a node ``w`` of length at least ``kl.depth`` is
-    dropped with its whole subtree when ``l - k = 1`` on it, both runs are
-    in the same state and ``out[1:] == out_s`` with ``out`` nonempty.  From
-    there both runs read the same symbols from the same state and emit the
-    same stream, so every leaf below keeps ``out[1:] == out_s`` and, with
-    ``l = k + 1``, passes the potential identity.
+    """``(w, k, l, out, out_s)`` for each leaf ``w`` of :func:`_two_runs`
+    at depth ``d``: the cocycles on ``w`` and the output of ``m`` on ``w``
+    and on ``w[1:]``.  With ``skip_settled`` the walk prunes a node ``w`` at
+    least ``kl.depth`` long where ``l - k = 1``, both runs are in one state
+    and ``out[1:] == out_s`` with ``out`` nonempty: both runs emit one
+    stream from there, so every leaf below passes the potential identity.
     """
-    delta, fol, c, s0 = m.delta, m.source.matrix.followers, kl.depth, m.initial
-    stack = [((a,), *delta[s0, a], s0, ()) for a in range(m.source.n, 0, -1)]
-    while stack:
-        w, sa, out, sb, out_s = stack.pop()
-        if (
-            skip_settled
-            and sa == sb
-            and len(w) >= c
-            and len(out) == len(out_s) + 1
-            and kl.l.table[w[:c]] == kl.k.table[w[:c]] + 1
-            and out[1:] == out_s
-        ):
-            continue
-        if len(w) == d:
-            yield w, kl.k.table[w[:c]], kl.l.table[w[:c]], out, out_s
-            continue
-        for b in reversed(fol[w[-1] - 1]):
-            (ta, xa), (tb, xb) = delta[sa, b], delta[sb, b]
-            stack.append((w + (b,), ta, out + xa, tb, out_s + xb))
+    c, kt, lt = kl.depth, kl.k.table, kl.l.table
+
+    def settled(w, sa, out, sb, out_s):
+        if sa != sb or len(w) < c or len(out) != len(out_s) + 1:
+            return False
+        return lt[w[:c]] == kt[w[:c]] + 1 and out[1:] == out_s
+
+    for w, _, out, _, out_s in _two_runs(m, d, settled if skip_settled else None):
+        yield w, kt[w[:c]], lt[w[:c]], out, out_s
 
 
 def _product_mismatch(outer, inner):

@@ -48,19 +48,21 @@ from .errors import (
 )
 from .functions import (
     CylinderFunction,
+    _transfer,
     combine,
     constant,
     evaluate,
     find_transfer,
-    transfer_obstruction,
 )
 from .maps import (
     BlockCode,
     _as_transducer,
     _certification_depth,
+    _leaf_pair,
     _least_pair,
     _misaligned,
     _runs,
+    _two_runs,
     apply_map,
 )
 from .shifts import (
@@ -212,28 +214,24 @@ def orbit_cocycles(h, depth):
     For each depth-cylinder ``[w]`` the returned ``(k, l)`` is the
     lexicographically least pair (minimize ``l``, then ``k``) with
     ``sigma^k h(sigma x) = sigma^l h(x)`` for *every* point ``x`` of
-    ``[w]``, not only for eventually periodic ones.  Both come from the
-    square of ``h``, one run on ``w`` (side A) and one on ``w[1:]`` (side
-    B), with no point mapped:
+    ``[w]``, not only for eventually periodic ones.  The runs on ``w``
+    (side A) and on ``w[1:]`` (side B) of all cylinders come from one
+    depth-first walk (:func:`maps._two_runs`); no point is mapped.
 
     * ``c = l - k`` is how far side A is ahead in output at the first
-      node, breadth first, where the two runs share a state
-      (:func:`maps._difference`).  From there both sides emit one
-      stream, so ``(k, l)`` with that difference aligns a subcylinder of
-      ``[w]``.  When ``h`` is injective, ``[w]`` holds points whose image
-      is not eventually periodic, and such a point is aligned by one
-      difference only.
-    * ``l0`` is ``max(c, 0)`` plus the most symbol pairs any walk compares
-      up to its last mismatch, side A dropping ``max(c, 0)`` symbols and
-      side B ``max(-c, 0)`` (:func:`maps._last_mismatch`), and ``k0 =
-      l0 - c``.  For a fixed difference the aligning ``l`` are those
-      past every mismatch, so ``(k0, l0)`` is the least pair.
+      node, breadth first, of the square of ``h`` where the two runs share
+      a state (:func:`maps._difference`).  From there both sides emit one
+      stream, so ``c`` aligns a subcylinder of ``[w]``; for an injective
+      ``h``, as every map :func:`classify` is given, no other ``c`` does.
+    * ``l`` is ``max(c, 0)`` plus the most symbol pairs any walk compares
+      up to its last mismatch, with ``c`` dropped from the side ahead
+      (:func:`maps._last_mismatch`): the aligning ``l`` are those past
+      every mismatch.  Runs that already end in one state take no walk:
+      ``c`` is their output lead and ``l`` is read off the two outputs.
 
-    The pair is least whenever ``h`` is injective, which holds for every
-    map :func:`classify` is given.  A cylinder whose two runs never share
-    a state takes ``c`` from the first finite walk among the differences
-    outward from the output lead of the two runs on ``w`` and ``w[1:]``,
-    up to ``MAX_DEPTH`` away (:func:`maps._least_pair`).
+    Runs that never share a state take ``c`` from the first finite walk
+    among the offsets outward from the lead, up to ``MAX_DEPTH`` away
+    (:func:`maps._leaf_pair`).
 
     Raises
     ------
@@ -251,9 +249,10 @@ def _cocycles(m, depth, memo):
     """:func:`orbit_cocycles` of the transducer ``m``; ``memo``
     (:func:`maps._last_mismatch`) may be shared across depths."""
     src = m.source
+    src.words(depth)  # the cap on the tables' words, checked before the walk
     ktab, ltab = {}, {}
-    for w in src.words(depth):
-        ktab[w], ltab[w] = _least_pair(m, w, memo)
+    for leaf in _two_runs(m, depth):
+        ktab[leaf[0]], ltab[leaf[0]] = _leaf_pair(m, leaf, memo)
     return OrbitCocyclePair(
         CylinderFunction(src, depth, ktab), CylinderFunction(src, depth, ltab)
     )
@@ -327,15 +326,12 @@ def check_potential_identity(h, kl, depth):
     stops at the first that fails; no word table of that depth is built.
 
     The walk skips the subtree of every node ``w`` at least ``kl.depth``
-    long where ``l - k = 1``, the runs on ``w`` and ``w[1:]`` are in the
-    same state and ``out[1:] == out_s`` (``out`` nonempty).  Both runs then
-    emit the same stream on every extension, so ``sigma h(x)`` and
-    ``h(sigma x)`` agree on all of ``[w]``; with ``l = k + 1`` the windows
-    ``out[1..l]`` cancel ``out_s[0..k]`` one for one, and every leaf below
-    passes.  A skipped subtree holds no failing word, so the witness is
-    still the first failing word in lexicographic order.  A block code of
-    window ``w`` runs as its :func:`~orbiteq.maps.block_to_transducer`
-    presentation, whose two runs share a state from length ``w`` on.
+    long where ``l - k = 1`` and the runs on ``w`` and ``w[1:]`` emit one
+    stream from there, ``sigma h(x) = h(sigma x)`` on all of ``[w]``: the
+    windows ``out[1..l]`` cancel ``out_s[0..k]`` one for one, so the first
+    failing word is never skipped.  A block code of window ``w`` runs as
+    its :func:`~orbiteq.maps.block_to_transducer` presentation, whose two
+    runs share a state from length ``w`` on.
 
     Returns ``(True, None)`` or ``(False, witness_word)`` where the
     witness is a target word whose indicator fails.
@@ -533,7 +529,10 @@ def classify(h, h_inv, cfg=None):
         return Verdict("Undecided", depth=cfg.depth, note=str(e))
     verdict = partial(Verdict, cocycles=(kl1, kl2), depth=cfg.depth)
     direct_wit = _intertwining_witness(m, 0)
-    eventual = all(kl.difference().is_constant(1) for kl in (kl1, kl2))
+    # each direction's l - k is built once, the backward one only if needed
+    g1 = kl1.difference()
+    g2 = kl2.difference() if g1.is_constant(1) else None
+    eventual = g2 is not None and g2.is_constant(1)
     psi_ok = psi_wit = None
     if eventual:  # without a lag the theorem route fails whatever psi says
         try:
@@ -558,19 +557,13 @@ def classify(h, h_inv, cfg=None):
             lag=max(kl1.k.max(), kl2.k.max()),
             witness=psi_wit if psi_ok is False else direct_wit,
         )
-    transfers = check_strong_coe(h, h_inv, kl1, kl2)
-    if transfers is not None:
-        return verdict("StrongCOE", transfers=transfers, witness=direct_wit)
-    direction, (p, s) = next(
-        (direction, found)
-        for direction, hh, kl in (("forward", h, kl1), ("backward", h_inv, kl2))
-        if (found := transfer_obstruction(hh.source, kl.difference(), 1))
-    )
-    return verdict(
-        "COE",
-        witness=direct_wit,
-        note=(
-            f"no strong orbit equivalence transfer exists: {direction} "
-            f"l - k - 1 sums to {s} over the cycle {','.join(map(str, p.cycle))}"
-        ),
-    )
+    transfers = []  # as check_strong_coe finds them, each graph solved once
+    for direction, hh, kl, g in (("forward", h, kl1, g1), ("backward", h_inv, kl2, g2)):
+        b, found = _transfer(hh.source, g or kl.difference(), 1)
+        if b is None:
+            (p, s), cycle = found, ",".join(map(str, found[0].cycle))
+            note = f"{direction} l - k - 1 sums to {s} over the cycle {cycle}"
+            note = f"no strong orbit equivalence transfer exists: {note}"
+            return verdict("COE", witness=direct_wit, note=note)
+        transfers.append(b)
+    return verdict("StrongCOE", transfers=tuple(transfers), witness=direct_wit)

@@ -49,7 +49,7 @@ from orbiteq import (
     verify_cocycles,
     verify_inverse_pair,
 )
-from orbiteq import jsonio
+from orbiteq import functions, jsonio
 from orbiteq.config import MAX_DEPTH, WORD_TABLE_LIMIT
 from orbiteq.generators import random_shift_space, split_chain
 from orbiteq.maps import _as_transducer
@@ -612,6 +612,26 @@ def test_classify_skips_potential_identity_without_lag(monkeypatch, recoder, cfg
     # with a lag the identity decides, so it runs
     assert classify(recoder, recoder, cfg).kind == "EventualConjugacy"
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "n,expand", [(2, {2: 1}), (2, {1: 2}), (3, {2: 1, 3: 1}), (4, {1: 3, 4: 2})]
+)
+def test_coe_builds_each_difference_and_solves_each_graph_once(
+    monkeypatch, n, expand, cfg
+):
+    # l - k is built once per direction reached, and the direction whose
+    # graph has no potential names its obstruction from the one solve
+    h, h_inv = expansion_maps(n, expand)
+    plain = classify(h, h_inv, cfg)
+    diffs = _count_calls(monkeypatch, OrbitCocyclePair, "difference")
+    solves = _count_calls(monkeypatch, functions, "_solve_transfer")
+    v = classify(h, h_inv, cfg)
+    assert v == plain and v.kind == "COE"
+    reached = 1 + v.note.startswith(
+        "no strong orbit equivalence transfer exists: backward"
+    )
+    assert (len(diffs), len(solves)) == (reached, reached)
 
 
 def test_direct_conjugacy_without_lag_is_inconsistent(monkeypatch, cfg):

@@ -1,13 +1,18 @@
 """The least cocycles from the square of a map, cylinder by cylinder.
 
-``orbit._least_pair`` reads ``l - k`` where the runs on ``w`` and on
-``w[1:]`` first share a state, or else from the first finite walk among
-the differences outward from the output lead of the two runs, and the
-least ``l`` from one walk over the square; it maps no point.  Here each
-cylinder's pair is compared with a point proposal loop held in this
-file (:func:`point_loop`), which searches pairs on mapped points with
-the test suite's own closed-form solver (``conftest.aligning_shifts``)
-and certifies each with a product walk.
+``orbit_cocycles`` takes the runs on each word ``w`` and on ``w[1:]`` from
+one depth-first walk of the words (``maps._two_runs``), and
+``orbit._least_pair`` runs the same per-cylinder code on one word.  Runs
+that end in one state give the pair in closed form, off their outputs;
+otherwise ``l - k`` is read where the runs first share a state, or from
+the first finite walk among the differences outward from the output lead,
+and the least ``l`` from one walk over the square, which stops at nodes
+whose two sides are settled in one state.  No point is mapped.  Here each
+cylinder's pair is compared with a point proposal loop held in this file
+(:func:`point_loop`), which searches pairs on mapped points with the test
+suite's own closed-form solver (``conftest.aligning_shifts``) and
+certifies each with a product walk, and with :func:`walk_only_pair`, which
+reads every pair off the walks as the code did before the closed form.
 """
 
 import json
@@ -18,6 +23,7 @@ import pytest
 
 from orbiteq import (
     NoAlignment,
+    TooLarge,
     RunConfig,
     build_shift_space,
     classify,
@@ -27,12 +33,15 @@ from orbiteq import (
     orbit_cocycles,
     transducer,
 )
+from orbiteq import maps
+from orbiteq.config import MAX_DEPTH
 from orbiteq.maps import (
     _as_transducer,
     _compared,
     _difference,
     _last_mismatch,
     _misaligned,
+    _square_edges,
     apply_map,
 )
 from orbiteq.shifts import point_with_prefix, shift_point
@@ -137,6 +146,42 @@ def point_loop(m, w, depth):
         points.add(point_with_prefix(src, word))
 
 
+def walk_only_pair(m, w, memo):
+    """The least pair on ``[w]`` read off the walks alone, as the code did
+    before settled runs were read in closed form: ``l - k`` from
+    ``_difference`` (or the offsets outward from the output lead), then the
+    root node and ``_last_mismatch``, on every cylinder."""
+    (sa, oa), (sb, ob) = m._run(w), m._run(w[1:])
+    d0 = len(oa) - len(ob)
+    c = maps._difference(m, sa, sb, w[-1], d0)
+    if c is None:
+        span = range(d0 - MAX_DEPTH, d0 + MAX_DEPTH + 1)
+        diffs, skipped = sorted(span, key=lambda c: (abs(c - d0), c)), TooLarge
+    else:
+        diffs, skipped = [c], ()
+    for c in diffs:
+        root, n, miss = _compared(sa, sb, w[-1], max(c, 0), max(-c, 0), oa, ob)
+        try:
+            after = maps._last_mismatch(m, root, memo)
+        except skipped:
+            continue
+        if after < inf:
+            l = max(c, 0) + (n + after if after else miss)
+            return l - c, l
+    raise NoAlignment(f"no orbit alignment on cylinder {w}")
+
+
+def cocycle_tables(h, depth):
+    """``orbit_cocycles`` as ``(word, (k, l))`` items in table order, or the
+    message of its ``NoAlignment``."""
+    try:
+        kl = orbit_cocycles(h, depth)
+    except NoAlignment as e:
+        return str(e)
+    assert list(kl.k.table) == list(kl.l.table)
+    return [(w, (kl.k.table[w], kl.l.table[w])) for w in kl.k.table]
+
+
 def unshared(m, w):
     """Do the runs on ``w`` and on ``w[1:]`` never share a state?"""
     (sa, oa), (sb, ob) = m._run(w), m._run(w[1:])
@@ -144,18 +189,27 @@ def unshared(m, w):
 
 
 def assert_square_matches_points(maps, depths):
-    """Each cylinder's pair from the square equals the point loop's.
+    """Each cylinder's pair from the square equals the point loop's and
+    :func:`walk_only_pair`'s, and ``orbit_cocycles`` gives the same tables,
+    in word order, or fails on the first cylinder that has no pair.
     Returns the number of cylinders with no alignment, the number of
     cylinders, and the number whose two runs never share a state."""
     rows = []
     for name, h in maps:
         m = _as_transducer(h)
         for depth in depths:
-            memo = {}
+            memo, ref_memo, pairs = {}, {}, []
             for w in m.source.words(depth):
                 pair = outcome(lambda: orbit._least_pair(m, w, memo))
                 assert pair == outcome(lambda: point_loop(m, w, depth)), (name, w)
+                reference = outcome(lambda: walk_only_pair(m, w, ref_memo))
+                assert pair == reference, (name, w)
+                pairs.append((w, pair))
                 rows.append((pair, unshared(m, w)))
+            first = next((w for w, pair in pairs if pair == "NoAlignment"), None)
+            if first is not None:
+                pairs = f"no orbit alignment on cylinder {first}"
+            assert cocycle_tables(h, depth) == pairs, (name, depth)
     unaligned = sum(pair == "NoAlignment" for pair, _ in rows)
     return unaligned, len(rows), sum(u for _, u in rows)
 
@@ -240,6 +294,46 @@ def test_pair_doubler_has_no_alignment_on_any_cylinder():
         assert unshared(m, w)
         with pytest.raises(NoAlignment):
             orbit._least_pair(m, w, memo)
+    # the walk of all cylinders (sharing the memo, as orbit_cocycles would
+    # build it) and the walk-only reference fail on the same first cylinder
+    with pytest.raises(NoAlignment) as walked:
+        orbit._cocycles(m, 3, memo)
+    with pytest.raises(NoAlignment) as reference:
+        walk_only_pair(m, FULL2.words(3)[0], memo)
+    assert str(walked.value) == str(reference.value)
+    assert str(walked.value) == "no orbit alignment on cylinder (1, 1, 1)"
+
+
+def test_settled_cylinders_take_no_walk(monkeypatch):
+    # every depth-3 cylinder of a recoder ends its two runs in one state, so
+    # its pair is read off the outputs: no difference walk, no mismatch walk
+    calls = []
+    for name in ("_difference", "_last_mismatch"):
+        fn = getattr(maps, name)
+        monkeypatch.setattr(
+            maps, name, lambda *a, fn=fn, name=name: calls.append(name) or fn(*a)
+        )
+    recoders = [committed("recoder2.json")]
+    recoders += [h for name, h in ladder_maps(1) if name.startswith("recoder-")][:8]
+    tables = [cocycle_tables(h, 3) for h in recoders]
+    assert calls == []
+    # the walk-only reference takes both walks and reads the same pairs
+    for h, table in zip(recoders, tables):
+        m = _as_transducer(h)
+        assert table == [(w, walk_only_pair(m, w, {})) for w in m.source.words(3)]
+    assert set(calls) == {"_difference", "_last_mismatch"}
+
+
+def test_square_edges_stop_at_a_settled_node():
+    # one state, nothing owed, nothing queued: both sides emit one stream,
+    # so the node has no edge to walk; owing or queueing a symbol has edges
+    for h in (committed("recoder2.json"), late_recoder(), two_mode()):
+        m = _as_transducer(h)
+        for s in m.states:
+            for last in (1, 2):
+                assert list(_square_edges(m, (s, s, last, 0, 0, (), ()))) == []
+                assert list(_square_edges(m, (s, s, last, 1, 0, (), ())))
+                assert list(_square_edges(m, (s, s, last, 0, 0, (1,), ())))
 
 
 def test_constant_code_is_not_injective_and_gets_0_1():
