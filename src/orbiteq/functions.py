@@ -251,7 +251,15 @@ def find_transfer(space, g, c):
     names a periodic point that proves it.  ``ValueError`` if ``g`` lives
     on another space.
     """
-    return _transfer(space, g, c)[0]
+    _, b, _, bad = _solve_transfer(space, g, c)
+    if bad is not None:
+        return None
+    b = CylinderFunction(space, len(next(iter(b))), b)
+    # re-check the defining identity at the common refinement
+    lhs = combine(1, constant(space, c), 1, combine(1, b, -1, compose_shift(b)))
+    if not tables_equal(lhs, g):
+        raise InconsistentRoutes("the transfer solve fails its re-check")
+    return b
 
 
 def transfer_obstruction(space, g, c):
@@ -268,21 +276,9 @@ def transfer_obstruction(space, g, c):
     walk back is the shortest one from ``v`` to the root.  ``ValueError``
     if ``g`` lives on another space.
     """
-    return _transfer(space, g, c)[1]
-
-
-def _transfer(space, g, c):
-    """:func:`find_transfer`'s ``b`` and :func:`transfer_obstruction`'s
-    ``(point, s)`` from one :func:`_solve_transfer`: ``(b, None)``, or
-    ``(None, (point, s))`` when no transfer exists."""
-    out, b, parent, bad = _solve_transfer(space, g, c)
+    out, _, parent, bad = _solve_transfer(space, g, c)
     if bad is None:
-        b = CylinderFunction(space, len(next(iter(b))), b)
-        # re-check the defining identity at the common refinement
-        lhs = combine(1, constant(space, c), 1, combine(1, b, -1, compose_shift(b)))
-        if not tables_equal(lhs, g):
-            raise InconsistentRoutes("the transfer solve fails its re-check")
-        return b, None
+        return None
     u, v = bad
     root = next(iter(out))
     back = _shortest_walk(lambda x: (y for y, _ in out[x]), v, lambda x: x == root)
@@ -292,5 +288,5 @@ def _transfer(space, g, c):
             n = len(p.cycle)
             s = sum(evaluate(g, shift_point(space, p, i)) for i in range(n)) - c * n
             if s:
-                return None, (p, s)
+                return p, s
     raise InconsistentRoutes("a broken potential with no periodic obstruction")

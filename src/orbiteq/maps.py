@@ -356,10 +356,13 @@ def _compared(sa, sb, last, da, db, xa, xb):
         xa, da = xa[da:], max(0, da - len(xa))
         xb, db = xb[db:], max(0, db - len(xb))
     n = min(len(xa), len(xb))
-    miss = 0
-    if xa[:n] != xb[:n]:
-        miss = next(i for i in range(n, 0, -1) if xa[i - 1] != xb[i - 1])
+    miss = _last_miss(xa, xb, n) if xa[:n] != xb[:n] else 0
     return (sa, sb, last, da, db, xa[n:], xb[n:]), n, miss
+
+
+def _last_miss(xa, xb, n):
+    """One past the last differing pair of the first ``n`` (some differs)."""
+    return next(i for i in range(n, 0, -1) if xa[i - 1] != xb[i - 1])
 
 
 def _admit(child, count):
@@ -550,18 +553,15 @@ def _leaf_pair(m, leaf, memo):
     Runs that end in one state emit one stream from there, so ``c = l - k``
     is the lead ``d0 = len(oa) - len(ob)`` and ``l`` is ``max(c, 0)`` plus
     one past the last mismatch of ``oa`` and ``ob``, ``c`` dropped from the
-    side ahead.  Otherwise ``c`` is :func:`_difference`'s, or where the runs
-    never share a state the first of ``d0, d0 - 1, d0 + 1, ...`` (up to
-    ``MAX_DEPTH`` away, skipping capped walks) whose walk is finite: for an
-    injective map only one difference aligns ``[w]``.
+    side ahead.  Else ``c`` is :func:`_difference`'s, or if the runs never
+    share a state the first of ``d0, d0 - 1, d0 + 1, ...`` (up to
+    ``MAX_DEPTH`` away, skipping capped walks) whose walk is finite.
     """
     w, sa, oa, sb, ob = leaf
     d0 = len(oa) - len(ob)
     if sa == sb:
         xa, xb = (oa[d0:], ob) if d0 >= 0 else (oa, ob[-d0:])
-        miss = 0
-        if xa != xb:
-            miss = next(i for i in range(len(xa), 0, -1) if xa[i - 1] != xb[i - 1])
+        miss = _last_miss(xa, xb, len(xa)) if xa != xb else 0
         return max(-d0, 0) + miss, max(d0, 0) + miss
     c = _difference(m, sa, sb, w[-1], d0)
     if c is None:

@@ -48,11 +48,11 @@ from .errors import (
 )
 from .functions import (
     CylinderFunction,
-    _transfer,
     combine,
     constant,
     evaluate,
     find_transfer,
+    transfer_obstruction,
 )
 from .maps import (
     BlockCode,
@@ -230,8 +230,7 @@ def orbit_cocycles(h, depth):
       ``c`` is their output lead and ``l`` is read off the two outputs.
 
     Runs that never share a state take ``c`` from the first finite walk
-    among the offsets outward from the lead, up to ``MAX_DEPTH`` away
-    (:func:`maps._leaf_pair`).
+    among the offsets outward from the lead (:func:`maps._leaf_pair`).
 
     Raises
     ------
@@ -529,7 +528,6 @@ def classify(h, h_inv, cfg=None):
         return Verdict("Undecided", depth=cfg.depth, note=str(e))
     verdict = partial(Verdict, cocycles=(kl1, kl2), depth=cfg.depth)
     direct_wit = _intertwining_witness(m, 0)
-    # each direction's l - k is built once, the backward one only if needed
     g1 = kl1.difference()
     g2 = kl2.difference() if g1.is_constant(1) else None
     eventual = g2 is not None and g2.is_constant(1)
@@ -557,13 +555,19 @@ def classify(h, h_inv, cfg=None):
             lag=max(kl1.k.max(), kl2.k.max()),
             witness=psi_wit if psi_ok is False else direct_wit,
         )
-    transfers = []  # as check_strong_coe finds them, each graph solved once
-    for direction, hh, kl, g in (("forward", h, kl1, g1), ("backward", h_inv, kl2, g2)):
-        b, found = _transfer(hh.source, g or kl.difference(), 1)
-        if b is None:
-            (p, s), cycle = found, ",".join(map(str, found[0].cycle))
-            note = f"{direction} l - k - 1 sums to {s} over the cycle {cycle}"
-            note = f"no strong orbit equivalence transfer exists: {note}"
-            return verdict("COE", witness=direct_wit, note=note)
-        transfers.append(b)
-    return verdict("StrongCOE", transfers=tuple(transfers), witness=direct_wit)
+    transfers = check_strong_coe(h, h_inv, kl1, kl2)
+    if transfers is not None:
+        return verdict("StrongCOE", transfers=transfers, witness=direct_wit)
+    side, (p, s) = next(
+        (side, found)
+        for side, hh, kl, g in (("forward", h, kl1, g1), ("backward", h_inv, kl2, g2))
+        if (found := transfer_obstruction(hh.source, g or kl.difference(), 1))
+    )
+    return verdict(
+        "COE",
+        witness=direct_wit,
+        note=(
+            f"no strong orbit equivalence transfer exists: {side} "
+            f"l - k - 1 sums to {s} over the cycle {','.join(map(str, p.cycle))}"
+        ),
+    )

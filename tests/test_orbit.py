@@ -617,11 +617,12 @@ def test_classify_skips_potential_identity_without_lag(monkeypatch, recoder, cfg
 @pytest.mark.parametrize(
     "n,expand", [(2, {2: 1}), (2, {1: 2}), (3, {2: 1, 3: 1}), (4, {1: 3, 4: 2})]
 )
-def test_coe_builds_each_difference_and_solves_each_graph_once(
+def test_coe_obstruction_reads_the_differences_classify_built(
     monkeypatch, n, expand, cfg
 ):
-    # l - k is built once per direction reached, and the direction whose
-    # graph has no potential names its obstruction from the one solve
+    # each direction reached builds l - k once for classify's eventual test
+    # or obstruction search and once in check_strong_coe, and its graph is
+    # solved once by find_transfer and once by transfer_obstruction
     h, h_inv = expansion_maps(n, expand)
     plain = classify(h, h_inv, cfg)
     diffs = _count_calls(monkeypatch, OrbitCocyclePair, "difference")
@@ -631,7 +632,7 @@ def test_coe_builds_each_difference_and_solves_each_graph_once(
     reached = 1 + v.note.startswith(
         "no strong orbit equivalence transfer exists: backward"
     )
-    assert (len(diffs), len(solves)) == (reached, reached)
+    assert (len(diffs), len(solves)) == (2 * reached, 2 * reached)
 
 
 def test_direct_conjugacy_without_lag_is_inconsistent(monkeypatch, cfg):
