@@ -94,26 +94,15 @@ def out_split(space, partition):
                 f"blocks for state {i} must cover exactly its followers"
             )
         blocks[i] = cleaned
-    copies = [(i, t) for i in range(1, m.n + 1) for t in range(len(blocks[i]))]
-    idx = {c: k + 1 for k, c in enumerate(copies)}
-    size = len(copies)
-    rows = [[0] * size for _ in range(size)]
-    for (i, t) in copies:
-        for j in blocks[i][t]:
-            for u in range(len(blocks[j])):
-                rows[idx[(i, t)] - 1][idx[(j, u)] - 1] = 1
-    split_space = build_shift_space(rows)
-    # block index of each transition: the copy a 2-word lands in
-    block_of = {}
-    for i in range(1, m.n + 1):
-        for t, blk in enumerate(blocks[i]):
-            for j in blk:
-                block_of[(i, j)] = t
-    code_table = {
-        (a, b): idx[(a, block_of[(a, b)])] for (a, b) in space.words(2)
-    }
+    # the copies of a state are consecutive, one per block, in state order
+    copies = [(i, blk) for i in range(1, m.n + 1) for blk in blocks[i]]
+    owner = [i for i, _ in copies]
+    split_space = build_shift_space([[j in blk for j in owner] for _, blk in copies])
+    # the copy (1-based) that each transition lands in
+    copy_of = {(i, j): k for k, (i, blk) in enumerate(copies, 1) for j in blk}
+    code_table = {w: copy_of[w] for w in space.words(2)}
     code = compile_block_code(space, split_space, 2, code_table)
-    inv_table = {(idx[(i, t)],): i for (i, t) in copies}
+    inv_table = {(k,): i for k, i in enumerate(owner, 1)}
     inverse = compile_block_code(split_space, space, 1, inv_table)
     return split_space, code, inverse
 
@@ -384,6 +373,13 @@ def exact_det(m):
     n = len(a)
     if any(len(row) != n for row in a):
         raise ValueError("matrix is not square")
+    return _bareiss(a)
+
+
+def _bareiss(a):
+    """The determinant of ``a``, square rows of Python ints, which it
+    overwrites (Bareiss elimination)."""
+    n = len(a)
     if n == 0:
         return 1
     sign = 1
@@ -410,7 +406,10 @@ def exact_det(m):
 
 
 def _eye(n):
-    return [[int(i == j) for j in range(n)] for i in range(n)]
+    rows = [[0] * n for _ in range(n)]
+    for i, row in enumerate(rows):
+        row[i] = 1
+    return rows
 
 
 def _matmul(a, b):
@@ -502,7 +501,7 @@ def _smith(m):
 
     if _matmul(_matmul(u, m_int), v) != a:
         raise AssertionError("normal form certificate failed")
-    det_u, det_v = exact_det(u), exact_det(v)
+    det_u, det_v = (_bareiss([row[:] for row in x]) for x in (u, v))
     if abs(det_u) != 1 or abs(det_v) != 1:
         raise AssertionError("transformation matrices are not unimodular")
     return u, a, v, det_u * det_v

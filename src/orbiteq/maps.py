@@ -137,13 +137,20 @@ def compose_block_codes(outer, inner):
 
     The table has one key per admissible ``w``-word by construction, and
     the image of a composite of two compiled codes is admissible, so it
-    needs no re-check.
+    needs no re-check.  It is built one length at a time, after
+    ``words(w)`` has checked the cap: a word's inner outputs are its
+    prefix's plus the inner image of its last ``inner.window`` symbols.
     """
     if inner.target != outer.source:
         raise ValueError("codes are not composable")
-    w = inner.window + outer.window - 1
-    table = {u: outer.table[inner.output_prefix(u)] for u in inner.source.words(w)}
-    return BlockCode(inner.source, outer.target, w, table)
+    src, k, f = inner.source, inner.window, inner.table
+    w = k + outer.window - 1
+    src.words(w)  # the cap, before any table is built
+    out = {u: (f[u],) for u in src.words(k)}
+    for d in range(k + 1, w + 1):
+        out = {u: out[u[:-1]] + (f[u[-k:]],) for u in src.words(d)}
+    g = outer.table
+    return BlockCode(src, outer.target, w, {u: g[out[u]] for u in src.words(w)})
 
 
 class Transducer:

@@ -18,6 +18,7 @@ Words are tuples of ints; the empty word is ``()``.
 """
 
 from collections import namedtuple
+from itertools import compress
 
 from .config import MAX_ALPHABET, MAX_DEPTH, WORD_TABLE_LIMIT
 from .errors import (
@@ -57,9 +58,11 @@ class IntMatrix(tuple):
 _BITS = {0: 0, 1: 1}
 
 
-def _support(rows):
-    """The 1-based indices of the nonzero entries of each row."""
-    return tuple(tuple(j for j, x in enumerate(row, 1) if x) for row in rows)
+def _support(rows, n):
+    """The 1-based indices of the nonzero entries of each row of length
+    ``n``: one ``compress`` per row over a single ``range``."""
+    symbols = range(1, n + 1)
+    return tuple(tuple(compress(symbols, row)) for row in rows)
 
 
 class TransitionMatrix:
@@ -97,19 +100,19 @@ class TransitionMatrix:
             raw = tuple(rows)
             if len(raw) > MAX_ALPHABET:
                 raise TooLarge(f"alphabet size {len(raw)} exceeds cap {MAX_ALPHABET}")
-            raw = tuple(tuple(row) for row in raw)
+            raw = tuple(map(tuple, raw))
         except TypeError:
             raw = ()
         n = len(raw)
         if n == 0 or any(len(row) != n for row in raw):
             raise NotZeroOne("transition matrix must be square and nonempty")
         try:
-            a = IntMatrix(tuple(_BITS[x] for x in row) for row in raw)
+            a = IntMatrix(tuple(map(_BITS.__getitem__, row)) for row in raw)
         except (KeyError, TypeError):
             raise NotZeroOne("transition matrix entries must be 0 or 1") from None
         # followers[i] = sorted tuple of symbols j (1-based) with i -> j
-        self.followers = _support(a)
-        preceders = _support(zip(*a))
+        self.followers = _support(a, n)
+        preceders = _support(zip(*a), n)
         degrees = [len(f) for f in self.followers + preceders]
         if all(d == 1 for d in degrees):
             raise PermutationMatrix("matrix is a permutation matrix")

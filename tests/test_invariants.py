@@ -215,7 +215,7 @@ def test_smith_checks_its_certificate_and_unimodularity(monkeypatch):
 
     m = [[2, 4, 1], [6, 9, 0], [3, 3, 5]]
     with monkeypatch.context() as patch:
-        patch.setattr(invariants, "exact_det", lambda m: 2)
+        patch.setattr(invariants, "_bareiss", lambda a: 2)
         with pytest.raises(AssertionError, match="not unimodular"):
             invariants._smith(m)
     with monkeypatch.context() as patch:

@@ -38,8 +38,8 @@ from orbiteq import (
     verify_inverse_pair,
 )
 
-from orbiteq import jsonio, maps, shifts
-from orbiteq.generators import prefix_exchange, split_chain
+from orbiteq import generators, jsonio, maps, shifts
+from orbiteq.generators import prefix_exchange, random_single_split, split_chain
 
 from conftest import (
     delay_line_json,
@@ -570,6 +570,90 @@ def test_compose_block_codes(full2, swap2, xor2):
     swap = compile_block_code(src, mid, 1, swap2.table)
     xor = compile_block_code(mid, mid, 2, xor2.table)
     assert compose_block_codes(xor, swap).window == max(src._words) == 2
+
+
+def _compose_by_output_prefix(outer, inner):
+    """The composite's table as ``compose_block_codes`` once defined it:
+    each word's inner outputs read off ``output_prefix`` on its own."""
+    w = inner.window + outer.window - 1
+    return {u: outer.table[inner.output_prefix(u)] for u in inner.source.words(w)}
+
+
+def test_compose_block_codes_matches_output_prefix_on_the_compare_pool(monkeypatch):
+    # the split chains of the invariants-compare pool: bases of 2-9
+    # states, up to 3 splits, composed by split_chain both ways round
+    pairs = []
+    compose = generators.compose_block_codes
+
+    def recorded(outer, inner):
+        pairs.append((outer, inner))
+        return compose(outer, inner)
+
+    monkeypatch.setattr(generators, "compose_block_codes", recorded)
+    for j in range(100):
+        rng = random.Random(f"invariants-compare/pool/split/{j}")
+        base = random_shift_space(rng, rng.randint(2, 9))
+        split_chain(rng, base, max_splits=min(3, 12 - base.n))
+    monkeypatch.undo()
+    calls = []
+    output_prefix = BlockCode.output_prefix
+    monkeypatch.setattr(
+        BlockCode, "output_prefix", lambda h, w: calls.append(w) or output_prefix(h, w)
+    )
+    found = [compose_block_codes(outer, inner) for outer, inner in pairs]
+    assert calls == []
+    for h, (outer, inner) in zip(found, pairs):
+        assert (h.source, h.target) == (inner.source, outer.target)
+        assert h.window == inner.window + outer.window - 1
+        assert list(h.table.items()) == list(_compose_by_output_prefix(outer, inner).items())
+    assert max(h.window for h in found) >= 4 and len(pairs) > 300
+
+
+def test_compose_block_codes_is_associative_past_outer_window_two():
+    rng = random.Random(11)
+    for n in (2, 3, 4):
+        spaces = [random_shift_space(rng, n)]
+        codes = []
+        for _ in range(4):  # the last code is two splits composed: window 3
+            space, code, _ = random_single_split(rng, spaces[-1])
+            spaces.append(space)
+            codes.append(code)
+        c1, c2, c3 = codes[0], codes[1], compose_block_codes(codes[3], codes[2])
+        assert c3.window == 3
+        left = compose_block_codes(compose_block_codes(c3, c2), c1)
+        right = compose_block_codes(c3, compose_block_codes(c2, c1))
+        assert left.window == right.window == 5
+        assert list(left.table.items()) == list(right.table.items())
+        assert list(left.table.items()) == list(
+            _compose_by_output_prefix(compose_block_codes(c3, c2), c1).items()
+        )
+    # windows 1-4 on both sides of a bent full-shift code
+    space = build_shift_space([[1, 1], [1, 1]])
+    for outer_w, inner_w in itertools.product(range(1, 5), repeat=2):
+        outer = _window_identity(space, outer_w, rng)
+        inner = _window_identity(space, inner_w, rng)
+        got = compose_block_codes(outer, inner).table
+        assert list(got.items()) == list(_compose_by_output_prefix(outer, inner).items())
+
+
+def test_compose_block_codes_checks_the_word_cap_first(monkeypatch):
+    space = build_shift_space([[1, 1], [1, 1]])
+    inner, outer = _window_identity(space, 2), _window_identity(space, 3)
+    lookups = []
+
+    class Counted(dict):
+        def __getitem__(self, key):
+            lookups.append(key)
+            return dict.__getitem__(self, key)
+
+    inner.table, outer.table = Counted(inner.table), Counted(outer.table)
+    depth = max(space._words)
+    monkeypatch.setattr(shifts, "WORD_TABLE_LIMIT", space.word_count(4) - 1)
+    with pytest.raises(TooLarge):
+        compose_block_codes(outer, inner)
+    assert max(space._words) == depth and lookups == []
+    monkeypatch.undo()
+    assert compose_block_codes(outer, inner).window == 4 and lookups
 
 
 def test_inverse_pair_pullback_round_trip(full2, golden, swap2):

@@ -22,8 +22,10 @@ from orbiteq import (
     point_with_prefix,
     shift_point,
 )
+from orbiteq.config import MAX_ALPHABET
+from orbiteq.errors import OrbiteqError
 from orbiteq.generators import random_shift_space
-from orbiteq.shifts import _shortest_walk
+from orbiteq.shifts import IntMatrix, _reaches_all, _shortest_walk
 
 from conftest import expand_point, points_agree, raw_expand
 
@@ -109,6 +111,66 @@ def test_alphabet_cap_checked_before_copying_rows():
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+def reference_transition_matrix(rows):
+    """``(entries, followers, n)``, or the exception class raised, as the
+    constructor built them with one generator per row and per entry."""
+    try:
+        raw = tuple(rows)
+        if len(raw) > MAX_ALPHABET:
+            raise TooLarge(f"alphabet size {len(raw)} exceeds cap {MAX_ALPHABET}")
+        raw = tuple(tuple(row) for row in raw)
+    except TypeError:
+        raw = ()
+    except TooLarge:
+        return TooLarge
+    n = len(raw)
+    if n == 0 or any(len(row) != n for row in raw):
+        return NotZeroOne
+    try:
+        a = tuple(tuple({0: 0, 1: 1}[x] for x in row) for row in raw)
+    except (KeyError, TypeError):
+        return NotZeroOne
+
+    def support(rows):
+        return tuple(tuple(j for j, x in enumerate(row, 1) if x) for row in rows)
+
+    followers, preceders = support(a), support(zip(*a))
+    degrees = [len(f) for f in followers + preceders]
+    if all(d == 1 for d in degrees):
+        return PermutationMatrix
+    if 0 in degrees or not (_reaches_all(followers) and _reaches_all(preceders)):
+        return NotIrreducible
+    return a, followers, n
+
+
+def test_transition_matrix_matches_the_reference_on_every_small_matrix():
+    inputs = [
+        [list(bits[i * n : (i + 1) * n]) for i in range(n)]
+        for n in (2, 3)
+        for bits in itertools.product((0, 1), repeat=n * n)
+    ]
+    assert len(inputs) == 16 + 512
+    # the bad entries and the other row types of the tests above
+    inputs += [
+        [[1, 2], [1, 1]], [[1, 1.5], [1, 0]], [["1", 1], [1, 0]],
+        [[1, float("nan")], [1, 0]], [[1, 1], [1]], [[[1], [1]], [[1], [0]]],
+        [[True, True], [True, False]], np.array([[1, 1], [1, 0]], dtype=np.uint8),
+        [[1.0, 1], [1, 0.0]], [], [[]], 3, [3, 3], [[1] * 65] * 65,
+    ]
+    outcomes = []
+    for rows in inputs:
+        expected = reference_transition_matrix(rows)
+        try:
+            m = TransitionMatrix(rows)
+            got = m.entries, m.followers, m.n
+            assert type(m.entries) is IntMatrix
+        except OrbiteqError as e:
+            got = type(e)
+        assert got == expected, rows
+        outcomes.append(expected if isinstance(expected, type) else "valid")
+    assert set(outcomes) == {"valid", NotZeroOne, PermutationMatrix, NotIrreducible, TooLarge}
 
 
 def test_allowed_words_full2(full2):
