@@ -300,24 +300,18 @@ def conjugacy_from_amalgamation(a, b):
 
 
 def _color_classes(a):
-    n = len(a)
-    cols = list(zip(*a))
-    colors = [(sum(a[i]), sum(cols[i]), a[i][i]) for i in range(n)]
-    while True:
-        sig = []
-        for i in range(n):
-            outs = tuple(sorted(colors[j] for j, x in enumerate(a[i]) if x))
-            ins = tuple(sorted(colors[j] for j, x in enumerate(cols[i]) if x))
-            sig.append((colors[i], outs, ins))
-        relabel = {s: k for k, s in enumerate(sorted(set(sig)))}
-        new = [relabel[s] for s in sig]
-        if new == colors:
-            return colors
-        colors = new
+    """Each state's own colour: row sum, column sum and diagonal entry."""
+    return [(sum(r), sum(c), r[i]) for i, (r, c) in enumerate(zip(a, zip(*a)))]
 
 
 def _find_iso(a, b):
-    """A permutation ``perm`` with ``a[i][j] == b[perm[i]][perm[j]]``, or None."""
+    """The least ``perm`` in lexicographic order with
+    ``a[i][j] == b[perm[i]][perm[j]]``, or None.
+
+    Depth first: states ``0, 1, ...`` of ``a`` each take the least free
+    state of ``b`` of their own colour that agrees with those before.
+    Every valid ``perm`` keeps colours, so pruning on them cuts none.
+    """
     n = len(a)
     if n != len(b):
         return None
@@ -330,21 +324,20 @@ def _find_iso(a, b):
     def extend(i):
         if i == n:
             return True
+        ai = a[i]
         for j in range(n):
             if used[j] or ca[i] != cb[j]:
                 continue
-            ok = True
+            bj = b[j]
             for i2 in range(i):
                 j2 = perm[i2]
-                if a[i][i2] != b[j][j2] or a[i2][i] != b[j2][j]:
-                    ok = False
+                if ai[i2] != bj[j2] or a[i2][i] != b[j2][j]:
                     break
-            if ok and a[i][i] == b[j][j]:
+            else:
                 perm[i] = j
                 used[j] = True
                 if extend(i + 1):
                     return True
-                perm[i] = None
                 used[j] = False
         return False
 
@@ -357,7 +350,10 @@ def matrices_isomorphic(a, b):
 
 
 def find_isomorphism(a, b):
-    """A relabeling ``perm`` (0-based, ``a -> b``) or None."""
+    """The least relabeling ``perm`` (0-based, ``a -> b``) in lexicographic
+    order, or None.  The search tries only states with equal row sums,
+    column sums and diagonals, which every relabeling keeps.
+    """
     return _find_iso(_entries(a), _entries(b))
 
 

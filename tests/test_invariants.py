@@ -1,7 +1,8 @@
 import random
+import time
 import tracemalloc
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 from math import gcd
 
 import numpy as np
@@ -583,6 +584,93 @@ def test_isomorphism_finder(golden):
             assert a[i, j] == b[perm[i], perm[j]]
 
 
+def least_isomorphism(a, b):
+    """Brute force: the first permutation, in ``permutations`` order, with
+    ``a[i][j] == b[perm[i]][perm[j]]``, or None."""
+    n = len(a)
+    if n != len(b):
+        return None
+    for perm in permutations(range(n)):
+        if all(a[i][j] == b[perm[i]][perm[j]] for i in range(n) for j in range(n)):
+            return list(perm)
+    return None
+
+
+def relabel(rng, a):
+    p = list(range(len(a)))
+    rng.shuffle(p)
+    return [[a[p[i]][p[j]] for j in range(len(a))] for i in range(len(a))]
+
+
+def switch(rng, a, top):
+    """``a`` after at most one random switch that keeps every row and
+    column sum: ``a[i][j]`` and ``a[k][l]`` go down by one, ``a[i][l]``
+    and ``a[k][j]`` up by one, each entry kept within ``0..top``."""
+    a = [list(row) for row in a]
+    for _ in range(20 if len(a) > 1 else 0):
+        (i, k), (j, l) = rng.sample(range(len(a)), 2), rng.sample(range(len(a)), 2)
+        if a[i][j] and a[k][l] and a[i][l] < top and a[k][j] < top:
+            a[i][j] -= 1
+            a[k][l] -= 1
+            a[i][l] += 1
+            a[k][j] += 1
+            break
+    return a
+
+
+def test_find_isomorphism_is_the_least_permutation():
+    rng = random.Random(35)
+    found = 0
+    for _ in range(400):
+        n = rng.randint(1, 6)
+        a = [[rng.randint(0, 2) for _ in range(n)] for _ in range(n)]
+        others = [relabel(rng, a), relabel(rng, switch(rng, a, 2)), a]
+        others.append([[rng.randint(0, 2) for _ in range(n)] for _ in range(n)])
+        for b in others:
+            want = least_isomorphism(a, b)
+            assert find_isomorphism(a, b) == want
+            assert matrices_isomorphic(a, b) is (want is not None)
+            found += want is not None
+    assert 400 <= found < 1600
+
+
+def closed_walks(a):
+    """Traces of ``a**1`` to ``a**6``: equal for isomorphic matrices."""
+    m = np.array(a)
+    return [int(np.trace(np.linalg.matrix_power(m, k))) for k in range(1, 7)]
+
+
+def colours(a):
+    return sorted((sum(row), sum(col), row[i]) for i, (row, col) in enumerate(zip(a, zip(*a))))
+
+
+def test_matching_at_the_cap_refutes_equal_degree_pairs_quickly():
+    # 12-state pairs with equal colours that closed walks prove
+    # non-isomorphic: circulants C(12, S) for 3-element sets S, and
+    # row-regular 0-1 matrices against their relabelled switches
+    n = 12
+    rng = random.Random(12)
+    circulants = [
+        [[int((j - i) % n in s) for j in range(n)] for i in range(n)]
+        for s in rng.sample(list(combinations(range(1, n), 3)), 24)
+    ]
+    pairs = [(a, relabel(rng, b)) for a, b in combinations(circulants, 2)
+             if closed_walks(a) != closed_walks(b)]
+    assert len(pairs) > 250
+    while len(pairs) < 600:
+        a = [[int(j in cols) for j in range(n)] for cols in
+             (rng.sample(range(n), 3) for _ in range(n))]
+        b = a
+        for _ in range(rng.randint(1, 6)):
+            b = switch(rng, b, 1)
+        if colours(a) == colours(b) and closed_walks(a) != closed_walks(b):
+            pairs.append((a, relabel(rng, b)))
+    start = time.perf_counter()
+    for a, b in pairs:
+        assert find_isomorphism(a, b) is None
+    assert time.perf_counter() - start < 2.0
+
+
 def test_conjugacy_from_amalgamation(golden, full2, full3, cfg):
     sp, _, _ = out_split(golden, {1: [(1,), (2,)]})
     pair = conjugacy_from_amalgamation(golden, sp)
@@ -837,7 +925,7 @@ def test_matching_cap_checked_before_copying_rows():
 def test_compare_reads_one_smith_form_and_one_amalgamation_per_matrix(
     golden, monkeypatch
 ):
-    calls = {"_smith": 0, "_amalgamate": 0}
+    calls = {"_smith": 0, "_amalgamate": 0, "_find_iso": 0}
     for name in calls:
         def counted(*args, name=name, call=getattr(invariants, name)):
             calls[name] += 1
@@ -846,9 +934,9 @@ def test_compare_reads_one_smith_form_and_one_amalgamation_per_matrix(
         monkeypatch.setattr(invariants, name, counted)
     split, _, _ = out_split(golden, {1: [(1,), (2,)]})
     assert not obstruction_report(golden, split).obstructed
-    assert calls == {"_smith": 2, "_amalgamate": 0}
+    assert calls == {"_smith": 2, "_amalgamate": 0, "_find_iso": 0}
     assert conjugacy_from_amalgamation(golden, split) is not None
-    assert calls == {"_smith": 2, "_amalgamate": 2}
+    assert calls == {"_smith": 2, "_amalgamate": 2, "_find_iso": 1}
 
 
 def test_invariance_under_splits():
