@@ -18,7 +18,7 @@ from orbiteq import (
     classify,
     conjugacy_from_amalgamation,
     decide_one_sided_conjugacy,
-    matrices_isomorphic,
+    find_isomorphism,
     obstruction_report,
     out_split,
     smith_normal_form,
@@ -41,7 +41,8 @@ print("classification of the split code:", classify(code, inverse, cfg).kind)
 back = total_amalgamation(split)
 print("full 2-shift amalgamates to one state with two loops:",
       total_amalgamation(build_shift_space([[1, 1], [1, 1]])).tolist())
-print("amalgamates back to golden mean:", matrices_isomorphic(back, golden.matrix))
+print("amalgamates back to golden mean:",
+      find_isomorphism(back, golden.matrix) is not None)
 print("decision oracle agrees:", decide_one_sided_conjugacy(golden, split))
 
 pair = conjugacy_from_amalgamation(golden, split)

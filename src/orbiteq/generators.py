@@ -13,7 +13,7 @@ import random
 from .config import MAX_ALPHABET
 from .errors import InadmissibleWord, OrbiteqError, PreconditionFailed, TooLarge
 from .invariants import out_split
-from .maps import compose_block_codes, identity_code, transducer
+from .maps import compose_block_codes, transducer
 from .shifts import build_shift_space
 
 __all__ = [
@@ -68,10 +68,9 @@ def split_chain(rng, base, max_splits=2):
     conjugacy from ``base`` onto the final space and ``inverse`` its
     exact inverse, both block codes.
     """
-    space = base
-    code = identity_code(base)
-    inverse = identity_code(base)
-    for _ in range(rng.randint(1, max_splits)):
+    splits = rng.randint(1, max_splits)
+    space, code, inverse = random_single_split(rng, base)
+    for _ in range(splits - 1):
         space, c, iv = random_single_split(rng, space)
         code = compose_block_codes(c, code)
         inverse = compose_block_codes(inverse, iv)

@@ -39,7 +39,6 @@ __all__ = [
     "amalgamation_terminals",
     "decide_one_sided_conjugacy",
     "conjugacy_from_amalgamation",
-    "matrices_isomorphic",
     "find_isomorphism",
     "smith_normal_form",
     "exact_det",
@@ -344,15 +343,12 @@ def _find_iso(a, b):
     return perm if extend(0) else None
 
 
-def matrices_isomorphic(a, b):
-    """True iff the matrices agree after some relabeling of states."""
-    return _find_iso(_entries(a), _entries(b)) is not None
-
-
 def find_isomorphism(a, b):
     """The least relabeling ``perm`` (0-based, ``a -> b``) in lexicographic
-    order, or None.  The search tries only states with equal row sums,
-    column sums and diagonals, which every relabeling keeps.
+    order, or None; ``find_isomorphism(a, b) is not None`` asks whether the
+    matrices agree after some relabeling of states.  The search tries only
+    states with equal row sums, column sums and diagonals, which every
+    relabeling keeps.
     """
     return _find_iso(_entries(a), _entries(b))
 

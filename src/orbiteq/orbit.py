@@ -40,12 +40,7 @@ from collections import Counter, namedtuple
 from functools import partial
 
 from .config import COCYCLE_START_DEPTH, RunConfig
-from .errors import (
-    InconsistentRoutes,
-    NoAlignment,
-    PreconditionFailed,
-    TooLarge,
-)
+from .errors import InconsistentRoutes, NoAlignment, TooLarge
 from .functions import (
     CylinderFunction,
     combine,
@@ -59,7 +54,6 @@ from .maps import (
     _as_transducer,
     _certification_depth,
     _leaf_pair,
-    _least_pair,
     _misaligned,
     _runs,
     _two_runs,
@@ -76,7 +70,6 @@ from .shifts import (
 __all__ = [
     "OrbitCocyclePair",
     "Verdict",
-    "SegmentReduction",
     "orbit_cocycles",
     "verify_cocycles",
     "induced_potential",
@@ -84,7 +77,6 @@ __all__ = [
     "check_conjugacy",
     "check_eventual_conjugacy",
     "check_strong_coe",
-    "reduce_orbit_segments",
     "classify",
     "cylinder_family",
     "aperiodic_point_with_prefix",
@@ -123,12 +115,6 @@ class Verdict(
     of a periodic point and the non-zero sum of ``l - k - 1`` over one
     period of it.
     """
-
-    __slots__ = ()
-
-
-class SegmentReduction(namedtuple("SegmentReduction", "equal period", defaults=[None])):
-    """Outcome of the orbit-segment cancellation: equality or a period."""
 
     __slots__ = ()
 
@@ -394,17 +380,16 @@ def check_eventual_conjugacy(h, h_inv, K):
     return wit is None, wit
 
 
-def check_strong_coe(h, h_inv, kl1=None, kl2=None):
+def check_strong_coe(h, h_inv, kl1, kl2):
     """Transfer functions certifying strong orbit equivalence, if any exist.
 
     Solves ``l - k = 1 + b - b o sigma`` exactly in both directions, on the
-    given cocycles or on those of depth ``COCYCLE_START_DEPTH``.  Returns
-    ``(b1, b2)``, or ``None`` when no continuous transfer exists in some
-    direction (:func:`~orbiteq.functions.transfer_obstruction` names a
-    periodic point that proves it).
+    cocycles ``kl1`` of ``h`` and ``kl2`` of ``h_inv``, which are required
+    (:func:`orbit_cocycles` gives them).  Returns ``(b1, b2)``, or ``None``
+    when no continuous transfer exists in some direction
+    (:func:`~orbiteq.functions.transfer_obstruction` names a periodic point
+    that proves it).
     """
-    kl1 = kl1 or orbit_cocycles(h, COCYCLE_START_DEPTH)
-    kl2 = kl2 or orbit_cocycles(h_inv, COCYCLE_START_DEPTH)
     b1 = find_transfer(h.source, kl1.difference(), 1)
     if b1 is None:
         return None
@@ -412,44 +397,6 @@ def check_strong_coe(h, h_inv, kl1=None, kl2=None):
     if b2 is None:
         return None
     return b1, b2
-
-
-# ---------------------------------------------------------------------------
-# orbit segment cancellation
-
-
-def reduce_orbit_segments(space, K, y, w):
-    """Cancel the orbit segments of length ``K`` of two points.
-
-    Requires the multisets ``{y, sigma y, ..., sigma^{K-1} y}`` and
-    ``{w, ..., sigma^{K-1} w}`` to be equal (that is the executable form
-    of requiring equal sums of every integer function over the two
-    segments, since indicator functions separate points).  Under that
-    hypothesis either ``y = w``, or both lie on one periodic orbit:
-    ``y = sigma^p w`` and ``w = sigma^q y`` with ``p + q`` a verified
-    period of ``y``.
-
-    Returns a :class:`SegmentReduction`; raises
-    :class:`PreconditionFailed` on multiset mismatch (or on ``K = 0``
-    with distinct points, where the hypothesis is empty but equality is
-    already forced by the caller's setting).
-    """
-    if K < 0:
-        raise ValueError("K must be nonnegative")
-    if y == w:
-        return SegmentReduction(equal=True)
-    if K == 0:
-        raise PreconditionFailed("K = 0 requires equal points")
-    ys = [shift_point(space, y, i) for i in range(K)]
-    ws = [shift_point(space, w, i) for i in range(K)]
-    if Counter(ys) != Counter(ws):
-        raise PreconditionFailed("orbit segment multisets differ")
-    p = next(i for i, q in enumerate(ws) if q == y)
-    q = next(i for i, z in enumerate(ys) if z == w)
-    period = p + q
-    if shift_point(space, y, period) != y:
-        raise PreconditionFailed("cancellation produced a non-period")
-    return SegmentReduction(equal=False, period=period)
 
 
 # ---------------------------------------------------------------------------

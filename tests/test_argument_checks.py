@@ -19,7 +19,6 @@ from orbiteq import (
     orbit_cocycles,
     point_with_prefix,
     pullback,
-    reduce_orbit_segments,
     refine,
     tables_equal,
     verify_inverse_pair,
@@ -30,7 +29,6 @@ FULL2 = build_shift_space([[1, 1], [1, 1]])
 GOLDEN = build_shift_space([[1, 1], [1, 0]])
 IDENT2, IDENTG = identity_code(FULL2), identity_code(GOLDEN)
 ON_FULL2, ON_GOLDEN = constant(FULL2, 1, 2), constant(GOLDEN, 1)
-FIXED = canonical_point(FULL2, (), (1,))
 
 # (call, the exception and message it raises, or the value it returns)
 CHECKS = {
@@ -41,10 +39,6 @@ CHECKS = {
     "eventual-lag-negative": (
         lambda: check_eventual_conjugacy(IDENT2, IDENT2, -1),
         (ValueError, "lag must be nonnegative"),
-    ),
-    "segments-K-negative": (
-        lambda: reduce_orbit_segments(FULL2, -1, FIXED, FIXED),
-        (ValueError, "K must be nonnegative"),
     ),
     "refine-shallower": (
         lambda: refine(ON_FULL2, 1),

@@ -13,7 +13,6 @@ import pytest
 
 from orbiteq import (
     RunConfig,
-    SegmentReduction,
     apply_map,
     block_to_transducer,
     build_shift_space,
@@ -252,7 +251,6 @@ def _records():
         "OrbitCocyclePair": (v.cocycles[0], "k"),
         "CylinderFunction": (v.cocycles[0].k, "depth"),
         "Point": (canonical_point(full2, (1,), (2,)), "preperiod"),
-        "SegmentReduction": (SegmentReduction(True), "equal"),
         "InvariantReport": (invariant_report(full2), "bf_factors"),
         "ObstructionReport": (obstruction_report(full2, full2), "ruled_out"),
         "RunConfig": (CFG, "depth"),
@@ -266,7 +264,6 @@ def _records():
         "OrbitCocyclePair",
         "CylinderFunction",
         "Point",
-        "SegmentReduction",
         "InvariantReport",
         "ObstructionReport",
         "RunConfig",

@@ -581,7 +581,8 @@ def _compose_by_output_prefix(outer, inner):
 
 def test_compose_block_codes_matches_output_prefix_on_the_compare_pool(monkeypatch):
     # the split chains of the invariants-compare pool: bases of 2-9
-    # states, up to 3 splits, composed by split_chain both ways round
+    # states, up to 3 splits, composed by split_chain both ways round,
+    # and each chain's codes composed with the window-1 identity of its base
     pairs = []
     compose = generators.compose_block_codes
 
@@ -590,10 +591,11 @@ def test_compose_block_codes_matches_output_prefix_on_the_compare_pool(monkeypat
         return compose(outer, inner)
 
     monkeypatch.setattr(generators, "compose_block_codes", recorded)
-    for j in range(100):
+    for j in range(150):
         rng = random.Random(f"invariants-compare/pool/split/{j}")
         base = random_shift_space(rng, rng.randint(2, 9))
-        split_chain(rng, base, max_splits=min(3, 12 - base.n))
+        _, code, inverse = split_chain(rng, base, max_splits=min(3, 12 - base.n))
+        pairs += [(code, identity_code(base)), (identity_code(base), inverse)]
     monkeypatch.undo()
     calls = []
     output_prefix = BlockCode.output_prefix
@@ -607,6 +609,31 @@ def test_compose_block_codes_matches_output_prefix_on_the_compare_pool(monkeypat
         assert h.window == inner.window + outer.window - 1
         assert list(h.table.items()) == list(_compose_by_output_prefix(outer, inner).items())
     assert max(h.window for h in found) >= 4 and len(pairs) > 300
+
+
+def _split_chain_from_identities(rng, base, max_splits):
+    """The reference for ``split_chain``: each chain starts from the
+    identity codes of its base and composes every split onto them."""
+    space, code, inverse = base, identity_code(base), identity_code(base)
+    for _ in range(rng.randint(1, max_splits)):
+        space, c, iv = random_single_split(rng, space)
+        code = compose_block_codes(c, code)
+        inverse = compose_block_codes(inverse, iv)
+    return space, code, inverse
+
+
+def test_split_chain_matches_the_chain_from_identity_codes():
+    # starting from the first split gives the same spaces, codes and
+    # random state as composing that split with the base's identity
+    for seed in range(300):
+        runs = []
+        for chain in (split_chain, _split_chain_from_identities):
+            rng = random.Random(seed)
+            base = random_shift_space(rng, rng.randint(2, 5))
+            space, code, inverse = chain(rng, base, max_splits=3)
+            codes = [(h.window, list(h.table.items())) for h in (code, inverse)]
+            runs.append((space.matrix.entries.tolist(), codes, rng.getstate()))
+        assert runs[0] == runs[1]
 
 
 def test_compose_block_codes_is_associative_past_outer_window_two():

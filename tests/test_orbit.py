@@ -14,14 +14,11 @@ from orbiteq import (
     CylinderFunction,
     InconsistentRoutes,
     OrbitCocyclePair,
-    PreconditionFailed,
-    SegmentReduction,
     TooLarge,
     apply_map,
     aperiodic_point_with_prefix,
     block_to_transducer,
     build_shift_space,
-    canonical_point,
     check_conjugacy,
     check_eventual_conjugacy,
     check_potential_identity,
@@ -42,7 +39,6 @@ from orbiteq import (
     orbit_cocycles,
     out_split,
     pullback,
-    reduce_orbit_segments,
     shift_point,
     tables_equal,
     transfer_obstruction,
@@ -311,9 +307,11 @@ def test_recoder_eventual_lag_one(full2, recoder, cfg):
 
 
 def test_strong_coe_constants(full2, swap2, recoder, cfg):
-    res = check_strong_coe(swap2, swap2)
+    kl = orbit_cocycles(swap2, 3)
+    res = check_strong_coe(swap2, swap2, kl, kl)
     assert res is not None and res[0].is_constant() and res[1].is_constant()
-    res = check_strong_coe(recoder, recoder)
+    kl = orbit_cocycles(recoder, 3)
+    res = check_strong_coe(recoder, recoder, kl, kl)
     assert res is not None and res[0].is_constant() and res[1].is_constant()
 
 
@@ -334,7 +332,7 @@ def test_strong_coe_is_none_when_only_the_backward_direction_fails(full2, golden
     assert find_transfer(full2, orbit_cocycles(ident, 3).difference(), 1) is not None
     kl = orbit_cocycles(golden_map, 3)
     assert transfer_obstruction(full2, kl.difference(), 1) is not None
-    assert check_strong_coe(ident, golden_map) is None
+    assert check_strong_coe(ident, golden_map, orbit_cocycles(ident, 3), kl) is None
 
 
 @pytest.mark.parametrize(
@@ -359,40 +357,6 @@ def test_expansion_coe_note_names_periodic_obstruction(n, expand, cfg):
     g, period = diffs[i], len(p.cycle)
     seq = raw_expand((), p.cycle, period + g.depth)
     assert s == sum(g.table[seq[j : j + g.depth]] - 1 for j in range(period)) != 0
-
-
-# --- segment reduction -------------------------------------------------------
-
-
-def test_reduce_singleton(full2):
-    y = canonical_point(full2, (), (1,))
-    assert reduce_orbit_segments(full2, 1, y, y) == SegmentReduction(True, None)
-
-
-def test_reduce_k0(full2):
-    y = canonical_point(full2, (), (1, 2))
-    assert reduce_orbit_segments(full2, 0, y, y).equal
-    with pytest.raises(PreconditionFailed):
-        reduce_orbit_segments(full2, 0, y, shift_point(full2, y))
-
-
-def test_reduce_two_cycle(full2):
-    y = canonical_point(full2, (), (1, 2))
-    w = canonical_point(full2, (), (2, 1))
-    out = reduce_orbit_segments(full2, 2, y, w)
-    assert out == SegmentReduction(False, 2)
-    # verified period
-    q = y
-    for _ in range(2):
-        q = shift_point(full2, q)
-    assert q == y
-
-
-def test_reduce_precondition_failed(full2):
-    y = canonical_point(full2, (), (1, 2))
-    w = canonical_point(full2, (), (1,))
-    with pytest.raises(PreconditionFailed):
-        reduce_orbit_segments(full2, 2, y, w)
 
 
 # --- classification ----------------------------------------------------------

@@ -1,10 +1,16 @@
 """The names ``orbiteq`` exports, each bound to the object its home module
-defines, and no others."""
+defines, and no others, and each with a use."""
 
+import ast
 import importlib
+import re
 import types
+from pathlib import Path
 
 import orbiteq
+from orbiteq import jsonio
+
+ROOT = Path(__file__).resolve().parents[1]
 
 SURFACE = {
     "config": ["RunConfig"],
@@ -52,7 +58,6 @@ SURFACE = {
         "exact_det",
         "find_isomorphism",
         "invariant_report",
-        "matrices_isomorphic",
         "obstruction_report",
         "out_split",
         "smith_normal_form",
@@ -71,7 +76,6 @@ SURFACE = {
     ],
     "orbit": [
         "OrbitCocyclePair",
-        "SegmentReduction",
         "Verdict",
         "aperiodic_point_with_prefix",
         "check_conjugacy",
@@ -82,7 +86,6 @@ SURFACE = {
         "cylinder_family",
         "induced_potential",
         "orbit_cocycles",
-        "reduce_orbit_segments",
         "verify_cocycles",
     ],
     "shifts": [
@@ -100,7 +103,7 @@ SURFACE = {
 
 
 def test_each_export_is_its_home_modules_object():
-    assert sum(map(len, SURFACE.values())) == 75
+    assert sum(map(len, SURFACE.values())) == 72
     for module, names in SURFACE.items():
         home = importlib.import_module(f"orbiteq.{module}")
         for name in names:
@@ -117,3 +120,22 @@ def test_no_other_public_name_is_exported():
         and not isinstance(getattr(orbiteq, name), types.ModuleType)
     }
     assert exported == {name for names in SURFACE.values() for name in names}
+
+
+def test_every_export_has_a_use():
+    # a name that nothing loads in the package, and that no demo, bench
+    # script or the README names, is surface that nothing needs
+    loaded = set()
+    for path in (ROOT / "src/orbiteq").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.attr)
+    texts = [*(ROOT / "demos").glob("*.py"), *(ROOT / "bench").rglob("*.py")]
+    words = set(re.findall(r"\w+", (ROOT / "README.md").read_text()))
+    for path in texts:
+        words.update(re.findall(r"\w+", path.read_text()))
+    exported = {name for names in SURFACE.values() for name in names}
+    unused = exported.union(jsonio.__all__) - loaded - words
+    assert not unused, sorted(unused)

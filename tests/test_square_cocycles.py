@@ -2,7 +2,7 @@
 
 ``orbit_cocycles`` takes the runs on each word ``w`` and on ``w[1:]`` from
 one depth-first walk of the words (``maps._two_runs``), and
-``orbit._least_pair`` runs the same per-cylinder code on one word.  Runs
+``maps._least_pair`` runs the same per-cylinder code on one word.  Runs
 that end in one state give the pair in closed form, off their outputs;
 otherwise ``l - k`` is read where the runs first share a state, or from
 the first finite walk among the differences outward from the output lead,
@@ -40,6 +40,7 @@ from orbiteq.maps import (
     _compared,
     _difference,
     _last_mismatch,
+    _least_pair,
     _misaligned,
     _square_edges,
     apply_map,
@@ -200,7 +201,7 @@ def assert_square_matches_points(maps, depths):
         for depth in depths:
             memo, ref_memo, pairs = {}, {}, []
             for w in m.source.words(depth):
-                pair = outcome(lambda: orbit._least_pair(m, w, memo))
+                pair = outcome(lambda: _least_pair(m, w, memo))
                 assert pair == outcome(lambda: point_loop(m, w, depth)), (name, w)
                 reference = outcome(lambda: walk_only_pair(m, w, ref_memo))
                 assert pair == reference, (name, w)
@@ -273,7 +274,7 @@ def test_output_lead_is_not_the_difference_on_the_two_mode_identity():
     (sa, oa), (sb, ob) = m._run(w), m._run(w[1:])
     assert len(oa) - len(ob) == 3
     assert unshared(m, w)
-    assert orbit._least_pair(m, w, {}) == (0, 1)
+    assert _least_pair(m, w, {}) == (0, 1)
 
 
 def pair_doubler():
@@ -293,7 +294,7 @@ def test_pair_doubler_has_no_alignment_on_any_cylinder():
     for w in FULL2.words(3):
         assert unshared(m, w)
         with pytest.raises(NoAlignment):
-            orbit._least_pair(m, w, memo)
+            _least_pair(m, w, memo)
     # the walk of all cylinders (sharing the memo, as orbit_cocycles would
     # build it) and the walk-only reference fail on the same first cylinder
     with pytest.raises(NoAlignment) as walked:
