@@ -12,14 +12,16 @@ conjugate exactly when their total amalgamations are isomorphic.  The
 merges also carry each 2-word to a terminal edge, and the explicit
 conjugacy is read off those edge labels.
 
-The integer side computes the Smith normal form of ``I - A`` exactly, in
-one pass, and reads every invariant off its diagonal once: the cokernel
-factors of ``I - A`` and of its transpose ``I - A^T`` (the K_0 group of
-the Cuntz-Krieger algebra), the rank of ``ker(I - A^T)`` (K_1), and,
-from the determinants of its unimodular factors, the sign of
-``det(I - A)``.  Those are preserved down the whole equivalence ladder,
-so disagreement refutes every rung at once; agreement never certifies
-anything.
+The integer side computes ``det(I - A)`` exactly and reads its sign off
+it.  The cokernel factors of ``I - A`` and of its transpose ``I - A^T``
+(the K_0 group of the Cuntz-Krieger algebra) and the rank of
+``ker(I - A^T)`` (K_1) are the diagonal of the Smith normal form of
+``I - A``.  When ``|det(I - A)|`` is squarefree, and no larger than
+Hadamard's bound for the matching cap, the divisibility chain forces
+that diagonal to ``1, ..., 1, |det|`` and no Smith form is built;
+otherwise it is computed exactly, in one pass, with a certificate.
+Those are preserved down the whole equivalence ladder, so disagreement
+refutes every rung at once; agreement never certifies anything.
 """
 
 from collections import namedtuple
@@ -427,12 +429,6 @@ def smith_normal_form(m):
     not an integer, or a ragged row, is a ``ValueError``.  Returns ``(U,
     D, V)`` as nested lists of Python ints.
     """
-    u, d, v, _ = _smith(m)
-    return u, d, v
-
-
-def _smith(m):
-    """:func:`smith_normal_form` with ``det U * det V`` (which is 1 or -1)."""
     a = [[_int(x) for x in row] for row in m]
     m_int = [row[:] for row in a]
     # an input with no rows keeps its column count only in its ``shape``
@@ -493,10 +489,22 @@ def _smith(m):
 
     if _matmul(_matmul(u, m_int), v) != a:
         raise AssertionError("normal form certificate failed")
-    det_u, det_v = (_bareiss([row[:] for row in x]) for x in (u, v))
-    if abs(det_u) != 1 or abs(det_v) != 1:
+    if any(abs(_bareiss([row[:] for row in x])) != 1 for x in (u, v)):
         raise AssertionError("transformation matrices are not unimodular")
-    return u, a, v, det_u * det_v
+    return u, a, v
+
+
+def _squarefree(n):
+    """Is the positive int ``n`` divisible by no square of a prime?
+    Trial division, so only for small ``n``."""
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return False
+        p += 1
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -522,19 +530,40 @@ def bowen_franks(a):
     The factors are the Smith diagonal of ``I - A`` with the trivial 1s
     dropped.  ``I - A^T`` is its transpose and has the same diagonal, so
     they are also the factors of ``K_0 = coker(I - A^T)``, and their
-    zeros count the rank of ``K_1 = ker(I - A^T)``.
+    zeros count the rank of ``K_1 = ker(I - A^T)``.  ``a`` is a shift
+    space, a transition matrix or any iterable of integer rows.
 
-    The sign comes from the same certificate: ``U (I - A) V = D`` gives
-    ``det(I - A) = det U * det V * prod(d_i)``, and every ``d_i >= 0``.
+    ``det(I - A)`` is computed first, exactly, and the sign is read off
+    it.  When it is not zero, the nonzero factors ``d_1 | ... | d_n`` of
+    the full diagonal multiply to ``|det|``; a prime dividing ``d_{n-1}``
+    also divides ``d_n``, so its square divides ``|det|``.  A squarefree
+    ``|det|`` therefore forces ``D = diag(1, ..., 1, |det|)``, and no
+    Smith form is built.  Squarefreeness is tried by trial division only
+    up to ``MAX_MATCH_STATES ** (MAX_MATCH_STATES // 2)``, Hadamard's
+    bound on ``|det(I - A)|`` for a 0-1 ``A`` of up to that many states;
+    a zero, larger or non-squarefree ``|det|`` takes the certified
+    :func:`smith_normal_form`.
+
+    Examples
+    --------
+    ``|det| = 4`` on both sides, yet the cokernels differ:
+
+    >>> bowen_franks([[0, 1, 1], [1, 0, 1], [1, 1, 0]])
+    ((2, 2), -1)
+    >>> bowen_franks([[0, 1, 1], [1, 0, 1], [1, 1, 1]])
+    ((4,), -1)
     """
-    a = a.matrix if isinstance(a, ShiftSpace) else a
     i_a = [
         [int(i == j) - x for j, x in enumerate(row)]
-        for i, row in enumerate(a.entries)
+        for i, row in enumerate(_entries(a, capped=False))
     ]
-    _, d, _, unit = _smith(i_a)
-    diag = [d[i][i] for i in range(a.n)]
-    sign = unit if all(diag) else 0
+    det = _bareiss([row[:] for row in i_a])
+    sign = (det > 0) - (det < 0)
+    det = abs(det)
+    if det and det <= MAX_MATCH_STATES ** (MAX_MATCH_STATES // 2) and _squarefree(det):
+        return ((det,) if det > 1 else ()), sign
+    _, d, _ = smith_normal_form(i_a)
+    diag = (row[i] for i, row in enumerate(d))
     return tuple(x for x in diag if x != 1), sign
 
 

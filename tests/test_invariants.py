@@ -3,7 +3,7 @@ import time
 import tracemalloc
 from fractions import Fraction
 from itertools import combinations, permutations
-from math import gcd
+from math import gcd, isqrt
 
 import numpy as np
 import pytest
@@ -23,6 +23,7 @@ from orbiteq import (
     exact_det,
     find_isomorphism,
     identity_code,
+    invariant_report,
     obstruction_report,
     out_split,
     smith_normal_form,
@@ -117,7 +118,7 @@ def test_exact_det_of_empty_matrix_is_one():
 
 
 def reference_smith(m):
-    """The row-by-row Smith normal form that ``_smith`` must reproduce
+    """The row-by-row Smith normal form that ``smith_normal_form`` must reproduce
     exactly: the same pivot rule and the same row and column operations,
     with a generator ``sum`` per product entry and every operation done
     on every row."""
@@ -174,7 +175,7 @@ def reference_smith(m):
             u[s] = [-x for x in u[s]]
 
     assert matmul(matmul(u, m_int), v) == a
-    return u, a, v, exact_det(u) * exact_det(v)
+    return u, a, v
 
 
 def compare_pool_matrices(seed):
@@ -202,9 +203,7 @@ def test_smith_matches_the_row_by_row_reference():
     inputs = [*random_smith_inputs(random.Random(25)), *compare_pool_matrices(1)]
     assert len(inputs) > 1000
     for m in inputs:
-        u, d, v, unit = reference_smith(m)
-        assert invariants._smith(m) == (u, d, v, unit), m
-        assert smith_normal_form(m) == (u, d, v)
+        assert smith_normal_form(m) == reference_smith(m), m
 
 
 def test_smith_checks_its_certificate_and_unimodularity(monkeypatch):
@@ -217,13 +216,13 @@ def test_smith_checks_its_certificate_and_unimodularity(monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(invariants, "_bareiss", lambda a: 2)
         with pytest.raises(AssertionError, match="not unimodular"):
-            invariants._smith(m)
+            smith_normal_form(m)
     with monkeypatch.context() as patch:
         patch.setattr(invariants, "_matmul", perturbed)
         with pytest.raises(AssertionError, match="certificate failed"):
-            invariants._smith(m)
-    _, d, _, unit = invariants._smith(m)  # unpatched, both checks pass
-    assert (d, unit) == ([[1, 0, 0], [0, 1, 0], [0, 0, 39]], -1)  # det m = -39
+            smith_normal_form(m)
+    _, d, _ = smith_normal_form(m)  # unpatched, both checks pass
+    assert d == [[1, 0, 0], [0, 1, 0], [0, 0, 39]]  # det m = -39
 
 
 @pytest.mark.parametrize(
@@ -402,23 +401,62 @@ def test_k_theory_examples(full2, full3):
     assert (k0, k0.count(0)) == ((2,), 0)
 
 
-def test_bowen_franks_matches_transpose_smith_form():
+def test_bowen_franks_matches_transpose_smith_form(monkeypatch):
     # reference: the Smith normal form of I - A^T itself, not of I - A;
-    # its zeros are the rank of K1 = ker(I - A^T)
+    # its zeros are the rank of K1 = ker(I - A^T).  Some spaces are read
+    # off a squarefree det(I - A), the others through the Smith form.
+    calls = []
+
+    def counted(m):
+        calls.append(m)
+        return smith_normal_form(m)
+
+    monkeypatch.setattr(invariants, "smith_normal_form", counted)
     rng = random.Random(5)
     for _ in range(100):
-        space = random_shift_space(rng, rng.randint(2, 9))
+        space = random_shift_space(rng, rng.randint(2, 12))
         m = (np.eye(space.n, dtype=int) - np.array(space.matrix.entries).T).tolist()
         _, d, _ = smith_normal_form(m)
         diag = [d[i][i] for i in range(space.n)]
         factors, _ = bowen_franks(space)
         assert factors == tuple(x for x in diag if x != 1)
         assert factors.count(0) == diag.count(0)
+    assert 0 < len(calls) < 100
+
+
+def test_squarefree_matches_its_definition():
+    for n in range(1, 20001):
+        brute = all(n % (k * k) for k in range(2, isqrt(n) + 1))
+        assert invariants._squarefree(n) is brute, n
+
+
+def test_bowen_franks_tells_apart_pairs_of_one_det():
+    # |det(I - A)| = 4 on both, so both take the Smith form: Z/2 + Z/2
+    # against Z/4 obstructs every rung though the dets agree
+    a = [[0, 1, 1], [1, 0, 1], [1, 1, 0]]
+    b = [[0, 1, 1], [1, 0, 1], [1, 1, 1]]
+    assert bowen_franks(a) == ((2, 2), -1)
+    assert bowen_franks(b) == ((4,), -1)
+    assert obstruction_report(a, b).obstructed
+
+
+def test_bowen_franks_reads_plain_rows_and_survives_amalgamation():
+    assert bowen_franks([[1, 1], [1, 1]]) == ((), -1)
+    assert invariant_report([[1, 1], [1, 1]]) == ((), -1)
+    spaces = [
+        space
+        for build in bench_cases().WORKLOADS["invariants-compare"](1)
+        for space in build().args
+    ]
+    assert len(spaces) > 1000
+    for space in spaces:
+        rows = total_amalgamation(space)
+        assert bowen_franks(rows) == bowen_franks(space), space.matrix.entries
 
 
 def test_bowen_franks_sign_matches_exact_det():
-    # the sign is read off the Smith certificate; the reference is the
-    # determinant of I - A itself
+    # the reference is the determinant of I - A itself, computed apart
+    # from bowen_franks
     rng = random.Random(5)
     signs = set()
     for _ in range(200):
@@ -923,18 +961,33 @@ def test_matching_cap_checked_before_copying_rows():
 def test_compare_reads_one_smith_form_and_one_amalgamation_per_matrix(
     golden, monkeypatch
 ):
-    calls = {"_smith": 0, "_amalgamate": 0, "_find_iso": 0}
-    for name in calls:
-        def counted(*args, name=name, call=getattr(invariants, name)):
-            calls[name] += 1
-            return call(*args)
+    # det(I - A) is -1 on golden and its split, so their factors are read
+    # off it; it is -4 on the triangle and 0 on the path with loops at its
+    # ends, so each of those and its split takes one Smith form
+    triangle = build_shift_space([[0, 1, 1], [1, 0, 1], [1, 1, 0]])
+    looped = build_shift_space([[1, 1, 0], [1, 0, 1], [0, 1, 1]])
+    for base, blocks, smith_forms in (
+        (golden, [(1,), (2,)], 0),
+        (triangle, [(2,), (3,)], 2),
+        (looped, [(1,), (2,)], 2),
+    ):
+        calls = {"smith_normal_form": 0, "_amalgamate": 0, "_find_iso": 0}
+        with monkeypatch.context() as patch:
+            for name in calls:
+                def counted(*args, name=name, call=getattr(invariants, name)):
+                    calls[name] += 1
+                    return call(*args)
 
-        monkeypatch.setattr(invariants, name, counted)
-    split, _, _ = out_split(golden, {1: [(1,), (2,)]})
-    assert not obstruction_report(golden, split).obstructed
-    assert calls == {"_smith": 2, "_amalgamate": 0, "_find_iso": 0}
-    assert conjugacy_from_amalgamation(golden, split) is not None
-    assert calls == {"_smith": 2, "_amalgamate": 2, "_find_iso": 1}
+                patch.setattr(invariants, name, counted)
+            split, _, _ = out_split(base, {1: blocks})
+            assert not obstruction_report(base, split).obstructed
+            assert calls == {
+                "smith_normal_form": smith_forms, "_amalgamate": 0, "_find_iso": 0
+            }
+            assert conjugacy_from_amalgamation(base, split) is not None
+            assert calls == {
+                "smith_normal_form": smith_forms, "_amalgamate": 2, "_find_iso": 1
+            }
 
 
 def test_invariance_under_splits():

@@ -189,14 +189,14 @@ def unshared(m, w):
     return _difference(m, sa, sb, w[-1], len(oa) - len(ob)) is None
 
 
-def assert_square_matches_points(maps, depths):
+def assert_square_matches_points(named_maps, depths):
     """Each cylinder's pair from the square equals the point loop's and
     :func:`walk_only_pair`'s, and ``orbit_cocycles`` gives the same tables,
     in word order, or fails on the first cylinder that has no pair.
     Returns the number of cylinders with no alignment, the number of
     cylinders, and the number whose two runs never share a state."""
     rows = []
-    for name, h in maps:
+    for name, h in named_maps:
         m = _as_transducer(h)
         for depth in depths:
             memo, ref_memo, pairs = {}, {}, []
@@ -217,17 +217,17 @@ def assert_square_matches_points(maps, depths):
 
 @pytest.mark.parametrize("seed", [1, 2])
 def test_square_matches_point_loop_on_ladder_maps(seed):
-    maps = list(ladder_maps(seed))
-    assert len(maps) == 2 * (44 + 71)
-    *_, unshared_roots = assert_square_matches_points(maps, [3])
+    named_maps = list(ladder_maps(seed))
+    assert len(named_maps) == 2 * (44 + 71)
+    *_, unshared_roots = assert_square_matches_points(named_maps, [3])
     assert unshared_roots == 0  # every root reaches a node with equal states
 
 
 def test_square_matches_point_loop_on_prefix_exchanges():
-    maps = [(f"exchange-{u}-{v}", f) for u, v, f in golden.exchanges()]
-    assert len(maps) == 71
+    named_maps = [(f"exchange-{u}-{v}", f) for u, v, f in golden.exchanges()]
+    assert len(named_maps) == 71
     unaligned, cylinders, unshared_roots = assert_square_matches_points(
-        maps, [3, 4, 5]
+        named_maps, [3, 4, 5]
     )
     assert cylinders == 71 * (8 + 16 + 32)
     assert unaligned > 0  # some exchanges need deeper cylinders
@@ -235,14 +235,14 @@ def test_square_matches_point_loop_on_prefix_exchanges():
 
 
 def test_square_matches_point_loop_on_small_maps():
-    maps = [
+    named_maps = [
         ("recoder2", committed("recoder2.json")),
         ("duplicator", duplicator()),
         ("late-recoder", late_recoder()),
         ("pair-buffer", pair_buffer()),
         ("two-mode", two_mode()),
     ]
-    for name, h in maps:
+    for name, h in named_maps:
         _, _, unshared_roots = assert_square_matches_points([(name, h)], [1, 2, 3, 4])
         assert (unshared_roots > 0) is (name in ("pair-buffer", "two-mode")), name
     kl = orbit_cocycles(late_recoder(), 3)
