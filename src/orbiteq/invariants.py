@@ -10,13 +10,18 @@ Iterating it until no two columns are equal gives Williams' total
 amalgamation, unique up to a state permutation: two one-sided shifts are
 conjugate exactly when their total amalgamations are isomorphic.  The
 merges also carry each 2-word to a terminal edge, and the explicit
-conjugacy is read off those edge labels.
+conjugacy is read off those edge labels: both directions from one growth
+of the two spaces' label paths.  A transition matrix keeps its
+amalgamation (terminal and merge log, then the labels once a conjugacy
+needs them), so ``compare`` merges each matrix's columns once.
 
 The integer side computes ``det(I - A)`` exactly and reads its sign off
 it.  The cokernel factors of ``I - A`` and of its transpose ``I - A^T``
 (the K_0 group of the Cuntz-Krieger algebra) and the rank of
 ``ker(I - A^T)`` (K_1) are the diagonal of the Smith normal form of
-``I - A``.  When ``|det(I - A)|`` is squarefree, and no larger than
+``I - A``.  Both the determinant and the cokernel are those of ``I - T``
+for the total amalgamation ``T``, which is no larger, so they are read
+off it.  When ``|det(I - A)|`` is squarefree, and no larger than
 Hadamard's bound for the matching cap, the divisibility chain forces
 that diagonal to ``1, ..., 1, |det|`` and no Smith form is built;
 otherwise it is computed exactly, in one pass, with a certificate.
@@ -25,6 +30,7 @@ refutes every rung at once; agreement never certifies anything.
 """
 
 from collections import namedtuple
+from functools import cached_property
 from operator import mul
 
 from .config import MAX_MATCH_STATES, WORD_TABLE_LIMIT
@@ -146,51 +152,91 @@ def _entries(x, capped=True):
     return a
 
 
-def _amalgamate(entries):
-    """Williams' total column amalgamation, with the edge each 2-word lands on.
+def _merge_columns(entries):
+    """Williams' total column amalgamation, as a terminal and a merge log.
 
     Repeatedly merges the first pair ``p < q`` of states with equal
     columns: row ``q`` is added to row ``p`` and ``q`` is dropped.  Returns
-    ``(t, edge)`` where ``edge`` maps every allowed 2-word of the 0-1 matrix
-    (1-based symbols) to an edge ``(source, target, index)`` of ``t``
-    (0-based states, ``index < t[source][target]``).  Across a merge an
-    edge into ``q`` becomes the edge into ``p`` with the same source and
-    index, and an edge out of ``q`` an edge out of ``p`` whose index is
-    shifted by the pre-merge count ``t[p][d]``.  Reading the labels of
-    consecutive 2-words is a one-sided conjugacy onto the edge shift of
-    ``t``; its inverse reads one more edge per merge.  ``t`` is returned
-    as an :class:`IntMatrix`.
+    ``(t, log)``: the terminal ``t``, an :class:`IntMatrix`, and one
+    ``(p, q, row p before the merge)`` per merge, in order.  The first
+    test is whether any two columns are equal at all; when none are,
+    ``entries`` is returned as it is, with an empty log, and nothing is
+    copied.  A transition matrix keeps ``(t, log)`` in its
+    :class:`_Amalgamation` from the first time ``bowen_franks``,
+    ``total_amalgamation``, ``decide_one_sided_conjugacy`` or
+    ``conjugacy_from_amalgamation`` reads it; plain rows are merged afresh
+    on each call.
     """
-    t = [list(row) for row in entries]
-    edge = {
-        (i + 1, j + 1): (i, j, 0)
-        for i, row in enumerate(t)
-        for j, x in enumerate(row)
-        if x
-    }
+    t, log = entries, []
     while True:
-        n = len(t)
         cols = list(zip(*t))
-        pair = next(
-            ((p, q) for p in range(n) for q in range(p + 1, n) if cols[p] == cols[q]),
-            None,
-        )
-        if pair is None:
-            return IntMatrix(tuple(row) for row in t), edge
+        if len(set(cols)) == len(cols):
+            return (IntMatrix(map(tuple, t)) if log else t), log
+        first, pair = {}, None
+        for q, col in enumerate(cols):
+            p = first.setdefault(col, q)
+            if p != q and (pair is None or p < pair[0]):
+                pair = p, q
+        if not log:
+            t = [list(row) for row in t]
         p, q = pair
-
-        def move(s, d, k):
-            if s == q:
-                s, k = p, k + t[p][d]
-            if d == q:
-                d = p
-            return s - (s > q), d - (d > q), k
-
-        edge = {w: move(*e) for w, e in edge.items()}
+        log.append((p, q, t[p]))  # t[p] is rebound, so no later merge edits it
         t[p] = [x + y for x, y in zip(t[p], t[q])]
         del t[q]
         for row in t:
             del row[q]
+
+
+class _Amalgamation:
+    """One matrix's total amalgamation: its ``entries``, the ``terminal``
+    and merge ``log`` of :func:`_merge_columns`, and the ``edge`` labels,
+    replayed from the log on first use, so a pair whose terminals differ
+    never builds them.  A transition matrix keeps it from the first time
+    it is asked for (:func:`_amalgamation`), the way a :class:`ShiftSpace`
+    keeps its word tables; nothing kept is changed afterwards.
+    """
+
+    def __init__(self, entries):
+        self.entries = entries
+        self.terminal, self.log = _merge_columns(entries)
+
+    @cached_property
+    def edge(self):
+        """Maps every allowed 2-word of ``entries`` (1-based symbols) to an
+        edge ``(source, target, index)`` of the terminal (0-based states,
+        ``index < terminal[source][target]``).  Across a merge an edge into
+        ``q`` becomes the edge into ``p`` with the same source and index,
+        and an edge out of ``q`` an edge out of ``p`` whose index is
+        shifted by the pre-merge count ``row_p[d]``.  Reading the labels of
+        consecutive 2-words is a one-sided conjugacy onto the edge shift of
+        the terminal; its inverse reads one more edge per merge.
+        """
+        edge = {}
+        for i, row in enumerate(self.entries):
+            for j, x in enumerate(row):
+                if x:
+                    s, d, k = i, j, 0
+                    for p, q, row_p in self.log:
+                        if s == q:
+                            s, k = p, k + row_p[d]
+                        if d == q:
+                            d = p
+                        s, d = s - (s > q), d - (d > q)
+                    edge[i + 1, j + 1] = s, d, k
+        return edge
+
+
+def _amalgamation(x, capped=True):
+    """The :class:`_Amalgamation` of ``x``, after :func:`_entries` (so a
+    ``TooLarge`` comes before any merge).  A shift space's or transition
+    matrix's is kept on the matrix; plain rows are amalgamated afresh."""
+    a = _entries(x, capped)
+    m = x.matrix if isinstance(x, ShiftSpace) else x
+    if not isinstance(m, TransitionMatrix):
+        return _Amalgamation(a)
+    if "_amalgamation" not in vars(m):
+        m._amalgamation = _Amalgamation(a)
+    return m._amalgamation
 
 
 def total_amalgamation(matrix):
@@ -205,8 +251,7 @@ def total_amalgamation(matrix):
     >>> total_amalgamation(build_shift_space([[1, 1], [1, 1]])).tolist()
     [[2]]
     """
-    t, _ = _amalgamate(_entries(matrix, capped=False))
-    return t
+    return _amalgamation(matrix, capped=False).terminal
 
 
 def amalgamation_terminals(matrix):
@@ -225,13 +270,13 @@ def decide_one_sided_conjugacy(a, b):
     TooLarge
         if either matrix exceeds the matching cap.
     """
-    ta, _ = _amalgamate(_entries(a))
-    tb, _ = _amalgamate(_entries(b))
+    ta, tb = _amalgamation(a).terminal, _amalgamation(b).terminal
     return _find_iso(ta, tb) is not None
 
 
-def _code_through(source, source_edge, target, target_edge):
-    """The block code ``source -> target`` that commutes with the edge labels.
+def _codes_through(space_a, edge_a, space_b, edge_b):
+    """The block codes ``a -> b`` and ``b -> a`` that commute with the
+    edge labels, from one growth of both spaces' words.
 
     Both label maps send 2-words onto edges of one terminal matrix.  For
     the least ``r`` at which the labels of a target word's first ``r + 1``
@@ -241,37 +286,52 @@ def _code_through(source, source_edge, target, target_edge):
     words of both spaces are kept in the order of ``space.words`` as
     ``(label path, last symbol, first symbol)`` and grown by the followers
     of the last symbol; a path is its prefix's path and one more edge,
-    interned per length as an int that both spaces share.  The one word
-    table built is the source's, at the code's own window.  ``TooLarge``
-    if a word count passes the cap: checked as each length is grown, on the
-    target first.
+    interned per length as an int that both spaces share.  Each direction
+    takes its source's values at the first length where its target's paths
+    fix the first symbol, and the growth stops when both have.  The one
+    word table built per code is its source's, at the code's own window.
+    ``TooLarge`` if a word count passes the cap: checked as each length is
+    grown, on the target of the first direction still open first.
     """
-    sides = [(target, target_edge), (source, source_edge)]
-    grown = [[((), a, a) for a in range(1, space.n + 1)] for space, _ in sides]
-    for window in range(2, target.n + 2):
+    spaces, edges = (space_a, space_b), (edge_a, edge_b)
+    grown = [[((), a, a) for a in range(1, space.n + 1)] for space in spaces]
+    found = [None, None]  # direction k reads spaces[k] into spaces[1 - k]
+    for window in range(2, max(space_a.n, space_b.n) + 2):
         ids = {}
-        for k, (space, edge) in enumerate(sides):
+        for k in (1, 0) if found[0] is None else (0, 1):  # target first
+            space, edge = spaces[k], edges[k]
             if space.word_count(window) > WORD_TABLE_LIMIT:  # before allocating
                 raise TooLarge(f"word table at depth {window} too large")
             fol = space.matrix.followers
             grown[k] = [(ids.setdefault((p, edge[a, b]), len(ids)), b, f)
                         for p, a, f in grown[k] for b in fol[a - 1]]
-        first = {}
-        if all(first.setdefault(p, f) == f for p, _, f in grown[0]):
+        for k in (0, 1):
+            if found[k] is None:
+                first = {}
+                if all(first.setdefault(p, f) == f for p, _, f in grown[1 - k]):
+                    found[k] = window, [first[p] for p, _, _ in grown[k]]
+                elif window > spaces[1 - k].n:
+                    raise AssertionError(
+                        "edge labels do not determine the target symbol"
+                    )
+        if None not in found:
             break
-    else:
-        raise AssertionError("edge labels do not determine the target symbol")
-    values = [first[p] for p, _, _ in grown[1]]
-    del grown, ids, first  # before the source's words are built
-    d, values = _least_table(source, window, values)
-    return compile_block_code(source, target, d, dict(zip(source.words(d), values)))
+    del grown, ids, first  # before the sources' words are built
+    codes = []
+    for k, source in enumerate(spaces):
+        (window, values), found[k] = found[k], None  # freed once lowered
+        d, values = _least_table(source, window, values)
+        table = zip(source.words(d), values)  # the dict is freed once rekeyed
+        codes.append(compile_block_code(source, spaces[1 - k], d, dict(table)))
+    return tuple(codes)
 
 
 def conjugacy_from_amalgamation(a, b):
     """An explicit conjugacy pair between two shift spaces, or None.
 
-    Both matrices are amalgamated once; if the terminals are isomorphic,
-    each direction is the block code that agrees on terminal edges, and
+    Each matrix is amalgamated once (a transition matrix keeps it); if
+    the terminals are isomorphic, each direction is the block code that
+    agrees on terminal edges, both from one growth of the label paths, and
     both composites are checked to be the identity word by word
     (``maps._composite_mismatch``) before returning.
 
@@ -281,16 +341,14 @@ def conjugacy_from_amalgamation(a, b):
         if either matrix exceeds the matching cap, or a word table the
         codes or their composites need exceeds its cap.
     """
-    ta, edge_a = _amalgamate(_entries(a))
-    tb, edge_b = _amalgamate(_entries(b))
-    perm = _find_iso(ta, tb)
+    am_a, am_b = _amalgamation(a), _amalgamation(b)
+    perm = _find_iso(am_a.terminal, am_b.terminal)
     if perm is None:
         return None
-    edge_a = {w: (perm[s], perm[d], k) for w, (s, d, k) in edge_a.items()}
+    edge_a = {w: (perm[s], perm[d], k) for w, (s, d, k) in am_a.edge.items()}
     space_a = a if isinstance(a, ShiftSpace) else build_shift_space(a)
     space_b = b if isinstance(b, ShiftSpace) else build_shift_space(b)
-    h = _code_through(space_a, edge_a, space_b, edge_b)
-    h_inv = _code_through(space_b, edge_b, space_a, edge_a)
+    h, h_inv = _codes_through(space_a, edge_a, space_b, am_b.edge)
     if _composite_mismatch(h_inv, h) or _composite_mismatch(h, h_inv):
         raise AssertionError("codes through isomorphic terminals are not inverse")
     return h, h_inv
@@ -429,7 +487,7 @@ def smith_normal_form(m):
     not an integer, or a ragged row, is a ``ValueError``.  Returns ``(U,
     D, V)`` as nested lists of Python ints.
     """
-    a = [[_int(x) for x in row] for row in m]
+    a = [[x if type(x) is int else _int(x) for x in row] for row in m]
     m_int = [row[:] for row in a]
     # an input with no rows keeps its column count only in its ``shape``
     rows, cols = len(a), (len(a[0]) if a else getattr(m, "shape", (0,))[-1])
@@ -533,7 +591,24 @@ def bowen_franks(a):
     zeros count the rank of ``K_1 = ker(I - A^T)``.  ``a`` is a shift
     space, a transition matrix or any iterable of integer rows.
 
-    ``det(I - A)`` is computed first, exactly, and the sign is read off
+    Both are read off ``I - T``, where ``T`` is the total amalgamation of
+    ``A`` (:func:`total_amalgamation`; a transition matrix keeps it, so
+    ``compare`` merges each matrix's columns once).  This is exact for any
+    integer rows, one merge at a time.  Merging the equal columns ``p``
+    and ``q`` is ``A = R S`` and ``T = S R``, where ``R`` is ``A`` without
+    column ``q`` and the 0-1 matrix ``S`` sends each state to the one it
+    becomes: ``(R S)[i][j] = A[i][j]`` since column ``q`` equals column
+    ``p``, and ``S R`` adds row ``q`` to row ``p`` and drops state ``q``.
+    Sylvester's identity gives ``det(I - R S) = det(I - S R)``.  As
+    ``S (I - R S) = (I - S R) S`` and ``R (I - S R) = (I - R S) R``, ``S``
+    and ``R`` induce maps between the two cokernels, and they are inverse
+    to each other: ``R S x = x - (I - R S) x`` and ``S R y = y - (I - S
+    R) y``.  So ``coker(I - A)`` and ``coker(I - T)`` are isomorphic (the
+    Bowen-Franks group is a shift equivalence invariant: Lind and Marcus,
+    section 7.4).  The group fixes the Smith diagonal up to its 1s, so the
+    factors above 1, the zeros and the sign are those of ``I - A``.
+
+    ``det(I - T)`` is computed first, exactly, and the sign is read off
     it.  When it is not zero, the nonzero factors ``d_1 | ... | d_n`` of
     the full diagonal multiply to ``|det|``; a prime dividing ``d_{n-1}``
     also divides ``d_n``, so its square divides ``|det|``.  A squarefree
@@ -552,17 +627,28 @@ def bowen_franks(a):
     ((2, 2), -1)
     >>> bowen_franks([[0, 1, 1], [1, 0, 1], [1, 1, 1]])
     ((4,), -1)
+
+    Columns 2 and 3 are equal, so ``I - T`` is 2 x 2; the Smith form of
+    the full ``I - A`` has the same diagonal but for a 1:
+
+    >>> a = [[0, 1, 1], [1, 1, 1], [1, 1, 1]]
+    >>> total_amalgamation(a).tolist()
+    [[0, 1], [2, 2]]
+    >>> bowen_franks(a), exact_det([[1, -1, -1], [-1, 0, -1], [-1, -1, 0]])
+    (((3,), -1), -3)
+    >>> smith_normal_form([[1, -1, -1], [-1, 0, -1], [-1, -1, 0]])[1]
+    [[1, 0, 0], [0, 1, 0], [0, 0, 3]]
     """
-    i_a = [
+    i_t = [
         [int(i == j) - x for j, x in enumerate(row)]
-        for i, row in enumerate(_entries(a, capped=False))
+        for i, row in enumerate(_amalgamation(a, capped=False).terminal)
     ]
-    det = _bareiss([row[:] for row in i_a])
+    det = _bareiss([row[:] for row in i_t])
     sign = (det > 0) - (det < 0)
     det = abs(det)
     if det and det <= MAX_MATCH_STATES ** (MAX_MATCH_STATES // 2) and _squarefree(det):
         return ((det,) if det > 1 else ()), sign
-    _, d, _ = smith_normal_form(i_a)
+    _, d, _ = smith_normal_form(i_t)
     diag = (row[i] for i, row in enumerate(d))
     return tuple(x for x in diag if x != 1), sign
 

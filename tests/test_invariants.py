@@ -476,6 +476,60 @@ def test_bowen_franks_det_zero_instance():
     assert factors.count(0) >= 1
 
 
+def test_bowen_franks_off_the_terminal_matches_the_smith_form_of_i_minus_a():
+    # integer rows of either sign, some with equal columns forced: the
+    # reference is the Smith diagonal of the full I - A, and the sign of
+    # its exact determinant, neither of them amalgamated
+    rng = random.Random(38)
+    merged, zeros, factors = 0, 0, set()
+    for _ in range(400):
+        n = rng.randint(2, 8)
+        rows = [[rng.randint(-2, 3) for _ in range(n)] for _ in range(n)]
+        for _ in range(rng.choice([0, 0, 1, 2])):
+            p, q = rng.sample(range(n), 2)
+            for row in rows:
+                row[q] = row[p]
+        i_a = [[(i == j) - x for j, x in enumerate(row)] for i, row in enumerate(rows)]
+        _, d, _ = smith_normal_form(i_a)
+        diag = tuple(x for x in (d[i][i] for i in range(n)) if x != 1)
+        det = exact_det(i_a)
+        assert bowen_franks(rows) == (diag, (det > 0) - (det < 0)), rows
+        merged += len(total_amalgamation(rows)) < n
+        zeros += 0 in diag
+        factors.add(len(diag) - diag.count(0))
+    assert merged > 150 and zeros > 10 and {0, 1, 2} <= factors
+
+
+def test_kept_amalgamation_is_invisible():
+    # each matrix keeps its amalgamation once asked; that changes neither
+    # its equality, hash nor repr, and codes built on spaces that already
+    # hold it, in either direction, are those of spaces built afresh
+    rng = random.Random(39)
+    kept = 0
+    for _ in range(30):
+        base = random_shift_space(rng, rng.randint(2, 6))
+        split, _, _ = split_chain(rng, base, max_splits=2)
+        order = rng.sample(range(split.n), split.n)  # so the matched perm moves
+        m = split.matrix.entries
+        split = build_shift_space([[m[i][j] for j in order] for i in order])
+        pair = (base, split)
+        seen = [(hash(s.matrix), repr(s.matrix)) for s in pair]
+        for a, b in (pair, pair[::-1], pair):
+            got = conjugacy_from_amalgamation(a, b)
+            fresh = [build_shift_space(s.matrix.entries) for s in (a, b)]
+            expected = conjugacy_from_amalgamation(*fresh)
+            for h, g in zip(got, expected):
+                assert (h.window, h.table) == (g.window, g.table)
+        for s, (h, r) in zip(pair, seen):
+            assert "_amalgamation" in vars(s.matrix)
+            other = build_shift_space(s.matrix.entries).matrix  # keeps nothing
+            now = hash(s.matrix), repr(s.matrix)
+            assert now == (h, r) == (hash(other), repr(other))
+            assert s.matrix == other and other == s.matrix
+        kept += total_amalgamation(split) is total_amalgamation(split)
+    assert kept == 30
+
+
 def test_nonzero_factor_product_matches_det(full3, golden):
     for space in (full3, golden):
         m = np.eye(space.n, dtype=int) - space.matrix.entries
@@ -870,6 +924,14 @@ def test_least_table_in_word_order_matches_the_dict_loop():
     assert any(least < x < d for d, least, x in depths)
 
 
+def reference_codes_through(a, edge_a, b, edge_b):
+    """``invariants._codes_through`` as one reference code per direction."""
+    return (
+        reference_code_through(a, edge_a, b, edge_b),
+        reference_code_through(b, edge_b, a, edge_a),
+    )
+
+
 def test_codes_through_terminals_match_the_per_word_labels(monkeypatch):
     rng = random.Random(31)
     pairs = []
@@ -878,7 +940,7 @@ def test_codes_through_terminals_match_the_per_word_labels(monkeypatch):
         split, _, _ = split_chain(rng, base, max_splits=min(3, 12 - base.n))
         pairs += [(base, split), (split, base)]
     found = [conjugacy_from_amalgamation(a, b) for a, b in pairs]
-    monkeypatch.setattr(invariants, "_code_through", reference_code_through)
+    monkeypatch.setattr(invariants, "_codes_through", reference_codes_through)
     for (a, b), codes in zip(pairs, found):
         expected = conjugacy_from_amalgamation(a, b)
         for h, g in zip(codes, expected):
@@ -889,29 +951,29 @@ def test_codes_through_terminals_match_the_per_word_labels(monkeypatch):
 def test_codes_through_match_the_reference_on_the_compare_pool(monkeypatch):
     # every split pair of the bench pool at two seeds, each code built on
     # fresh spaces; under a low word table cap both raise the same TooLarge
-    code_through = invariants._code_through
+    codes_through = invariants._codes_through
     outcomes, windows = [], []
 
-    def outcome(build, source, source_edge, target, target_edge):
-        fresh = [build_shift_space(s.matrix.entries) for s in (source, target)]
+    def outcome(build, a, edge_a, b, edge_b):
+        fresh = [build_shift_space(s.matrix.entries) for s in (a, b)]
         try:
-            h = build(fresh[0], source_edge, fresh[1], target_edge)
+            codes = build(fresh[0], edge_a, fresh[1], edge_b)
         except TooLarge as e:
-            return "TooLarge", str(e)
-        return h.window, h.table
+            return [("TooLarge", str(e))]
+        return [(h.window, h.table) for h in codes]
 
     def both(*args):
         for limit in (40, 150, 10**6):
             with monkeypatch.context() as m:
                 m.setattr(invariants, "WORD_TABLE_LIMIT", limit)
                 m.setattr(shifts, "WORD_TABLE_LIMIT", limit)
-                expected = outcome(reference_code_through, *args)
-                assert outcome(code_through, *args) == expected
-            outcomes.append(expected[0])
-        windows.append(expected[0])  # at the real cap
-        return code_through(*args)
+                expected = outcome(reference_codes_through, *args)
+                assert outcome(codes_through, *args) == expected
+            outcomes.extend(x for x, _ in expected)
+        windows.extend(x for x, _ in expected)  # at the real cap
+        return codes_through(*args)
 
-    monkeypatch.setattr(invariants, "_code_through", both)
+    monkeypatch.setattr(invariants, "_codes_through", both)
     for seed in (1, 7):
         for build in bench_cases().WORKLOADS["invariants-compare"](seed):
             case = build()
@@ -963,15 +1025,19 @@ def test_compare_reads_one_smith_form_and_one_amalgamation_per_matrix(
 ):
     # det(I - A) is -1 on golden and its split, so their factors are read
     # off it; it is -4 on the triangle and 0 on the path with loops at its
-    # ends, so each of those and its split takes one Smith form
+    # ends, so each of those and its split takes one Smith form.  Each
+    # matrix's columns are merged once, by the report, and the conjugacy
+    # grows both codes' label paths once
     triangle = build_shift_space([[0, 1, 1], [1, 0, 1], [1, 1, 0]])
     looped = build_shift_space([[1, 1, 0], [1, 0, 1], [0, 1, 1]])
     for base, blocks, smith_forms in (
-        (golden, [(1,), (2,)], 0),
+        (build_shift_space(golden.matrix.entries), [(1,), (2,)], 0),
         (triangle, [(2,), (3,)], 2),
         (looped, [(1,), (2,)], 2),
     ):
-        calls = {"smith_normal_form": 0, "_amalgamate": 0, "_find_iso": 0}
+        calls = dict.fromkeys(
+            ("smith_normal_form", "_merge_columns", "_find_iso", "_codes_through"), 0
+        )
         with monkeypatch.context() as patch:
             for name in calls:
                 def counted(*args, name=name, call=getattr(invariants, name)):
@@ -982,11 +1048,14 @@ def test_compare_reads_one_smith_form_and_one_amalgamation_per_matrix(
             split, _, _ = out_split(base, {1: blocks})
             assert not obstruction_report(base, split).obstructed
             assert calls == {
-                "smith_normal_form": smith_forms, "_amalgamate": 0, "_find_iso": 0
+                "smith_normal_form": smith_forms, "_merge_columns": 2,
+                "_find_iso": 0, "_codes_through": 0,
             }
+            assert decide_one_sided_conjugacy(base, split)
             assert conjugacy_from_amalgamation(base, split) is not None
             assert calls == {
-                "smith_normal_form": smith_forms, "_amalgamate": 2, "_find_iso": 1
+                "smith_normal_form": smith_forms, "_merge_columns": 2,
+                "_find_iso": 2, "_codes_through": 1,
             }
 
 

@@ -398,13 +398,14 @@ def test_one_memo_holds_what_a_fresh_walk_reads():
     # the cocycle walks of a map share one memo across cylinders and
     # depths, as ``orbit._search_cocycles`` does: each node's entry must be
     # what a walk from that node alone reads, 0 where no mismatch is reachable
-    maps = [h for _, h in ladder_maps(1)] + [f for _, _, f in golden.exchanges()]
+    named_maps = list(ladder_maps(1))
+    named_maps += [(f"exchange-{u}-{v}", f) for u, v, f in golden.exchanges()]
     entries = 0
-    for h in maps:
+    for name, h in named_maps:
         m, memo = _as_transducer(h), {}
         for depth in (3, 4):
             outcome(lambda: orbit._cocycles(m, depth, memo))
         for node, value in memo.items():
-            assert value == _last_mismatch(m, node, {}), node
+            assert value == _last_mismatch(m, node, {}), (name, node)
         entries += len(memo)
     assert entries > 0
