@@ -13,7 +13,9 @@ merges also carry each 2-word to a terminal edge, and the explicit
 conjugacy is read off those edge labels: both directions from one growth
 of the two spaces' label paths.  A transition matrix keeps its
 amalgamation (terminal and merge log, then the labels once a conjugacy
-needs them), so ``compare`` merges each matrix's columns once.
+needs them, and the match of its terminal against the last partner's),
+so ``compare`` merges each matrix's columns once and searches for one
+isomorphism per pair.
 
 The integer side computes ``det(I - A)`` exactly and reads its sign off
 it.  The cokernel factors of ``I - A`` and of its transpose ``I - A^T``
@@ -26,7 +28,9 @@ Hadamard's bound for the matching cap, the divisibility chain forces
 that diagonal to ``1, ..., 1, |det|`` and no Smith form is built;
 otherwise it is computed exactly, in one pass, with a certificate.
 Those are preserved down the whole equivalence ladder, so disagreement
-refutes every rung at once; agreement never certifies anything.
+refutes every rung at once; agreement never certifies anything.  The
+invariants depend only on ``T`` up to a state permutation, so when a
+pair's terminals match, ``obstruction_report`` reads them once.
 """
 
 from collections import namedtuple
@@ -163,9 +167,9 @@ def _merge_columns(entries):
     ``entries`` is returned as it is, with an empty log, and nothing is
     copied.  A transition matrix keeps ``(t, log)`` in its
     :class:`_Amalgamation` from the first time ``bowen_franks``,
-    ``total_amalgamation``, ``decide_one_sided_conjugacy`` or
-    ``conjugacy_from_amalgamation`` reads it; plain rows are merged afresh
-    on each call.
+    ``obstruction_report``, ``total_amalgamation``,
+    ``decide_one_sided_conjugacy`` or ``conjugacy_from_amalgamation`` reads
+    it; plain rows are merged afresh on each call.
     """
     t, log = entries, []
     while True:
@@ -193,12 +197,14 @@ class _Amalgamation:
     replayed from the log on first use, so a pair whose terminals differ
     never builds them.  A transition matrix keeps it from the first time
     it is asked for (:func:`_amalgamation`), the way a :class:`ShiftSpace`
-    keeps its word tables; nothing kept is changed afterwards.
+    keeps its word tables; nothing kept is changed afterwards but
+    ``matched``, the ``(partner, perm)`` of the last :func:`_match`.
     """
 
     def __init__(self, entries):
         self.entries = entries
         self.terminal, self.log = _merge_columns(entries)
+        self.matched = None, None
 
     @cached_property
     def edge(self):
@@ -239,6 +245,21 @@ def _amalgamation(x, capped=True):
     return m._amalgamation
 
 
+def _match(am_a, am_b):
+    """``_find_iso(am_a.terminal, am_b.terminal)``, kept on ``am_a`` for
+    the partner ``am_b`` so that ``obstruction_report``,
+    ``decide_one_sided_conjugacy`` and ``conjugacy_from_amalgamation`` on
+    one pair search once.  The one slot is compared by identity and holds
+    the partner itself, so it is never read for another: terminals never
+    change, and a partner cannot be freed while its id is kept.
+    """
+    partner, perm = am_a.matched
+    if partner is not am_b:
+        perm = _find_iso(am_a.terminal, am_b.terminal)
+        am_a.matched = am_b, perm
+    return perm
+
+
 def total_amalgamation(matrix):
     """Williams' total column amalgamation of a 0-1 matrix.
 
@@ -270,8 +291,7 @@ def decide_one_sided_conjugacy(a, b):
     TooLarge
         if either matrix exceeds the matching cap.
     """
-    ta, tb = _amalgamation(a).terminal, _amalgamation(b).terminal
-    return _find_iso(ta, tb) is not None
+    return _match(_amalgamation(a), _amalgamation(b)) is not None
 
 
 def _codes_through(space_a, edge_a, space_b, edge_b):
@@ -329,11 +349,12 @@ def _codes_through(space_a, edge_a, space_b, edge_b):
 def conjugacy_from_amalgamation(a, b):
     """An explicit conjugacy pair between two shift spaces, or None.
 
-    Each matrix is amalgamated once (a transition matrix keeps it); if
-    the terminals are isomorphic, each direction is the block code that
-    agrees on terminal edges, both from one growth of the label paths, and
-    both composites are checked to be the identity word by word
-    (``maps._composite_mismatch``) before returning.
+    Each matrix is amalgamated once and the terminals are matched once (a
+    transition matrix keeps both); if the terminals are isomorphic, each
+    direction is the block code that agrees on terminal edges, both from
+    one growth of the label paths, and both composites are checked to be
+    the identity word by word (``maps._composite_mismatch``) before
+    returning.
 
     Raises
     ------
@@ -342,7 +363,7 @@ def conjugacy_from_amalgamation(a, b):
         codes or their composites need exceeds its cap.
     """
     am_a, am_b = _amalgamation(a), _amalgamation(b)
-    perm = _find_iso(am_a.terminal, am_b.terminal)
+    perm = _match(am_a, am_b)
     if perm is None:
         return None
     edge_a = {w: (perm[s], perm[d], k) for w, (s, d, k) in am_a.edge.items()}
@@ -639,10 +660,12 @@ def bowen_franks(a):
     >>> smith_normal_form([[1, -1, -1], [-1, 0, -1], [-1, -1, 0]])[1]
     [[1, 0, 0], [0, 1, 0], [0, 0, 3]]
     """
-    i_t = [
-        [int(i == j) - x for j, x in enumerate(row)]
-        for i, row in enumerate(_amalgamation(a, capped=False).terminal)
-    ]
+    return _bowen_franks(_amalgamation(a, capped=False).terminal)
+
+
+def _bowen_franks(t):
+    """:func:`bowen_franks` of the terminal ``t``."""
+    i_t = [[int(i == j) - x for j, x in enumerate(row)] for i, row in enumerate(t)]
     det = _bareiss([row[:] for row in i_t])
     sign = (det > 0) - (det < 0)
     det = abs(det)
@@ -674,7 +697,25 @@ class ObstructionReport(namedtuple("ObstructionReport", "left right ruled_out"))
 
 
 def obstruction_report(a, b):
-    ra, rb = invariant_report(a), invariant_report(b)
+    """The invariant reports of ``a`` and ``b``, and the rungs a mismatch
+    rules out.
+
+    ``a``'s report is computed.  When both have at most
+    ``MAX_MATCH_STATES`` states and their total amalgamations ``T_a`` and
+    ``T_b`` match (:func:`_match`, the search the conjugacy decision
+    reuses), ``b``'s report is ``a``'s: the permutation matrix ``P`` has
+    ``T_b = P T_a P^T``, so ``I - T_b = P (I - T_a) P^T`` with ``P``
+    unimodular, and the two share their Smith diagonal and determinant.
+    Otherwise ``b``'s report is computed too.  Above the cap no match is
+    tried and nothing is ``TooLarge``.
+    """
+    am_a, am_b = _amalgamation(a, capped=False), _amalgamation(b, capped=False)
+    ra = InvariantReport(*_bowen_franks(am_a.terminal))
+    small = max(len(am_a.entries), len(am_b.entries)) <= MAX_MATCH_STATES
+    if small and _match(am_a, am_b) is not None:
+        rb = ra
+    else:
+        rb = InvariantReport(*_bowen_franks(am_b.terminal))
     mismatch = ra.bf_factors != rb.bf_factors or ra.det_sign != rb.det_sign
     rungs = ("coe", "strong_coe", "eventual_conjugacy", "conjugacy")
     return ObstructionReport(ra, rb, {r: mismatch for r in rungs})

@@ -30,7 +30,7 @@ from orbiteq import (
     total_amalgamation,
     verify_inverse_pair,
 )
-from orbiteq import invariants, shifts
+from orbiteq import cli, invariants, shifts
 from orbiteq.functions import _least_table
 from orbiteq.maps import _composite_mismatch
 from orbiteq.generators import random_shift_space, random_single_split, split_chain
@@ -500,6 +500,28 @@ def test_bowen_franks_off_the_terminal_matches_the_smith_form_of_i_minus_a():
     assert merged > 150 and zeros > 10 and {0, 1, 2} <= factors
 
 
+RUNGS = ("coe", "strong_coe", "eventual_conjugacy", "conjugacy")
+
+
+def fresh(x):
+    """A copy of a shift space that keeps nothing; plain rows as they are,
+    since nothing is kept for them."""
+    return build_shift_space(x.matrix.entries) if isinstance(x, ShiftSpace) else x
+
+
+def two_reports(a, b):
+    """The obstruction report built from two invariant reports, each of a
+    fresh copy."""
+    ra, rb = invariant_report(fresh(a)), invariant_report(fresh(b))
+    return invariants.ObstructionReport(ra, rb, dict.fromkeys(RUNGS, ra != rb))
+
+
+def relabelled(space, rng):
+    order = rng.sample(range(space.n), space.n)
+    m = space.matrix.entries
+    return build_shift_space([[m[i][j] for j in order] for i in order])
+
+
 def test_kept_amalgamation_is_invisible():
     # each matrix keeps its amalgamation once asked; that changes neither
     # its equality, hash nor repr, and codes built on spaces that already
@@ -509,25 +531,84 @@ def test_kept_amalgamation_is_invisible():
     for _ in range(30):
         base = random_shift_space(rng, rng.randint(2, 6))
         split, _, _ = split_chain(rng, base, max_splits=2)
-        order = rng.sample(range(split.n), split.n)  # so the matched perm moves
-        m = split.matrix.entries
-        split = build_shift_space([[m[i][j] for j in order] for i in order])
+        split = relabelled(split, rng)  # so the matched perm moves
         pair = (base, split)
         seen = [(hash(s.matrix), repr(s.matrix)) for s in pair]
         for a, b in (pair, pair[::-1], pair):
+            assert not obstruction_report(a, b).obstructed
+            assert decide_one_sided_conjugacy(a, b)
             got = conjugacy_from_amalgamation(a, b)
-            fresh = [build_shift_space(s.matrix.entries) for s in (a, b)]
-            expected = conjugacy_from_amalgamation(*fresh)
+            expected = conjugacy_from_amalgamation(fresh(a), fresh(b))
             for h, g in zip(got, expected):
                 assert (h.window, h.table) == (g.window, g.table)
         for s, (h, r) in zip(pair, seen):
             assert "_amalgamation" in vars(s.matrix)
+            assert s.matrix._amalgamation.matched[0] is not None  # and the match
             other = build_shift_space(s.matrix.entries).matrix  # keeps nothing
             now = hash(s.matrix), repr(s.matrix)
             assert now == (h, r) == (hash(other), repr(other))
             assert s.matrix == other and other == s.matrix
         kept += total_amalgamation(split) is total_amalgamation(split)
     assert kept == 30
+
+
+def test_shared_report_matches_two_fresh_reports(monkeypatch):
+    # when the terminals match, b's report is a's; it must equal the one
+    # read off b itself, on the bench pool, on relabelled splits, on plain
+    # rows and when one side is above the matching cap
+    rng = random.Random(41)
+    pairs = [tuple(build().args) for build in
+             bench_cases().WORKLOADS["invariants-compare"](1)]
+    for _ in range(40):
+        base = random_shift_space(rng, rng.randint(2, 5))
+        split, _, _ = split_chain(rng, base, max_splits=2)
+        pairs += [(base, relabelled(split, rng)), (relabelled(split, rng), base)]
+        pairs.append(tuple(s.matrix.entries.tolist() for s in (base, split)))
+    shared = 0
+    for a, b in pairs:
+        got = obstruction_report(a, b)
+        assert got == two_reports(a, b), (a, b)
+        shared += got.left is got.right
+    assert 300 < shared < len(pairs)
+
+    big = random_shift_space(rng, invariants.MAX_MATCH_STATES + 1)
+    small = random_shift_space(rng, 3)
+    big_pairs = [(big, small), (small, big), (big, relabelled(big, rng))]
+    big_pairs.append(tuple(s.matrix.entries.tolist() for s in big_pairs[-1]))
+
+    def no_search(*args):
+        raise AssertionError("no match is tried above the cap")
+
+    monkeypatch.setattr(invariants, "_find_iso", no_search)
+    for a, b in big_pairs:
+        assert obstruction_report(a, b) == two_reports(a, b)
+
+
+def test_kept_match_is_never_stale():
+    # one space matched in turn against its split, an unrelated space of
+    # the split's size and a relabelled split, in both orders and twice
+    # round, decides and builds as fresh spaces do
+    rng = random.Random(43)
+    conjugate = 0
+    for _ in range(25):
+        space = random_shift_space(rng, rng.randint(2, 5))
+        split, _, _ = split_chain(rng, space, max_splits=2)
+        unrelated = random_shift_space(rng, split.n)
+        partners = (split, unrelated, relabelled(split, rng))
+        for other in partners + partners:
+            for a, b in ((space, other), (other, space)):
+                fa, fb = fresh(a), fresh(b)
+                assert obstruction_report(a, b) == obstruction_report(fa, fb)
+                decided = decide_one_sided_conjugacy(a, b)
+                assert decided == decide_one_sided_conjugacy(fa, fb)
+                got = conjugacy_from_amalgamation(a, b)
+                expected = conjugacy_from_amalgamation(fa, fb)
+                assert (got is None) == (expected is None) == (not decided)
+                if got is not None:
+                    conjugate += 1
+                    for h, g in zip(got, expected):
+                        assert (h.window, h.table) == (g.window, g.table)
+    assert conjugate >= 4 * 25 * 2
 
 
 def test_nonzero_factor_product_matches_det(full3, golden):
@@ -955,9 +1036,8 @@ def test_codes_through_match_the_reference_on_the_compare_pool(monkeypatch):
     outcomes, windows = [], []
 
     def outcome(build, a, edge_a, b, edge_b):
-        fresh = [build_shift_space(s.matrix.entries) for s in (a, b)]
         try:
-            codes = build(fresh[0], edge_a, fresh[1], edge_b)
+            codes = build(fresh(a), edge_a, fresh(b), edge_b)
         except TooLarge as e:
             return [("TooLarge", str(e))]
         return [(h.window, h.table) for h in codes]
@@ -1025,15 +1105,17 @@ def test_compare_reads_one_smith_form_and_one_amalgamation_per_matrix(
 ):
     # det(I - A) is -1 on golden and its split, so their factors are read
     # off it; it is -4 on the triangle and 0 on the path with loops at its
-    # ends, so each of those and its split takes one Smith form.  Each
-    # matrix's columns are merged once, by the report, and the conjugacy
-    # grows both codes' label paths once
-    triangle = build_shift_space([[0, 1, 1], [1, 0, 1], [1, 1, 0]])
-    looped = build_shift_space([[1, 1, 0], [1, 0, 1], [0, 1, 1]])
-    for base, blocks, smith_forms in (
-        (build_shift_space(golden.matrix.entries), [(1,), (2,)], 0),
-        (triangle, [(2,), (3,)], 2),
-        (looped, [(1,), (2,)], 2),
+    # ends, so the report of each of those takes one Smith form, and the
+    # split, whose terminal matches, shares it.  Each matrix's columns are
+    # merged once and the terminals matched once, by the report, and the
+    # conjugacy grows both codes' label paths once; so does the CLI's
+    # compare on fresh spaces
+    triangle = [[0, 1, 1], [1, 0, 1], [1, 1, 0]]
+    looped = [[1, 1, 0], [1, 0, 1], [0, 1, 1]]
+    for rows, blocks, smith_forms in (
+        (golden.matrix.entries, [(1,), (2,)], 0),
+        (triangle, [(2,), (3,)], 1),
+        (looped, [(1,), (2,)], 1),
     ):
         calls = dict.fromkeys(
             ("smith_normal_form", "_merge_columns", "_find_iso", "_codes_through"), 0
@@ -1045,17 +1127,26 @@ def test_compare_reads_one_smith_form_and_one_amalgamation_per_matrix(
                     return call(*args)
 
                 patch.setattr(invariants, name, counted)
+            base = build_shift_space(rows)
             split, _, _ = out_split(base, {1: blocks})
             assert not obstruction_report(base, split).obstructed
             assert calls == {
                 "smith_normal_form": smith_forms, "_merge_columns": 2,
-                "_find_iso": 0, "_codes_through": 0,
+                "_find_iso": 1, "_codes_through": 0,
             }
             assert decide_one_sided_conjugacy(base, split)
             assert conjugacy_from_amalgamation(base, split) is not None
             assert calls == {
                 "smith_normal_form": smith_forms, "_merge_columns": 2,
-                "_find_iso": 2, "_codes_through": 1,
+                "_find_iso": 1, "_codes_through": 1,
+            }
+            for name in calls:
+                calls[name] = 0
+            payload, _, code = cli.cmd_compare(fresh(base), fresh(split))
+            assert payload["oneSidedConjugate"] is True and code == cli.EXIT_OK
+            assert calls == {
+                "smith_normal_form": smith_forms, "_merge_columns": 2,
+                "_find_iso": 1, "_codes_through": 1,
             }
 
 
