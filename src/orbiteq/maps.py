@@ -312,12 +312,17 @@ def _composite_mismatch(outer, inner):
 
     The composite reads ``w = inner.window + outer.window - 1`` symbols,
     and it is the identity exactly when it maps every admissible
-    ``w``-word to the word's first symbol.  The words grow one follower at
-    a time from ``inner``'s window-words, and a word one symbol short of
-    ``w`` compares its followers' images in its own loop; when ``outer``
-    reads one symbol the window-words are compared directly.  So no
-    composite table is built and no longer word table is left cached on
-    the space.
+    ``w``-word to the word's first symbol.  Such a word is a window-word
+    ``x`` of ``inner`` and a continuation, and what ``inner`` emits on the
+    continuation depends only on the *tail* of ``x``, its last
+    ``inner.window - 1`` symbols.  So each tail's set of those emissions
+    is built once and shared by every ``x`` ending in it; the set is
+    exact, so ``x`` passes exactly when ``outer`` maps ``f(x)`` followed
+    by each member to ``x[0]``.  The walk of the words runs only under the
+    first ``x`` that fails, so the word named is still the first.  At
+    window 1 ``x`` is its own tail, shares no set and is walked.  No word
+    table longer than ``inner.window`` is built; the sets of ``j``
+    outputs hold at most one tuple per ``(inner.window - 1 + j)``-word.
 
     Raises
     ------
@@ -347,7 +352,37 @@ def _composite_mismatch(outer, inner):
                 return word + (b,)
         return None
 
-    return next(filter(None, (miss(x, (f[x],)) for x in src.words(k))), None)
+    if k == 1:
+        return next(filter(None, (miss(x, (f[x],)) for x in src.words(k))), None)
+    x = _first_failing_window_word(outer, inner)
+    return x and miss(x, (f[x],))
+
+
+def _first_failing_window_word(outer, inner):
+    """The first window-word of ``inner`` under which ``outer ∘ inner`` fails."""
+    fol, f, g, m = inner.source.matrix.followers, inner.table, outer.table, outer.window
+    outs = [{} for _ in range(m)]  # outs[j][tail]: the set of next j outputs
+
+    def after(tail, j):
+        s, below = set(), outs[j - 1]
+        for b in fol[tail[-1] - 1]:
+            u = tail + (b,)
+            a = (f[u],)
+            if j == 1:
+                s.add(a)
+            else:
+                for r in below.get(u[1:]) or after(u[1:], j - 1):
+                    s.add(a + r)
+        outs[j][tail] = s
+        return s
+
+    top = outs[m - 1]
+    for x in inner.source.words(inner.window):
+        a = (f[x],)
+        for r in top.get(x[1:]) or after(x[1:], m - 1):
+            if g[a + r] != x[0]:
+                return x
+    return None
 
 
 def _compared(sa, sb, last, da, db, xa, xb):

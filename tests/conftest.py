@@ -257,3 +257,30 @@ def delay_line_json(length, loop_to=None):
     delta += [{"state": "copy", "in": a, "out": [a], "next": "copy"} for a in (1, 2)]
     states = [f"s{i}" for i in range(length)] + ["copy"]
     return {"type": "transducer", "states": states, "initial": "s0", "delta": delta}
+
+
+def walk_composite_mismatch(outer, inner):
+    """The reference for ``maps._composite_mismatch``: one depth-first walk
+    per window-word, growing every admissible ``w``-word a follower at a
+    time and comparing the composite's image of it with its first symbol.
+    It leaves out the word cap, so call it only where the library passed
+    it."""
+    src, k = inner.source, inner.window
+    fol, f, g = src.matrix.followers, inner.table, outer.table
+    if outer.window == 1:
+        return next((x for x in src.words(k) if g[(f[x],)] != x[0]), None)
+
+    def miss(word, out):
+        # ``out`` is what ``inner`` has emitted on ``word``
+        tail, deeper = word[len(word) - k + 1 :], len(out) + 1 < outer.window
+        for b in fol[word[-1] - 1]:
+            o = out + (f[tail + (b,)],)
+            if deeper:
+                found = miss(word + (b,), o)
+                if found:
+                    return found
+            elif g[o] != word[0]:
+                return word + (b,)
+        return None
+
+    return next(filter(None, (miss(x, (f[x],)) for x in src.words(k))), None)

@@ -2,6 +2,7 @@ import ast
 import copy
 import itertools
 import random
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +27,7 @@ from orbiteq import (
     classify,
     compile_block_code,
     compose_block_codes,
+    conjugacy_from_amalgamation,
     enumerate_points,
     identity_code,
     indicator,
@@ -48,7 +50,9 @@ from conftest import (
     random_tau,
     raw_expand,
     recoder_map,
+    walk_composite_mismatch,
 )
+from golden import bench_cases
 
 INPUTS = Path(__file__).resolve().parents[1] / "bench" / "inputs"
 
@@ -507,6 +511,40 @@ def _window_identity(space, window, rng=None):
     return compile_block_code(space, space, window, table)
 
 
+def _tail(x):
+    """What ``inner`` emits after the window-word ``x`` depends on: its
+    last ``len(x) - 1`` symbols, its last symbol at window 1."""
+    return x[1:] or x
+
+
+def _bent_identity(space, window, rng):
+    """The identity as a ``window``-block code with the image of one word
+    ``v`` changed, where the symbol a tail of ``v`` starts with (``v[1]``,
+    or ``v[0]`` at inner window 1) has two predecessors, and at window 2
+    ``v[0]`` is not the least of them, so that an earlier window-word
+    shares the tail.  Behind the identity at inner window 1 or 2, the
+    composite fails on exactly the words that start with ``v``.  None
+    where no such change keeps the images admissible."""
+    preds = {b: [a for a in range(1, space.n + 1) if space.matrix.allows(a, b)]
+             for b in range(1, space.n + 1)}
+    words = list(space.words(window))
+    rng.shuffle(words)
+    for v in words:
+        for inner_w, head in ((1, v[0]), (2, v[1])):
+            if len(preds[head]) < 2 or (inner_w == 2 and v[0] == preds[head][0]):
+                break
+        else:
+            for c in rng.sample(range(1, space.n + 1), space.n):
+                table = {w: w[0] for w in space.words(window)}
+                table[v] = c
+                try:
+                    if c != v[0]:
+                        return compile_block_code(space, space, window, table)
+                except ImageInadmissible:
+                    pass
+    return None
+
+
 def test_composite_mismatch_matches_the_composite_table():
     rng = random.Random(5)
     found = []
@@ -534,8 +572,29 @@ def test_composite_mismatch_matches_the_composite_table():
             outer = _window_identity(space, outer_w, bend_outer)
             pairs.append((outer, inner))
         found += _misses_match_the_table(pairs)
-    # both outcomes occur often
+    # inner windows 1-2 and outer windows 3-5 on spaces that are not full
+    # shifts, the outer code bent where its words go through a shared tail
+    shared = 0
+    for _ in range(12):
+        space = random_shift_space(rng, rng.randint(2, 4))
+        while sum(map(len, space.matrix.followers)) == space.n**2:
+            space = random_shift_space(rng, rng.randint(2, 4))
+        for outer_w in (3, 4, 5):
+            bent = _bent_identity(space, outer_w, rng)
+            for inner_w in (1, 2):
+                inner = _window_identity(space, inner_w)
+                pairs = [(_window_identity(space, outer_w), inner)]
+                pairs += [(bent, inner)] if bent is not None else []
+                misses = _misses_match_the_table(pairs)
+                assert misses[0] is None
+                if bent is not None:
+                    x = misses[1][:inner_w]
+                    tails = [_tail(y) for y in space.words(inner_w) if y < x]
+                    shared += _tail(x) in tails
+                found += misses
+    # both outcomes occur often, and a failing word's tail was met before
     assert found.count(None) > 10 and len(found) - found.count(None) > 10
+    assert shared > 10
 
 
 def test_composite_mismatch_checks_the_word_cap_first(monkeypatch):
@@ -546,6 +605,75 @@ def test_composite_mismatch_checks_the_word_cap_first(monkeypatch):
     with pytest.raises(TooLarge):
         maps._composite_mismatch(outer, inner)
     assert max(space._words) == depth
+
+
+def _split_pair_codes(seed):
+    """``(id, h, h_inv)`` for each split pair of the ``invariants-compare``
+    workload of ``seed``, the codes built on fresh copies of its spaces."""
+    for build in bench_cases().WORKLOADS["invariants-compare"](seed):
+        case = build()
+        if case.id.startswith("split-pair-"):
+            a, b = (build_shift_space(s.matrix.entries) for s in case.args)
+            yield (case.id, *conjugacy_from_amalgamation(a, b))
+
+
+def _bend(code, rng):
+    """``code`` with one entry changed, drawn at random among the changes
+    under which every image stays admissible, or None if there is none.
+    An image pair that a change can touch holds ``v`` and a window-word
+    just after or just before it."""
+    src, allows, table = code.source, code.target.matrix.allows, code.table
+    changes = [(v, c) for v in table for c in range(1, code.target.n + 1) if c != table[v]]
+    for v, c in rng.sample(changes, len(changes)):
+        after = [v[1:] + (b,) for b in src.matrix.followers[v[-1] - 1]]
+        before = [(p,) + v[:-1] for p in range(1, src.n + 1) if src.matrix.allows(p, v[0])]
+        image = {**table, v: c}
+        if all(allows(c, image[u]) for u in after) and all(allows(image[u], c) for u in before):
+            return compile_block_code(src, code.target, code.window, image)
+    return None
+
+
+def test_composite_mismatch_agrees_with_the_walk_on_the_split_pairs():
+    # each pair's codes both ways round, and h with one entry changed where
+    # the images stay admissible, against the walk per window-word
+    rng = random.Random(41)
+    pairs, bent = 0, 0
+    for _, h, h_inv in _split_pair_codes(1):
+        cases = [(h, h_inv), (h_inv, h)]
+        code = _bend(h, rng)
+        if code is not None:
+            cases += [(code, h_inv), (h_inv, code)]
+            assert None not in [walk_composite_mismatch(*pair) for pair in cases[2:]]
+            bent += 1
+        for outer, inner in cases:
+            assert maps._composite_mismatch(outer, inner) == walk_composite_mismatch(outer, inner)
+        pairs += 1
+    assert pairs == 400 and bent > 300
+
+
+def test_composite_mismatch_stays_below_its_word_table():
+    # the sets per tail stay smaller than the composite's word table, which
+    # is neither built nor left on the space
+    _, h, h_inv = next(c for c in _split_pair_codes(1) if c[0] == "split-pair-106")
+    space, w = h_inv.source, h.window + h_inv.window - 1
+    assert (h.window, h_inv.window, w) == (5, 2, 6)
+    fresh = build_shift_space(space.matrix.entries)
+    fresh.words(w - 1)
+    tracemalloc.start()
+    try:
+        fresh.words(w)
+        table_size, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    depth = max(space._words)
+    tracemalloc.start()
+    try:
+        assert maps._composite_mismatch(h, h_inv) is None
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert max(space._words) == depth < w
+    assert peak < table_size
 
 
 def test_transducer_validates_a_long_delay_line(full2):
