@@ -9,13 +9,13 @@ rows, so the matrix becomes a nonnegative integer matrix counting edges.
 Iterating it until no two columns are equal gives Williams' total
 amalgamation, unique up to a state permutation: two one-sided shifts are
 conjugate exactly when their total amalgamations are isomorphic.  The
-merges also carry each 2-word to a terminal edge, and the explicit
-conjugacy is read off those edge labels: both directions from one growth
-of the two spaces' label paths.  A transition matrix keeps its
-amalgamation (terminal and merge log, then the labels once a conjugacy
-needs them, and the match of its terminal against the last partner's),
-so ``compare`` merges each matrix's columns once and searches for one
-isomorphism per pair.
+merges also carry each 2-word to a terminal edge; each direction of the
+explicit conjugacy reads, per source word, the target states that start
+a word with its edge labels.  A transition matrix keeps its amalgamation
+(terminal and merge log, then the labels once a conjugacy needs them, and
+the match of its terminal against the last partner's), so ``compare``
+merges each matrix's columns once and searches for one isomorphism per
+pair.
 
 The integer side computes ``det(I - A)`` exactly and reads its sign off
 it.  The cokernel factors of ``I - A`` and of its transpose ``I - A^T``
@@ -35,6 +35,7 @@ pair's terminals match, ``obstruction_report`` reads them once.
 
 from collections import namedtuple
 from functools import cached_property
+from itertools import accumulate
 from operator import mul
 
 from .config import MAX_MATCH_STATES, WORD_TABLE_LIMIT
@@ -294,49 +295,74 @@ def decide_one_sided_conjugacy(a, b):
     return _match(_amalgamation(a), _amalgamation(b)) is not None
 
 
+class _Preceders(dict):
+    """One label's target 2-words ``(u, v)``, as a map from a mask of target
+    states to the mask of the ``u`` whose ``v`` it holds, filled on use."""
+
+    def __init__(self):
+        self.words = []
+
+    def __missing__(self, mask):
+        self[mask] = p = sum({1 << u - 1 for u, v in self.words if mask >> v - 1 & 1})
+        return p
+
+
 def _codes_through(space_a, edge_a, space_b, edge_b):
     """The block codes ``a -> b`` and ``b -> a`` that commute with the
-    edge labels, from one growth of both spaces' words.
+    edge labels, each read off first-symbol masks of its source's words.
 
-    Both label maps send 2-words onto edges of one terminal matrix.  For
-    the least ``r`` at which the labels of a target word's first ``r + 1``
-    2-words determine its first symbol, that symbol is read off the labels
-    of the source's ``(r + 2)``-words; trailing window symbols the table
-    does not depend on are then dropped (``functions._least_table``).  The
-    words of both spaces are kept in the order of ``space.words`` as
-    ``(label path, last symbol, first symbol)`` and grown by the followers
-    of the last symbol; a path is its prefix's path and one more edge,
-    interned per length as an int that both spaces share.  Each direction
-    takes its source's values at the first length where its target's paths
-    fix the first symbol, and the growth stops when both have.  The one
-    word table built per code is its source's, at the code's own window.
-    ``TooLarge`` if a word count passes the cap: checked as each length is
-    grown, on the target of the first direction still open first.
+    Both label maps send 2-words onto edges of one terminal matrix.  The
+    mask ``R(x)`` of a source word ``x`` has bit ``u - 1`` set for each
+    target state ``u`` that starts a target word with the labels of ``x``:
+    ``R((a,))`` holds every state and ``R(x)`` is the :class:`_Preceders` of
+    ``R(x[1:])`` along the label of ``x[:2]``.  The ``w``-words that start
+    ``a b`` are ``a`` before the run of ``(w - 1)``-words that start with
+    ``b`` (in ``space.words`` order, counted by ``space._counts``), so a
+    window's masks are one ``map`` per 2-word over the last window's.  A
+    direction's window is the least at which every mask is one state, the
+    value; trailing symbols are then dropped (``functions._least_table``).
+    This tests whether the target's own words' labels fix their first
+    symbol: either space's labels are a conjugacy onto the terminal's
+    one-sided edge shift, and every word of an irreducible matrix, as every
+    path of the terminal, extends to a point, so the ``w``-words of both
+    spaces carry exactly the terminal's ``(w - 1)``-paths.  The search holds
+    one int per source word at this window and the last, and no target word;
+    the one word table built per code is its source's, at its window.
+    ``TooLarge`` if a word count passes the cap, checked at each window on
+    both spaces, the target of the first open direction first.  An
+    ``AssertionError`` names a source label the target lacks.
     """
     spaces, edges = (space_a, space_b), (edge_a, edge_b)
-    grown = [[((), a, a) for a in range(1, space.n + 1)] for space in spaces]
-    found = [None, None]  # direction k reads spaces[k] into spaces[1 - k]
+    found, masks, preds = [None, None], [None, None], [None, None]
     for window in range(2, max(space_a.n, space_b.n) + 2):
-        ids = {}
         for k in (1, 0) if found[0] is None else (0, 1):  # target first
-            space, edge = spaces[k], edges[k]
-            if space.word_count(window) > WORD_TABLE_LIMIT:  # before allocating
+            if spaces[k].word_count(window) > WORD_TABLE_LIMIT:  # before allocating
                 raise TooLarge(f"word table at depth {window} too large")
-            fol = space.matrix.followers
-            grown[k] = [(ids.setdefault((p, edge[a, b]), len(ids)), b, f)
-                        for p, a, f in grown[k] for b in fol[a - 1]]
-        for k in (0, 1):
-            if found[k] is None:
-                first = {}
-                if all(first.setdefault(p, f) == f for p, _, f in grown[1 - k]):
-                    found[k] = window, [first[p] for p, _, _ in grown[k]]
-                elif window > spaces[1 - k].n:
-                    raise AssertionError(
-                        "edge labels do not determine the target symbol"
-                    )
+        for k in [k for k in (0, 1) if found[k] is None]:  # spaces[k] into the other
+            if window == 2:
+                head = {}
+                for (u, _), label in edges[1 - k].items():
+                    head[label] = head.get(label, 0) | 1 << u - 1
+                try:
+                    masks[k] = [head[label] for label in edges[k].values()]
+                except KeyError as e:
+                    raise AssertionError(f"unknown edge label {e.args[0]}") from None
+            else:
+                if window == 3:
+                    preds[k] = {x: _Preceders() for x in set(edges[1 - k].values())}
+                    for (u, v), label in edges[1 - k].items():
+                        preds[k][label].words.append((u, v))
+                starts = [0, *accumulate(spaces[k]._counts[window - 2])]
+                runs, masks[k] = [masks[k][i:j] for i, j in zip(starts, starts[1:])], []
+                for (_, b), label in edges[k].items():
+                    masks[k] += map(preds[k][label].__getitem__, runs[b - 1])
+            if all(m and not m & m - 1 for m in set(masks[k])):
+                found[k] = window, list(map(int.bit_length, masks[k]))
+                masks[k] = preds[k] = runs = None  # before any word is built
+            elif window > spaces[1 - k].n:
+                raise AssertionError("edge labels do not determine the target symbol")
         if None not in found:
             break
-    del grown, ids, first  # before the sources' words are built
     codes = []
     for k, source in enumerate(spaces):
         (window, values), found[k] = found[k], None  # freed once lowered
@@ -351,10 +377,9 @@ def conjugacy_from_amalgamation(a, b):
 
     Each matrix is amalgamated once and the terminals are matched once (a
     transition matrix keeps both); if the terminals are isomorphic, each
-    direction is the block code that agrees on terminal edges, both from
-    one growth of the label paths, and both composites are checked to be
-    the identity word by word (``maps._composite_mismatch``) before
-    returning.
+    direction is the block code that agrees on terminal edges, and both
+    composites are checked to be the identity word by word
+    (``maps._composite_mismatch``) before returning.
 
     Raises
     ------

@@ -2,7 +2,8 @@ import random
 import time
 import tracemalloc
 from fractions import Fraction
-from itertools import combinations, permutations
+from collections import Counter
+from itertools import combinations, permutations, product
 from math import gcd, isqrt
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 
 from orbiteq import (
     InvalidPartition,
+    OrbiteqError,
     ShiftSpace,
     TooLarge,
     amalgamation_terminals,
@@ -1029,26 +1031,29 @@ def test_codes_through_terminals_match_the_per_word_labels(monkeypatch):
     assert max(h.window for codes in found for h in codes) >= 4
 
 
+def codes_outcome(build, a, edge_a, b, edge_b):
+    """The windows and tables of the codes ``build`` reads on fresh copies
+    of the two spaces, or the ``TooLarge`` it raises."""
+    try:
+        codes = build(fresh(a), edge_a, fresh(b), edge_b)
+    except TooLarge as e:
+        return [("TooLarge", str(e))]
+    return [(h.window, h.table) for h in codes]
+
+
 def test_codes_through_match_the_reference_on_the_compare_pool(monkeypatch):
     # every split pair of the bench pool at two seeds, each code built on
     # fresh spaces; under a low word table cap both raise the same TooLarge
     codes_through = invariants._codes_through
     outcomes, windows = [], []
 
-    def outcome(build, a, edge_a, b, edge_b):
-        try:
-            codes = build(fresh(a), edge_a, fresh(b), edge_b)
-        except TooLarge as e:
-            return [("TooLarge", str(e))]
-        return [(h.window, h.table) for h in codes]
-
     def both(*args):
         for limit in (40, 150, 10**6):
             with monkeypatch.context() as m:
                 m.setattr(invariants, "WORD_TABLE_LIMIT", limit)
                 m.setattr(shifts, "WORD_TABLE_LIMIT", limit)
-                expected = outcome(reference_codes_through, *args)
-                assert outcome(codes_through, *args) == expected
+                expected = codes_outcome(reference_codes_through, *args)
+                assert codes_outcome(codes_through, *args) == expected
             outcomes.extend(x for x, _ in expected)
         windows.extend(x for x, _ in expected)  # at the real cap
         return codes_through(*args)
@@ -1064,6 +1069,97 @@ def test_codes_through_match_the_reference_on_the_compare_pool(monkeypatch):
     assert len(windows) == 2 * 2 * 400 and max(windows) == 5
     assert outcomes.count("TooLarge") > 100
     assert len(set(outcomes)) > 3
+
+
+def test_codes_through_match_the_reference_on_sibling_splits(monkeypatch):
+    # two different splittings of one base, both ways round: from a split
+    # back to its own base the code never needs window 3, between siblings
+    # both directions can; under a low word table cap both raise alike
+    codes_through = invariants._codes_through
+    outcomes, windows = [], []
+
+    def both(*args):
+        for limit in (40, 150, invariants.WORD_TABLE_LIMIT):
+            with monkeypatch.context() as m:
+                m.setattr(invariants, "WORD_TABLE_LIMIT", limit)
+                m.setattr(shifts, "WORD_TABLE_LIMIT", limit)
+                expected = codes_outcome(reference_codes_through, *args)
+                assert codes_outcome(codes_through, *args) == expected
+            outcomes.append(expected[0][0])
+        windows.append(tuple(x for x, _ in expected))  # at the real cap
+        return codes_through(*args)
+
+    monkeypatch.setattr(invariants, "_codes_through", both)
+    rng = random.Random(42)
+    for _ in range(60):
+        base = random_shift_space(rng, rng.randint(2, 6))
+        s, t = (split_chain(rng, base, max_splits=3)[0] for _ in "st")
+        if s != t:
+            assert conjugacy_from_amalgamation(s, t) is not None
+            assert conjugacy_from_amalgamation(t, s) is not None
+    assert any(min(w) >= 3 for w in windows)
+    assert "TooLarge" in outcomes and len(set(outcomes)) > 3
+
+
+def test_edge_labels_run_in_word_order():
+    # _codes_through reads the labels onto the 2-words by position; the
+    # words are built on a copy, so no table is added to the space itself
+    rng = random.Random(44)
+    spaces = [
+        space
+        for build in bench_cases().WORKLOADS["invariants-compare"](1)
+        for space in build().args
+    ]
+    spaces += [random_shift_space(rng, rng.randint(2, 9)) for _ in range(100)]
+    for space in spaces:
+        assert list(invariants._amalgamation(space).edge) == list(
+            fresh(space).words(2)
+        )
+        assert max(space._words) == 1
+
+
+def test_bent_edge_labels_raise_or_still_give_inverse_codes():
+    # one 2-word of either space gets another terminal edge's label: the
+    # pair must raise or still verify; a label on no terminal edge is named
+    # by an AssertionError, as is a label the bend left on no 2-word
+    rng = random.Random(45)
+    outcomes = Counter()
+    builds = bench_cases().WORKLOADS["invariants-compare"](1)[:400]
+    for build, unknown in product(builds, (False, True)):
+        a, b = build().args
+        am_a, am_b = invariants._amalgamation(a), invariants._amalgamation(b)
+        perm = invariants._match(am_a, am_b)
+        bent = rng.choice((am_a, am_b))
+        edge = dict(bent.edge)
+        w = rng.choice(list(edge))
+        s, d, k = edge[w]
+        edge[w] = (s, d, k + 1000) if unknown else rng.choice(
+            sorted(set(edge.values()) - {edge[w]})
+        )
+        vars(bent)["edge"] = edge  # in place of the labels the matrix keeps
+        if unknown:
+            if bent is am_a:
+                s, d = perm[s], perm[d]
+            with pytest.raises(AssertionError) as raised:
+                conjugacy_from_amalgamation(a, b)
+            # a's labels are read first, so a label that b lost comes first
+            named = {f"unknown edge label {(s, d, k + 1000)}": "bent label named"}
+            if bent is am_b:
+                named[f"unknown edge label {(s, d, k)}"] = "lost label named"
+            assert str(raised.value) in named
+            outcomes[named[str(raised.value)]] += 1
+            continue
+        try:
+            codes = conjugacy_from_amalgamation(a, b)
+        except (AssertionError, OrbiteqError) as e:
+            outcomes[type(e).__name__] += 1
+        else:
+            assert verify_inverse_pair(*codes) == (True, None)
+            outcomes["inverse"] += 1
+    assert set(outcomes) == {
+        "bent label named", "lost label named", "AssertionError",
+        "ImageInadmissible", "TooLarge", "inverse",
+    }
 
 
 def test_conjugacy_from_amalgamation_takes_rows_matrices_and_spaces():
